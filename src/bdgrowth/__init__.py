@@ -53,14 +53,13 @@ from .errors import (
     SampleTooSmall,
 )
 from .estimators import (
+    METHODS,
     Estimate,
     MleFit,
-    PairwiseStatistic,
     estimate_lengths,
     estimate_mle,
     estimate_pairwise,
     internal_branch_length,
-    pairwise_statistic,
     raw_pairwise_point,
 )
 from .rng import RngStream

@@ -23,6 +23,7 @@ seed) regardless of worker count.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import coalescent
 from .errors import InsufficientReplicates
-from .estimators import pairwise_abs_sum_rows
+from .estimators import raw_pairwise_rows
 from .rng import RngStream, open_uniform
 
 _SN_BLOCK = 50_000  # replicates per stream block; fixed so tables reproduce
@@ -77,7 +78,7 @@ def c_inv_closed_form(n: int) -> float:
 def _sn_block(n: int, count: int, gen) -> np.ndarray:
     q = coalescent.sample_q(n, gen, size=(count, 1))
     u = coalescent.u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)
-    return (n - 1) * (n - 2) / pairwise_abs_sum_rows(u)
+    return raw_pairwise_rows(u)
 
 
 def sample_sn(n: int, replicates: int, rng: RngStream, workers: int = 1) -> SnSample:
@@ -199,6 +200,16 @@ def build_constants_row(n: int, replicates: int, seed: int, workers: int = 1) ->
     return row
 
 
+def constants_row(table: dict[int, ConstantsRow], n: int, replicates: int,
+                  seed: int) -> ConstantsRow:
+    """table[n], calibrated on the fly and added to the table when missing."""
+    if n not in table:
+        print(f"warning: no constants row for n={n}; "
+              f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
+        table[n] = build_constants_row(n, replicates, seed)
+    return table[n]
+
+
 def _check_row(row: ConstantsRow):
     if not row.c_mse <= row.c_bias:  # Cauchy-Schwarz, holds on any sample
         raise RuntimeError(f"c_mse > c_bias at n={row.n}; sampler is broken")
@@ -220,20 +231,20 @@ def build_constants_table(
     return rows
 
 
-def _format_value(x: float) -> str:
-    return format(x, ".17g")
+# 17 significant digits read back as the same double; every CSV of this
+# package formats its floats with it
+g17 = "{:.17g}".format
+
+
+def write_rows(path: str | Path, header: str, rows):
+    """CSV of dataclass rows, one line per row in field order, floats via g17."""
+    lines = [header] + [",".join(g17(v) if isinstance(v, float) else str(v)
+                                 for v in vars(row).values()) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_constants_table(rows, path: str | Path):
-    path = Path(path)
-    lines = [f"# {_TABLE_VERSION}", _TABLE_COLUMNS]
-    for row in rows:
-        lines.append(
-            f"{row.n},{_format_value(row.c_inv)},{_format_value(row.c_mse)},"
-            f"{_format_value(row.c_bias)},{_format_value(row.inv_q_lo)},"
-            f"{_format_value(row.inv_q_hi)},{row.replicates},{row.seed}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, f"# {_TABLE_VERSION}\n{_TABLE_COLUMNS}", rows)
 
 
 def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:

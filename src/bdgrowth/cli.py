@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, confidence, harness, treeio
+from .calibration import g17
 from .coalescent import CoalescenceTimes, sample_coalescence_times_block
 from .errors import (
     BdGrowthError,
@@ -34,7 +35,7 @@ from .errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from .estimators import estimate_lengths, estimate_mle, estimate_pairwise
+from .estimators import METHODS, Estimate
 from .rng import RngStream
 
 _INPUT_ERRORS = (
@@ -48,14 +49,11 @@ _INPUT_ERRORS = (
     RelativeAxisError,
 )
 _NUMERICAL_ERRORS = (DegenerateTimes, NonConvergence, FloatingPointError)
+_ITEM_ERRORS = (BdGrowthError, ValueError)  # fail one input of a batch, not the batch
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _g17(x: float) -> str:
-    return format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +63,10 @@ def _g17(x: float) -> str:
 
 def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
     header = "n,T," + ",".join(f"h{i}" for i in range(1, n))
-    t_text = "" if t is None else _g17(t)
+    t_text = "" if t is None else g17(t)
     lines = [header]
     for row in matrix:
-        lines.append(f"{n},{t_text}," + ",".join(_g17(v) for v in row))
+        lines.append(f"{n},{t_text}," + ",".join(g17(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -137,19 +135,10 @@ def _load_inputs(path: Path) -> list[tuple[str, CoalescenceTimes | treeio.Sample
     return [(f"{path.name}#{i}", tree) for i, tree in enumerate(trees)]
 
 
-def _constants_for(n: int, table: dict[int, calibration.ConstantsRow],
-                   replicates: int, seed: int) -> calibration.ConstantsRow:
-    if n not in table:
-        print(f"warning: no constants row for n={n}; "
-              f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
-        table[n] = calibration.build_constants_row(n, replicates, seed)
-    return table[n]
-
-
 def _spec_for(n: int, table, args, spec_cache: dict) -> confidence.ConfidenceSpec:
     if n not in spec_cache:
         if args.level == 0.95:
-            row = _constants_for(n, table, args.replicates, args.seed)
+            row = calibration.constants_row(table, n, args.replicates, args.seed)
             spec_cache[n] = confidence.ConfidenceSpec.from_constants_row(row)
         else:
             # tabulated quantiles are 95%-specific; other levels recalibrate
@@ -158,59 +147,61 @@ def _spec_for(n: int, table, args, spec_cache: dict) -> confidence.ConfidenceSpe
     return spec_cache[n]
 
 
-def _estimate_one(item, method: str, table, args, spec_cache: dict) -> dict:
-    if isinstance(item, treeio.SampleTree):
-        tree = item
-        times = treeio.extract_coalescence_times(tree, tol=args.ultrametric_tol)
-    else:
-        tree = None
-        times = item
-    row = _constants_for(times.n, table, args.replicates, args.seed)
-    spec = _spec_for(times.n, table, args, spec_cache)
-    if method == "Lengths":
-        est = estimate_lengths(tree if tree is not None else times)
-        ci = None
-    elif method == "MLE":
-        est, _ = estimate_mle(times)
-        ci = None
-    else:
-        c = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
-             "RawUnitConstant": 1.0}[method]
-        est = estimate_pairwise(times, c, method)
-        ci = confidence.confidence_interval(times, spec)
-    return {"n": times.n, "method": method, "estimate": est.point,
-            "ci_low": None if ci is None else ci[0],
-            "ci_high": None if ci is None else ci[1]}
+def _estimate_input(item, tags, table, args, spec_cache: dict) -> list[dict | Exception]:
+    """A record, or the error that stopped it, for each method on one input.
+
+    The input is extracted once and each one-input estimate (the pairwise
+    pivot among them) runs once; constants and interval specs are fetched
+    only for the methods that use them.
+    """
+    tree = item if isinstance(item, treeio.SampleTree) else None
+    try:
+        times = item if tree is None else treeio.extract_coalescence_times(
+            tree, tol=args.ultrametric_tol)
+    except _ITEM_ERRORS as exc:
+        return [exc] * len(tags)
+    n = times.n
+    points: dict = {}  # one-input estimate at c = 1, by function
+    out: list[dict | Exception] = []
+    for tag in tags:
+        method = METHODS[tag]
+        try:
+            row = (calibration.constants_row(table, n, args.replicates, args.seed)
+                   if method.column else None)
+            spec = _spec_for(n, table, args, spec_cache) if method.pairwise else None
+            if method.one not in points:
+                points[method.one] = method.one(times, tree)
+            base = points[method.one]
+            est = Estimate(tag, method.constant(row) * base)
+            ci_low, ci_high = (None, None) if spec is None else spec.interval(base)
+            out.append({"n": n, "method": tag, "estimate": est.point,
+                        "ci_low": ci_low, "ci_high": ci_high, "error": ""})
+        except _ITEM_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 def cmd_estimate(args) -> int:
     inputs = _load_inputs(Path(args.input))
     table = calibration.load_constants_table(args.constants) if args.constants else {}
-    methods = [m.strip() for m in args.methods.split(",")]
-    for m in methods:
-        if m not in ("MSE", "Bias", "Inv", "Lengths", "MLE", "RawUnitConstant"):
-            raise ValueError(f"unknown method {m!r}")
+    tags = [m.strip() for m in args.methods.split(",")]
+    for tag in tags:
+        if tag not in METHODS:
+            raise ValueError(f"unknown method {tag!r}")
 
     records = []
-    failures = 0
-    numerical = 0
+    errors = []
     spec_cache: dict = {}
     for name, item in inputs:
-        for method in methods:
-            try:
-                record = _estimate_one(item, method, table, args, spec_cache)
-                record["input"] = name
-                record["error"] = ""
-                records.append(record)
-            except (BdGrowthError, ValueError) as exc:
-                failures += 1
-                if isinstance(exc, _NUMERICAL_ERRORS):
-                    numerical += 1
-                records.append({"input": name, "n": None, "method": method,
-                                "estimate": None, "ci_low": None, "ci_high": None,
-                                "error": f"{type(exc).__name__}: {exc}"})
+        for tag, result in zip(tags, _estimate_input(item, tags, table, args, spec_cache)):
+            if isinstance(result, Exception):
+                errors.append(result)
+                result = {"n": None, "method": tag, "estimate": None, "ci_low": None,
+                          "ci_high": None, "error": f"{type(result).__name__}: {result}"}
+            records.append({"input": name, **result})
     _write_estimates(records, args)
-    if failures == len(records):
+    if len(errors) == len(records):
+        numerical = any(isinstance(exc, _NUMERICAL_ERRORS) for exc in errors)
         return EXIT_NUMERICAL if numerical else EXIT_INPUT
     return EXIT_OK
 
@@ -226,10 +217,10 @@ def _write_estimates(records, args):
                     rec["input"],
                     "" if rec["n"] is None else str(rec["n"]),
                     rec["method"],
-                    "" if rec["estimate"] is None else _g17(rec["estimate"]),
-                    "" if rec["ci_low"] is None else _g17(rec["ci_low"]),
-                    "" if rec["ci_high"] is None else _g17(rec["ci_high"]),
-                    '"' + rec["error"] + '"' if rec["error"] else "",
+                    "" if rec["estimate"] is None else g17(rec["estimate"]),
+                    "" if rec["ci_low"] is None else g17(rec["ci_low"]),
+                    "" if rec["ci_high"] is None else g17(rec["ci_high"]),
+                    '"' + rec["error"].replace('"', '""') + '"' if rec["error"] else "",
                 ])
             )
         payload = "\n".join(lines) + "\n"
@@ -299,9 +290,7 @@ def cmd_sweep(args) -> int:
         args.n, args.r, args.T, grid, args.replicates,
         RngStream(args.seed), regime=args.regime, birth_rate=args.birth_rate,
     )
-    lines = ["c,mse,abs_bias"]
-    lines += [f"{_g17(row.c)},{_g17(row.mse)},{_g17(row.abs_bias)}" for row in result.rows]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calibration.write_rows(args.out, "c,mse,abs_bias", result.rows)
     print(f"argmin MSE at c={result.argmin_mse_c:.3f}; "
           f"argmin |bias| at c={result.argmin_bias_c:.3f}; wrote {args.out}")
     return EXIT_OK
@@ -310,18 +299,7 @@ def cmd_sweep(args) -> int:
 def cmd_asymptotics(args) -> int:
     report = harness.asymptotics_check(args.n, args.r, args.replicates,
                                        RngStream(args.seed), t=args.T)
-    payload = {
-        "n": report.n,
-        "r": report.r,
-        "replicates": report.replicates,
-        "var_scaled_inv": report.var_scaled_inv,
-        "target_inv": report.target_inv,
-        "var_scaled_lengths": report.var_scaled_lengths,
-        "target_lengths": report.target_lengths,
-        "ks_pvalue_inv": report.ks_pvalue_inv,
-        "ks_pvalue_lengths": report.ks_pvalue_lengths,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -331,7 +309,7 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_coverage(args) -> int:
     table = calibration.load_constants_table(args.constants) if args.constants else {}
-    lines = ["n,r,T,coverage,replicates"]
+    rows = []
     stream = RngStream(args.seed)
     for i, n in enumerate(parse_n_list(args.n)):
         spec = None
@@ -342,10 +320,10 @@ def cmd_coverage(args) -> int:
             spec=spec, calibration_replicates=args.calibration_replicates,
             birth_rate=args.birth_rate,
         )
-        lines.append(f"{n},{_g17(args.r)},{_g17(args.T)},{_g17(cov)},{args.replicates}")
+        rows.append(harness.CoverageRow(n, args.r, args.T, cov, args.replicates))
         print(f"n={n}: coverage {cov:.3f}")
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calibration.write_rows(args.out, harness.COVERAGE_HEADER, rows)
     return EXIT_OK
 
 
@@ -373,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate growth rates from times CSV or Newick")
     p.add_argument("input")
     p.add_argument("--constants", default=None, help="constants table path")
-    p.add_argument("--methods", default="MSE,Bias,Inv,Lengths,MLE")
+    p.add_argument("--methods", default=",".join(harness.ALL_ESTIMATORS),
+                   help=f"comma-separated subset of {', '.join(METHODS)} (default %(default)s)")
     p.add_argument("--replicates", type=int, default=calibration.DEFAULT_REPLICATES,
                    help="replicates for on-the-fly calibration")
     p.add_argument("--seed", type=int, default=0)
@@ -400,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--regime", choices=confidence.REGIME_NAMES, default="exact")
-    p.add_argument("--estimators", default=",".join(harness.ALL_ESTIMATORS))
+    p.add_argument("--estimators", default=",".join(harness.ALL_ESTIMATORS),
+                   help=f"comma-separated subset of {', '.join(harness.ALL_ESTIMATORS)} "
+                        "(default %(default)s)")
     p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--constants", default=None)
     p.add_argument("--calibration-replicates", type=int,

@@ -100,6 +100,10 @@ class CoalescenceTimes:
 class ExactFiniteT:
     params: BirthDeathParams
 
+    @property
+    def t(self) -> float:
+        return self.params.t
+
 
 @dataclass(frozen=True)
 class FixedNLimit:
@@ -304,40 +308,24 @@ def large_n_heights(w, u, n: int, r: float, t: float):
 def sample_coalescence_times(n: int, regime: Regime, rng) -> CoalescenceTimes:
     """Draw the n - 1 branch-ordered coalescence times of one replicate.
 
+    The one-row case of sample_coalescence_times_block, draw for draw.
     ExactFiniteT heights lie strictly inside (0, T). The two limiting
     regimes live on an unbounded axis, so occasional heights outside (0, T)
     are expected there; with no T the FixedNLimit output is flagged relative
     and only its differences are meaningful.
     """
-    if n < 2:
-        raise ValueError("sample size must be >= 2")
-    gen = as_generator(rng)
-    if isinstance(regime, ExactFiniteT):
-        p = regime.params
-        y = float(sample_y(n, delta_t(p), gen))
-        h = sample_h_exact(y, p, gen, size=n - 1)
-        return CoalescenceTimes(n, tuple(float(x) for x in h), t=p.t)
-    if isinstance(regime, FixedNLimit):
-        q = float(sample_q(n, gen))
-        u = sample_u_given_q(q, gen, size=n - 1)
-        h = fixed_n_heights(q, u, regime.r, regime.t)
-        return CoalescenceTimes(
-            n, tuple(float(x) for x in h), t=regime.t, relative=regime.t is None
-        )
-    if isinstance(regime, LargeN):
-        w = -np.log(open_uniform(gen))
-        u = logistic_quantile(open_uniform(gen, n - 1))
-        h = large_n_heights(w, u, n, regime.r, regime.t)
-        return CoalescenceTimes(n, tuple(float(x) for x in h), t=regime.t)
-    raise TypeError(f"unknown regime {regime!r}")
+    h = sample_coalescence_times_block(n, regime, rng, 1)[0]
+    return CoalescenceTimes(n, tuple(float(x) for x in h), t=regime.t,
+                            relative=regime.t is None)
 
 
 def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:
     """Vectorized replicates: a (count, n - 1) array, one branch-ordered row each.
 
-    The draw order differs from repeated sample_coalescence_times calls (all
-    latents first, then the height matrix), but is itself fully deterministic
-    given the stream.
+    All latents are drawn first, then the height matrix, so for count > 1
+    the rows differ from the same number of sample_coalescence_times calls
+    on one generator; count = 1 draws exactly what one such call draws. The
+    order is fully deterministic given the stream.
     """
     if n < 2:
         raise ValueError("sample size must be >= 2")

@@ -23,7 +23,7 @@ from .coalescent import (
     sample_coalescence_times_block,
 )
 from .errors import InsufficientReplicates, MismatchedN
-from .estimators import pairwise_abs_sum_rows, raw_pairwise_point
+from .estimators import raw_pairwise_point, raw_pairwise_rows
 from .rng import RngStream
 
 REGIME_NAMES = ("exact", "fixed-n", "large-n")
@@ -44,6 +44,10 @@ class ConfidenceSpec:
         if not (0 < self.level < 1):
             raise ValueError("level must lie in (0, 1)")
 
+    def interval(self, raw):
+        """(raw/q_hi, raw/q_lo) for a raw estimate or an array of them."""
+        return raw / self.q_hi, raw / self.q_lo
+
     @classmethod
     def from_constants_row(cls, row: calibration.ConstantsRow) -> "ConfidenceSpec":
         return cls(n=row.n, q_lo=1.0 / row.inv_q_lo, q_hi=1.0 / row.inv_q_hi)
@@ -59,8 +63,14 @@ def confidence_interval(times: CoalescenceTimes, spec: ConfidenceSpec) -> tuple[
     """(r_hat/q_hi, r_hat/q_lo) from the raw c = 1 estimate; lower < upper always."""
     if spec.n != times.n:
         raise MismatchedN(f"quantiles computed for n={spec.n}, data has n={times.n}")
-    raw = raw_pairwise_point(times)
-    return raw / spec.q_hi, raw / spec.q_lo
+    return spec.interval(raw_pairwise_point(times))
+
+
+def covered_fraction(raw: np.ndarray, spec: ConfidenceSpec, r: float) -> float:
+    """Fraction of the raw estimates whose interval contains r; NaN rows count
+    as not covered."""
+    lo, hi = spec.interval(raw)
+    return float(np.mean((lo < r) & (r < hi)))
 
 
 def make_regime(name: str, r: float, t: float | None, birth_rate: float = 1.0):
@@ -110,6 +120,4 @@ def coverage_study(
         raise MismatchedN(f"quantiles computed for n={spec.n}, study uses n={n}")
     regime_value = make_regime(regime, r, t, birth_rate)
     h = sample_coalescence_times_block(n, regime_value, rng.child(1), replicates)
-    raw = (n - 1) * (n - 2) / pairwise_abs_sum_rows(h)
-    covered = (raw / spec.q_hi < r) & (r < raw / spec.q_lo)
-    return float(np.mean(covered))
+    return covered_fraction(raw_pairwise_rows(h), spec, r)

@@ -36,13 +36,14 @@ class BranchOrderUnknown(BdGrowthError):
 class ParseError(BdGrowthError):
     """Newick text could not be parsed.
 
-    Carries the byte offset of the failure and what was expected there.
+    Carries the character offset (an index into the parsed str) of the
+    failure and what was expected there.
     """
 
     def __init__(self, offset: int, expected: str):
         self.offset = offset
         self.expected = expected
-        super().__init__(f"parse error at byte {offset}: expected {expected}")
+        super().__init__(f"parse error at character {offset}: expected {expected}")
 
 
 class MissingBranchLength(BdGrowthError):

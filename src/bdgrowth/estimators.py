@@ -20,6 +20,9 @@ Four families:
   raw (c = 1)   the pairwise estimator without calibration, used as the
                 pivot for confidence intervals.
 
+METHODS maps each method tag to its row kernel and constant; the validated
+single-input functions compute through the kernels' one-row case.
+
 Pairwise and MLE estimates are permutation invariant; the branch-order
 internal length deliberately is not.
 """
@@ -27,6 +30,7 @@ internal length deliberately is not.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,8 @@ from .coalescent import CoalescenceTimes
 from .errors import BranchOrderUnknown, DegenerateTimes, NonConvergence, SampleTooSmall
 from .treeio import SampleTree, tree_internal_branch_length
 
-METHODS = ("MSE", "Bias", "Inv", "Lengths", "MLE", "RawUnitConstant")
+# Tags that single-input estimates report; METHODS below lists every tag.
+LENGTHS, MLE, RAW = "Lengths", "MLE", "RawUnitConstant"
 
 _GRAD_TOL = 1e-8  # on the dimensionless gradient in (a, log b)
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -59,12 +64,6 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class PairwiseStatistic:
-    n: int
-    d_sum: float  # sum over ordered pairs of (H_i - H_j)^+
-
-
-@dataclass(frozen=True)
 class MleFit:
     a: float
     b: float
@@ -72,23 +71,13 @@ class MleFit:
     converged: bool
 
 
-def pairwise_abs_sum(values: np.ndarray) -> float:
-    """Sum of |v_i - v_j| over unordered pairs.
+def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
+    """Sum of |v_i - v_j| over unordered pairs, for each row of a (k, m) matrix.
 
     Sorted prefix-sum identity: with v_(1) <= ... <= v_(m), the sum equals
     sum_k (2k - m - 1) * v_(k). The test suite checks this against the
     O(m^2) double loop, exactly on integer-valued instances.
     """
-    m = values.size
-    srt = np.sort(values)
-    if srt[0] == srt[-1]:
-        return 0.0
-    coef = 2.0 * np.arange(1, m + 1) - m - 1
-    return float(coef @ srt)
-
-
-def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise pairwise_abs_sum for a (replicates, m) matrix."""
     m = matrix.shape[1]
     srt = np.sort(matrix, axis=1)
     coef = 2.0 * np.arange(1, m + 1) - m - 1
@@ -97,34 +86,47 @@ def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_statistic(times: CoalescenceTimes) -> PairwiseStatistic:
-    if times.n < 3:
-        raise SampleTooSmall("pairwise statistic needs n >= 3")
-    d_sum = pairwise_abs_sum(times.as_array())
-    if d_sum == 0.0:
-        raise DegenerateTimes("all coalescence times are equal")
-    return PairwiseStatistic(n=times.n, d_sum=d_sum)
+def pairwise_abs_sum(values: np.ndarray) -> float:
+    """pairwise_abs_sum_rows of a single row."""
+    return float(pairwise_abs_sum_rows(np.asarray(values)[None, :])[0])
+
+
+def raw_pairwise_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise c = 1 pairwise estimate (n-1)(n-2) / sum |H_i - H_j|; NaN
+    where that sum is not positive (all heights equal)."""
+    m = matrix.shape[1]  # n - 1
+    d_sum = pairwise_abs_sum_rows(matrix)
+    return np.divide(m * (m - 1), d_sum, out=np.full_like(d_sum, np.nan), where=d_sum > 0)
 
 
 def raw_pairwise_point(times: CoalescenceTimes) -> float:
-    """The c = 1 pairwise estimate (n-1)(n-2) / d_sum."""
-    stat = pairwise_statistic(times)
-    return (stat.n - 1) * (stat.n - 2) / stat.d_sum
+    """The c = 1 pairwise estimate (n-1)(n-2) / d_sum of one sample."""
+    if times.n < 3:
+        raise SampleTooSmall("pairwise statistic needs n >= 3")
+    raw = float(raw_pairwise_rows(times.as_array()[None, :])[0])
+    if math.isnan(raw):
+        raise DegenerateTimes("all coalescence times are equal")
+    return raw
 
 
-def estimate_pairwise(times: CoalescenceTimes, c: float = 1.0,
-                      method: str = "RawUnitConstant") -> Estimate:
+def estimate_pairwise(times: CoalescenceTimes, c: float = 1.0, method: str = RAW) -> Estimate:
     """Pairwise estimate with constant c; exactly c times the raw estimate."""
     if not (c > 0 and math.isfinite(c)):
         raise ValueError("constant must be positive and finite")
     return Estimate(method=method, point=c * raw_pairwise_point(times))
 
 
-def internal_branch_length(times: CoalescenceTimes) -> float:
-    """Total internal branch length from branch-ordered times.
+def internal_branch_length_rows(matrix: np.ndarray) -> np.ndarray:
+    """Branch-order internal length for each row of a (replicates, n-1) matrix:
+    (max_i H_i - H_1) plus the positive parts of consecutive differences."""
+    d = matrix[:, :-1] - matrix[:, 1:]
+    return (matrix.max(axis=1) - matrix[:, 0]) + np.where(d > 0, d, 0.0).sum(axis=1)
 
-    (max_i H_i - H_1) plus the positive parts of consecutive differences;
-    order-sensitive by design, so order-statistic inputs are rejected.
+
+def internal_branch_length(times: CoalescenceTimes) -> float:
+    """internal_branch_length_rows of one sample.
+
+    Order-sensitive by design, so order-statistic inputs are rejected.
     """
     if times.n < 3:
         raise SampleTooSmall("internal branch length needs n >= 3")
@@ -132,15 +134,12 @@ def internal_branch_length(times: CoalescenceTimes) -> float:
         raise BranchOrderUnknown(
             "times carry only order statistics; use the tree-based internal length"
         )
-    h = times.as_array()
-    d = h[:-1] - h[1:]
-    return float((h.max() - h[0]) + d[d > 0].sum())
+    return float(internal_branch_length_rows(times.as_array()[None, :])[0])
 
 
-def internal_branch_length_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise internal_branch_length for a (replicates, m) matrix."""
-    d = matrix[:, :-1] - matrix[:, 1:]
-    return (matrix.max(axis=1) - matrix[:, 0]) + np.where(d > 0, d, 0.0).sum(axis=1)
+def lengths_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise lengths estimate n / L_in."""
+    return (matrix.shape[1] + 1.0) / internal_branch_length_rows(matrix)
 
 
 def estimate_lengths(source: CoalescenceTimes | SampleTree) -> Estimate:
@@ -159,7 +158,7 @@ def estimate_lengths(source: CoalescenceTimes | SampleTree) -> Estimate:
         length = internal_branch_length(source)
     if length <= 0:
         raise DegenerateTimes("internal branch length is zero")
-    return Estimate(method="Lengths", point=n / length)
+    return Estimate(method=LENGTHS, point=n / length)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +296,11 @@ def fit_logistic(h: np.ndarray) -> MleFit:
     return MleFit(a=a, b=b, loglik=ll, converged=converged)
 
 
+def mle_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise logistic-fit estimate 1/b."""
+    return np.array([1.0 / fit_logistic(row).b for row in matrix])
+
+
 def estimate_mle(times: CoalescenceTimes) -> tuple[Estimate, MleFit]:
     """Logistic-fit estimate of the growth rate, r_hat = 1/b."""
     if times.n < 3:
@@ -305,4 +309,52 @@ def estimate_mle(times: CoalescenceTimes) -> tuple[Estimate, MleFit]:
     if h.min() == h.max():
         raise DegenerateTimes("all coalescence times are equal")
     fit = fit_logistic(h)
-    return Estimate(method="MLE", point=1.0 / fit.b), fit
+    return Estimate(method=MLE, point=1.0 / fit.b), fit
+
+
+# ---------------------------------------------------------------------------
+# The method table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Method:
+    """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1),
+    its validated one-input estimate at c = 1 (from the times, and the tree
+    when the input was Newick) and the ConstantsRow field holding its c
+    (None: c = 1). Pairwise methods scale one shared pivot and carry its
+    confidence interval."""
+
+    rows: Callable[[np.ndarray], np.ndarray]
+    one: Callable[[CoalescenceTimes, SampleTree | None], float]
+    column: str | None = None
+    pairwise: bool = False
+
+    def constant(self, row) -> float:
+        return 1.0 if self.column is None else getattr(row, self.column)
+
+
+def _raw_one(times, tree):
+    return raw_pairwise_point(times)
+
+
+def _lengths_one(times, tree):  # a tree has a topology-true internal length
+    return estimate_lengths(times if tree is None else tree).point
+
+
+def _mle_one(times, tree):
+    return estimate_mle(times)[0].point
+
+
+def _pairwise(column: str | None = None) -> Method:
+    return Method(raw_pairwise_rows, _raw_one, column, pairwise=True)
+
+
+METHODS: dict[str, Method] = {
+    "MSE": _pairwise("c_mse"),
+    "Bias": _pairwise("c_bias"),
+    "Inv": _pairwise("c_inv"),
+    LENGTHS: Method(lengths_rows, _lengths_one),
+    MLE: Method(mle_rows, _mle_one),
+    RAW: _pairwise(),
+}

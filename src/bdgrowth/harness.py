@@ -19,18 +19,17 @@ import numpy as np
 import scipy.stats
 
 from . import calibration
-from .confidence import make_regime
+from .calibration import write_rows
+from .confidence import ConfidenceSpec, covered_fraction, make_regime
 from .coalescent import sample_coalescence_times_block
-from .estimators import (
-    fit_logistic,
-    internal_branch_length_rows,
-    pairwise_abs_sum_rows,
-)
+from .estimators import METHODS, RAW, lengths_rows, raw_pairwise_rows
 from .rng import RngStream
 
-ALL_ESTIMATORS = ("MSE", "Bias", "Inv", "Lengths", "MLE")
+# the five estimators the study compares; the c = 1 pivot only scores intervals
+ALL_ESTIMATORS = tuple(tag for tag in METHODS if tag != RAW)
 
 DENSITY_BINS = 256
+COVERAGE_HEADER = "n,r,T,coverage,replicates"
 
 
 @dataclass(frozen=True)
@@ -106,33 +105,24 @@ class StudyResult:
     excluded: dict[tuple[int, float], int] = field(default_factory=dict)
 
 
-def estimates_for_matrix(h: np.ndarray, n: int, constants: calibration.ConstantsRow,
+def estimates_for_matrix(h: np.ndarray, row: calibration.ConstantsRow,
                          estimators=ALL_ESTIMATORS) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-replicate estimates for a (replicates, n-1) height matrix.
 
-    Returns the estimate arrays (degenerate rows dropped) and the keep mask.
-    Rows where all heights coincide would make every estimator blow up, so
-    they are excluded; callers report the count.
+    Returns the estimate arrays and the raw c = 1 pivot, both over the rows
+    kept. Rows where all heights coincide would make every estimator blow
+    up, so they are dropped; callers report the count. Pairwise methods
+    scale the pivot of the full matrix instead of recomputing it on the kept
+    rows: the last bits of a BLAS product depend on the number of rows.
     """
-    d_sum = pairwise_abs_sum_rows(h)
-    keep = d_sum > 0
-    h = h[keep]
-    d_sum = d_sum[keep]
-    raw = (n - 1) * (n - 2) / d_sum
-    out: dict[str, np.ndarray] = {"_raw": raw}
+    raw = raw_pairwise_rows(h)
+    keep = ~np.isnan(raw)
+    h, raw = h[keep], raw[keep]
+    out: dict[str, np.ndarray] = {}
     for tag in estimators:
-        if tag == "MSE":
-            out[tag] = constants.c_mse * raw
-        elif tag == "Bias":
-            out[tag] = constants.c_bias * raw
-        elif tag == "Inv":
-            out[tag] = constants.c_inv * raw
-        elif tag == "Lengths":
-            out[tag] = h.shape[1] + 1.0  # n
-            out[tag] = out[tag] / internal_branch_length_rows(h)
-        elif tag == "MLE":
-            out[tag] = np.array([1.0 / fit_logistic(row).b for row in h])
-    return out, keep
+        method = METHODS[tag]
+        out[tag] = method.constant(row) * (raw if method.pairwise else method.rows(h))
+    return out, raw
 
 
 def _metrics(values: np.ndarray, r: float) -> tuple[float, float, float]:
@@ -159,38 +149,27 @@ def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRo
              rng: RngStream) -> CellResult:
     regime = make_regime(config.regime, r, config.t, config.birth_rate)
     h = sample_coalescence_times_block(n, regime, rng, config.replicates)
-    estimates, keep = estimates_for_matrix(h, n, row, config.estimators)
-    raw = estimates.pop("_raw")
-    covered = (raw / (1.0 / row.inv_q_hi) < r) & (r < raw / (1.0 / row.inv_q_lo))
+    estimates, raw = estimates_for_matrix(h, row, config.estimators)
     return CellResult(
         n=n,
         r=r,
         estimates=estimates,
-        coverage=float(np.mean(covered)),
-        excluded=int(np.sum(~keep)),
+        coverage=covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r),
+        excluded=h.shape[0] - raw.size,
     )
-
-
-def ensure_constants(ns, constants: dict[int, calibration.ConstantsRow] | None,
-                     replicates: int, seed: int) -> dict[int, calibration.ConstantsRow]:
-    """Fill in calibration rows for any n missing from the supplied table."""
-    out = dict(constants or {})
-    for n in ns:
-        if n not in out:
-            out[n] = calibration.build_constants_row(n, replicates, seed)
-    return out
 
 
 def run_study(config: StudyConfig,
               constants: dict[int, calibration.ConstantsRow] | None = None) -> StudyResult:
-    constants = ensure_constants(config.ns, constants,
-                                 config.calibration_replicates, config.seed)
+    table = dict(constants or {})
+    for n in config.ns:
+        calibration.constants_row(table, n, config.calibration_replicates, config.seed)
     cells = [(n, r) for n in config.ns for r in config.rs]
     stream = RngStream(config.seed)
 
     def run(i: int) -> CellResult:
         n, r = cells[i]
-        return run_cell(n, r, config, constants[n], stream.child(i))
+        return run_cell(n, r, config, table[n], stream.child(i))
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -243,8 +222,8 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
     """
     regime_value = make_regime(regime, r, t, birth_rate)
     h = sample_coalescence_times_block(n, regime_value, rng, replicates)
-    d_sum = pairwise_abs_sum_rows(h)
-    raw = (n - 1) * (n - 2) / d_sum[d_sum > 0]
+    raw = raw_pairwise_rows(h)
+    raw = raw[~np.isnan(raw)]
     rows = []
     for c in c_grid:
         err = c * raw - r
@@ -288,9 +267,8 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
         t = 4.0 * math.log(n) / r  # comfortably above the typical tree height
     regime = make_regime("large-n", r, t)
     h = sample_coalescence_times_block(n, regime, rng, replicates)
-    raw = (n - 1) * (n - 2) / pairwise_abs_sum_rows(h)
-    inv = calibration.c_inv_closed_form(n) * raw
-    lengths = n / internal_branch_length_rows(h)
+    inv = calibration.c_inv_closed_form(n) * raw_pairwise_rows(h)
+    lengths = lengths_rows(h)
 
     scaled_inv = math.sqrt(n) * (inv - r)
     scaled_len = math.sqrt(n) * (lengths - r)
@@ -316,38 +294,6 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 
-def _g17(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_metrics_csv(rows, path: Path):
-    lines = ["estimator,n,r,T,mse,mae,bias,replicates"]
-    lines += [
-        f"{m.estimator},{m.n},{_g17(m.r)},{_g17(m.t)},{_g17(m.mse)},"
-        f"{_g17(m.mae)},{_g17(m.bias)},{m.replicates}"
-        for m in rows
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_density_csv(rows, path: Path):
-    lines = ["estimator,n,r,bin_lo,bin_hi,count,density"]
-    lines += [
-        f"{d.estimator},{d.n},{_g17(d.r)},{_g17(d.bin_lo)},{_g17(d.bin_hi)},"
-        f"{d.count},{_g17(d.density)}"
-        for d in rows
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_coverage_csv(rows, path: Path):
-    lines = ["n,r,T,coverage,replicates"]
-    lines += [
-        f"{c.n},{_g17(c.r)},{_g17(c.t)},{_g17(c.coverage)},{c.replicates}" for c in rows
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_study_outputs(result: StudyResult, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -357,9 +303,10 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path) -> dict[str, P
         "coverage": out / "coverage.csv",
         "summary": out / "summary.json",
     }
-    write_metrics_csv(result.metrics, paths["metrics"])
-    write_density_csv(result.densities, paths["densities"])
-    write_coverage_csv(result.coverage, paths["coverage"])
+    write_rows(paths["metrics"], "estimator,n,r,T,mse,mae,bias,replicates", result.metrics)
+    write_rows(paths["densities"], "estimator,n,r,bin_lo,bin_hi,count,density",
+               result.densities)
+    write_rows(paths["coverage"], COVERAGE_HEADER, result.coverage)
     summary = {
         "ns": list(result.config.ns),
         "rs": list(result.config.rs),

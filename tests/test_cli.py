@@ -1,12 +1,15 @@
 """Command-line surface: determinism of emitted files, round trips between
 commands, per-input error isolation, and exit codes."""
 
+import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from bdgrowth import cli, treeio
+from bdgrowth import calibration, cli, harness, treeio
+from bdgrowth.estimators import METHODS
 
 NEWICK = "((A:1,B:1):1,C:2);"
 
@@ -112,6 +115,61 @@ def test_estimate_on_the_fly_calibration_warns(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "calibrating on the fly" in captured.err
     assert "Inv" in captured.out
+
+
+def test_estimate_maps_each_tag_to_its_constant_and_matches_the_study_path(
+        tmp_path, constants_file):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 10, "--count", 50, "--seed", 23, "--T", 40,
+                "--r", 1.0, "--out", times]) == 0
+    out = tmp_path / "est.json"
+    assert run(["estimate", times, "--constants", constants_file,
+                "--methods", ",".join(METHODS), "--format", "json", "--out", out]) == 0
+    records = {(r["input"], r["method"]): r for r in json.loads(out.read_text())}
+    row = calibration.load_constants_table(constants_file)[10]
+    constant = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
+                "RawUnitConstant": 1.0}
+    inputs = cli.read_times_csv(times)
+    study, study_raw = harness.estimates_for_matrix(
+        np.array([t.times for t in inputs]), row, tuple(METHODS))
+    assert study_raw.size == len(inputs)
+    for i, t in enumerate(inputs):
+        got = {tag: records[(f"times.csv#{i}", tag)] for tag in METHODS}
+        raw = 9 * 8 / sum(abs(a - b) for a, b in itertools.combinations(t.times, 2))
+        for tag, c in constant.items():
+            assert got[tag]["estimate"] == pytest.approx(c * raw, rel=1e-12)
+            # every pairwise method carries the interval of the raw pivot
+            assert (got[tag]["ci_low"], got[tag]["ci_high"]) == pytest.approx(
+                (raw * row.inv_q_hi, raw * row.inv_q_lo), rel=1e-12)
+        for tag in ("Lengths", "MLE"):
+            assert got[tag]["ci_low"] is None and got[tag]["ci_high"] is None
+        for tag in METHODS:
+            assert got[tag]["estimate"] == pytest.approx(study[tag][i], rel=1e-12)
+
+
+def test_estimate_without_constants_or_intervals_does_not_calibrate(tmp_path, capsys):
+    src = tmp_path / "tree.nwk"
+    src.write_text(NEWICK)
+    assert run(["estimate", src, "--methods", "Lengths,MLE"]) == 0
+    captured = capsys.readouterr()
+    assert "calibrating" not in captured.err
+    lines = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [line[2] for line in lines] == ["Lengths", "MLE"]
+    assert float(lines[0][3]) == pytest.approx(3.0, rel=1e-12)
+    assert all(line[4] == line[5] == "" for line in lines)
+
+
+def test_estimate_error_field_round_trips_through_csv(tmp_path, constants_file):
+    src = tmp_path / "quoted.nwk"
+    src.write_text('((A:1,B:1,C:1)x"y:1,D:2);\n((A:1,B:1):1,C:2);')
+    out = tmp_path / "est.csv"
+    assert run(["estimate", src, "--constants", constants_file,
+                "--methods", "Lengths", "--out", out]) == 0
+    with out.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [7, 7, 7]
+    assert rows[1][6] == 'NotBinary: node x"y has 3 children'
+    assert float(rows[2][3]) == pytest.approx(3.0)
 
 
 def test_estimate_isolates_bad_inputs(tmp_path, constants_file):

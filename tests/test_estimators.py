@@ -35,16 +35,15 @@ def double_loop_abs_sum(values):
 
 
 def test_pairwise_worked_example():
-    stat = est.pairwise_statistic(times_of([3.0, 1.0, 2.0]))
-    assert stat.d_sum == 4.0
-    assert stat.n == 4
+    assert est.pairwise_abs_sum(np.array([3.0, 1.0, 2.0])) == 4.0
+    assert est.raw_pairwise_point(times_of([3.0, 1.0, 2.0])) == (4 - 1) * (4 - 2) / 4.0
 
 
 def test_pairwise_rejects_degenerate_and_small():
     with pytest.raises(DegenerateTimes):
-        est.pairwise_statistic(times_of([2.0, 2.0, 2.0]))
+        est.raw_pairwise_point(times_of([2.0, 2.0, 2.0]))
     with pytest.raises(SampleTooSmall):
-        est.pairwise_statistic(times_of([1.0]))
+        est.raw_pairwise_point(times_of([1.0]))
 
 
 def test_sorted_formula_equals_double_loop_exactly_on_integers():

@@ -62,8 +62,8 @@ def test_coverage_rows_present(small_study):
 
 def test_degenerate_rows_excluded_and_counted(small_constants):
     matrix = np.array([[1.0, 2.0, 3.0, 2.5], [2.0, 2.0, 2.0, 2.0]])
-    estimates, keep = harness.estimates_for_matrix(matrix, 5, small_constants[5])
-    assert keep.tolist() == [True, False]
+    estimates, raw = harness.estimates_for_matrix(matrix, small_constants[5])
+    assert raw.tolist() == [4 * 3 / 6.5]  # the first row is kept, the second dropped
     assert estimates["MSE"].size == 1
 
 
