@@ -4,8 +4,8 @@ r = 0.5 and 1, 10^4 replicates per cell, all five estimators.
 
 Emits metrics.csv (MSE/MAE/bias per estimator and cell), densities.csv
 (256-bin histograms for external plotting), coverage.csv, and summary.json
-under --out. Expect a few minutes of runtime; --quick shrinks everything for
-a smoke run.
+under --out. Expect about ten seconds of runtime on a 2-core Xeon; --quick
+shrinks everything for a smoke run.
 """
 
 import argparse

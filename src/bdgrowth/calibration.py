@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coalescent
-from .errors import InsufficientReplicates
+from .errors import BdGrowthError, InsufficientReplicates
 from .estimators import raw_pairwise_rows
 from .rng import RngStream, open_uniform
 
@@ -200,14 +200,24 @@ def build_constants_row(n: int, replicates: int, seed: int, workers: int = 1) ->
     return row
 
 
-def constants_row(table: dict[int, ConstantsRow], n: int, replicates: int,
+def constants_row(table: dict[int, ConstantsRow | Exception], n: int, replicates: int,
                   seed: int) -> ConstantsRow:
-    """table[n], calibrated on the fly and added to the table when missing."""
+    """table[n], calibrated on the fly and added to the table when missing.
+
+    A calibration that fails is stored in place of the row and raised again
+    on every later request, so a run warns about and tries each n once.
+    """
     if n not in table:
         print(f"warning: no constants row for n={n}; "
               f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
-        table[n] = build_constants_row(n, replicates, seed)
-    return table[n]
+        try:
+            table[n] = build_constants_row(n, replicates, seed)
+        except (ValueError, BdGrowthError) as exc:
+            table[n] = exc
+    row = table[n]
+    if isinstance(row, Exception):
+        raise row.with_traceback(None)
+    return row
 
 
 def _check_row(row: ConstantsRow):

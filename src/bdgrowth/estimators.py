@@ -15,7 +15,10 @@ Four families:
 
   mle           fit H_i = a + b*U_i with U_i standard logistic by maximum
                 likelihood (damped Newton on (a, log b), bisection fallback)
-                and report r_hat = 1/b.
+                and report r_hat = 1/b. fit_logistic_rows runs the fit on
+                every row of a height matrix at once in numpy, and a row's
+                result does not depend on the other rows; fit_logistic is
+                its one-row case.
 
   raw (c = 1)   the pairwise estimator without calibration, used as the
                 pivot for confidence intervals.
@@ -65,10 +68,13 @@ class Estimate:
 
 @dataclass(frozen=True)
 class MleFit:
-    a: float
-    b: float
-    loglik: float
-    converged: bool
+    """A logistic fit: floats from fit_logistic, per-row arrays from
+    fit_logistic_rows."""
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+    loglik: float | np.ndarray
+    converged: bool | np.ndarray
 
 
 def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
@@ -162,143 +168,215 @@ def estimate_lengths(source: CoalescenceTimes | SampleTree) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# Logistic location-scale maximum likelihood
+# Logistic location-scale maximum likelihood, every row of a matrix at once
 # ---------------------------------------------------------------------------
 
+_NEWTON_ITERATIONS = 60
+_HALVINGS = 0.5 ** np.arange(1, 40)  # step lengths tried after a full Newton step fails
+_FALLBACK_ROUNDS = 100
+_BISECTIONS = 120
+_BRACKET_TRIES = 200
 
-def _loglik_and_derivs(h: np.ndarray, a: float, s: float):
-    """Log-likelihood plus gradient and Hessian pieces at (a, log b = s).
 
-    With z = (h - a)/b and t = tanh(z/2):
-      loglik     = sum(-s - z - 2*log(1 + exp(-z)))
-      b * dl/da  = sum(t)
-      dl/ds      = sum(z*t) - m
-      d2l/da2    = -sum(w)/b^2,          w = (1 - t^2)/2
-      d2l/dads   = -(sum(t) + sum(w*z))/b
-      d2l/ds2    = -sum(z*t) - sum(w*z^2)
+def _loglik(z: np.ndarray, s):
+    """sum(-z - 2*log(1 + exp(-z))) - m*s over the last axis, z = (h - a)/b, s = log b."""
+    nz = -z
+    return (nz - 2.0 * np.logaddexp(0.0, nz)).sum(axis=-1) - z.shape[-1] * s
+
+
+def _score_and_hessian(z: np.ndarray, b: np.ndarray):
+    """Gradient and negated Hessian in (a, log b) for each row of z = (h - a)/b.
+
+    With t = tanh(z/2) and w = (1 - t^2)/2:
+      b * dl/da    = sum(t)
+      dl/ds        = sum(z*t) - m
+      -d2l/da2     = sum(w)/b^2
+      -d2l/dads    = (sum(t) + sum(w*z))/b
+      -d2l/ds2     = sum(z*t) + sum(w*z^2)
     """
-    b = math.exp(s)
-    z = (h - a) / b
-    t = np.tanh(0.5 * z)
-    w = 0.5 * (1.0 - t * t)
-    ll = float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z))) - h.size * s
-    sum_t = float(np.sum(t))
-    sum_zt = float(np.sum(z * t))
-    sum_w = float(np.sum(w))
-    sum_wz = float(np.sum(w * z))
-    sum_wzz = float(np.sum(w * z * z))
-    ga_scaled = sum_t
-    gs = sum_zt - h.size
-    h_aa = -sum_w / (b * b)
-    h_as = -(sum_t + sum_wz) / b
-    h_ss = -sum_zt - sum_wzz
-    return ll, ga_scaled, gs, h_aa, h_as, h_ss
+    # the five terms share one buffer, so one reduction gives all row sums
+    terms = np.empty((5,) + z.shape)
+    t, zt, w, wz, wzz = terms
+    np.tanh(0.5 * z, out=t)
+    np.multiply(z, t, out=zt)
+    np.multiply(t, t, out=w)
+    np.subtract(1.0, w, out=w)
+    np.multiply(0.5, w, out=w)
+    np.multiply(w, z, out=wz)
+    np.multiply(wz, z, out=wzz)
+    sum_t, sum_zt, sum_w, sum_wz, sum_wzz = np.add.reduce(terms, axis=-1)
+    return sum_t, sum_zt - z.shape[1], sum_w / (b * b), (sum_t + sum_wz) / b, sum_zt + sum_wzz
 
 
-def _loglik(h: np.ndarray, a: float, s: float) -> float:
-    z = (h - a) / math.exp(s)
-    return float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z))) - h.size * s
-
-
-def _solve_location(h: np.ndarray, b: float) -> float:
+def _solve_location(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     # sum tanh((h - a)/(2b)) is strictly decreasing in a with a sign change
     # inside [min h, max h]
-    lo, hi = float(h.min()), float(h.max())
-    for _ in range(120):
+    lo, hi = h.min(axis=1), h.max(axis=1)
+    two_b = (2.0 * b)[:, None]
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if np.sum(np.tanh((h - mid) / (2.0 * b))) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+        up = np.tanh((h - mid[:, None]) / two_b).sum(axis=1) >= 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _solve_scale(h: np.ndarray, a: float, b_start: float) -> float:
+def _solve_scale(h: np.ndarray, a: np.ndarray, b_start: np.ndarray) -> np.ndarray:
     # sum z*tanh(z/2) - m is strictly decreasing in b; positive as b -> 0
+    d = h - a[:, None]
+
     def phi(b):
-        z = (h - a) / b
-        return float(np.sum(z * np.tanh(0.5 * z))) - h.size
+        z = d / b[:, None]
+        return (z * np.tanh(0.5 * z)).sum(axis=1) - h.shape[1]
 
-    lo = hi = b_start
-    for _ in range(200):
-        if phi(lo) > 0.0:
+    def bracket(b, outside, factor):
+        # multiply b by factor until phi(b) is on the wanted side, row by row
+        pending = np.ones(b.size, dtype=bool)
+        for _ in range(_BRACKET_TRIES):
+            pending &= ~outside(phi(b))
+            if not pending.any():
+                break
+            b = np.where(pending, b * factor, b)
+        return b
+
+    lo = bracket(b_start, lambda v: v > 0.0, 0.25)
+    hi = bracket(b_start, lambda v: v < 0.0, 4.0)
+    for _ in range(_BISECTIONS):
+        mid = np.sqrt(lo * hi)
+        up = phi(mid) >= 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.sqrt(lo * hi)
+
+
+def _converged(ga: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(ga), np.abs(gs)) < _GRAD_TOL
+
+
+def _all(mask: np.ndarray) -> bool:
+    return np.count_nonzero(mask) == mask.size  # a fraction of mask.all()'s overhead
+
+
+def _newton(h: np.ndarray, fit: MleFit) -> None:
+    """Damped Newton on (a, log b) from the moment start, every row at once.
+
+    Writes each row's last iterate into fit. A row stops when its gradient
+    is below tolerance (converged), when the Hessian is not negative
+    definite or the step is not finite, when neither the full step nor any
+    of 39 halvings gives a finite log-likelihood at least the current one,
+    or after 60 iterations. Stopped rows leave the arrays, so while every
+    row takes its full step no indexing happens at all.
+    """
+    a = np.add.reduce(h, axis=1) / h.shape[1]
+    d = h - a[:, None]
+    s = np.log(np.sqrt((d * d).sum(axis=1) / (h.shape[1] - 1)) * _SQRT3_OVER_PI)
+    b = np.exp(s)
+    z = d / b[:, None]
+    ll = _loglik(z, s)
+    rows = np.arange(h.shape[0])  # the fit index of each row still moving
+    for _ in range(_NEWTON_ITERATIONS):
+        ga, gs, n_aa, n_as, n_ss = _score_and_hessian(z, b)
+        done = _converged(ga, gs)
+        if _all(done):
             break
-        lo *= 0.25
-    for _ in range(200):
-        if phi(hi) < 0.0:
-            break
-        hi *= 4.0
-    for _ in range(120):
-        mid = math.sqrt(lo * hi)
-        if phi(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+        g1 = ga / b
+        det = n_aa * n_ss - n_as * n_as
+        da = (n_ss * g1 - n_as * gs) / det
+        ds = (n_aa * gs - n_as * g1) / det
+        newton = ~done & (det > 0.0) & (n_aa > 0.0) & np.isfinite(da) & np.isfinite(ds)
+        a_new, s_new = a + da, s + ds
+        b_new = np.exp(s_new)
+        z = (h - a_new[:, None]) / b_new[:, None]
+        ll_new = _loglik(z, s_new)
+        moved = newton & np.isfinite(ll_new) & (ll_new >= ll)
+        if not _all(moved):
+            retry = np.flatnonzero(newton & ~moved)
+            if retry.size:
+                # every halving of each failed step at once; the first accepted wins
+                a_h = a[retry, None] + _HALVINGS * da[retry, None]
+                s_h = s[retry, None] + _HALVINGS * ds[retry, None]
+                b_h = np.exp(s_h)
+                z_h = (h[retry, None, :] - a_h[:, :, None]) / b_h[:, :, None]
+                ll_h = _loglik(z_h, s_h)
+                ok = np.isfinite(ll_h) & (ll_h >= ll[retry, None])
+                found = np.flatnonzero(ok.any(axis=1))
+                j = ok[found].argmax(axis=1)
+                hit = retry[found]
+                a_new[hit], s_new[hit], b_new[hit] = a_h[found, j], s_h[found, j], b_h[found, j]
+                ll_new[hit], z[hit] = ll_h[found, j], z_h[found, j]
+                moved[hit] = True
+            stop = ~moved
+            out = rows[stop]
+            fit.a[out], fit.b[out], fit.loglik[out] = a[stop], b[stop], ll[stop]
+            fit.converged[out] = done[stop]
+            if _all(stop):
+                return
+            rows, h, z = rows[moved], h[moved], z[moved]
+            a_new, s_new, b_new, ll_new = a_new[moved], s_new[moved], b_new[moved], ll_new[moved]
+        a, s, b, ll = a_new, s_new, b_new, ll_new
+    else:
+        done = False  # the iteration budget ran out before the gradient was checked
+    fit.a[rows], fit.b[rows], fit.loglik[rows] = a, b, ll
+    fit.converged[rows] = done
 
 
-def fit_logistic(h: np.ndarray) -> MleFit:
-    """Maximum-likelihood (a, b) for h_i = a + b*U_i, U_i standard logistic.
+def _bisection_fallback(h: np.ndarray, b: np.ndarray, fit: MleFit, rows: np.ndarray) -> None:
+    """Coordinate bisection on the two stationarity equations for the given
+    fit rows, starting from scale b, at most 100 rounds; writes each row's
+    last iterate into fit."""
+    for _ in range(_FALLBACK_ROUNDS):
+        a = _solve_location(h, b)
+        b = _solve_scale(h, a, b)
+        s = np.log(b)
+        b_s = np.exp(s)
+        z = (h - a[:, None]) / b_s[:, None]
+        ga, gs, *_ = _score_and_hessian(z, b_s)
+        done = _converged(ga, gs)
+        fit.a[rows], fit.b[rows], fit.loglik[rows] = a, b_s, _loglik(z, s)
+        fit.converged[rows] = done
+        keep = ~done
+        rows, h, b = rows[keep], h[keep], b[keep]
+        if not rows.size:
+            return
+
+
+def fit_logistic_rows(matrix: np.ndarray) -> MleFit:
+    """Maximum-likelihood (a, b) for h_i = a + b*U_i, U_i standard logistic,
+    for each row of a (k, m) matrix; returns per-row arrays.
 
     Moment initialization (b0 = sd * sqrt(3)/pi), damped Newton on
     (a, log b), and a coordinate-bisection fallback on the stationarity
-    equations if Newton stalls. Convergence means the dimensionless gradient
-    (sum tanh(z/2), sum z*tanh(z/2) - m) has max-norm below 1e-8.
+    equations for the rows where Newton stops short. Convergence means the
+    dimensionless gradient (sum tanh(z/2), sum z*tanh(z/2) - m) has
+    max-norm below 1e-8. Every step is row-wise, so a row's fit is the same
+    bits whatever other rows share its matrix.
     """
-    h = np.asarray(h, dtype=float)
-    a = float(np.mean(h))
-    sd = float(np.std(h, ddof=1))
-    s = math.log(sd * _SQRT3_OVER_PI)
-
-    ll, ga, gs, h_aa, h_as, h_ss = _loglik_and_derivs(h, a, s)
-    converged = False
-    for _ in range(60):
-        if max(abs(ga), abs(gs)) < _GRAD_TOL:
-            converged = True
-            break
-        b = math.exp(s)
-        g1, g2 = ga / b, gs
-        det = h_aa * h_ss - h_as * h_as
-        if not (det > 0.0 and h_aa < 0.0):
-            break
-        da = -(h_ss * g1 - h_as * g2) / det
-        ds = -(h_aa * g2 - h_as * g1) / det
-        if not (math.isfinite(da) and math.isfinite(ds)):
-            break
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            trial = _loglik(h, a + step * da, s + step * ds)
-            if math.isfinite(trial) and trial >= ll:
-                a, s = a + step * da, s + step * ds
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        ll, ga, gs, h_aa, h_as, h_ss = _loglik_and_derivs(h, a, s)
-
-    if not converged:
-        # coordinate bisection on the two stationarity equations
-        b = math.exp(s)
-        for _ in range(100):
-            a = _solve_location(h, b)
-            b = _solve_scale(h, a, b)
-            s = math.log(b)
-            ll, ga, gs, *_ = _loglik_and_derivs(h, a, s)
-            if max(abs(ga), abs(gs)) < _GRAD_TOL:
-                converged = True
-                break
-
-    b = math.exp(s)
-    if not (math.isfinite(ll) and math.isfinite(b) and b > 0):
-        raise NonConvergence(f"optimizer left the feasible region (a={a}, b={b})")
-    return MleFit(a=a, b=b, loglik=ll, converged=converged)
+    h = np.asarray(matrix, dtype=float)
+    k = h.shape[0]
+    fit = MleFit(a=np.empty(k), b=np.empty(k), loglik=np.empty(k),
+                 converged=np.zeros(k, dtype=bool))
+    with np.errstate(all="ignore"):  # trial steps may overflow; such trials are rejected
+        _newton(h, fit)
+        if not _all(fit.converged):
+            rows = np.flatnonzero(~fit.converged)
+            _bisection_fallback(h[rows], fit.b[rows], fit, rows)
+    bad = ~(np.isfinite(fit.loglik) & (fit.b > 0.0) & (fit.b < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonConvergence(f"optimizer left the feasible region in {int(bad.sum())} of "
+                             f"{k} rows (first: a={fit.a[i]}, b={fit.b[i]})")
+    return fit
 
 
-def mle_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise logistic-fit estimate 1/b."""
-    return np.array([1.0 / fit_logistic(row).b for row in matrix])
+def fit_logistic(h: np.ndarray) -> MleFit:
+    """fit_logistic_rows of a single sample."""
+    fit = fit_logistic_rows(np.asarray(h, dtype=float)[None, :])
+    return MleFit(a=float(fit.a[0]), b=float(fit.b[0]), loglik=float(fit.loglik[0]),
+                  converged=bool(fit.converged[0]))
+
+
+def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise logistic-fit estimate 1/b, and how many rows did not converge."""
+    fit = fit_logistic_rows(matrix)
+    return 1.0 / fit.b, int(np.count_nonzero(~fit.converged))
 
 
 def estimate_mle(times: CoalescenceTimes) -> tuple[Estimate, MleFit]:
@@ -319,13 +397,14 @@ def estimate_mle(times: CoalescenceTimes) -> tuple[Estimate, MleFit]:
 
 @dataclass(frozen=True)
 class Method:
-    """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1),
+    """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1
+    and the number of rows whose estimate is a fit that did not converge),
     its validated one-input estimate at c = 1 (from the times, and the tree
     when the input was Newick) and the ConstantsRow field holding its c
     (None: c = 1). Pairwise methods scale one shared pivot and carry its
     confidence interval."""
 
-    rows: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray], tuple[np.ndarray, int]]
     one: Callable[[CoalescenceTimes, SampleTree | None], float]
     column: str | None = None
     pairwise: bool = False
@@ -346,15 +425,20 @@ def _mle_one(times, tree):
     return estimate_mle(times)[0].point
 
 
+def _closed_form(kernel: Callable[[np.ndarray], np.ndarray]):
+    """A closed-form row kernel in the table's form: no row has a fit to converge."""
+    return lambda matrix: (kernel(matrix), 0)
+
+
 def _pairwise(column: str | None = None) -> Method:
-    return Method(raw_pairwise_rows, _raw_one, column, pairwise=True)
+    return Method(_closed_form(raw_pairwise_rows), _raw_one, column, pairwise=True)
 
 
 METHODS: dict[str, Method] = {
     "MSE": _pairwise("c_mse"),
     "Bias": _pairwise("c_bias"),
     "Inv": _pairwise("c_inv"),
-    LENGTHS: Method(lengths_rows, _lengths_one),
+    LENGTHS: Method(_closed_form(lengths_rows), _lengths_one),
     MLE: Method(mle_rows, _mle_one),
     RAW: _pairwise(),
 }

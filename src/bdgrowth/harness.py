@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import calibration
 from .calibration import write_rows
@@ -94,6 +94,7 @@ class CellResult:
     estimates: dict[str, np.ndarray]
     coverage: float
     excluded: int
+    unconverged: dict[str, int]  # fits that did not converge, by tag
 
 
 @dataclass
@@ -105,24 +106,34 @@ class StudyResult:
     excluded: dict[tuple[int, float], int] = field(default_factory=dict)
 
 
-def estimates_for_matrix(h: np.ndarray, row: calibration.ConstantsRow,
-                         estimators=ALL_ESTIMATORS) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def estimates_for_matrix(
+    h: np.ndarray, row: calibration.ConstantsRow, estimators=ALL_ESTIMATORS
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int]]:
     """Per-replicate estimates for a (replicates, n-1) height matrix.
 
     Returns the estimate arrays and the raw c = 1 pivot, both over the rows
-    kept. Rows where all heights coincide would make every estimator blow
-    up, so they are dropped; callers report the count. Pairwise methods
-    scale the pivot of the full matrix instead of recomputing it on the kept
-    rows: the last bits of a BLAS product depend on the number of rows.
+    kept, and, for each method with any, the number of kept rows whose fit
+    did not converge (their estimate is the fit's last iterate). Rows where
+    all heights coincide would make every estimator blow up, so they are
+    dropped; callers report the count. Pairwise methods scale the pivot of
+    the full matrix instead of recomputing it on the kept rows: the last
+    bits of a BLAS product depend on the number of rows.
     """
     raw = raw_pairwise_rows(h)
     keep = ~np.isnan(raw)
     h, raw = h[keep], raw[keep]
     out: dict[str, np.ndarray] = {}
+    unconverged: dict[str, int] = {}
     for tag in estimators:
         method = METHODS[tag]
-        out[tag] = method.constant(row) * (raw if method.pairwise else method.rows(h))
-    return out, raw
+        if method.pairwise:
+            values = raw
+        else:
+            values, failed = method.rows(h)
+            if failed:
+                unconverged[tag] = failed
+        out[tag] = method.constant(row) * values
+    return out, raw, unconverged
 
 
 def _metrics(values: np.ndarray, r: float) -> tuple[float, float, float]:
@@ -149,13 +160,14 @@ def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRo
              rng: RngStream) -> CellResult:
     regime = make_regime(config.regime, r, config.t, config.birth_rate)
     h = sample_coalescence_times_block(n, regime, rng, config.replicates)
-    estimates, raw = estimates_for_matrix(h, row, config.estimators)
+    estimates, raw, unconverged = estimates_for_matrix(h, row, config.estimators)
     return CellResult(
         n=n,
         r=r,
         estimates=estimates,
         coverage=covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r),
         excluded=h.shape[0] - raw.size,
+        unconverged=unconverged,
     )
 
 
@@ -180,6 +192,9 @@ def run_study(config: StudyConfig,
     metrics, densities, coverage, excluded = [], [], [], {}
     for cell in results:
         used = config.replicates - cell.excluded
+        for tag, count in cell.unconverged.items():
+            print(f"warning: n={cell.n} r={cell.r}: {count} of {used} {tag} fits did not "
+                  f"converge; their estimates are the last iterate", file=sys.stderr)
         for tag in config.estimators:
             mse, mae, bias = _metrics(cell.estimates[tag], cell.r)
             metrics.append(MetricsRow(tag, cell.n, cell.r, config.t, mse, mae, bias, used))
@@ -263,6 +278,8 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     """
     if n < 200:
         raise ValueError("asymptotics check needs n >= 200")
+    import scipy.stats  # imported here: it is most of the package's import time
+
     if t is None:
         t = 4.0 * math.log(n) / r  # comfortably above the typical tree height
     regime = make_regime("large-n", r, t)

@@ -4,6 +4,10 @@ commands, per-input error isolation, and exit codes."""
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +134,7 @@ def test_estimate_maps_each_tag_to_its_constant_and_matches_the_study_path(
     constant = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
                 "RawUnitConstant": 1.0}
     inputs = cli.read_times_csv(times)
-    study, study_raw = harness.estimates_for_matrix(
+    study, study_raw, _ = harness.estimates_for_matrix(
         np.array([t.times for t in inputs]), row, tuple(METHODS))
     assert study_raw.size == len(inputs)
     for i, t in enumerate(inputs):
@@ -157,6 +161,25 @@ def test_estimate_without_constants_or_intervals_does_not_calibrate(tmp_path, ca
     assert [line[2] for line in lines] == ["Lengths", "MLE"]
     assert float(lines[0][3]) == pytest.approx(3.0, rel=1e-12)
     assert all(line[4] == line[5] == "" for line in lines)
+
+
+def test_estimate_tries_an_uncalibratable_n_once(tmp_path, capsys):
+    src = tmp_path / "two.nwk"
+    src.write_text("(a:1,b:1);")
+    assert run(["estimate", src, "--methods", "Inv,MSE,Bias,Lengths"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.count("calibrating on the fly") == 1
+    rows = list(csv.reader(captured.out.splitlines()))[1:]
+    assert [row[6] for row in rows] == ["ValueError: S_n needs n >= 3"] * 3 + [
+        "SampleTooSmall: lengths estimator needs n >= 3"]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unimported():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, bdgrowth.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_estimate_error_field_round_trips_through_csv(tmp_path, constants_file):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bdgrowth import coalescent as co
 from bdgrowth import estimators as est
-from bdgrowth.errors import BranchOrderUnknown, DegenerateTimes, SampleTooSmall
+from bdgrowth.errors import BranchOrderUnknown, DegenerateTimes, NonConvergence, SampleTooSmall
 from bdgrowth.rng import RngStream
 
 
@@ -222,6 +222,75 @@ def test_mle_converges_on_tiny_samples():
     _, fit = est.estimate_mle(times_of([1.0, 4.0]))
     assert fit.converged
     assert fit.b > 0
+
+
+def _stress_matrices():
+    """Height matrices with the rows a batched fit finds hardest: the
+    smallest samples, ties, a large offset, far outliers, and draws from all
+    three regimes."""
+    rng = np.random.default_rng(106)
+    m = 9
+    smallest = np.array([[1.0, 4.0], [4.0, 1.0], [0.0, 1e-3], [1e6, 1e6 + 1.0], [-3.0, 7.0]])
+    rows = [np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 4.5, 5.0, 9.0]),
+            np.array([2.0] * (m - 1) + [5.0]),
+            1e6 + rng.uniform(0.0, 1.0, m),
+            np.r_[rng.uniform(0.0, 1.0, m - 1), 1e4],
+            np.r_[1e4, rng.uniform(0.0, 1e-3, m - 1)],
+            np.r_[-1e6, rng.uniform(0.0, 1.0, m - 1)]]
+    for i, regime in enumerate((co.ExactFiniteT(co.BirthDeathParams(lam=1.0, mu=0.0, t=40.0)),
+                                co.FixedNLimit(r=1.0), co.LargeN(r=1.0, t=40.0))):
+        rows.extend(co.sample_coalescence_times_block(m + 1, regime, RngStream(9).child(i), 300))
+    return [smallest, np.array(rows)]
+
+
+@pytest.fixture(scope="module")
+def stress_fits():
+    return [(h, est.fit_logistic_rows(h)) for h in _stress_matrices()]
+
+
+def test_batched_mle_is_stationary_on_every_row(stress_fits):
+    for h, fit in stress_fits:
+        assert fit.converged.all()
+        z = (h - fit.a[:, None]) / fit.b[:, None]
+        t = np.tanh(0.5 * z)
+        assert np.abs(t.sum(axis=1)).max() < 1e-8
+        assert np.abs((z * t).sum(axis=1) - h.shape[1]).max() < 1e-8
+
+
+def test_batched_mle_fits_each_row_as_if_alone(stress_fits, monkeypatch):
+    fallback_rows = []
+    fallback = est._bisection_fallback
+
+    def counted(h, b, fit, rows):
+        fallback_rows.extend(rows)
+        fallback(h, b, fit, rows)
+
+    monkeypatch.setattr(est, "_bisection_fallback", counted)
+    for h, fit in stress_fits:
+        for i in range(h.shape[0]):
+            alone = est.fit_logistic_rows(h[i:i + 1])
+            assert (alone.a[0], alone.b[0], alone.loglik[0], alone.converged[0]) == \
+                (fit.a[i], fit.b[i], fit.loglik[i], fit.converged[i])
+    assert fallback_rows  # the comparison covered rows that Newton left to bisection
+
+
+@pytest.mark.filterwarnings("error")
+def test_batched_mle_raises_no_floating_point_warning():
+    for h in _stress_matrices():
+        est.fit_logistic_rows(h)
+        est.fit_logistic_rows(h[:1])
+    # at these scales b*b overflows or log b underflows: the fit fails loudly,
+    # not with a warning from inside the kernel
+    for h in ([[0.0, 1e200]], [[2e-201, 1e-202, 8e-201]]):
+        with pytest.raises(NonConvergence):
+            est.fit_logistic_rows(np.array(h))
+
+
+def test_mle_rows_counts_unconverged_fits():
+    h = _stress_matrices()[1]
+    values, unconverged = est.mle_rows(h)
+    assert unconverged == 0
+    assert np.array_equal(values, 1.0 / est.fit_logistic_rows(h).b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Study harness: metric identities, degenerate-replicate exclusion, output
 determinism, the constant sweep, and the large-sample variance check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bdgrowth import calibration as cal
+from bdgrowth import estimators as est
 from bdgrowth import harness
 from bdgrowth.rng import RngStream
 
@@ -62,9 +65,36 @@ def test_coverage_rows_present(small_study):
 
 def test_degenerate_rows_excluded_and_counted(small_constants):
     matrix = np.array([[1.0, 2.0, 3.0, 2.5], [2.0, 2.0, 2.0, 2.0]])
-    estimates, raw = harness.estimates_for_matrix(matrix, small_constants[5])
+    estimates, raw, unconverged = harness.estimates_for_matrix(matrix, small_constants[5])
     assert raw.tolist() == [4 * 3 / 6.5]  # the first row is kept, the second dropped
     assert estimates["MSE"].size == 1
+    assert unconverged == {}
+
+
+def test_study_reports_unconverged_fits_once_per_cell(small_constants, monkeypatch, capsys,
+                                                      tmp_path):
+    mle = est.METHODS["MLE"]
+
+    def two_unconverged(h):
+        values, _ = mle.rows(h)
+        return values, 2
+
+    monkeypatch.setitem(est.METHODS, "MLE", dataclasses.replace(mle, rows=two_unconverged))
+    config = harness.StudyConfig(ns=(5, 10), rs=(0.5, 1.0), t=40.0, replicates=50, seed=SEED,
+                                 estimators=("Inv", "MLE"))
+    result = harness.run_study(config, small_constants)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: n={n} r={r}: 2 of 50 MLE fits did not converge; "
+                   f"their estimates are the last iterate" for n in (5, 10) for r in (0.5, 1.0)]
+    # the outputs carry no trace of it
+    monkeypatch.undo()
+    quiet = harness.run_study(config, small_constants)
+    assert capsys.readouterr().err == ""
+    for name, run in (("warned", result), ("quiet", quiet)):
+        harness.write_study_outputs(run, tmp_path / name)
+    for name in ("metrics.csv", "densities.csv", "coverage.csv", "summary.json"):
+        assert (tmp_path / "warned" / name).read_bytes() == \
+            (tmp_path / "quiet" / name).read_bytes()
 
 
 def test_study_outputs_are_byte_stable(tmp_path, small_constants):
