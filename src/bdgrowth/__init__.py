@@ -29,6 +29,7 @@ from .coalescent import (
     ExactFiniteT,
     FixedNLimit,
     LargeN,
+    check_finite_rows,
     delta_t,
     sample_coalescence_times,
     sample_coalescence_times_block,
@@ -46,6 +47,7 @@ from .errors import (
     MismatchedN,
     MissingBranchLength,
     NonConvergence,
+    NonFiniteTimes,
     NotBinary,
     NotUltrametric,
     ParseError,
@@ -67,6 +69,7 @@ from .treeio import (
     SampleTree,
     TreeNode,
     build_cpp_tree,
+    cpp_newick_rows,
     extract_coalescence_times,
     parse_newick,
     parse_newick_trees,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calibration, confidence, harness, treeio
 from .calibration import g17
-from .coalescent import CoalescenceTimes, sample_coalescence_times_block
+from .coalescent import CoalescenceTimes, check_finite_rows, sample_coalescence_times_block
 from .errors import (
     BdGrowthError,
     DegenerateTimes,
@@ -64,9 +64,8 @@ EXIT_NUMERICAL = 3
 def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
     header = "n,T," + ",".join(f"h{i}" for i in range(1, n))
     t_text = "" if t is None else g17(t)
-    lines = [header]
-    for row in matrix:
-        lines.append(f"{n},{t_text}," + ",".join(g17(v) for v in row))
+    prefix = f"{n},{t_text},"
+    lines = [header] + [prefix + ",".join(map(g17, row)) for row in matrix.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -106,16 +105,19 @@ def cmd_simulate(args) -> int:
     matrix = sample_coalescence_times_block(
         args.n, regime, RngStream(args.seed), args.count
     )
+    # every check runs before the first file is written
+    check_finite_rows(matrix)
+    if args.trees and args.T is None:
+        raise RelativeAxisError("writing trees needs absolute times; pass --T")
+    texts = treeio.cpp_newick_rows(matrix, args.T) if args.trees else None
     out = Path(args.out)
     write_times_csv(matrix, args.n, args.T, out)
-    if args.trees:
-        if args.T is None:
-            raise RelativeAxisError("writing trees needs absolute times; pass --T")
-        texts = []
-        for row in matrix:
-            times = CoalescenceTimes(args.n, tuple(float(v) for v in row), t=args.T)
-            texts.append(treeio.serialize_newick(treeio.build_cpp_tree(times)))
-        Path(args.trees).write_text("\n".join(texts) + "\n", encoding="utf-8")
+    if texts is not None:
+        try:
+            Path(args.trees).write_text("\n".join(texts) + "\n", encoding="utf-8")
+        except OSError:
+            out.unlink()  # a failed run leaves neither file
+            raise
     print(f"wrote {args.count} replicates to {out}")
     return EXIT_OK
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteTimes
 from .rng import as_generator, open_uniform
 
 # Switch to the limiting (truncated-exponential) branch-height CDF when
@@ -94,6 +95,15 @@ class CoalescenceTimes:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.times, dtype=float)
+
+
+def check_finite_rows(matrix: np.ndarray) -> None:
+    """Refuse a (k, n-1) height matrix that holds inf or nan, saying how many
+    of its rows do."""
+    bad = int(np.count_nonzero(~np.isfinite(matrix).all(axis=1)))
+    if bad:
+        raise NonFiniteTimes(
+            f"{bad} of {len(matrix)} rows hold non-finite coalescence times")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ class DegenerateTimes(BdGrowthError):
     """All coalescence times coincide, so difference-based statistics vanish."""
 
 
+class NonFiniteTimes(BdGrowthError, FloatingPointError, ValueError):
+    """Coalescence times hold inf or nan.
+
+    A numerical failure (a FloatingPointError) where a sampler produced
+    them, and a bad value (a ValueError) where a caller passed them.
+    """
+
+
 class NonConvergence(BdGrowthError):
     """Optimizer failed to produce a usable iterate."""
 

@@ -148,23 +148,23 @@ def lengths_rows(matrix: np.ndarray) -> np.ndarray:
     return (matrix.shape[1] + 1.0) / internal_branch_length_rows(matrix)
 
 
-def estimate_lengths(source: CoalescenceTimes | SampleTree) -> Estimate:
+def estimate_lengths(times: CoalescenceTimes, tree: SampleTree | None = None) -> Estimate:
     """Lengths-based estimate n / L_in.
 
-    Accepts branch-ordered times (point-process formula) or a parsed tree
-    (topology-true edge sum); real trees never come with branch order.
+    Without a tree, L_in comes from the branch-ordered times (point-process
+    formula). With the parsed tree that times were extracted from, it is the
+    tree's topology-true edge sum, since real trees never come with branch
+    order; times.n is then the tree's tip count.
     """
-    if isinstance(source, SampleTree):
-        n = source.n_tips
-        if n < 3:
-            raise SampleTooSmall("lengths estimator needs n >= 3")
-        length = tree_internal_branch_length(source)
+    if tree is None:
+        length = internal_branch_length(times)
     else:
-        n = source.n
-        length = internal_branch_length(source)
+        if times.n < 3:
+            raise SampleTooSmall("lengths estimator needs n >= 3")
+        length = tree_internal_branch_length(tree)
     if length <= 0:
         raise DegenerateTimes("internal branch length is zero")
-    return Estimate(method=LENGTHS, point=n / length)
+    return Estimate(method=LENGTHS, point=times.n / length)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +417,8 @@ def _raw_one(times, tree):
     return raw_pairwise_point(times)
 
 
-def _lengths_one(times, tree):  # a tree has a topology-true internal length
-    return estimate_lengths(times if tree is None else tree).point
+def _lengths_one(times, tree):
+    return estimate_lengths(times, tree).point
 
 
 def _mle_one(times, tree):

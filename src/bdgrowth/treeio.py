@@ -1,12 +1,20 @@
-"""Newick tree parsing, validation, and coalescence-time extraction.
+"""Newick trees in both directions: text to coalescence times, and heights
+to text.
 
-Real genealogies arrive as rooted ultrametric Newick trees. This module
-parses them (quoted labels and bracket comments included), validates that
-they are binary and ultrametric within a relative tolerance, extracts the
-internal-node heights as order-statistic coalescence times, and measures the
-topology-true internal branch length used by the lengths-based estimator.
-The inverse direction, building the coalescent-point-process tree from
-branch-ordered times and serializing it canonically, lives here too.
+Reading: real genealogies arrive as rooted ultrametric Newick trees. This
+module parses them (quoted labels and bracket comments included), validates
+that they are binary and ultrametric within a relative tolerance, extracts
+the internal-node heights as order-statistic coalescence times, and measures
+the topology-true internal branch length used by the lengths-based
+estimator. Extraction walks a tree once: one preorder for the tip depths,
+whose reverse is the postorder that checks binarity, counts tips and
+computes the heights.
+
+Writing: a row of branch-ordered heights with its tree height T defines the
+coalescent-point-process tree. build_cpp_tree builds it as a TreeNode graph
+and serialize_newick prints any tree canonically; cpp_newick_rows prints
+the same canonical text for every row of a height matrix without building
+a tree. Both builders follow one merge rule, _cpp_merges.
 
 Parsing and traversal are iterative throughout, so deeply nested comb trees
 cannot overflow the interpreter stack; every malformed input surfaces as a
@@ -15,11 +23,12 @@ structured ParseError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coalescent import CoalescenceTimes
+from .coalescent import CoalescenceTimes, check_finite_rows
 from .errors import (
     MissingBranchLength,
     NotBinary,
@@ -270,14 +279,6 @@ def parse_newick_trees(text: str) -> list[SampleTree]:
 # ---------------------------------------------------------------------------
 
 
-def _check_binary(root: TreeNode):
-    for node in _postorder(root):
-        if node.children and len(node.children) != 2:
-            raise NotBinary(
-                f"node {node.label or '(unnamed)'} has {len(node.children)} children"
-            )
-
-
 def extract_coalescence_times(
     tree: SampleTree, tol: float = DEFAULT_ULTRAMETRIC_TOL
 ) -> CoalescenceTimes:
@@ -288,51 +289,50 @@ def extract_coalescence_times(
     unbiased for symmetric rounding noise. Branch order is not recoverable
     from a plain tree, so the result carries only order statistics.
     """
-    n = tree.n_tips
+    # preorder, each tip's depth below the root summed from the root down
+    order: list[TreeNode] = []
+    tip_depths: list[float] = []
+    stack = [(tree.root, 0.0)]
+    while stack:
+        node, depth = stack.pop()
+        order.append(node)
+        if node.children:
+            for child in node.children:
+                stack.append((child, depth + (child.length or 0.0)))
+        else:
+            tip_depths.append(depth)
+    n = len(tip_depths)
     if n < 2:
         raise SampleTooSmall("need at least 2 tips to have a coalescence")
-    _check_binary(tree.root)
 
-    counts: dict[int, int] = {}
-    totals: dict[int, float] = {}  # summed distance from node down to its tips
+    # postorder: each finished subtree leaves (tips, summed distance from its
+    # root down to its tips, length of the edge above it) on `below`
+    below: list[tuple[int, float, float]] = []
     heights = []
-    for node in _postorder(tree.root):
-        if node.is_leaf():
-            counts[id(node)] = 1
-            totals[id(node)] = 0.0
+    for node in reversed(order):
+        children = node.children
+        if not children:
+            below.append((1, 0.0, node.length or 0.0))
             continue
-        count, total = 0, 0.0
-        for child in node.children:
-            count += counts[id(child)]
-            total += totals[id(child)] + counts[id(child)] * (child.length or 0.0)
-        counts[id(node)] = count
-        totals[id(node)] = total
+        if len(children) != 2:
+            raise NotBinary(f"node {node.label or '(unnamed)'} has {len(children)} children")
+        count_r, total_r, length_r = below.pop()
+        count_l, total_l, length_l = below.pop()
+        count = count_l + count_r
+        total = (total_l + count_l * length_l) + (total_r + count_r * length_r)
+        below.append((count, total, node.length or 0.0))
         heights.append(total / count)
 
-    tip_depths = _tip_depths(tree)
-    height = float(tip_depths.max())
+    depths = np.array(tip_depths)
+    height = float(depths.max())
     if height > 0:
-        worst = float(np.max(np.abs(tip_depths - height))) / height
+        worst = float(np.max(np.abs(depths - height))) / height
         if worst > tol:
             raise NotUltrametric(worst, tol)
 
     heights.sort(reverse=True)
     t = height + (tree.root_stem or 0.0)
     return CoalescenceTimes(n, tuple(heights), t=t, branch_order=False)
-
-
-def _tip_depths(tree: SampleTree) -> np.ndarray:
-    depths = {id(tree.root): 0.0}
-    out = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf():
-            out.append(depths[id(node)])
-        for child in node.children:
-            depths[id(child)] = depths[id(node)] + (child.length or 0.0)
-            stack.append(child)
-    return np.array(out)
 
 
 def tree_internal_branch_length(tree: SampleTree) -> float:
@@ -342,19 +342,21 @@ def tree_internal_branch_length(tree: SampleTree) -> float:
     input; the stem above the most recent common ancestor is otherwise not
     part of the sample genealogy.
     """
-    if tree.n_tips < 3:
-        raise SampleTooSmall("internal branch length needs at least 3 tips")
-    counts: dict[int, int] = {}
     total = 0.0
+    counts: list[int] = []  # tips below each finished subtree, the newest last
     for node in _postorder(tree.root):
-        if node.is_leaf():
-            counts[id(node)] = 1
+        k = len(node.children)
+        if not k:
+            counts.append(1)
             continue
-        counts[id(node)] = sum(counts[id(c)] for c in node.children)
-    for node in _postorder(tree.root):
-        for child in node.children:
-            if counts[id(child)] >= 2:
+        below = counts[-k:]
+        del counts[-k:]
+        for child, count in zip(node.children, below):
+            if count >= 2:
                 total += child.length or 0.0
+        counts.append(sum(below))
+    if counts[0] < 3:
+        raise SampleTooSmall("internal branch length needs at least 3 tips")
     if tree.stem_from_input and tree.root_stem is not None:
         total += tree.root_stem
     return total
@@ -363,6 +365,39 @@ def tree_internal_branch_length(tree: SampleTree) -> float:
 # ---------------------------------------------------------------------------
 # Coalescent-point-process tree construction
 # ---------------------------------------------------------------------------
+
+
+def _check_tree_heights(matrix: np.ndarray, t: float | None) -> None:
+    """What every point-process tree needs of its heights, for all rows at once."""
+    if t is None:
+        raise RelativeAxisError("building a tree needs absolute-axis times with T")
+    check_finite_rows(matrix)
+    if np.any(matrix <= 0):
+        raise ValueError("coalescence times must be positive to build a tree")
+    if np.any(matrix >= t):
+        raise ValueError("coalescence times must lie below the tree height T")
+
+
+def _cpp_merges(heights):
+    """The point-process tree's merge rule, as the steps that build it.
+
+    Tip 1 hangs on the spine, a line taller than any branch. Tip i hangs on
+    a new line of height heights[i - 2], once every newer line strictly
+    lower than that has joined the line below it; at the end the remaining
+    lines join from the newest down. Yields (i, h) when tip i hangs on a
+    line of height h, and (0, h) when the two newest subtrees join in a node
+    at height h, the height of the newer one's line. The joined subtree
+    hangs on the older line.
+    """
+    lines = [math.inf]
+    yield 1, math.inf
+    for i, h in enumerate(heights, start=2):
+        while lines[-1] < h:
+            yield 0, lines.pop()
+        lines.append(h)
+        yield i, h
+    while len(lines) > 1:
+        yield 0, lines.pop()
 
 
 def build_cpp_tree(times: CoalescenceTimes) -> SampleTree:
@@ -374,43 +409,51 @@ def build_cpp_tree(times: CoalescenceTimes) -> SampleTree:
     branch order; internal node depths from the tips are exactly the H_i and
     the synthetic stem of length T - max(H) preserves the total height T.
     """
-    if times.relative or times.t is None:
-        raise RelativeAxisError("building a tree needs absolute-axis times with T")
     heights = times.as_array()
-    if np.any(heights <= 0):
-        raise ValueError("coalescence times must be positive to build a tree")
-    if np.any(heights >= times.t):
-        raise ValueError("coalescence times must lie below the tree height T")
+    _check_tree_heights(heights[None, :], times.t)
+    stack: list[tuple[float, TreeNode]] = []  # (node height, subtree) per line
+    for tip, h in _cpp_merges(heights.tolist()):
+        if tip:
+            stack.append((0.0, TreeNode(label=f"t{tip}")))
+            continue
+        right_h, right = stack.pop()
+        left_h, left = stack.pop()
+        left.length, right.length = h - left_h, h - right_h
+        stack.append((h, TreeNode(children=[left, right])))
+    root_h, root = stack[0]
+    return SampleTree(root=root, root_stem=float(times.t) - root_h)
 
-    # stack of (line height, subtree hanging on that line); heights decrease
-    # from the spine at the bottom of the stack to the newest line on top
-    stack: list[tuple[float, TreeNode]] = [(np.inf, TreeNode(label="t1"))]
-    node_height: dict[int, float] = {}
 
-    def merge_top():
-        top_h, top_tree = stack.pop()
-        prev_h, prev_tree = stack.pop()
-        joined = TreeNode(children=[prev_tree, top_tree])
-        node_height[id(joined)] = top_h
-        stack.append((prev_h, joined))
+def cpp_newick_rows(matrix: np.ndarray, t: float | None) -> list[str]:
+    """serialize_newick(build_cpp_tree(...)) of each row of a (k, n-1) height
+    matrix with tree height t, byte for byte, without building the trees.
 
-    for i, h in enumerate(heights, start=2):
-        while stack[-1][0] < h:
-            merge_top()
-        stack.append((float(h), TreeNode(label=f"t{i}")))
-    while len(stack) > 1:
-        merge_top()
-
-    root = stack[0][1]
-    todo = [(root, node_height[id(root)])]
-    while todo:
-        node, h = todo.pop()
-        for child in node.children:
-            ch = node_height.get(id(child), 0.0)
-            child.length = h - ch
-            if child.children:
-                todo.append((child, ch))
-    return SampleTree(root=root, root_stem=float(times.t) - node_height[id(root)])
+    One stack pass per row over the merge steps; each entry is (node height,
+    smallest tip label, text), and a join writes its children in the order
+    of their smallest tip labels, as serialize_newick does. The checks of
+    build_cpp_tree run once on the whole matrix.
+    """
+    _check_tree_heights(matrix, t)
+    t = float(t)
+    labels = [f"t{i}" for i in range(matrix.shape[1] + 2)]
+    out = []
+    for row in matrix.tolist():
+        stack: list[tuple[float, str, str]] = []
+        for tip, h in _cpp_merges(row):
+            if tip:
+                stack.append((0.0, labels[tip], labels[tip]))
+                continue
+            right_h, right_min, right = stack.pop()
+            left_h, left_min, left = stack.pop()
+            left = f"{left}:{_format_length(h - left_h)}"
+            right = f"{right}:{_format_length(h - right_h)}"
+            if left_min < right_min:
+                stack.append((h, left_min, f"({left},{right})"))
+            else:
+                stack.append((h, right_min, f"({right},{left})"))
+        root_h, _, text = stack[0]
+        out.append(f"{text}:{_format_length(t - root_h)};")
+    return out
 
 
 # ---------------------------------------------------------------------------

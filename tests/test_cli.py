@@ -61,6 +61,40 @@ def test_simulate_trees_round_trip(tmp_path):
         assert sorted(extracted.times) == pytest.approx(sorted(row.times), rel=1e-9)
 
 
+@pytest.mark.parametrize("flags", [
+    # large-n heights reach past T, so no tree can hold them
+    ["--regime", "large-n", "--T", 40, "--n", 100, "--count", 300, "--seed", 4],
+    # trees need T
+    ["--regime", "fixed-n", "--n", 8, "--count", 30, "--seed", 4],
+])
+def test_simulate_that_cannot_write_its_trees_writes_nothing(tmp_path, flags):
+    assert run(["simulate", "--r", 1.0, *flags, "--out", tmp_path / "times.csv",
+                "--trees", tmp_path / "trees.nwk"]) == cli.EXIT_INPUT
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_removes_its_times_when_the_trees_file_cannot_be_written(tmp_path):
+    assert run(["simulate", "--n", 5, "--count", 3, "--T", 40, "--out", tmp_path / "times.csv",
+                "--trees", tmp_path / "missing" / "trees.nwk"]) == cli.EXIT_INPUT
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("trees", [False, True])
+def test_simulate_with_non_finite_heights_writes_nothing(tmp_path, capsys, monkeypatch, trees):
+    def sampler(n, regime, rng, count):
+        matrix = np.full((count, n - 1), 1.0)
+        matrix[[1, 4], 2] = [np.inf, np.nan]
+        return matrix
+
+    monkeypatch.setattr(cli, "sample_coalescence_times_block", sampler)
+    argv = ["simulate", "--n", 5, "--count", 6, "--T", 40, "--out", tmp_path / "times.csv"]
+    if trees:
+        argv += ["--trees", tmp_path / "trees.nwk"]
+    assert run(argv) == cli.EXIT_NUMERICAL
+    assert "2 of 6 rows hold non-finite coalescence times" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_relative_axis_when_t_missing(tmp_path):
     out = tmp_path / "rel.csv"
     assert run(["simulate", "--n", 5, "--count", 3, "--seed", 1,

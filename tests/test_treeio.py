@@ -1,6 +1,7 @@
 """Tree I/O: parser behavior on good and hostile input, ultrametric
 validation, height extraction, internal-length agreement with the
-branch-order formula, and canonical serialization round trips."""
+branch-order formula, canonical serialization round trips, and the matrix
+writer against building and serializing one tree per row."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bdgrowth import coalescent as co
 from bdgrowth import treeio
+from bdgrowth.confidence import make_regime
 from bdgrowth.errors import (
     BdGrowthError,
     MissingBranchLength,
@@ -19,6 +21,7 @@ from bdgrowth.errors import (
     SampleTooSmall,
 )
 from bdgrowth.estimators import internal_branch_length
+from bdgrowth.rng import RngStream
 
 BASIC = "((A:1,B:1):1,C:2);"
 
@@ -138,6 +141,67 @@ def test_extract_single_tip_rejected():
         treeio.extract_coalescence_times(treeio.parse_newick("A:1;"))
 
 
+def test_extraction_errors_keep_their_precedence():
+    # one tip under a unary node: too small comes before not binary
+    with pytest.raises(SampleTooSmall):
+        treeio.extract_coalescence_times(treeio.parse_newick("((A:1):1);"))
+    # neither binary nor ultrametric: not binary, at the first such node in postorder
+    with pytest.raises(NotBinary, match="node x has 3 children"):
+        treeio.extract_coalescence_times(
+            treeio.parse_newick("((A:1,B:1,C:3)x:1,(D:1)y:1);"))
+
+
+def reference_heights_and_height(tree):
+    """Heights (largest first) and tree height of the original extraction:
+    one postorder per quantity, summing in the same order."""
+    counts, totals, heights = {}, {}, []
+    for node in treeio._postorder(tree.root):
+        if node.is_leaf():
+            counts[id(node)], totals[id(node)] = 1, 0.0
+            continue
+        count, total = 0, 0.0
+        for child in node.children:
+            count += counts[id(child)]
+            total += totals[id(child)] + counts[id(child)] * (child.length or 0.0)
+        counts[id(node)], totals[id(node)] = count, total
+        heights.append(total / count)
+    depths = {id(tree.root): 0.0}
+    for node in reversed(treeio._postorder(tree.root)):
+        for child in node.children:
+            depths[id(child)] = depths[id(node)] + (child.length or 0.0)
+    return sorted(heights, reverse=True), max(depths[id(tip)] for tip in tree.tips())
+
+
+def reference_internal_length(tree):
+    counts = {}
+    for node in treeio._postorder(tree.root):
+        counts[id(node)] = sum(counts[id(c)] for c in node.children) or 1
+    total = 0.0
+    for node in treeio._postorder(tree.root):
+        for child in node.children:
+            if counts[id(child)] >= 2:
+                total += child.length or 0.0
+    if tree.stem_from_input:
+        total += tree.root_stem
+    return total
+
+
+def test_single_pass_extraction_and_length_are_bit_identical_to_the_reference():
+    rng = np.random.default_rng(203)
+    m = co.sample_coalescence_times_block(
+        12, make_regime("exact", 1.0, 40.0), RngStream(203), 300)
+    for text in treeio.cpp_newick_rows(m, 40.0):
+        # printed lengths are rounded, so sums depend on their order
+        tree = treeio.parse_newick(text)
+        for node in treeio._postorder(tree.root):
+            rng.shuffle(node.children)
+        heights, height = reference_heights_and_height(tree)
+        times = treeio.extract_coalescence_times(tree)
+        assert times.times == tuple(heights)
+        assert times.t == height + tree.root_stem
+        assert treeio.tree_internal_branch_length(tree) == reference_internal_length(tree)
+
+
 # ---------------------------------------------------------------------------
 # internal branch length
 # ---------------------------------------------------------------------------
@@ -254,3 +318,76 @@ def test_simulated_tree_survives_text_round_trip():
     recovered = treeio.extract_coalescence_times(treeio.parse_newick(text))
     assert sorted(recovered.times) == [1.0, 2.0]
     assert recovered.t == 3.0
+
+
+# ---------------------------------------------------------------------------
+# the matrix writer
+# ---------------------------------------------------------------------------
+
+
+def one_tree_per_row(matrix, t):
+    n = matrix.shape[1] + 1
+    return [treeio.serialize_newick(treeio.build_cpp_tree(co.CoalescenceTimes(n, tuple(row), t=t)))
+            for row in matrix.tolist()]
+
+
+def tree_rows(regime, n, count, seed, t=40.0):
+    """Sampled rows of a regime that a tree can hold: every height in (0, T)."""
+    m = co.sample_coalescence_times_block(n, make_regime(regime, 1.0, t), RngStream(seed), count)
+    return m[((m > 0) & (m < t)).all(axis=1)]
+
+
+@pytest.mark.parametrize("regime, n", [
+    ("exact", 2), ("exact", 3), ("exact", 9), ("exact", 20), ("exact", 57),
+    ("fixed-n", 9), ("fixed-n", 20), ("large-n", 9),
+])
+def test_writer_matches_building_and_serializing_each_row(regime, n):
+    m = tree_rows(regime, n, 300, n)
+    assert len(m) >= 20
+    assert treeio.cpp_newick_rows(m, 40.0) == one_tree_per_row(m, 40.0)
+
+
+def test_writer_matches_on_tied_dyadic_heights():
+    rng = np.random.default_rng(204)
+    for n in (3, 5, 12):
+        m = rng.integers(1, 8, size=(300, n - 1)) / 4.0
+        assert treeio.cpp_newick_rows(m, 2.5) == one_tree_per_row(m, 2.5)
+
+
+def test_writer_matches_on_deep_combs():
+    n = 3000
+    left = np.arange(n - 1, 0, -1, dtype=float)[None, :]
+    for m in (left, left[:, ::-1]):
+        assert treeio.cpp_newick_rows(m, float(n)) == one_tree_per_row(m, float(n))
+
+
+@pytest.mark.parametrize("row, t", [
+    ((2.0, 1.0), None),
+    ((2.0, 0.0), 3.0),
+    ((-1.0, 1.0), 3.0),
+    ((3.0, 1.0), 3.0),
+    ((np.inf, 1.0), 3.0),
+    ((1.0, np.nan), 3.0),
+])
+def test_writer_refuses_what_build_cpp_tree_refuses(row, t):
+    with pytest.raises((BdGrowthError, ValueError)) as built:
+        treeio.build_cpp_tree(co.CoalescenceTimes(3, row, t=t, relative=t is None))
+    with pytest.raises(type(built.value)):
+        treeio.cpp_newick_rows(np.array([row, (2.0, 1.0)]), t)
+
+
+def test_writer_counts_the_rows_with_non_finite_heights():
+    m = np.ones((5, 3))
+    m[1, 0], m[3, 2] = np.inf, np.nan
+    with pytest.raises(FloatingPointError, match="2 of 5 rows"):
+        treeio.cpp_newick_rows(m, 3.0)
+
+
+def test_writer_output_parses_back_to_its_heights():
+    n, t = 20, 40.0
+    m = tree_rows("exact", n, 100, 205)
+    tol = 1e-11 * t * n
+    for row, text in zip(m, treeio.cpp_newick_rows(m, t)):
+        back = treeio.extract_coalescence_times(treeio.parse_newick(text))
+        assert np.max(np.abs(np.array(back.times) - np.sort(row)[::-1])) <= tol
+        assert abs(back.t - t) <= tol
