@@ -69,19 +69,28 @@ def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_times_csv(path: Path) -> list[CoalescenceTimes]:
+def read_times_csv(path: Path) -> list[CoalescenceTimes | Exception]:
+    """One entry per data row: its times, or the error that rejected the row.
+
+    A file without the header or without data rows raises.
+    """
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("n,T,"):
         raise ParseError(0, 'times CSV header "n,T,h1,..."')
-    out = []
+    out: list[CoalescenceTimes | Exception] = []
     for line in lines[1:]:
         if not line.strip():
             continue
         parts = line.split(",")
-        n = int(parts[0])
-        t = float(parts[1]) if parts[1].strip() else None
-        values = tuple(float(v) for v in parts[2:])
-        out.append(CoalescenceTimes(n=n, times=values, t=t, relative=t is None))
+        try:
+            if len(parts) < 2:
+                raise ValueError(f"times row {line!r} has no T column")
+            n = int(parts[0])
+            t = float(parts[1]) if parts[1].strip() else None
+            values = tuple(float(v) for v in parts[2:])
+            out.append(CoalescenceTimes(n=n, times=values, t=t, relative=t is None))
+        except _ITEM_ERRORS as exc:
+            out.append(exc)
     if not out:
         raise ParseError(0, "at least one data row")
     return out
@@ -127,14 +136,15 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_inputs(path: Path) -> list[tuple[str, CoalescenceTimes | treeio.SampleTree]]:
-    """Times CSV rows or Newick trees, each with an input identifier."""
+def _load_inputs(path: Path) -> list[tuple[str, CoalescenceTimes | treeio.SampleTree | Exception]]:
+    """Times CSV rows or Newick trees, or the errors that rejected them, each
+    with an input identifier."""
     text = path.read_text(encoding="utf-8")
     if text.lstrip().startswith("n,T,"):
-        rows = read_times_csv(path)
-        return [(f"{path.name}#{i}", row) for i, row in enumerate(rows)]
-    trees = treeio.parse_newick_trees(text)
-    return [(f"{path.name}#{i}", tree) for i, tree in enumerate(trees)]
+        items = read_times_csv(path)
+    else:
+        items = treeio.parse_newick_trees(text)
+    return [(f"{path.name}#{i}", item) for i, item in enumerate(items)]
 
 
 def _spec_for(n: int, table, args, spec_cache: dict) -> confidence.ConfidenceSpec:
@@ -156,6 +166,8 @@ def _estimate_input(item, tags, table, args, spec_cache: dict) -> list[dict | Ex
     pivot among them) runs once; constants and interval specs are fetched
     only for the methods that use them.
     """
+    if isinstance(item, Exception):  # the input could not be read
+        return [item] * len(tags)
     tree = item if isinstance(item, treeio.SampleTree) else None
     try:
         times = item if tree is None else treeio.extract_coalescence_times(

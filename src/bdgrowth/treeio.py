@@ -6,9 +6,14 @@ module parses them (quoted labels and bracket comments included), validates
 that they are binary and ultrametric within a relative tolerance, extracts
 the internal-node heights as order-statistic coalescence times, and measures
 the topology-true internal branch length used by the lengths-based
-estimator. Extraction walks a tree once: one preorder for the tip depths,
-whose reverse is the postorder that checks binarity, counts tips and
-computes the heights.
+estimator. The parser reads a node at a time: one regular-expression match
+takes a node's leading filler (whitespace and comments), its label, its
+length and the filler after it, and a loop over '(', ',', ')' and ';' builds
+the tree. In a multi-tree text, a tree that fails to parse becomes an error
+item of the batch, and parsing resumes after the first ';' at or after the
+error. Extraction walks a tree once: one preorder for the tip depths, whose
+reverse is the postorder that checks binarity, counts tips and computes the
+heights.
 
 Writing: a row of branch-ordered heights with its tree height T defines the
 coalescent-point-process tree. build_cpp_tree builds it as a TreeNode graph
@@ -24,6 +29,7 @@ structured ParseError.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,117 +110,95 @@ def _postorder(root: TreeNode) -> list[TreeNode]:
 # ---------------------------------------------------------------------------
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def skip_filler(self):
-        """Skip whitespace and bracketed comments."""
-        while True:
-            c = self.peek()
-            if c is not None and c.isspace():
-                self.pos += 1
-            elif c == "[":
-                end = self.text.find("]", self.pos + 1)
-                if end < 0:
-                    raise ParseError(self.pos, "']' closing comment")
-                self.pos = end + 1
-            else:
-                return
+# A node is its leading filler, a quoted or bare label, filler, and an
+# optional ':' length token followed by filler; a '[' that a filler stops at
+# opens a comment that never closes. The patterns compile on first use (re
+# caches them), so commands that read no Newick do not hold them.
+_FILLER = r"(?:\s+|\[[^\]]*\])*"  # whitespace and closed [...] comments
+_WORD = r"[^():,;\[\s]"  # a character of a bare label or a length token
+_NODE = (
+    _FILLER
+    # 1: quoted label; the lookahead keeps a closing quote from being the
+    # first half of an escaped ''
+    + r"(?:'((?:[^']|'')*)'(?!')"
+    + r"|(?!')(" + _WORD + r"+))?"  # 2: bare label
+    + _FILLER
+    + r"(?::" + _FILLER + "(" + _WORD + "*)" + _FILLER + ")?"  # 3: length token
+    + r"(?=(.?))"  # 4: the next character, '' at the end of the text
+)
 
 
-def _parse_label(cur: _Cursor) -> str | None:
-    cur.skip_filler()
-    c = cur.peek()
-    if c == "'":
-        start = cur.pos
-        cur.pos += 1
-        chunks = []
-        while True:
-            c = cur.peek()
-            if c is None:
-                raise ParseError(start, "closing quote for label")
-            cur.pos += 1
-            if c == "'":
-                if cur.peek() == "'":  # doubled quote escapes a quote
-                    chunks.append("'")
-                    cur.pos += 1
-                else:
-                    return "".join(chunks)
-            else:
-                chunks.append(c)
-    chunks = []
-    while True:
-        c = cur.peek()
-        if c is None or c in _LABEL_TERMINATORS or c.isspace():
-            break
-        chunks.append(c)
-        cur.pos += 1
-    return "".join(chunks) or None
+def _skip_filler(text: str, pos: int) -> int:
+    end = re.compile(_FILLER).match(text, pos).end()
+    if text.startswith("[", end):
+        raise ParseError(end, "']' closing comment")
+    return end
 
 
-def _parse_length(cur: _Cursor) -> float | None:
-    cur.skip_filler()
-    if cur.peek() != ":":
-        return None
-    cur.pos += 1
-    cur.skip_filler()
-    start = cur.pos
-    while True:
-        c = cur.peek()
-        if c is None or c in _LABEL_TERMINATORS or c.isspace():
-            break
-        cur.pos += 1
-    token = cur.text[start:cur.pos]
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(start, "branch length after ':'") from None
-    if not np.isfinite(value):
-        raise ParseError(start, "finite branch length")
-    return value
+def _parse_one(text: str, pos: int) -> tuple[TreeNode, int, bool]:
+    """Parse one subtree from pos; returns it, the offset after its trailing
+    filler, and whether an edge below its root has no length.
 
-
-def _parse_one(cur: _Cursor) -> TreeNode:
-    """Parse one subtree with an explicit stack of open groups."""
+    One _NODE match reads each node; an explicit stack of open groups
+    replaces recursion. The checks run in the order a left-to-right reading
+    meets them, so the error reported is the first one in the text.
+    """
+    match_node = re.compile(_NODE, re.S).match
     stack: list[TreeNode] = []
+    missing_length = False
+    closed = None  # the group a ')' just closed: the next node read is its label and length
     while True:
-        cur.skip_filler()
-        if cur.peek() == "(":
-            cur.pos += 1
+        if closed is None and text.startswith("(", pos):
+            pos += 1
             stack.append(TreeNode())
             continue
-        label = _parse_label(cur)
-        length = _parse_length(cur)
-        if label is None and length is None:
-            # bare empty node is only tolerable inside a group
-            if not stack or cur.peek() not in (",", ")"):
-                raise ParseError(cur.pos, "leaf label or '('")
-        current = TreeNode(label=label, length=length)
-        while True:
-            if not stack:
-                return current
-            stack[-1].children.append(current)
-            cur.skip_filler()
-            c = cur.peek()
-            if c == ",":
-                cur.pos += 1
-                break
-            if c == ")":
-                cur.pos += 1
-                node = stack.pop()
-                node.label = _parse_label(cur)
-                node.length = _parse_length(cur)
-                current = node
-                continue
-            raise ParseError(cur.pos, "',' or ')'")
+        m = match_node(text, pos)
+        quoted, label, token, nxt = m.groups()
+        pos = m.end()
+        if quoted is not None:
+            label = quoted.replace("''", "'")
+        length = None
+        # an empty token before a '[' means the comment after ':' never closes
+        if token is not None and (token or nxt != "["):
+            try:
+                length = float(token)
+            except ValueError:
+                raise ParseError(m.start(3), "branch length after ':'") from None
+            if not math.isfinite(length):
+                raise ParseError(m.start(3), "finite branch length")
+        if nxt == "[":
+            raise ParseError(pos, "']' closing comment")
+        if label is None and token is None and nxt == "'":
+            raise ParseError(pos, "closing quote for label")
+
+        if closed is None:
+            if label is None and length is None:
+                if nxt == "(":  # a '(' after filler
+                    continue
+                # bare empty node is only tolerable inside a group
+                if not stack or nxt not in (",", ")"):
+                    raise ParseError(pos, "leaf label or '('")
+            current = TreeNode(label=label, length=length)
+        else:
+            current, closed = closed, None
+            current.label, current.length = label, length
+        if not stack:
+            return current, pos, missing_length
+        stack[-1].children.append(current)
+        if length is None:
+            missing_length = True
+        if nxt == ",":
+            pos += 1
+        elif nxt == ")":
+            pos += 1
+            closed = stack.pop()
+        else:
+            raise ParseError(pos, "',' or ')'")
 
 
 def _require_lengths(root: TreeNode):
+    """Raise for the first edge below the root without a length, visiting
+    each node's children left to right, the rightmost child's subtree first."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -225,8 +209,9 @@ def _require_lengths(root: TreeNode):
             stack.append(child)
 
 
-def _finish_tree(root: TreeNode) -> SampleTree:
-    _require_lengths(root)
+def _finish_tree(root: TreeNode, missing_length: bool) -> SampleTree:
+    if missing_length:
+        _require_lengths(root)
     stem = root.length
     root.length = None
     return SampleTree(root=root, root_stem=stem, stem_from_input=stem is not None)
@@ -243,35 +228,43 @@ def parse_newick(text: str) -> SampleTree:
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError(0, "nonempty Newick text")
-    cur = _Cursor(text)
-    root = _parse_one(cur)
-    cur.skip_filler()
-    if cur.peek() != ";":
-        raise ParseError(cur.pos, "';' terminating the tree")
-    cur.pos += 1
-    cur.skip_filler()
-    if cur.peek() is not None:
-        raise ParseError(cur.pos, "end of input after ';'")
-    return _finish_tree(root)
+    root, pos, missing_length = _parse_one(text, 0)
+    if not text.startswith(";", pos):
+        raise ParseError(pos, "';' terminating the tree")
+    pos = _skip_filler(text, pos + 1)
+    if pos < len(text):
+        raise ParseError(pos, "end of input after ';'")
+    return _finish_tree(root, missing_length)
 
 
-def parse_newick_trees(text: str) -> list[SampleTree]:
-    """Parse a ';'-separated multi-tree string."""
-    trees = []
-    cur = _Cursor(text)
+def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranchLength]:
+    """Parse a ';'-separated multi-tree string, one entry per tree.
+
+    An entry is the tree, or the error that stopped it; after an error the
+    next tree starts after the first ';' at or after the error's offset.
+    Text that holds no tree at all raises.
+    """
+    out: list[SampleTree | ParseError | MissingBranchLength] = []
+    pos = 0
     while True:
-        cur.skip_filler()
-        if cur.peek() is None:
-            break
-        root = _parse_one(cur)
-        cur.skip_filler()
-        if cur.peek() != ";":
-            raise ParseError(cur.pos, "';' terminating the tree")
-        cur.pos += 1
-        trees.append(_finish_tree(root))
-    if not trees:
+        try:
+            pos = _skip_filler(text, pos)
+            if pos == len(text):
+                break
+            root, pos, missing_length = _parse_one(text, pos)
+            if not text.startswith(";", pos):
+                raise ParseError(pos, "';' terminating the tree")
+            pos += 1
+            out.append(_finish_tree(root, missing_length))
+        except ParseError as exc:
+            out.append(exc)
+            semi = text.find(";", exc.offset)
+            pos = len(text) if semi < 0 else semi + 1
+        except MissingBranchLength as exc:  # raised after the tree's ';'
+            out.append(exc)
+    if not out:
         raise ParseError(0, "at least one tree")
-    return trees
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,60 @@ def test_estimate_isolates_bad_inputs(tmp_path, constants_file):
     assert float(lines[2].split(",")[3]) == pytest.approx(3.0)
 
 
+def estimate_rows(path, constants_file):
+    """The estimate rows of a file, keyed by input and method; the exit code."""
+    out = path.with_suffix(".est.csv")
+    code = run(["estimate", path, "--constants", constants_file,
+                "--methods", "Inv,Lengths,MLE", "--out", out])
+    with out.open(newline="", encoding="utf-8") as fh:
+        return code, {(row[0], row[2]): row for row in list(csv.reader(fh))[1:]}
+
+
+def assert_good_inputs_match_a_file_of_them(mixed, good, good_at, constants_file):
+    """Each good input of the mixed file has the rows it gets in a file of
+    the good inputs alone; good_at[i] is where the i-th good input sits."""
+    code, rows = estimate_rows(mixed, constants_file)
+    assert code == cli.EXIT_OK
+    _, alone = estimate_rows(good, constants_file)
+    assert len(alone) == 3 * len(good_at)
+    for (name, method), row in alone.items():
+        i = int(name.rpartition("#")[2])
+        assert rows[(f"{mixed.name}#{good_at[i]}", method)][1:] == row[1:]
+        assert row[6] == ""
+    return rows
+
+
+def test_estimate_keeps_going_after_a_malformed_tree(tmp_path, constants_file):
+    trees = ["((A:1,B:1):1,C:2);", "((C:1,D:1):1,E:2;", "((E:1,F:1):2,G:3);",
+             "((A,B:1):1,C:2);", "((H:1,I:1):1.5,J:2.5):0.5;"]
+    mixed, good = tmp_path / "mixed.nwk", tmp_path / "good.nwk"
+    mixed.write_text("\n".join(trees) + "\n")
+    good.write_text("\n".join(trees[i] for i in (0, 2, 4)) + "\n")
+    rows = assert_good_inputs_match_a_file_of_them(mixed, good, [0, 2, 4], constants_file)
+    for method in ("Inv", "Lengths", "MLE"):
+        assert rows[("mixed.nwk#1", method)][6] == (
+            "ParseError: parse error at character 35: expected ',' or ')'")
+        assert rows[("mixed.nwk#3", method)][6] == (
+            "MissingBranchLength: edge above 'A' has no branch length")
+
+
+def test_estimate_keeps_going_after_a_malformed_times_row(tmp_path, constants_file):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 5, "--count", 3, "--seed", 25, "--T", 40,
+                "--r", 1.0, "--out", times]) == 0
+    header, *good_rows = times.read_text().splitlines()
+    mixed, good = tmp_path / "mixed.csv", tmp_path / "good.csv"
+    mixed.write_text("\n".join([header, good_rows[0], "4,10,3", good_rows[1],
+                                "4,10,3,x,1", "4", good_rows[2]]) + "\n")
+    good.write_text("\n".join([header, *good_rows]) + "\n")
+    rows = assert_good_inputs_match_a_file_of_them(mixed, good, [0, 2, 5], constants_file)
+    for method in ("Inv", "Lengths", "MLE"):
+        assert rows[("mixed.csv#1", method)][6] == "ValueError: expected 3 times, got 1"
+        assert rows[("mixed.csv#3", method)][6] == (
+            "ValueError: could not convert string to float: 'x'")
+        assert rows[("mixed.csv#4", method)][6] == "ValueError: times row '4' has no T column"
+
+
 def test_estimate_exit_codes(tmp_path, constants_file):
     assert run(["estimate", tmp_path / "missing.csv"]) == cli.EXIT_INPUT
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdgrowth import coalescent as co
@@ -89,14 +89,21 @@ def test_constant_scaling_is_exact():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.001, max_value=1e3, allow_nan=False), min_size=3, max_size=25))
+@example([0.001, 0.001, 0.0010000000000000002])
 def test_translation_and_scale_behavior(values):
     arr = np.array(values)
     if arr.min() == arr.max():
         arr[0] += 1.0
     t = times_of(arr)
     point = est.estimate_pairwise(t, 1.0).point
-    shifted = est.estimate_pairwise(times_of(arr + 123.5), 1.0).point
-    assert shifted == pytest.approx(point, rel=1e-9)
+    moved = arr + 123.5
+    if moved.min() == moved.max():
+        # a spread below one ulp of 123.5 leaves the moved times all equal
+        with pytest.raises(DegenerateTimes):
+            est.estimate_pairwise(times_of(moved), 1.0)
+    else:
+        shifted = est.estimate_pairwise(times_of(moved), 1.0).point
+        assert shifted == pytest.approx(point, rel=1e-9)
     doubled = est.estimate_pairwise(times_of(2.0 * arr), 1.0).point
     assert doubled == pytest.approx(point / 2.0, rel=1e-14)
 

@@ -3,6 +3,9 @@ validation, height extraction, internal-length agreement with the
 branch-order formula, canonical serialization round trips, and the matrix
 writer against building and serializing one tree per row."""
 
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +25,7 @@ from bdgrowth.errors import (
 )
 from bdgrowth.estimators import internal_branch_length
 from bdgrowth.rng import RngStream
+from bdgrowth.treeio import SampleTree, TreeNode
 
 BASIC = "((A:1,B:1):1,C:2);"
 
@@ -83,6 +87,23 @@ def test_multi_tree_file():
     assert [t.n_tips for t in trees] == [2, 2]
 
 
+def test_a_bad_tree_is_an_item_of_the_batch_and_the_next_tree_still_parses():
+    text = "(A:1,B:1);\n(C:1,D:1;\n(E:2,F:2);\n(G,H:1);\n(I:1,J:x)\n(K:3,L:3);\n(N:2,O:2);\n(M:1,"
+    items = treeio.parse_newick_trees(text)
+    assert [type(item).__name__ for item in items] == [
+        "SampleTree", "ParseError", "SampleTree", "MissingBranchLength", "ParseError",
+        "SampleTree", "ParseError"]
+    assert (items[1].offset, items[1].expected) == (19, "',' or ')'")
+    assert items[3].args == ("edge above 'G' has no branch length",)
+    # the next tree starts after the first ';' at or after the error, so an
+    # error in a tree without its own ';' takes the tree after it along
+    assert items[4].offset == text.index("x")
+    assert [items[i].tip_labels for i in (0, 2, 5)] == [["A", "B"], ["E", "F"], ["N", "O"]]
+    assert (items[6].offset, items[6].expected) == (len(text), "leaf label or '('")
+    with pytest.raises(ParseError, match="at least one tree"):
+        treeio.parse_newick_trees(" [no tree here]\n")
+
+
 @settings(max_examples=300, deadline=None)
 @example(";")
 @example("(((((")
@@ -95,6 +116,281 @@ def test_parser_is_total(text):
         treeio.parse_newick(text)
     except BdGrowthError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the character-at-a-time cursor parser, kept as the reference
+# ---------------------------------------------------------------------------
+
+_LABEL_TERMINATORS = set("():,;[")
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def skip_filler(self):
+        """Skip whitespace and bracketed comments."""
+        while True:
+            c = self.peek()
+            if c is not None and c.isspace():
+                self.pos += 1
+            elif c == "[":
+                end = self.text.find("]", self.pos + 1)
+                if end < 0:
+                    raise ParseError(self.pos, "']' closing comment")
+                self.pos = end + 1
+            else:
+                return
+
+
+def _parse_label(cur: _Cursor) -> str | None:
+    cur.skip_filler()
+    c = cur.peek()
+    if c == "'":
+        start = cur.pos
+        cur.pos += 1
+        chunks = []
+        while True:
+            c = cur.peek()
+            if c is None:
+                raise ParseError(start, "closing quote for label")
+            cur.pos += 1
+            if c == "'":
+                if cur.peek() == "'":  # doubled quote escapes a quote
+                    chunks.append("'")
+                    cur.pos += 1
+                else:
+                    return "".join(chunks)
+            else:
+                chunks.append(c)
+    chunks = []
+    while True:
+        c = cur.peek()
+        if c is None or c in _LABEL_TERMINATORS or c.isspace():
+            break
+        chunks.append(c)
+        cur.pos += 1
+    return "".join(chunks) or None
+
+
+def _parse_length(cur: _Cursor) -> float | None:
+    cur.skip_filler()
+    if cur.peek() != ":":
+        return None
+    cur.pos += 1
+    cur.skip_filler()
+    start = cur.pos
+    while True:
+        c = cur.peek()
+        if c is None or c in _LABEL_TERMINATORS or c.isspace():
+            break
+        cur.pos += 1
+    token = cur.text[start:cur.pos]
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(start, "branch length after ':'") from None
+    if not np.isfinite(value):
+        raise ParseError(start, "finite branch length")
+    return value
+
+
+def _parse_one(cur: _Cursor) -> TreeNode:
+    """Parse one subtree with an explicit stack of open groups."""
+    stack: list[TreeNode] = []
+    while True:
+        cur.skip_filler()
+        if cur.peek() == "(":
+            cur.pos += 1
+            stack.append(TreeNode())
+            continue
+        label = _parse_label(cur)
+        length = _parse_length(cur)
+        if label is None and length is None:
+            # bare empty node is only tolerable inside a group
+            if not stack or cur.peek() not in (",", ")"):
+                raise ParseError(cur.pos, "leaf label or '('")
+        current = TreeNode(label=label, length=length)
+        while True:
+            if not stack:
+                return current
+            stack[-1].children.append(current)
+            cur.skip_filler()
+            c = cur.peek()
+            if c == ",":
+                cur.pos += 1
+                break
+            if c == ")":
+                cur.pos += 1
+                node = stack.pop()
+                node.label = _parse_label(cur)
+                node.length = _parse_length(cur)
+                current = node
+                continue
+            raise ParseError(cur.pos, "',' or ')'")
+
+
+def _require_lengths(root: TreeNode):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            if child.length is None:
+                where = child.label or "internal node"
+                raise MissingBranchLength(f"edge above {where!r} has no branch length")
+            stack.append(child)
+
+
+def _finish_tree(root: TreeNode) -> SampleTree:
+    _require_lengths(root)
+    stem = root.length
+    root.length = None
+    return SampleTree(root=root, root_stem=stem, stem_from_input=stem is not None)
+
+
+def reference_parse_newick(text: str) -> SampleTree:
+    """Parse a single Newick tree.
+
+    Standard grammar: nested parentheses, optional (possibly quoted) labels,
+    ':'-prefixed branch lengths, bracket comments, terminating ';'. Every
+    edge except the root stem must carry a length, since the trees are bound
+    for estimation. Multifurcations parse fine; they are rejected later,
+    where the rejection can cite the offending node.
+    """
+    if not isinstance(text, str) or not text.strip():
+        raise ParseError(0, "nonempty Newick text")
+    cur = _Cursor(text)
+    root = _parse_one(cur)
+    cur.skip_filler()
+    if cur.peek() != ";":
+        raise ParseError(cur.pos, "';' terminating the tree")
+    cur.pos += 1
+    cur.skip_filler()
+    if cur.peek() is not None:
+        raise ParseError(cur.pos, "end of input after ';'")
+    return _finish_tree(root)
+
+
+def reference_parse_newick_trees(text: str) -> list[SampleTree]:
+    """Parse a ';'-separated multi-tree string."""
+    trees = []
+    cur = _Cursor(text)
+    while True:
+        cur.skip_filler()
+        if cur.peek() is None:
+            break
+        root = _parse_one(cur)
+        cur.skip_filler()
+        if cur.peek() != ";":
+            raise ParseError(cur.pos, "';' terminating the tree")
+        cur.pos += 1
+        trees.append(_finish_tree(root))
+    if not trees:
+        raise ParseError(0, "at least one tree")
+    return trees
+
+
+def tree_shape(tree):
+    """Label, length and child count of every node in preorder, with the stem."""
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.label, node.length, len(node.children)))
+        stack.extend(reversed(node.children))
+    return nodes, tree.root_stem, tree.stem_from_input
+
+
+def error_shape(exc):
+    if isinstance(exc, ParseError):
+        return type(exc).__name__, exc.offset, exc.expected
+    return type(exc).__name__, str(exc)
+
+
+def shape(item):
+    return tree_shape(item) if isinstance(item, SampleTree) else error_shape(item)
+
+
+def outcome(parse, text):
+    """What parse makes of text: a tree's shape, a list of shapes, or the
+    shape of the error it raised."""
+    try:
+        result = parse(text)
+    except (ParseError, MissingBranchLength) as exc:
+        return error_shape(exc)
+    return [shape(item) for item in result] if isinstance(result, list) else shape(result)
+
+
+def assert_parsers_agree(text):
+    assert outcome(treeio.parse_newick, text) == outcome(reference_parse_newick, text)
+    # the batch parser keeps every tree the reference reads, and where the
+    # reference stops at an error, that error is the batch's first error item
+    want = outcome(reference_parse_newick_trees, text)
+    got = outcome(treeio.parse_newick_trees, text)
+    if isinstance(want, list) or not isinstance(got, list):
+        assert got == want
+    else:  # an error's shape starts with its type name
+        assert next(item for item in got if isinstance(item[0], str)) == want
+
+
+FUZZ_ALPHABET = "(),:;'[]019.eAB \t-" + "\n\xa0\u2003\x1c"
+
+
+def test_parser_matches_the_cursor_parser_on_fuzzed_text():
+    rng = random.Random(205)
+    for _ in range(100_000):
+        assert_parsers_agree("".join(rng.choices(FUZZ_ALPHABET, k=rng.randrange(81))))
+
+
+@pytest.mark.parametrize("text", [
+    "('ab''",
+    "'ab''",
+    ":]9[",
+    "[unclosed (A:1,B:1);",
+    "(A:1,B:x);",
+    "(A:1,B:1",
+    "(A:1,B:inf);",
+    "(A:1,B:1):[c;",
+    "(A:1,B:1)'';",
+    "(,(A:1,B:1):1):1;",
+    "(A,B:1);",
+    "(A,B:1;",
+    "(A:1,B:1); trailing",
+    "(A:1,B:1);\n(C:1,D:1;\n(E:2,F:2);",
+    "(A:1,B:1);\n(C,D:1);\n(E:2,F:2);",
+    " [only a comment] ",
+    "(" * 4000 + "A:1" + ")" * 4000 + ";",
+    "(" * 4000 + "A:1" + "):1" * 4000 + ";",
+])
+def test_parser_matches_the_cursor_parser_on_named_cases(text):
+    assert_parsers_agree(text)
+
+
+def decorated_newick(rng, text):
+    """A writer tree with quoted and bare tip labels, [&...] comments after
+    lengths, and labels on some internal nodes."""
+    text = re.sub(r"t(\d+)", lambda m: rng.choice(
+        [m.group(0), f"'sample {m.group(1)}'", f"'O''Neil {m.group(1)}'"]), text)
+    text = re.sub(r"(:[0-9.e-]+)", lambda m: m.group(1) + rng.choice(
+        ["", "", f"[&rate={rng.random():.3f}]"]), text)
+    return re.sub(r"\)", lambda m: rng.choice([")", ")", f")n{rng.randrange(1000)}"]), text)
+
+
+def test_parser_matches_the_cursor_parser_on_decorated_writer_trees():
+    rng = random.Random(206)
+    m = co.sample_coalescence_times_block(
+        12, make_regime("exact", 1.0, 40.0), RngStream(206), 300)
+    texts = [decorated_newick(rng, text) for text in treeio.cpp_newick_rows(m, 40.0)]
+    assert any("''" in text for text in texts) and any("[&" in text for text in texts)
+    for text in texts:
+        assert_parsers_agree(text)
+    batch = "[a batch]\n" + "\n".join(texts) + "\n"
+    assert_parsers_agree(batch)
+    assert len(treeio.parse_newick_trees(batch)) == len(texts)
 
 
 # ---------------------------------------------------------------------------
