@@ -77,8 +77,14 @@ def c_inv_closed_form(n: int) -> float:
 
 def _sn_block(n: int, count: int, gen) -> np.ndarray:
     q = coalescent.sample_q(n, gen, size=(count, 1))
-    u = coalescent.u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)
-    return raw_pairwise_rows(u)
+    v = open_uniform(gen, (count, n - 1))
+    # u_given_q_quantile less its -log q row shift, which S_n ignores, with
+    # one log per element, in place; v is freed before the kernel's sort
+    u = q * v
+    u += 1.0
+    u /= np.subtract(1.0, v, out=v)
+    del v
+    return raw_pairwise_rows(np.log(u, out=u))
 
 
 def sample_sn(n: int, replicates: int, rng: RngStream, workers: int = 1) -> SnSample:
@@ -205,9 +211,12 @@ def constants_row(table: dict[int, ConstantsRow | Exception], n: int, replicates
     """table[n], calibrated on the fly and added to the table when missing.
 
     A calibration that fails is stored in place of the row and raised again
-    on every later request, so a run warns about and tries each n once.
+    on every later request, so a run warns about and tries each n once. An
+    n below 3 has no S_n and is refused before the warning.
     """
     if n not in table:
+        if n < 3:
+            raise ValueError("S_n needs n >= 3")
         print(f"warning: no constants row for n={n}; "
               f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
         try:

@@ -35,7 +35,7 @@ from .errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from .estimators import METHODS, Estimate
+from .estimators import LENGTHS, METHODS, estimate_lengths
 from .rng import RngStream
 
 _INPUT_ERRORS = (
@@ -159,40 +159,31 @@ def _spec_for(n: int, table, args, spec_cache: dict) -> confidence.ConfidenceSpe
     return spec_cache[n]
 
 
-def _estimate_input(item, tags, table, args, spec_cache: dict) -> list[dict | Exception]:
-    """A record, or the error that stopped it, for each method on one input.
-
-    The input is extracted once and each one-input estimate (the pairwise
-    pivot among them) runs once; constants and interval specs are fetched
-    only for the methods that use them.
-    """
-    if isinstance(item, Exception):  # the input could not be read
-        return [item] * len(tags)
-    tree = item if isinstance(item, treeio.SampleTree) else None
+def _matrix_estimates(h: np.ndarray, row, tag: str) -> list[tuple[float, float] | Exception]:
+    """(estimate, raw pivot) of tag for each row of h on the study's path, or
+    the error that stopped the row. The kernels are row-independent, so a
+    matrix that fails or gives an estimate that is not positive and finite
+    is halved until the failure is pinned to its rows."""
+    if h.shape[1] < 2:
+        return [SampleTooSmall(f"{tag} needs n >= 3")] * len(h)
+    flat = h.min(axis=1) == h.max(axis=1)  # the rows estimates_for_matrix drops
+    if flat.any():
+        out = [DegenerateTimes("all coalescence times are equal")] * len(h)
+        for k, result in zip(np.flatnonzero(~flat), _matrix_estimates(h[~flat], row, tag)):
+            out[k] = result
+        return out
     try:
-        times = item if tree is None else treeio.extract_coalescence_times(
-            tree, tol=args.ultrametric_tol)
+        estimates, raw, _ = harness.estimates_for_matrix(h, row, (tag,))
+        values = estimates[tag]
+        if not (np.isfinite(values) & (values > 0.0)).all():
+            raise ValueError("estimate must be positive and finite")  # as Estimate refuses it
+        return list(zip(values.tolist(), raw.tolist()))
     except _ITEM_ERRORS as exc:
-        return [exc] * len(tags)
-    n = times.n
-    points: dict = {}  # one-input estimate at c = 1, by function
-    out: list[dict | Exception] = []
-    for tag in tags:
-        method = METHODS[tag]
-        try:
-            row = (calibration.constants_row(table, n, args.replicates, args.seed)
-                   if method.column else None)
-            spec = _spec_for(n, table, args, spec_cache) if method.pairwise else None
-            if method.one not in points:
-                points[method.one] = method.one(times, tree)
-            base = points[method.one]
-            est = Estimate(tag, method.constant(row) * base)
-            ci_low, ci_high = (None, None) if spec is None else spec.interval(base)
-            out.append({"n": n, "method": tag, "estimate": est.point,
-                        "ci_low": ci_low, "ci_high": ci_high, "error": ""})
-        except _ITEM_ERRORS as exc:
-            out.append(exc)
-    return out
+        if len(h) == 1:
+            return [exc.with_traceback(None)]  # a kept error pins no frames
+    # outside the handler, so the halves' errors do not chain to this one
+    mid = len(h) // 2
+    return _matrix_estimates(h[:mid], row, tag) + _matrix_estimates(h[mid:], row, tag)
 
 
 def cmd_estimate(args) -> int:
@@ -203,16 +194,58 @@ def cmd_estimate(args) -> int:
         if tag not in METHODS:
             raise ValueError(f"unknown method {tag!r}")
 
+    results = [[None] * len(tags) for _ in inputs]  # a record or an error per input and tag
+    groups: dict[int, tuple[list, list, list]] = {}  # by n: inputs, heights, trees' Lengths
+    for i, (name, item) in enumerate(inputs):
+        inputs[i] = name, None  # frees a tree once its heights and Lengths are taken
+        tree = item if isinstance(item, treeio.SampleTree) else None
+        if tree is not None:
+            try:
+                item = treeio.extract_coalescence_times(tree, tol=args.ultrametric_tol)
+            except _ITEM_ERRORS as exc:
+                item = exc
+        if isinstance(item, Exception):  # the input could not be read
+            results[i] = [item] * len(tags)
+            continue
+        members, heights, lengths = groups.setdefault(item.n, ([], [], []))
+        members.append(i)
+        heights.append(item.as_array())
+        if tree is not None and LENGTHS in tags:  # from the tree's own topology
+            try:
+                lengths.append((estimate_lengths(item, tree).point, None))
+            except _ITEM_ERRORS as exc:
+                lengths.append(exc)
+
+    spec_cache: dict = {}
+    for n, (members, heights, lengths) in groups.items():
+        h = np.array(heights)
+        for j, tag in enumerate(tags):
+            method = METHODS[tag]
+            try:
+                row = (calibration.constants_row(table, n, args.replicates, args.seed)
+                       if method.column else None)
+                spec = _spec_for(n, table, args, spec_cache) if method.pairwise else None
+                found = lengths if lengths and tag == LENGTHS else _matrix_estimates(h, row, tag)
+            except _ITEM_ERRORS as exc:
+                found = [exc] * len(members)
+            for i, result in zip(members, found):
+                if not isinstance(result, Exception):
+                    point, raw = result
+                    ci_low, ci_high = (None, None) if spec is None else spec.interval(raw)
+                    result = {"input": inputs[i][0], "n": n, "method": tag, "estimate": point,
+                              "ci_low": ci_low, "ci_high": ci_high, "error": ""}
+                results[i][j] = result
+
     records = []
     errors = []
-    spec_cache: dict = {}
-    for name, item in inputs:
-        for tag, result in zip(tags, _estimate_input(item, tags, table, args, spec_cache)):
+    for (name, _), outcomes in zip(inputs, results):
+        for tag, result in zip(tags, outcomes):
             if isinstance(result, Exception):
                 errors.append(result)
-                result = {"n": None, "method": tag, "estimate": None, "ci_low": None,
-                          "ci_high": None, "error": f"{type(result).__name__}: {result}"}
-            records.append({"input": name, **result})
+                result = {"input": name, "n": None, "method": tag, "estimate": None,
+                          "ci_low": None, "ci_high": None,
+                          "error": f"{type(result).__name__}: {result}"}
+            records.append(result)
     _write_estimates(records, args)
     if len(errors) == len(records):
         numerical = any(isinstance(exc, _NUMERICAL_ERRORS) for exc in errors)

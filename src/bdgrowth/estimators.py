@@ -1,11 +1,13 @@
 """Point estimators of the net growth rate from coalescence times.
 
-Four families:
+Four families, each a row-independent kernel on a (k, n-1) height matrix:
 
   pairwise      r_hat = c(n) * (n-1)(n-2) / sum_{i,j} (H_i - H_j)^+, the
                 order-statistic estimator; the double sum equals the sum of
-                |H_i - H_j| over unordered pairs and is evaluated with a
-                sorted prefix-sum identity in O(n log n).
+                |H_i - H_j| over unordered pairs, which on a sorted row
+                v_(1) <= ... <= v_(m) is the gap form
+                sum_k k(m-k) * (v_(k+1) - v_(k)): O(n log n), no term below
+                0, and positive exactly when the row is not constant.
 
   lengths       r_hat = n / L_in, where L_in is the total internal branch
                 length. On branch-ordered times
@@ -15,16 +17,13 @@ Four families:
 
   mle           fit H_i = a + b*U_i with U_i standard logistic by maximum
                 likelihood (damped Newton on (a, log b), bisection fallback)
-                and report r_hat = 1/b. fit_logistic_rows runs the fit on
-                every row of a height matrix at once in numpy, and a row's
-                result does not depend on the other rows; fit_logistic is
-                its one-row case.
+                and report r_hat = 1/b; fit_logistic is the one-row case of
+                fit_logistic_rows.
 
   raw (c = 1)   the pairwise estimator without calibration, used as the
                 pivot for confidence intervals.
 
-METHODS maps each method tag to its row kernel and constant; the validated
-single-input functions compute through the kernels' one-row case.
+METHODS maps each method tag to its row kernel and constant.
 
 Pairwise and MLE estimates are permutation invariant; the branch-order
 internal length deliberately is not.
@@ -80,16 +79,16 @@ class MleFit:
 def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
     """Sum of |v_i - v_j| over unordered pairs, for each row of a (k, m) matrix.
 
-    Sorted prefix-sum identity: with v_(1) <= ... <= v_(m), the sum equals
-    sum_k (2k - m - 1) * v_(k). The test suite checks this against the
-    O(m^2) double loop, exactly on integer-valued instances.
+    Gap form sum_k k(m-k) * (v_(k+1) - v_(k)) on the sorted row: every
+    operation is elementwise or a per-row sum, so a row gives the same bits
+    alone as inside any matrix. The test suite checks it against the O(m^2)
+    double loop, exactly on integer-valued instances.
     """
     m = matrix.shape[1]
-    srt = np.sort(matrix, axis=1)
-    coef = 2.0 * np.arange(1, m + 1) - m - 1
-    out = srt @ coef
-    out[srt[:, 0] == srt[:, -1]] = 0.0
-    return out
+    gaps = np.diff(np.sort(matrix, axis=1), axis=1)
+    k = np.arange(1.0, m)
+    gaps *= k * (m - k)
+    return gaps.sum(axis=1)
 
 
 def pairwise_abs_sum(values: np.ndarray) -> float:
@@ -269,6 +268,11 @@ def _newton(h: np.ndarray, fit: MleFit) -> None:
     d = h - a[:, None]
     s = np.log(np.sqrt((d * d).sum(axis=1) / (h.shape[1] - 1)) * _SQRT3_OVER_PI)
     b = np.exp(s)
+    bb = b * b  # the Hessian divides by it: where it over- or underflows no step fits
+    refused = ~(np.isfinite(bb) & (bb > 0.0))
+    if refused.any():
+        raise NonConvergence(f"moment start out of range in {int(refused.sum())} of "
+                             f"{h.shape[0]} rows (first: b={b[np.argmax(refused)]})")
     z = d / b[:, None]
     ll = _loglik(z, s)
     rows = np.arange(h.shape[0])  # the fit index of each row still moving
@@ -347,7 +351,9 @@ def fit_logistic_rows(matrix: np.ndarray) -> MleFit:
     equations for the rows where Newton stops short. Convergence means the
     dimensionless gradient (sum tanh(z/2), sum z*tanh(z/2) - m) has
     max-norm below 1e-8. Every step is row-wise, so a row's fit is the same
-    bits whatever other rows share its matrix.
+    bits whatever other rows share its matrix. NonConvergence is raised when
+    a row leaves the feasible region, and at once when b0*b0 is not finite
+    and positive.
     """
     h = np.asarray(matrix, dtype=float)
     k = h.shape[0]
@@ -398,31 +404,16 @@ def estimate_mle(times: CoalescenceTimes) -> tuple[Estimate, MleFit]:
 @dataclass(frozen=True)
 class Method:
     """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1
-    and the number of rows whose estimate is a fit that did not converge),
-    its validated one-input estimate at c = 1 (from the times, and the tree
-    when the input was Newick) and the ConstantsRow field holding its c
-    (None: c = 1). Pairwise methods scale one shared pivot and carry its
-    confidence interval."""
+    and the number of rows whose estimate is a fit that did not converge)
+    and the ConstantsRow field holding its c (None: c = 1). Pairwise methods
+    scale the raw pivot and carry its confidence interval."""
 
     rows: Callable[[np.ndarray], tuple[np.ndarray, int]]
-    one: Callable[[CoalescenceTimes, SampleTree | None], float]
     column: str | None = None
     pairwise: bool = False
 
     def constant(self, row) -> float:
         return 1.0 if self.column is None else getattr(row, self.column)
-
-
-def _raw_one(times, tree):
-    return raw_pairwise_point(times)
-
-
-def _lengths_one(times, tree):
-    return estimate_lengths(times, tree).point
-
-
-def _mle_one(times, tree):
-    return estimate_mle(times)[0].point
 
 
 def _closed_form(kernel: Callable[[np.ndarray], np.ndarray]):
@@ -431,14 +422,14 @@ def _closed_form(kernel: Callable[[np.ndarray], np.ndarray]):
 
 
 def _pairwise(column: str | None = None) -> Method:
-    return Method(_closed_form(raw_pairwise_rows), _raw_one, column, pairwise=True)
+    return Method(_closed_form(raw_pairwise_rows), column, pairwise=True)
 
 
 METHODS: dict[str, Method] = {
     "MSE": _pairwise("c_mse"),
     "Bias": _pairwise("c_bias"),
     "Inv": _pairwise("c_inv"),
-    LENGTHS: Method(_closed_form(lengths_rows), _lengths_one),
-    MLE: Method(mle_rows, _mle_one),
+    LENGTHS: Method(_closed_form(lengths_rows)),
+    MLE: Method(mle_rows),
     RAW: _pairwise(),
 }

@@ -115,9 +115,8 @@ def estimates_for_matrix(
     kept, and, for each method with any, the number of kept rows whose fit
     did not converge (their estimate is the fit's last iterate). Rows where
     all heights coincide would make every estimator blow up, so they are
-    dropped; callers report the count. Pairwise methods scale the pivot of
-    the full matrix instead of recomputing it on the kept rows: the last
-    bits of a BLAS product depend on the number of rows.
+    dropped; callers report the count. Every kernel is row-independent, so
+    a row's estimates are the same bits in any matrix.
     """
     raw = raw_pairwise_rows(h)
     keep = ~np.isnan(raw)
@@ -126,12 +125,9 @@ def estimates_for_matrix(
     unconverged: dict[str, int] = {}
     for tag in estimators:
         method = METHODS[tag]
-        if method.pairwise:
-            values = raw
-        else:
-            values, failed = method.rows(h)
-            if failed:
-                unconverged[tag] = failed
+        values, failed = method.rows(h)
+        if failed:
+            unconverged[tag] = failed
         out[tag] = method.constant(row) * values
     return out, raw, unconverged
 
@@ -237,8 +233,7 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
     """
     regime_value = make_regime(regime, r, t, birth_rate)
     h = sample_coalescence_times_block(n, regime_value, rng, replicates)
-    raw = raw_pairwise_rows(h)
-    raw = raw[~np.isnan(raw)]
+    _, raw, _ = estimates_for_matrix(h, None, ())
     rows = []
     for c in c_grid:
         err = c * raw - r

@@ -11,9 +11,9 @@ takes a node's leading filler (whitespace and comments), its label, its
 length and the filler after it, and a loop over '(', ',', ')' and ';' builds
 the tree. In a multi-tree text, a tree that fails to parse becomes an error
 item of the batch, and parsing resumes after the first ';' at or after the
-error. Extraction walks a tree once: one preorder for the tip depths, whose
-reverse is the postorder that checks binarity, counts tips and computes the
-heights.
+error that lies outside comments and quoted labels. Extraction walks a tree
+once: one preorder for the tip depths, whose reverse is the postorder that
+checks binarity, counts tips and computes the heights.
 
 Writing: a row of branch-ordered heights with its tree height T defines the
 coalescent-point-process tree. build_cpp_tree builds it as a TreeNode graph
@@ -126,6 +126,9 @@ _NODE = (
     + r"(?::" + _FILLER + "(" + _WORD + "*)" + _FILLER + ")?"  # 3: length token
     + r"(?=(.?))"  # 4: the next character, '' at the end of the text
 )
+# text up to the first ';' outside [...] comments and quoted labels; a
+# comment or label that never closes runs to the end of the text
+_TO_TREE_END = r"(?:[^;\[']|\[[^\]]*(?:\]|$)|'[^']*(?:'|$))*;"
 
 
 def _skip_filler(text: str, pos: int) -> int:
@@ -241,7 +244,8 @@ def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranc
     """Parse a ';'-separated multi-tree string, one entry per tree.
 
     An entry is the tree, or the error that stopped it; after an error the
-    next tree starts after the first ';' at or after the error's offset.
+    next tree starts after the first ';' at or after the error's offset that
+    lies outside comments and quoted labels.
     Text that holds no tree at all raises.
     """
     out: list[SampleTree | ParseError | MissingBranchLength] = []
@@ -258,8 +262,8 @@ def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranc
             out.append(_finish_tree(root, missing_length))
         except ParseError as exc:
             out.append(exc)
-            semi = text.find(";", exc.offset)
-            pos = len(text) if semi < 0 else semi + 1
+            end = re.compile(_TO_TREE_END).match(text, exc.offset)
+            pos = len(text) if end is None else end.end()
         except MissingBranchLength as exc:  # raised after the tree's ';'
             out.append(exc)
     if not out:

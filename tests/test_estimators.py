@@ -68,7 +68,23 @@ def test_row_version_matches_scalar_version():
     matrix = rng.random((50, 7))
     rows = est.pairwise_abs_sum_rows(matrix)
     for i in range(50):
-        assert rows[i] == pytest.approx(est.pairwise_abs_sum(matrix[i]), rel=1e-14)
+        assert rows[i] == est.pairwise_abs_sum(matrix[i])
+
+
+def test_gap_form_is_positive_on_unequal_rows_and_the_same_alone():
+    # heights 1e3-1e9 that differ by 0-2 ulp within a row, where the signed
+    # prefix-sum form cancelled to 0 or below
+    rng = np.random.default_rng(102)
+    h = np.repeat(10.0 ** rng.uniform(3, 9, size=(50_000, 1)), 19, axis=1)
+    for _ in range(2):
+        h = np.where(rng.random(h.shape) < 0.5, np.nextafter(h, np.inf), h)
+    h[0] = h[0, 0]
+    sums = est.pairwise_abs_sum_rows(h)
+    unequal = h.min(axis=1) < h.max(axis=1)
+    assert unequal.sum() == h.shape[0] - 1
+    assert (sums[unequal] > 0).all() and sums[0] == 0.0
+    for i in range(0, h.shape[0], 97):
+        assert est.pairwise_abs_sum_rows(h[i:i + 1])[0] == sums[i]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +307,17 @@ def test_batched_mle_raises_no_floating_point_warning():
     for h in ([[0.0, 1e200]], [[2e-201, 1e-202, 8e-201]]):
         with pytest.raises(NonConvergence):
             est.fit_logistic_rows(np.array(h))
+
+
+def test_rows_out_of_range_at_the_moment_start_are_refused_before_any_fallback(monkeypatch):
+    def fallback(h, b, fit, rows):
+        raise AssertionError("a refused row reached the bisection fallback")
+
+    monkeypatch.setattr(est, "_bisection_fallback", fallback)
+    for bad in ([0.0, 1e200, 3e199], [0.0, 1e160, 3e159], [1e-170, 2e-170, 5e-170]):
+        h = np.array([[1.0, 4.0, 2.0], bad, [0.5, 3.0, 9.0], [5.0, 1.0, 2.5]])
+        with pytest.raises(NonConvergence, match="moment start out of range in 1 of 4 rows"):
+            est.fit_logistic_rows(h)
 
 
 def test_mle_rows_counts_unconverged_fits():

@@ -100,6 +100,11 @@ def test_a_bad_tree_is_an_item_of_the_batch_and_the_next_tree_still_parses():
     assert items[4].offset == text.index("x")
     assert [items[i].tip_labels for i in (0, 2, 5)] == [["A", "B"], ["E", "F"], ["N", "O"]]
     assert (items[6].offset, items[6].expected) == (len(text), "leaf label or '('")
+    # a ';' inside a comment or a quoted label does not end the bad tree
+    for text in ("(I:1,J:x)[;];(K:3,L:3);", "(I:1,J:x)'a;''b';(K:3,L:3);"):
+        items = treeio.parse_newick_trees(text)
+        assert [type(item).__name__ for item in items] == ["ParseError", "SampleTree"]
+        assert items[1].tip_labels == ["K", "L"]
     with pytest.raises(ParseError, match="at least one tree"):
         treeio.parse_newick_trees(" [no tree here]\n")
 
