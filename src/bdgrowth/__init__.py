@@ -31,14 +31,13 @@ from .coalescent import (
     LargeN,
     check_finite_rows,
     delta_t,
-    sample_coalescence_times,
     sample_coalescence_times_block,
     sample_h_exact,
     sample_q,
     sample_u_given_q,
     sample_y,
 )
-from .confidence import ConfidenceSpec, confidence_interval, coverage_study, make_regime
+from .confidence import ConfidenceSpec, coverage_study, make_regime
 from .errors import (
     BdGrowthError,
     BranchOrderUnknown,
@@ -56,13 +55,9 @@ from .errors import (
 )
 from .estimators import (
     METHODS,
-    Estimate,
     MleFit,
     estimate_lengths,
-    estimate_mle,
-    estimate_pairwise,
     internal_branch_length,
-    raw_pairwise_point,
 )
 from .rng import RngStream
 from .treeio import (

@@ -191,15 +191,19 @@ def moment_identities_check(replicates: int, rng: RngStream) -> MomentChecks:
 
 def build_constants_row(n: int, replicates: int, seed: int, workers: int = 1) -> ConstantsRow:
     sample = sample_sn(n, replicates, RngStream(seed).child(n), workers=workers)
+    return _row_from_sample(sample, seed)
+
+
+def _row_from_sample(sample: SnSample, seed: int) -> ConstantsRow:
     q_lo, q_hi = sn_quantiles(sample)
     row = ConstantsRow(
-        n=n,
-        c_inv=c_inv_closed_form(n),
+        n=sample.n,
+        c_inv=c_inv_closed_form(sample.n),
         c_mse=c_mse(sample),
         c_bias=c_bias(sample),
         inv_q_lo=1.0 / q_lo,
         inv_q_hi=1.0 / q_hi,
-        replicates=replicates,
+        replicates=sample.values.size,
         seed=seed,
     )
     _check_row(row)
@@ -208,25 +212,38 @@ def build_constants_row(n: int, replicates: int, seed: int, workers: int = 1) ->
 
 def constants_row(table: dict[int, ConstantsRow | Exception], n: int, replicates: int,
                   seed: int) -> ConstantsRow:
-    """table[n], calibrated on the fly and added to the table when missing.
-
-    A calibration that fails is stored in place of the row and raised again
-    on every later request, so a run warns about and tries each n once. An
-    n below 3 has no S_n and is refused before the warning.
-    """
+    """table[n], calibrated on the fly by calibration_sample when missing."""
     if n not in table:
-        if n < 3:
-            raise ValueError("S_n needs n >= 3")
-        print(f"warning: no constants row for n={n}; "
-              f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
-        try:
-            table[n] = build_constants_row(n, replicates, seed)
-        except (ValueError, BdGrowthError) as exc:
-            table[n] = exc
+        calibration_sample(table, n, replicates, seed)
     row = table[n]
     if isinstance(row, Exception):
         raise row.with_traceback(None)
     return row
+
+
+def calibration_sample(table: dict[int, ConstantsRow | Exception], n: int, replicates: int,
+                       seed: int) -> SnSample:
+    """The S_n draw that calibrates n, the one build_constants_row makes.
+
+    When table has no row for n, the row built from this same draw is added
+    to it, after a warning. A calibration that fails is stored in place of
+    the row and raised again on every later request, so a run warns about
+    and tries each n once. An n below 3 has no S_n and is refused before the
+    warning.
+    """
+    if n < 3:
+        raise ValueError("S_n needs n >= 3")
+    if n in table:
+        return sample_sn(n, replicates, RngStream(seed).child(n))
+    print(f"warning: no constants row for n={n}; "
+          f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
+    try:
+        sample = sample_sn(n, replicates, RngStream(seed).child(n))
+        table[n] = _row_from_sample(sample, seed)
+    except (ValueError, BdGrowthError) as exc:
+        table[n] = exc.with_traceback(None)
+        raise
+    return sample
 
 
 def _check_row(row: ConstantsRow):

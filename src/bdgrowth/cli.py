@@ -25,12 +25,7 @@ from .coalescent import CoalescenceTimes, check_finite_rows, sample_coalescence_
 from .errors import (
     BdGrowthError,
     DegenerateTimes,
-    InsufficientReplicates,
-    MismatchedN,
-    MissingBranchLength,
     NonConvergence,
-    NotBinary,
-    NotUltrametric,
     ParseError,
     RelativeAxisError,
     SampleTooSmall,
@@ -38,16 +33,6 @@ from .errors import (
 from .estimators import LENGTHS, METHODS, estimate_lengths
 from .rng import RngStream
 
-_INPUT_ERRORS = (
-    ParseError,
-    MissingBranchLength,
-    NotUltrametric,
-    NotBinary,
-    SampleTooSmall,
-    MismatchedN,
-    InsufficientReplicates,
-    RelativeAxisError,
-)
 _NUMERICAL_ERRORS = (DegenerateTimes, NonConvergence, FloatingPointError)
 _ITEM_ERRORS = (BdGrowthError, ValueError)  # fail one input of a batch, not the batch
 
@@ -153,8 +138,9 @@ def _spec_for(n: int, table, args, spec_cache: dict) -> confidence.ConfidenceSpe
             row = calibration.constants_row(table, n, args.replicates, args.seed)
             spec_cache[n] = confidence.ConfidenceSpec.from_constants_row(row)
         else:
-            # tabulated quantiles are 95%-specific; other levels recalibrate
-            sample = calibration.sample_sn(n, args.replicates, RngStream(args.seed).child(n))
+            # tabulated quantiles are 95%-specific; other levels recalibrate,
+            # and a row missing from the table comes from the same draw
+            sample = calibration.calibration_sample(table, n, args.replicates, args.seed)
             spec_cache[n] = confidence.ConfidenceSpec.from_sample(sample, level=args.level)
     return spec_cache[n]
 
@@ -176,7 +162,7 @@ def _matrix_estimates(h: np.ndarray, row, tag: str) -> list[tuple[float, float] 
         estimates, raw, _ = harness.estimates_for_matrix(h, row, (tag,))
         values = estimates[tag]
         if not (np.isfinite(values) & (values > 0.0)).all():
-            raise ValueError("estimate must be positive and finite")  # as Estimate refuses it
+            raise ValueError("estimate must be positive and finite")
         return list(zip(values.tolist(), raw.tolist()))
     except _ITEM_ERRORS as exc:
         if len(h) == 1:
@@ -212,7 +198,7 @@ def cmd_estimate(args) -> int:
         heights.append(item.as_array())
         if tree is not None and LENGTHS in tags:  # from the tree's own topology
             try:
-                lengths.append((estimate_lengths(item, tree).point, None))
+                lengths.append((estimate_lengths(item.n, tree), None))
             except _ITEM_ERRORS as exc:
                 lengths.append(exc)
 
@@ -222,9 +208,10 @@ def cmd_estimate(args) -> int:
         for j, tag in enumerate(tags):
             method = METHODS[tag]
             try:
+                # the spec first: at a level other than 0.95 its draw also makes the row
+                spec = _spec_for(n, table, args, spec_cache) if method.pairwise else None
                 row = (calibration.constants_row(table, n, args.replicates, args.seed)
                        if method.column else None)
-                spec = _spec_for(n, table, args, spec_cache) if method.pairwise else None
                 found = lengths if lengths and tag == LENGTHS else _matrix_estimates(h, row, tag)
             except _ITEM_ERRORS as exc:
                 found = [exc] * len(members)
@@ -482,10 +469,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (BdGrowthError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

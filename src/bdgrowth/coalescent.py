@@ -315,27 +315,16 @@ def large_n_heights(w, u, n: int, r: float, t: float):
     return t - (np.log(1.0 / np.asarray(w, dtype=float)) + math.log(n) + np.asarray(u, dtype=float)) / r
 
 
-def sample_coalescence_times(n: int, regime: Regime, rng) -> CoalescenceTimes:
-    """Draw the n - 1 branch-ordered coalescence times of one replicate.
-
-    The one-row case of sample_coalescence_times_block, draw for draw.
-    ExactFiniteT heights lie strictly inside (0, T). The two limiting
-    regimes live on an unbounded axis, so occasional heights outside (0, T)
-    are expected there; with no T the FixedNLimit output is flagged relative
-    and only its differences are meaningful.
-    """
-    h = sample_coalescence_times_block(n, regime, rng, 1)[0]
-    return CoalescenceTimes(n, tuple(float(x) for x in h), t=regime.t,
-                            relative=regime.t is None)
-
-
 def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:
     """Vectorized replicates: a (count, n - 1) array, one branch-ordered row each.
 
-    All latents are drawn first, then the height matrix, so for count > 1
-    the rows differ from the same number of sample_coalescence_times calls
-    on one generator; count = 1 draws exactly what one such call draws. The
-    order is fully deterministic given the stream.
+    All latents are drawn first, then the height matrix, so the draws are
+    fully deterministic given the stream and count. Finite ExactFiniteT
+    heights lie strictly inside (0, T); at large r*T some rows hold inf or
+    nan, which callers refuse with check_finite_rows. The two limiting regimes
+    live on an unbounded axis, so occasional heights outside (0, T) are
+    expected there; with no T the FixedNLimit rows are relative heights, of
+    which only differences are meaningful.
     """
     if n < 2:
         raise ValueError("sample size must be >= 2")

@@ -16,14 +16,14 @@ import numpy as np
 from . import calibration
 from .coalescent import (
     BirthDeathParams,
-    CoalescenceTimes,
     ExactFiniteT,
     FixedNLimit,
     LargeN,
+    check_finite_rows,
     sample_coalescence_times_block,
 )
 from .errors import InsufficientReplicates, MismatchedN
-from .estimators import raw_pairwise_point, raw_pairwise_rows
+from .estimators import raw_pairwise_rows
 from .rng import RngStream
 
 REGIME_NAMES = ("exact", "fixed-n", "large-n")
@@ -57,13 +57,6 @@ class ConfidenceSpec:
         tail = (1.0 - level) / 2.0
         q_lo, q_hi = calibration.sn_quantiles(sample, tail, 1.0 - tail)
         return cls(n=sample.n, q_lo=q_lo, q_hi=q_hi, level=level)
-
-
-def confidence_interval(times: CoalescenceTimes, spec: ConfidenceSpec) -> tuple[float, float]:
-    """(r_hat/q_hi, r_hat/q_lo) from the raw c = 1 estimate; lower < upper always."""
-    if spec.n != times.n:
-        raise MismatchedN(f"quantiles computed for n={spec.n}, data has n={times.n}")
-    return spec.interval(raw_pairwise_point(times))
 
 
 def covered_fraction(raw: np.ndarray, spec: ConfidenceSpec, r: float) -> float:
@@ -120,4 +113,5 @@ def coverage_study(
         raise MismatchedN(f"quantiles computed for n={spec.n}, study uses n={n}")
     regime_value = make_regime(regime, r, t, birth_rate)
     h = sample_coalescence_times_block(n, regime_value, rng.child(1), replicates)
+    check_finite_rows(h)
     return covered_fraction(raw_pairwise_rows(h), spec, r)

@@ -17,8 +17,7 @@ Four families, each a row-independent kernel on a (k, n-1) height matrix:
 
   mle           fit H_i = a + b*U_i with U_i standard logistic by maximum
                 likelihood (damped Newton on (a, log b), bisection fallback)
-                and report r_hat = 1/b; fit_logistic is the one-row case of
-                fit_logistic_rows.
+                and report r_hat = 1/b.
 
   raw (c = 1)   the pairwise estimator without calibration, used as the
                 pivot for confidence intervals.
@@ -41,7 +40,7 @@ from .coalescent import CoalescenceTimes
 from .errors import BranchOrderUnknown, DegenerateTimes, NonConvergence, SampleTooSmall
 from .treeio import SampleTree, tree_internal_branch_length
 
-# Tags that single-input estimates report; METHODS below lists every tag.
+# Tags other modules single out; METHODS below lists every tag.
 LENGTHS, MLE, RAW = "Lengths", "MLE", "RawUnitConstant"
 
 _GRAD_TOL = 1e-8  # on the dimensionless gradient in (a, log b)
@@ -49,31 +48,13 @@ _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
 
 
 @dataclass(frozen=True)
-class Estimate:
-    method: str
-    point: float
-    ci: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if not (self.point > 0 and math.isfinite(self.point)):
-            raise ValueError("estimate must be positive and finite")
-        if self.ci is not None:
-            lo, hi = self.ci
-            if not (0 < lo < hi):
-                raise ValueError("confidence interval must satisfy 0 < lower < upper")
-
-
-@dataclass(frozen=True)
 class MleFit:
-    """A logistic fit: floats from fit_logistic, per-row arrays from
-    fit_logistic_rows."""
+    """Per-row logistic fits from fit_logistic_rows."""
 
-    a: float | np.ndarray
-    b: float | np.ndarray
-    loglik: float | np.ndarray
-    converged: bool | np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    loglik: np.ndarray
+    converged: np.ndarray
 
 
 def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
@@ -104,23 +85,6 @@ def raw_pairwise_rows(matrix: np.ndarray) -> np.ndarray:
     return np.divide(m * (m - 1), d_sum, out=np.full_like(d_sum, np.nan), where=d_sum > 0)
 
 
-def raw_pairwise_point(times: CoalescenceTimes) -> float:
-    """The c = 1 pairwise estimate (n-1)(n-2) / d_sum of one sample."""
-    if times.n < 3:
-        raise SampleTooSmall("pairwise statistic needs n >= 3")
-    raw = float(raw_pairwise_rows(times.as_array()[None, :])[0])
-    if math.isnan(raw):
-        raise DegenerateTimes("all coalescence times are equal")
-    return raw
-
-
-def estimate_pairwise(times: CoalescenceTimes, c: float = 1.0, method: str = RAW) -> Estimate:
-    """Pairwise estimate with constant c; exactly c times the raw estimate."""
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError("constant must be positive and finite")
-    return Estimate(method=method, point=c * raw_pairwise_point(times))
-
-
 def internal_branch_length_rows(matrix: np.ndarray) -> np.ndarray:
     """Branch-order internal length for each row of a (replicates, n-1) matrix:
     (max_i H_i - H_1) plus the positive parts of consecutive differences."""
@@ -147,23 +111,19 @@ def lengths_rows(matrix: np.ndarray) -> np.ndarray:
     return (matrix.shape[1] + 1.0) / internal_branch_length_rows(matrix)
 
 
-def estimate_lengths(times: CoalescenceTimes, tree: SampleTree | None = None) -> Estimate:
-    """Lengths-based estimate n / L_in.
-
-    Without a tree, L_in comes from the branch-ordered times (point-process
-    formula). With the parsed tree that times were extracted from, it is the
-    tree's topology-true edge sum, since real trees never come with branch
-    order; times.n is then the tree's tip count.
-    """
-    if tree is None:
-        length = internal_branch_length(times)
-    else:
-        if times.n < 3:
-            raise SampleTooSmall("lengths estimator needs n >= 3")
-        length = tree_internal_branch_length(tree)
+def estimate_lengths(n: int, tree: SampleTree) -> float:
+    """Lengths estimate n / L_in of a parsed tree with n tips, where L_in is
+    the tree's topology-true internal edge sum: real trees never come with
+    branch order."""
+    if n < 3:
+        raise SampleTooSmall("lengths estimator needs n >= 3")
+    length = tree_internal_branch_length(tree)
     if length <= 0:
         raise DegenerateTimes("internal branch length is zero")
-    return Estimate(method=LENGTHS, point=times.n / length)
+    point = n / length
+    if not (point > 0 and math.isfinite(point)):
+        raise ValueError("estimate must be positive and finite")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +332,10 @@ def fit_logistic_rows(matrix: np.ndarray) -> MleFit:
     return fit
 
 
-def fit_logistic(h: np.ndarray) -> MleFit:
-    """fit_logistic_rows of a single sample."""
-    fit = fit_logistic_rows(np.asarray(h, dtype=float)[None, :])
-    return MleFit(a=float(fit.a[0]), b=float(fit.b[0]), loglik=float(fit.loglik[0]),
-                  converged=bool(fit.converged[0]))
-
-
 def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     """Row-wise logistic-fit estimate 1/b, and how many rows did not converge."""
     fit = fit_logistic_rows(matrix)
     return 1.0 / fit.b, int(np.count_nonzero(~fit.converged))
-
-
-def estimate_mle(times: CoalescenceTimes) -> tuple[Estimate, MleFit]:
-    """Logistic-fit estimate of the growth rate, r_hat = 1/b."""
-    if times.n < 3:
-        raise SampleTooSmall("MLE needs n >= 3")
-    h = times.as_array()
-    if h.min() == h.max():
-        raise DegenerateTimes("all coalescence times are equal")
-    fit = fit_logistic(h)
-    return Estimate(method=MLE, point=1.0 / fit.b), fit
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import calibration
 from .calibration import write_rows
 from .confidence import ConfidenceSpec, covered_fraction, make_regime
-from .coalescent import sample_coalescence_times_block
+from .coalescent import check_finite_rows, sample_coalescence_times_block
 from .estimators import METHODS, RAW, lengths_rows, raw_pairwise_rows
 from .rng import RngStream
 
@@ -156,6 +156,7 @@ def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRo
              rng: RngStream) -> CellResult:
     regime = make_regime(config.regime, r, config.t, config.birth_rate)
     h = sample_coalescence_times_block(n, regime, rng, config.replicates)
+    check_finite_rows(h)
     estimates, raw, unconverged = estimates_for_matrix(h, row, config.estimators)
     return CellResult(
         n=n,
@@ -233,6 +234,7 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
     """
     regime_value = make_regime(regime, r, t, birth_rate)
     h = sample_coalescence_times_block(n, regime_value, rng, replicates)
+    check_finite_rows(h)
     _, raw, _ = estimates_for_matrix(h, None, ())
     rows = []
     for c in c_grid:
@@ -279,6 +281,7 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
         t = 4.0 * math.log(n) / r  # comfortably above the typical tree height
     regime = make_regime("large-n", r, t)
     h = sample_coalescence_times_block(n, regime, rng, replicates)
+    check_finite_rows(h)
     inv = calibration.c_inv_closed_form(n) * raw_pairwise_rows(h)
     lengths = lengths_rows(h)
 

@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdgrowth import calibration, cli, harness, treeio
+from bdgrowth import calibration, cli, confidence, harness, treeio
 from bdgrowth.estimators import METHODS
+from bdgrowth.rng import RngStream
 
 NEWICK = "((A:1,B:1):1,C:2);"
 
@@ -346,6 +348,19 @@ def test_estimate_exit_codes(tmp_path, constants_file):
     assert code == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_estimate_refuses_unknown_tags_and_estimates_that_are_not_finite(tmp_path, capsys):
+    times = tmp_path / "times.csv"
+    cli.write_times_csv(np.array([[0.0, 1e-320, 2e-320], [3.0, 1.0, 2.0]]), 4, 40.0, times)
+    assert run(["estimate", times, "--methods", "Lengths,bogus"]) == cli.EXIT_INPUT
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+    # an internal length of 2e-320 makes n / L_in overflow
+    assert run(["estimate", times, "--methods", "Lengths"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert [row[6] for row in rows] == ["ValueError: estimate must be positive and finite", ""]
+    assert float(rows[1][3]) == 2.0
+
+
 # ---------------------------------------------------------------------------
 # calibrate / study / sweep / asymptotics / coverage
 # ---------------------------------------------------------------------------
@@ -403,6 +418,24 @@ def test_coverage_command(tmp_path, constants_file):
     assert 0.9 <= value <= 1.0
 
 
+@pytest.mark.parametrize("command, out", [
+    (["study", "--n", 10, "--replicates", 500, "--estimators", "MSE,Inv"], "study"),
+    (["coverage", "--n", 10, "--replicates", 1000], "cov.csv"),
+    (["sweep", "--n", 10, "--replicates", 2000], "sweep.csv"),
+], ids=["study", "coverage", "sweep"])
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+def test_simulating_commands_refuse_non_finite_heights(tmp_path, capsys, constants_file,
+                                                      command, out):
+    # at r*T = 800 the exact sampler returns inf and nan heights in some rows
+    if command[0] != "sweep":
+        command = command + ["--constants", constants_file]
+    code = run(command + ["--r", 1, "--T", 800, "--seed", 3, "--out", tmp_path / out])
+    assert code == cli.EXIT_NUMERICAL
+    assert re.search(r"\d+ of \d+ rows hold non-finite coalescence times",
+                     capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_custom_level_widens_interval(tmp_path):
     src = tmp_path / "tree.nwk"
     src.write_text(NEWICK)
@@ -416,3 +449,31 @@ def test_estimate_custom_level_widens_interval(tmp_path):
     rec_narrow = json.loads(narrow.read_text())[0]
     assert rec_narrow["ci_low"] > rec_wide["ci_low"]
     assert rec_narrow["ci_high"] < rec_wide["ci_high"]
+
+
+def test_estimate_at_another_level_draws_s_n_once(tmp_path, capsys, monkeypatch):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 10, "--count", 5, "--seed", 2, "--T", 40,
+                "--out", times]) == 0
+    calls = []
+    sample_sn = calibration.sample_sn
+
+    def counted(n, replicates, rng, workers=1):
+        calls.append(n)
+        return sample_sn(n, replicates, rng, workers)
+
+    monkeypatch.setattr(calibration, "sample_sn", counted)
+    capsys.readouterr()
+    assert run(["estimate", times, "--methods", "RawUnitConstant,Inv,MSE", "--level", 0.9,
+                "--replicates", 20_000, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert calls == [10]
+    assert captured.err.count("calibrating on the fly") == 1
+    # the constants and the 90% quantiles both come from that one draw
+    sample = sample_sn(10, 20_000, RngStream(0).child(10))
+    row = calibration.build_constants_row(10, 20_000, 0)
+    spec = confidence.ConfidenceSpec.from_sample(sample, level=0.9)
+    for rec in json.loads(captured.out):
+        raw = rec["estimate"] / {"RawUnitConstant": 1.0, "Inv": row.c_inv,
+                                 "MSE": row.c_mse}[rec["method"]]
+        assert (rec["ci_low"], rec["ci_high"]) == pytest.approx(spec.interval(raw), rel=1e-12)

@@ -223,10 +223,8 @@ def test_exact_times_lie_strictly_inside_support():
 
 
 def test_fixed_n_without_t_is_relative_and_negative_axis():
-    ct = co.sample_coalescence_times(8, co.FixedNLimit(r=1.0), RngStream(17))
-    assert ct.relative
-    assert ct.t is None
-    assert all(x < 0 for x in ct.times)  # log Q + U > 0 puts heights below zero
+    h = co.sample_coalescence_times_block(8, co.FixedNLimit(r=1.0), RngStream(17), 2000)
+    assert np.all(h < 0)  # log Q + U > 0 puts relative heights below zero
 
 
 def test_fixed_n_with_t_stays_below_t():
@@ -249,10 +247,13 @@ def test_fixed_n_heights_formula():
 
 
 def test_sample_times_structure_and_validation():
-    ct = co.sample_coalescence_times(5, co.ExactFiniteT(PARAMS), RngStream(19))
-    assert ct.n == 5
-    assert len(ct.times) == 4
-    assert ct.t == PARAMS.t
+    for count in (1, 3):
+        h = co.sample_coalescence_times_block(5, co.ExactFiniteT(PARAMS), RngStream(19), count)
+        assert h.shape == (count, 4)
+    with pytest.raises(ValueError):
+        co.sample_coalescence_times_block(1, co.ExactFiniteT(PARAMS), RngStream(19), 1)
+    with pytest.raises(ValueError):
+        co.sample_coalescence_times_block(5, co.ExactFiniteT(PARAMS), RngStream(19), 0)
     with pytest.raises(ValueError):
         co.CoalescenceTimes(3, (1.0,))  # wrong count
     with pytest.raises(ValueError):
@@ -286,15 +287,15 @@ def test_exact_agrees_with_fixed_n_limit_at_t40(n):
 
 
 def test_identical_streams_reproduce_identical_draws():
-    a = co.sample_coalescence_times(9, co.ExactFiniteT(PARAMS), RngStream(77, (3,)))
-    b = co.sample_coalescence_times(9, co.ExactFiniteT(PARAMS), RngStream(77, (3,)))
-    assert a == b
+    a = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77, (3,)), 1)
+    b = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77, (3,)), 1)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_stream_paths_differ():
-    a = co.sample_coalescence_times(9, co.ExactFiniteT(PARAMS), RngStream(77).child(0))
-    b = co.sample_coalescence_times(9, co.ExactFiniteT(PARAMS), RngStream(77).child(1))
-    assert a != b
+    a = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77).child(0), 1)
+    b = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77).child(1), 1)
+    assert not np.any(a == b)
 
 
 def test_block_sampler_deterministic():

@@ -6,56 +6,48 @@ import numpy as np
 import pytest
 
 from bdgrowth import calibration as cal
-from bdgrowth import coalescent as co
 from bdgrowth import confidence as ci
 from bdgrowth.errors import InsufficientReplicates, MismatchedN
-from bdgrowth.estimators import raw_pairwise_point
+from bdgrowth.estimators import raw_pairwise_rows
 from bdgrowth.rng import RngStream
 
 SEED = 20260808
 
 
-def evenly_spaced_times(n, spacing=1.0):
-    values = spacing * np.arange(1, n)
-    return co.CoalescenceTimes(n, tuple(float(v) for v in values))
+def evenly_spaced_heights(n, spacing=1.0):
+    """One row of n - 1 heights spacing apart."""
+    return spacing * np.arange(1.0, n)[None, :]
 
 
 def test_interval_from_tabulated_reciprocals():
     # n = 10 tabulated reciprocals 1/q_lo = 1.43, 1/q_hi = 0.44: a raw
     # estimate of 1 maps to the interval (0.44, 1.43)
     spec = ci.ConfidenceSpec(n=10, q_lo=1.0 / 1.43, q_hi=1.0 / 0.44)
-    times = evenly_spaced_times(10, spacing=72.0 / 120.0)  # raw estimate 1
-    raw = raw_pairwise_point(times)
-    assert raw == pytest.approx(1.0, rel=1e-12)
-    lo, hi = ci.confidence_interval(times, spec)
-    assert lo == pytest.approx(0.44, rel=1e-9)
-    assert hi == pytest.approx(1.43, rel=1e-9)
-    assert lo < hi
+    raw = raw_pairwise_rows(evenly_spaced_heights(10, spacing=72.0 / 120.0))
+    assert raw[0] == pytest.approx(1.0, rel=1e-12)
+    lo, hi = spec.interval(raw)
+    assert lo[0] == pytest.approx(0.44, rel=1e-9)
+    assert hi[0] == pytest.approx(1.43, rel=1e-9)
+    assert lo[0] < hi[0]
 
 
 def test_interval_scales_linearly_in_raw_estimate():
     spec = ci.ConfidenceSpec(n=5, q_lo=1.0 / 1.73, q_hi=1.0 / 0.21)
-    times = evenly_spaced_times(5)
-    raw = raw_pairwise_point(times)
-    lo, hi = ci.confidence_interval(times, spec)
-    assert lo == pytest.approx(raw * 0.21, rel=1e-9)
-    assert hi == pytest.approx(raw * 1.73, rel=1e-9)
+    raw = raw_pairwise_rows(evenly_spaced_heights(5))
+    lo, hi = spec.interval(raw)
+    assert lo[0] == pytest.approx(raw[0] * 0.21, rel=1e-9)
+    assert hi[0] == pytest.approx(raw[0] * 1.73, rel=1e-9)
+    # a float and an array of raw estimates give the same interval
+    assert spec.interval(float(raw[0])) == (lo[0], hi[0])
 
 
 def test_interval_equivariance_under_time_scaling():
     spec = ci.ConfidenceSpec(n=6, q_lo=0.5, q_hi=3.0)
-    base = evenly_spaced_times(6)
-    lo, hi = ci.confidence_interval(base, spec)
-    scaled = co.CoalescenceTimes(6, tuple(4.0 * v for v in base.times))
-    lo4, hi4 = ci.confidence_interval(scaled, spec)
-    assert lo4 == pytest.approx(lo / 4.0, rel=1e-12)
-    assert hi4 == pytest.approx(hi / 4.0, rel=1e-12)
-
-
-def test_mismatched_n_rejected():
-    spec = ci.ConfidenceSpec(n=8, q_lo=0.5, q_hi=2.0)
-    with pytest.raises(MismatchedN):
-        ci.confidence_interval(evenly_spaced_times(5), spec)
+    base = evenly_spaced_heights(6)
+    lo, hi = spec.interval(raw_pairwise_rows(base))
+    lo4, hi4 = spec.interval(raw_pairwise_rows(4.0 * base))
+    assert lo4[0] == pytest.approx(lo[0] / 4.0, rel=1e-12)
+    assert hi4[0] == pytest.approx(hi[0] / 4.0, rel=1e-12)
 
 
 def test_spec_validation():

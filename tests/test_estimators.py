@@ -12,12 +12,19 @@ from hypothesis import strategies as st
 
 from bdgrowth import coalescent as co
 from bdgrowth import estimators as est
+from bdgrowth import harness, treeio
+from bdgrowth.calibration import ConstantsRow
 from bdgrowth.errors import BranchOrderUnknown, DegenerateTimes, NonConvergence, SampleTooSmall
 from bdgrowth.rng import RngStream
 
 
 def times_of(values, **kw):
     return co.CoalescenceTimes(len(values) + 1, tuple(float(v) for v in values), **kw)
+
+
+def row_of(values):
+    """A one-row height matrix."""
+    return np.asarray(values, dtype=float)[None, :]
 
 
 def double_loop_abs_sum(values):
@@ -36,14 +43,13 @@ def double_loop_abs_sum(values):
 
 def test_pairwise_worked_example():
     assert est.pairwise_abs_sum(np.array([3.0, 1.0, 2.0])) == 4.0
-    assert est.raw_pairwise_point(times_of([3.0, 1.0, 2.0])) == (4 - 1) * (4 - 2) / 4.0
+    assert est.raw_pairwise_rows(row_of([3.0, 1.0, 2.0]))[0] == (4 - 1) * (4 - 2) / 4.0
 
 
 def test_pairwise_rejects_degenerate_and_small():
-    with pytest.raises(DegenerateTimes):
-        est.raw_pairwise_point(times_of([2.0, 2.0, 2.0]))
-    with pytest.raises(SampleTooSmall):
-        est.raw_pairwise_point(times_of([1.0]))
+    # no positive pairwise sum, no estimate: the row reads NaN
+    assert np.isnan(est.raw_pairwise_rows(row_of([2.0, 2.0, 2.0]))[0])
+    assert np.isnan(est.raw_pairwise_rows(row_of([1.0]))[0])
 
 
 def test_sorted_formula_equals_double_loop_exactly_on_integers():
@@ -93,14 +99,19 @@ def test_gap_form_is_positive_on_unequal_rows_and_the_same_alone():
 
 
 def test_estimate_worked_example():
-    assert est.estimate_pairwise(times_of([3.0, 1.0, 2.0]), 1.0).point == 1.5
+    values, unconverged = est.METHODS[est.RAW].rows(row_of([3.0, 1.0, 2.0]))
+    assert values[0] == 1.5 and unconverged == 0
 
 
 def test_constant_scaling_is_exact():
-    t = times_of([3.0, 1.0, 2.0, 0.5])
-    raw = est.estimate_pairwise(t, 1.0).point
-    for c in (0.355, 0.78, 1.3):
-        assert est.estimate_pairwise(t, c).point == c * raw
+    h = row_of([3.0, 1.0, 2.0, 0.5])
+    row = ConstantsRow(n=5, c_inv=1.3, c_mse=0.355, c_bias=0.78, inv_q_lo=2.0, inv_q_hi=0.5,
+                       replicates=1, seed=0)
+    estimates, raw, _ = harness.estimates_for_matrix(h, row, ("MSE", "Bias", "Inv", est.RAW))
+    assert raw[0] == est.raw_pairwise_rows(h)[0]
+    for tag, c in (("MSE", 0.355), ("Bias", 0.78), ("Inv", 1.3), (est.RAW, 1.0)):
+        assert est.METHODS[tag].constant(row) == c
+        assert estimates[tag][0] == c * raw[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,25 +121,22 @@ def test_translation_and_scale_behavior(values):
     arr = np.array(values)
     if arr.min() == arr.max():
         arr[0] += 1.0
-    t = times_of(arr)
-    point = est.estimate_pairwise(t, 1.0).point
+    point = est.raw_pairwise_rows(row_of(arr))[0]
     moved = arr + 123.5
+    shifted = est.raw_pairwise_rows(row_of(moved))[0]
     if moved.min() == moved.max():
         # a spread below one ulp of 123.5 leaves the moved times all equal
-        with pytest.raises(DegenerateTimes):
-            est.estimate_pairwise(times_of(moved), 1.0)
+        assert np.isnan(shifted)
     else:
-        shifted = est.estimate_pairwise(times_of(moved), 1.0).point
         assert shifted == pytest.approx(point, rel=1e-9)
-    doubled = est.estimate_pairwise(times_of(2.0 * arr), 1.0).point
+    doubled = est.raw_pairwise_rows(row_of(2.0 * arr))[0]
     assert doubled == pytest.approx(point / 2.0, rel=1e-14)
 
 
 def test_pairwise_is_permutation_invariant():
     values = [5.0, 1.0, 3.25, 0.5]
-    base = est.estimate_pairwise(times_of(values), 0.7).point
-    for perm in itertools.permutations(values):
-        assert est.estimate_pairwise(times_of(perm), 0.7).point == base
+    raw = est.raw_pairwise_rows(np.array(list(itertools.permutations(values))))
+    assert (raw == raw[0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +186,10 @@ def test_order_averaged_length_equals_pairwise_form(n, seed):
 
 
 def test_estimate_lengths_worked_example():
-    assert est.estimate_lengths(times_of([3.0, 1.0, 2.0])).point == 2.0
+    # branch-order internal length 2 of n = 4 tips, on the times and on their tree
+    times = times_of([3.0, 1.0, 2.0], t=4.0)
+    assert est.lengths_rows(row_of(times.times))[0] == 2.0
+    assert est.estimate_lengths(4, treeio.build_cpp_tree(times)) == 2.0
 
 
 def test_mean_internal_length_near_limit():
@@ -197,54 +208,52 @@ def test_mle_recovers_scale_from_quantile_data():
     m = 50
     ranks = (np.arange(1, m + 1) - 0.5) / m
     h = 10.0 + 2.0 * np.log(ranks / (1.0 - ranks))
-    estimate, fit = est.estimate_mle(times_of(h))
-    assert fit.converged
-    assert fit.b == pytest.approx(2.0, rel=0.05)
-    assert fit.a == pytest.approx(10.0, rel=0.01)
-    assert estimate.point == 1.0 / fit.b
+    fit = est.fit_logistic_rows(row_of(h))
+    assert fit.converged[0]
+    assert fit.b[0] == pytest.approx(2.0, rel=0.05)
+    assert fit.a[0] == pytest.approx(10.0, rel=0.01)
+    values, unconverged = est.mle_rows(row_of(h))
+    assert values[0] == 1.0 / fit.b[0] and unconverged == 0
 
 
 def test_mle_scale_and_shift_equivariance():
     rng = np.random.default_rng(103)
     h = rng.logistic(3.0, 0.8, size=25)
-    _, fit = est.estimate_mle(times_of(h))
-    _, scaled = est.estimate_mle(times_of(3.7 * h))
-    assert scaled.b == pytest.approx(3.7 * fit.b, rel=1e-7)
-    _, shifted = est.estimate_mle(times_of(h + 11.0))
-    assert shifted.b == pytest.approx(fit.b, rel=1e-7)
-    assert shifted.a == pytest.approx(fit.a + 11.0, rel=1e-7)
+    fit = est.fit_logistic_rows(np.array([h, 3.7 * h, h + 11.0]))
+    assert fit.b[1] == pytest.approx(3.7 * fit.b[0], rel=1e-7)
+    assert fit.b[2] == pytest.approx(fit.b[0], rel=1e-7)
+    assert fit.a[2] == pytest.approx(fit.a[0] + 11.0, rel=1e-7)
 
 
 def test_mle_matches_scipy_fit():
     scipy_stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(104)
     h = rng.logistic(-2.0, 1.4, size=120)
-    _, fit = est.estimate_mle(times_of(h))
+    fit = est.fit_logistic_rows(row_of(h))
     loc, scale = scipy_stats.logistic.fit(h)
-    assert fit.a == pytest.approx(loc, rel=1e-5)
-    assert fit.b == pytest.approx(scale, rel=1e-5)
+    assert fit.a[0] == pytest.approx(loc, rel=1e-5)
+    assert fit.b[0] == pytest.approx(scale, rel=1e-5)
 
 
 def test_mle_permutation_invariant():
     rng = np.random.default_rng(105)
     h = rng.logistic(0.0, 1.0, size=6)
-    _, fit = est.estimate_mle(times_of(h))
-    _, permuted = est.estimate_mle(times_of(h[::-1].copy()))
-    assert permuted.b == pytest.approx(fit.b, rel=1e-9)
+    fit = est.fit_logistic_rows(np.array([h, h[::-1]]))
+    assert fit.b[1] == pytest.approx(fit.b[0], rel=1e-9)
 
 
 def test_mle_rejects_degenerate_and_small():
-    with pytest.raises(DegenerateTimes):
-        est.estimate_mle(times_of([1.0, 1.0, 1.0]))
-    with pytest.raises(SampleTooSmall):
-        est.estimate_mle(times_of([1.0]))
+    # equal heights, or a single one, leave no moment start to fit from
+    for h in ([1.0, 1.0, 1.0], [1.0]):
+        with pytest.raises(NonConvergence, match="moment start out of range in 1 of 1 rows"):
+            est.fit_logistic_rows(row_of(h))
 
 
 def test_mle_converges_on_tiny_samples():
     # two observations is the smallest legal fit (n = 3)
-    _, fit = est.estimate_mle(times_of([1.0, 4.0]))
-    assert fit.converged
-    assert fit.b > 0
+    fit = est.fit_logistic_rows(row_of([1.0, 4.0]))
+    assert fit.converged[0]
+    assert fit.b[0] > 0
 
 
 def _stress_matrices():
@@ -328,17 +337,18 @@ def test_mle_rows_counts_unconverged_fits():
 
 
 # ---------------------------------------------------------------------------
-# estimate container and the reciprocal-unbiasedness identity
+# a tree's Lengths refusals and the reciprocal-unbiasedness identity
 # ---------------------------------------------------------------------------
 
 
 def test_estimate_validation():
-    with pytest.raises(ValueError):
-        est.Estimate(method="bogus", point=1.0)
-    with pytest.raises(ValueError):
-        est.Estimate(method="MSE", point=-1.0)
-    with pytest.raises(ValueError):
-        est.Estimate(method="MSE", point=1.0, ci=(2.0, 1.0))
+    with pytest.raises(SampleTooSmall, match="lengths estimator needs n >= 3"):
+        est.estimate_lengths(2, treeio.parse_newick("(A:1,B:1);"))
+    with pytest.raises(DegenerateTimes, match="internal branch length is zero"):
+        est.estimate_lengths(3, treeio.parse_newick("((A:1,B:1):0,C:1);"))
+    # an internal length this small makes n / L_in overflow
+    with pytest.raises(ValueError, match="estimate must be positive and finite"):
+        est.estimate_lengths(3, treeio.parse_newick("((A:1,B:1):1e-320,C:1);"))
 
 
 def test_reciprocal_of_raw_estimate_is_unbiased_for_c_inv_over_r():
