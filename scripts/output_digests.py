@@ -27,7 +27,10 @@ from pathlib import Path
 TABLE = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "constants.csv")
 ALL_METHODS = "MSE,Bias,Inv,Lengths,MLE,RawUnitConstant"
 
-# a good row, then rows each method refuses in its own way
+# a good row, then rows each method refuses in its own way, then rows the
+# reader refuses: no T column, n not an integer, T or a height not a number,
+# n < 2, the wrong count of heights, inf or nan heights; last a row whose
+# estimates overflow
 ERROR_CSV = """n,T,h1,h2,h3,h4
 5,40,3,1,2,0.5
 2,40,1
@@ -35,13 +38,23 @@ ERROR_CSV = """n,T,h1,h2,h3,h4
 5,40,1,x,2,3
 5,,1,1.0000000000000002,1,1
 4,40,0,1e200,3e199
+5
+5.0,40,3,1,2,0.5
+5,x,3,1,2,0.5
+1,40
+5,40,3,1,2
+5,40,3,inf,2,0.5
+5,40,3,1,nan,0.5
+4,40,0,1e-320,2e-320
 """
+# the tree before the unterminated one sums its lengths to inf
 ERROR_NEWICK = """((A:1,B:1):1,C:2);
 (A:1,B:1);
 ((A:1,B:1):1,C:5);
 ((A:1,B:1,C:1):1,D:2);
 ((A:1,B:1):0,C:1);
 ((A:1,B:1):1e-320,C:1);
+((A:1.5e308,B:1.5e308):1.5e308,C:1.7e308);
 ((A:1,B:1
 """
 

@@ -25,7 +25,6 @@ from .calibration import (
 )
 from .coalescent import (
     BirthDeathParams,
-    CoalescenceTimes,
     ExactFiniteT,
     FixedNLimit,
     LargeN,
@@ -40,7 +39,6 @@ from .coalescent import (
 from .confidence import ConfidenceSpec, coverage_study, make_regime
 from .errors import (
     BdGrowthError,
-    BranchOrderUnknown,
     DegenerateTimes,
     InsufficientReplicates,
     MismatchedN,
@@ -53,12 +51,7 @@ from .errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from .estimators import (
-    METHODS,
-    MleFit,
-    estimate_lengths,
-    internal_branch_length,
-)
+from .estimators import METHODS, MleFit, estimate_lengths
 from .rng import RngStream
 from .treeio import (
     SampleTree,

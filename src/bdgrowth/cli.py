@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calibration, confidence, harness, treeio
 from .calibration import g17
-from .coalescent import CoalescenceTimes, check_finite_rows, sample_coalescence_times_block
+from .coalescent import check_finite_rows, sample_coalescence_times_block
 from .errors import (
     BdGrowthError,
     DegenerateTimes,
@@ -54,15 +54,16 @@ def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_times_csv(path: Path) -> list[CoalescenceTimes | Exception]:
-    """One entry per data row: its times, or the error that rejected the row.
-
-    A file without the header or without data rows raises.
+def read_times_csv(path: Path) -> list[np.ndarray | Exception]:
+    """One entry per data row: its n - 1 heights as a float array, or the
+    error that rejected the row. T is checked but not returned; every
+    estimator is translation invariant. A file without the header or
+    without data rows raises.
     """
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("n,T,"):
         raise ParseError(0, 'times CSV header "n,T,h1,..."')
-    out: list[CoalescenceTimes | Exception] = []
+    out: list[np.ndarray | Exception] = []
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -71,9 +72,14 @@ def read_times_csv(path: Path) -> list[CoalescenceTimes | Exception]:
             if len(parts) < 2:
                 raise ValueError(f"times row {line!r} has no T column")
             n = int(parts[0])
-            t = float(parts[1]) if parts[1].strip() else None
-            values = tuple(float(v) for v in parts[2:])
-            out.append(CoalescenceTimes(n=n, times=values, t=t, relative=t is None))
+            if parts[1].strip():
+                float(parts[1])  # T is not returned, but a bad one refuses the row
+            heights = np.array([float(v) for v in parts[2:]])
+            if n < 2:
+                raise ValueError("sample size must be an integer >= 2")
+            if len(heights) != n - 1:
+                raise ValueError(f"expected {n - 1} times, got {len(heights)}")
+            out.append(heights)
         except _ITEM_ERRORS as exc:
             out.append(exc)
     if not out:
@@ -121,7 +127,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_inputs(path: Path) -> list[tuple[str, CoalescenceTimes | treeio.SampleTree | Exception]]:
+def _load_inputs(path: Path) -> list[tuple[str, np.ndarray | treeio.SampleTree | Exception]]:
     """Times CSV rows or Newick trees, or the errors that rejected them, each
     with an input identifier."""
     text = path.read_text(encoding="utf-8")
@@ -152,14 +158,18 @@ def _matrix_estimates(h: np.ndarray, row, tag: str) -> list[tuple[float, float] 
     is halved until the failure is pinned to its rows."""
     if h.shape[1] < 2:
         return [SampleTooSmall(f"{tag} needs n >= 3")] * len(h)
-    flat = h.min(axis=1) == h.max(axis=1)  # the rows estimates_for_matrix drops
-    if flat.any():
-        out = [DegenerateTimes("all coalescence times are equal")] * len(h)
-        for k, result in zip(np.flatnonzero(~flat), _matrix_estimates(h[~flat], row, tag)):
+    # rows estimates_for_matrix drops (equal heights) or may drop (non-finite) get their error
+    finite = np.isfinite(h).all(axis=1)
+    keep = finite & (h.min(axis=1) < h.max(axis=1))
+    if not keep.all():
+        out = [DegenerateTimes("all coalescence times are equal") if ok
+               else ValueError("coalescence times must be finite") for ok in finite]
+        for k, result in zip(np.flatnonzero(keep), _matrix_estimates(h[keep], row, tag)):
             out[k] = result
         return out
     try:
-        estimates, raw, _ = harness.estimates_for_matrix(h, row, (tag,))
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            estimates, raw, _ = harness.estimates_for_matrix(h, row, (tag,))
         values = estimates[tag]
         if not (np.isfinite(values) & (values > 0.0)).all():
             raise ValueError("estimate must be positive and finite")
@@ -185,20 +195,24 @@ def cmd_estimate(args) -> int:
     for i, (name, item) in enumerate(inputs):
         inputs[i] = name, None  # frees a tree once its heights and Lengths are taken
         tree = item if isinstance(item, treeio.SampleTree) else None
-        if tree is not None:
-            try:
+        try:
+            if tree is not None:
                 item = treeio.extract_coalescence_times(tree, tol=args.ultrametric_tol)
-            except _ITEM_ERRORS as exc:
-                item = exc
+            # before grouping, so every method refuses it, a tree's own Lengths too
+            if not isinstance(item, Exception) and not np.isfinite(item).all():
+                raise ValueError("coalescence times must be finite")
+        except _ITEM_ERRORS as exc:
+            item = exc
         if isinstance(item, Exception):  # the input could not be read
             results[i] = [item] * len(tags)
             continue
-        members, heights, lengths = groups.setdefault(item.n, ([], [], []))
+        n = len(item) + 1
+        members, heights, lengths = groups.setdefault(n, ([], [], []))
         members.append(i)
-        heights.append(item.as_array())
+        heights.append(item)
         if tree is not None and LENGTHS in tags:  # from the tree's own topology
             try:
-                lengths.append((estimate_lengths(item.n, tree), None))
+                lengths.append((estimate_lengths(n, tree), None))
             except _ITEM_ERRORS as exc:
                 lengths.append(exc)
 

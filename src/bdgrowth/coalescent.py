@@ -22,6 +22,9 @@ conditionally i.i.d. branch heights. Three regimes are implemented:
                  standard logistic on the whole real line, and
                  H_i = T - (log(1/W) + log n + U_i) / r.
 
+A sample is a float row of its n - 1 heights, in branch order; samples of
+one n stack into a (k, n-1) matrix. Without T only differences count.
+
 All sampling is inverse transform through the closed-form CDFs below, which
 the test suite validates against adaptive quadrature of the densities. The
 logistic support in the LargeN regime is the full real line; the half-line
@@ -64,37 +67,6 @@ class BirthDeathParams:
     @property
     def r(self) -> float:
         return self.lam - self.mu
-
-
-@dataclass(frozen=True)
-class CoalescenceTimes:
-    """Ordered coalescence times of a sample of size n.
-
-    times[i] is the height of the (i+1)-th branch of the coalescent point
-    process (branch order), unless branch_order is False, in which case only
-    the order statistics are known (real data). When relative is True only
-    differences of the values are meaningful and t is absent; estimators are
-    translation invariant so they accept both axes.
-    """
-
-    n: int
-    times: tuple[float, ...]
-    t: float | None = None
-    relative: bool = False
-    branch_order: bool = True
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError("sample size must be an integer >= 2")
-        if len(self.times) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} times, got {len(self.times)}")
-        if not all(math.isfinite(x) for x in self.times):
-            raise ValueError("coalescence times must be finite")
-        if self.relative and self.t is not None:
-            raise ValueError("relative-axis times cannot carry a tree height")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
 
 
 def check_finite_rows(matrix: np.ndarray) -> None:
@@ -334,7 +306,8 @@ def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> n
     if isinstance(regime, ExactFiniteT):
         p = regime.params
         y = sample_y(n, delta_t(p), gen, size=(count, 1))
-        return h_exact_quantile(open_uniform(gen, (count, n - 1)), y, p)
+        with np.errstate(divide="ignore", invalid="ignore"):  # callers refuse such rows
+            return h_exact_quantile(open_uniform(gen, (count, n - 1)), y, p)
     if isinstance(regime, FixedNLimit):
         q = sample_q(n, gen, size=(count, 1))
         u = u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)

@@ -37,10 +37,6 @@ class RelativeAxisError(BdGrowthError):
     """Operation needs absolute-time coalescence times but got relative ones."""
 
 
-class BranchOrderUnknown(BdGrowthError):
-    """Operation is branch-order sensitive but the input only carries order statistics."""
-
-
 class ParseError(BdGrowthError):
     """Newick text could not be parsed.
 

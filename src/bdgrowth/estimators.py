@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalescent import CoalescenceTimes
-from .errors import BranchOrderUnknown, DegenerateTimes, NonConvergence, SampleTooSmall
+from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
 from .treeio import SampleTree, tree_internal_branch_length
 
 # Tags other modules single out; METHODS below lists every tag.
@@ -72,11 +71,6 @@ def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
     return gaps.sum(axis=1)
 
 
-def pairwise_abs_sum(values: np.ndarray) -> float:
-    """pairwise_abs_sum_rows of a single row."""
-    return float(pairwise_abs_sum_rows(np.asarray(values)[None, :])[0])
-
-
 def raw_pairwise_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise c = 1 pairwise estimate (n-1)(n-2) / sum |H_i - H_j|; NaN
     where that sum is not positive (all heights equal)."""
@@ -90,20 +84,6 @@ def internal_branch_length_rows(matrix: np.ndarray) -> np.ndarray:
     (max_i H_i - H_1) plus the positive parts of consecutive differences."""
     d = matrix[:, :-1] - matrix[:, 1:]
     return (matrix.max(axis=1) - matrix[:, 0]) + np.where(d > 0, d, 0.0).sum(axis=1)
-
-
-def internal_branch_length(times: CoalescenceTimes) -> float:
-    """internal_branch_length_rows of one sample.
-
-    Order-sensitive by design, so order-statistic inputs are rejected.
-    """
-    if times.n < 3:
-        raise SampleTooSmall("internal branch length needs n >= 3")
-    if not times.branch_order:
-        raise BranchOrderUnknown(
-            "times carry only order statistics; use the tree-based internal length"
-        )
-    return float(internal_branch_length_rows(times.as_array()[None, :])[0])
 
 
 def lengths_rows(matrix: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ to text.
 Reading: real genealogies arrive as rooted ultrametric Newick trees. This
 module parses them (quoted labels and bracket comments included), validates
 that they are binary and ultrametric within a relative tolerance, extracts
-the internal-node heights as order-statistic coalescence times, and measures
-the topology-true internal branch length used by the lengths-based
-estimator. The parser reads a node at a time: one regular-expression match
+the internal-node heights as a descending array (a plain tree carries no
+branch order), and measures the topology-true internal branch length used
+by the lengths-based estimator. The parser reads a node at a time: one regular-expression match
 takes a node's leading filler (whitespace and comments), its label, its
 length and the filler after it, and a loop over '(', ',', ')' and ';' builds
 the tree. In a multi-tree text, a tree that fails to parse becomes an error
@@ -16,10 +16,10 @@ once: one preorder for the tip depths, whose reverse is the postorder that
 checks binarity, counts tips and computes the heights.
 
 Writing: a row of branch-ordered heights with its tree height T defines the
-coalescent-point-process tree. build_cpp_tree builds it as a TreeNode graph
-and serialize_newick prints any tree canonically; cpp_newick_rows prints
-the same canonical text for every row of a height matrix without building
-a tree. Both builders follow one merge rule, _cpp_merges.
+coalescent-point-process tree. build_cpp_tree(heights, t) builds it as a
+TreeNode graph and serialize_newick prints any tree canonically;
+cpp_newick_rows prints the same canonical text for every row of a height
+matrix without building a tree. Both builders follow one merge rule, _cpp_merges.
 
 Parsing and traversal are iterative throughout, so deeply nested comb trees
 cannot overflow the interpreter stack; every malformed input surfaces as a
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coalescent import CoalescenceTimes, check_finite_rows
+from .coalescent import check_finite_rows
 from .errors import (
     MissingBranchLength,
     NotBinary,
@@ -278,13 +278,15 @@ def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranc
 
 def extract_coalescence_times(
     tree: SampleTree, tol: float = DEFAULT_ULTRAMETRIC_TOL
-) -> CoalescenceTimes:
-    """Internal-node heights of a binary ultrametric tree, largest first.
+) -> np.ndarray:
+    """Internal-node heights of a binary ultrametric tree with n tips: a
+    descending float array of n - 1 heights.
 
     Heights are measured from the tips; under rounding jitter within the
     tolerance each node's height is the mean of its tip distances, which is
     unbiased for symmetric rounding noise. Branch order is not recoverable
-    from a plain tree, so the result carries only order statistics.
+    from a plain tree, so the result holds only order statistics. Lengths
+    whose sums overflow give inf heights, which callers refuse.
     """
     # preorder, each tip's depth below the root summed from the root down
     order: list[TreeNode] = []
@@ -298,8 +300,7 @@ def extract_coalescence_times(
                 stack.append((child, depth + (child.length or 0.0)))
         else:
             tip_depths.append(depth)
-    n = len(tip_depths)
-    if n < 2:
+    if len(tip_depths) < 2:
         raise SampleTooSmall("need at least 2 tips to have a coalescence")
 
     # postorder: each finished subtree leaves (tips, summed distance from its
@@ -323,13 +324,13 @@ def extract_coalescence_times(
     depths = np.array(tip_depths)
     height = float(depths.max())
     if height > 0:
-        worst = float(np.max(np.abs(depths - height))) / height
+        with np.errstate(invalid="ignore"):  # inf depths give nan, which passes
+            worst = float(np.max(np.abs(depths - height))) / height
         if worst > tol:
             raise NotUltrametric(worst, tol)
 
     heights.sort(reverse=True)
-    t = height + (tree.root_stem or 0.0)
-    return CoalescenceTimes(n, tuple(heights), t=t, branch_order=False)
+    return np.array(heights)
 
 
 def tree_internal_branch_length(tree: SampleTree) -> float:
@@ -397,17 +398,18 @@ def _cpp_merges(heights):
         yield 0, lines.pop()
 
 
-def build_cpp_tree(times: CoalescenceTimes) -> SampleTree:
-    """Build the point-process tree: a height-T spine, then one branch per time.
+def build_cpp_tree(heights, t: float | None) -> SampleTree:
+    """Build the point-process tree of a row of branch-ordered heights: a
+    height-t spine, then one branch per height.
 
     Branch i (height H_i) joins leftward at its top into the nearest earlier
     branch that is taller, which makes the tree the max-Cartesian tree of
     the height sequence with tips in the gaps. Tips are labelled t1..tn in
     branch order; internal node depths from the tips are exactly the H_i and
-    the synthetic stem of length T - max(H) preserves the total height T.
+    the synthetic stem of length t - max(H) preserves the total height t.
     """
-    heights = times.as_array()
-    _check_tree_heights(heights[None, :], times.t)
+    heights = np.asarray(heights, dtype=float)
+    _check_tree_heights(heights[None, :], t)
     stack: list[tuple[float, TreeNode]] = []  # (node height, subtree) per line
     for tip, h in _cpp_merges(heights.tolist()):
         if tip:
@@ -418,7 +420,7 @@ def build_cpp_tree(times: CoalescenceTimes) -> SampleTree:
         left.length, right.length = h - left_h, h - right_h
         stack.append((h, TreeNode(children=[left, right])))
     root_h, root = stack[0]
-    return SampleTree(root=root, root_stem=float(times.t) - root_h)
+    return SampleTree(root=root, root_stem=float(t) - root_h)
 
 
 def cpp_newick_rows(matrix: np.ndarray, t: float | None) -> list[str]:

@@ -24,6 +24,14 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    bdgrowth subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -43,11 +51,12 @@ def test_simulate_exact_support_and_header(tmp_path):
                 "--r", 0.5, "--out", out]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,T,h1,h2,h3,h4"
+    assert all(line.startswith("5,10,") for line in lines[1:])
     rows = cli.read_times_csv(out)
     assert len(rows) == 50
     for row in rows:
-        assert row.n == 5 and row.t == 10.0
-        assert all(0 < h < 10 for h in row.times)
+        assert row.shape == (4,)
+        assert all(0 < h < 10 for h in row)
 
 
 def test_simulate_trees_round_trip(tmp_path):
@@ -60,7 +69,7 @@ def test_simulate_trees_round_trip(tmp_path):
     assert len(parsed) == 5
     for row, tree in zip(rows, parsed):
         extracted = treeio.extract_coalescence_times(tree)
-        assert sorted(extracted.times) == pytest.approx(sorted(row.times), rel=1e-9)
+        assert sorted(extracted) == pytest.approx(sorted(row), rel=1e-9)
 
 
 @pytest.mark.parametrize("flags", [
@@ -101,8 +110,9 @@ def test_simulate_relative_axis_when_t_missing(tmp_path):
     out = tmp_path / "rel.csv"
     assert run(["simulate", "--n", 5, "--count", 3, "--seed", 1,
                 "--regime", "fixed-n", "--r", 1.0, "--out", out]) == 0
-    rows = cli.read_times_csv(out)
-    assert all(row.relative for row in rows)
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 3 and all(line.startswith("5,,") for line in lines)
+    assert all(row.shape == (4,) for row in cli.read_times_csv(out))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +180,11 @@ def test_estimate_maps_each_tag_to_its_constant_and_matches_the_study_path(
     constant = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
                 "RawUnitConstant": 1.0}
     inputs = cli.read_times_csv(times)
-    study, study_raw, _ = harness.estimates_for_matrix(
-        np.array([t.times for t in inputs]), row, tuple(METHODS))
+    study, study_raw, _ = harness.estimates_for_matrix(np.array(inputs), row, tuple(METHODS))
     assert study_raw.size == len(inputs)
     for i, t in enumerate(inputs):
         got = {tag: records[(f"times.csv#{i}", tag)] for tag in METHODS}
-        raw = 9 * 8 / sum(abs(a - b) for a, b in itertools.combinations(t.times, 2))
+        raw = 9 * 8 / sum(abs(a - b) for a, b in itertools.combinations(t, 2))
         for tag, c in constant.items():
             assert got[tag]["estimate"] == pytest.approx(c * raw, rel=1e-12)
             # every pairwise method carries the interval of the raw pivot
@@ -211,11 +220,8 @@ def test_estimate_tries_an_uncalibratable_n_once(tmp_path, capsys):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unimported():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = "import sys, bdgrowth.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=src_env(), timeout=120).returncode == 0
 
 
 def test_estimate_error_field_round_trips_through_csv(tmp_path, constants_file):
@@ -304,6 +310,58 @@ def test_estimate_keeps_going_after_a_malformed_times_row(tmp_path, constants_fi
         assert rows[("mixed.csv#4", method)][6] == "ValueError: times row '4' has no T column"
 
 
+OVERFLOWING_TREE = "((A:1.5e308,B:1.5e308):1.5e308,C:1.7e308);"  # tip depths sum to inf
+
+# a times row that each refusal of a row stops, with the error field it gives
+REFUSED_TIMES_ROWS = [
+    ("5", "ValueError: times row '5' has no T column"),
+    ("5.0,40,3,1,2,0.5", "ValueError: invalid literal for int() with base 10: '5.0'"),
+    ("5,x,3,1,2,0.5", "ValueError: could not convert string to float: 'x'"),
+    ("5,40,3,x,2,0.5", "ValueError: could not convert string to float: 'x'"),
+    ("1,40", "ValueError: sample size must be an integer >= 2"),
+    ("5,40,3,1,2", "ValueError: expected 4 times, got 3"),
+    ("5,40,3,inf,2,0.5", "ValueError: coalescence times must be finite"),
+    ("5,40,3,1,nan,0.5", "ValueError: coalescence times must be finite"),
+    # rows with two faults: the refusal checked first names the row
+    ("5.0,x,3", "ValueError: invalid literal for int() with base 10: '5.0'"),
+    ("5,x,y", "ValueError: could not convert string to float: 'x'"),
+    ("1,40,x", "ValueError: could not convert string to float: 'x'"),
+    ("1,40,3", "ValueError: sample size must be an integer >= 2"),
+    ("5,40,inf", "ValueError: expected 4 times, got 1"),
+]
+
+
+def test_estimate_gives_each_refused_input_its_error_and_the_others_their_rows(
+        tmp_path, constants_file):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 5, "--count", len(REFUSED_TIMES_ROWS) + 1, "--seed", 29,
+                "--T", 40, "--r", 1.0, "--out", times]) == 0
+    header, *good_rows = times.read_text().splitlines()
+    mixed, good = tmp_path / "mixed.csv", tmp_path / "good.csv"
+    lines = [header, good_rows[0]]
+    for (bad, _), row in zip(REFUSED_TIMES_ROWS, good_rows[1:]):
+        lines += [bad, row]
+    # a row the reader takes and every method refuses
+    mixed.write_text("\n".join(lines + ["2,40,1"]) + "\n")
+    good.write_text("\n".join([header, *good_rows]) + "\n")
+    rows = assert_good_inputs_match_a_file_of_them(
+        mixed, good, list(range(0, len(lines) - 1, 2)), constants_file)
+    for k, (_, error) in enumerate(REFUSED_TIMES_ROWS):
+        for method in ("Inv", "Lengths", "MLE"):
+            assert rows[(f"mixed.csv#{2 * k + 1}", method)][6] == error
+    assert [rows[(f"mixed.csv#{len(lines) - 1}", m)][6] for m in ("Inv", "Lengths", "MLE")] == [
+        "ValueError: S_n needs n >= 3", "SampleTooSmall: Lengths needs n >= 3",
+        "SampleTooSmall: MLE needs n >= 3"]
+
+    trees = ["((A:1,B:1):1,C:2);", OVERFLOWING_TREE, "((H:1,I:1):1.5,J:2.5):0.5;"]
+    mixed, good = tmp_path / "mixed.nwk", tmp_path / "good.nwk"
+    mixed.write_text("\n".join(trees) + "\n")
+    good.write_text("\n".join(trees[i] for i in (0, 2)) + "\n")
+    rows = assert_good_inputs_match_a_file_of_them(mixed, good, [0, 2], constants_file)
+    for method in ("Inv", "Lengths", "MLE"):
+        assert rows[("mixed.nwk#1", method)][6] == "ValueError: coalescence times must be finite"
+
+
 def test_estimate_gives_each_input_of_a_mixed_n_file_the_rows_it_gets_alone(
         tmp_path, constants_file):
     blocks = {}
@@ -348,7 +406,6 @@ def test_estimate_exit_codes(tmp_path, constants_file):
     assert code == cli.EXIT_NUMERICAL
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_estimate_refuses_unknown_tags_and_estimates_that_are_not_finite(tmp_path, capsys):
     times = tmp_path / "times.csv"
     cli.write_times_csv(np.array([[0.0, 1e-320, 2e-320], [3.0, 1.0, 2.0]]), 4, 40.0, times)
@@ -359,6 +416,42 @@ def test_estimate_refuses_unknown_tags_and_estimates_that_are_not_finite(tmp_pat
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
     assert [row[6] for row in rows] == ["ValueError: estimate must be positive and finite", ""]
     assert float(rows[1][3]) == 2.0
+
+
+@pytest.mark.parametrize("bad", [[3.0, 1.0, np.nan, 0.5], [np.inf, np.inf, 2.0, 0.5]])
+def test_matrix_estimates_gives_each_row_its_own_entry(constants_file, bad):
+    row = calibration.load_constants_table(constants_file)[5]
+    h = np.array([[3.0, 1.0, 2.0, 0.5], bad, [4.0, 1.0, 2.0, 0.5]])
+    found = cli._matrix_estimates(h, row, "Inv")
+    assert len(found) == 3
+    assert isinstance(found[1], ValueError)
+    assert str(found[1]) == "coalescence times must be finite"
+    for k in (0, 2):
+        assert found[k] == cli._matrix_estimates(h[k:k + 1], row, "Inv")[0]
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    # n / L_in and the pairwise estimate overflow; the row is refused
+    (["estimate", "in.csv", "--methods", "Lengths"], "n,T,h1,h2,h3\n4,40,0,1e-320,2e-320\n",
+     cli.EXIT_INPUT, "ValueError: estimate must be positive and finite"),
+    # the exact sampler's log meets 0 in some rows; the run is refused
+    (["study", "--n", 10, "--r", 1, "--T", 800, "--replicates", 500, "--out", "study"], None,
+     cli.EXIT_NUMERICAL, "rows hold non-finite coalescence times"),
+    # inf tip depths make the ultrametric check subtract inf from inf
+    (["estimate", "in.nwk", "--methods", "Lengths"], OVERFLOWING_TREE + "\n",
+     cli.EXIT_INPUT, "ValueError: coalescence times must be finite"),
+], ids=["estimate-overflow", "study-T800", "estimate-overflowing-tree"])
+def test_refused_results_print_no_runtime_warning(tmp_path, constants_file, argv, text, code,
+                                                  message):
+    if text is not None:
+        (tmp_path / argv[1]).write_text(text)
+    if argv[0] == "study":
+        argv = argv + ["--constants", constants_file]
+    done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *map(str, argv)], cwd=tmp_path,
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert message in done.stdout + done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +516,6 @@ def test_coverage_command(tmp_path, constants_file):
     (["coverage", "--n", 10, "--replicates", 1000], "cov.csv"),
     (["sweep", "--n", 10, "--replicates", 2000], "sweep.csv"),
 ], ids=["study", "coverage", "sweep"])
-@pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
 def test_simulating_commands_refuse_non_finite_heights(tmp_path, capsys, constants_file,
                                                       command, out):
     # at r*T = 800 the exact sampler returns inf and nan heights in some rows

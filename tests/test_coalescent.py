@@ -254,12 +254,6 @@ def test_sample_times_structure_and_validation():
         co.sample_coalescence_times_block(1, co.ExactFiniteT(PARAMS), RngStream(19), 1)
     with pytest.raises(ValueError):
         co.sample_coalescence_times_block(5, co.ExactFiniteT(PARAMS), RngStream(19), 0)
-    with pytest.raises(ValueError):
-        co.CoalescenceTimes(3, (1.0,))  # wrong count
-    with pytest.raises(ValueError):
-        co.CoalescenceTimes(3, (1.0, float("nan")))
-    with pytest.raises(ValueError):
-        co.CoalescenceTimes(3, (1.0, 2.0), t=5.0, relative=True)
 
 
 def test_exchangeable_coordinates():

@@ -14,12 +14,8 @@ from bdgrowth import coalescent as co
 from bdgrowth import estimators as est
 from bdgrowth import harness, treeio
 from bdgrowth.calibration import ConstantsRow
-from bdgrowth.errors import BranchOrderUnknown, DegenerateTimes, NonConvergence, SampleTooSmall
+from bdgrowth.errors import DegenerateTimes, NonConvergence, SampleTooSmall
 from bdgrowth.rng import RngStream
-
-
-def times_of(values, **kw):
-    return co.CoalescenceTimes(len(values) + 1, tuple(float(v) for v in values), **kw)
 
 
 def row_of(values):
@@ -42,7 +38,7 @@ def double_loop_abs_sum(values):
 
 
 def test_pairwise_worked_example():
-    assert est.pairwise_abs_sum(np.array([3.0, 1.0, 2.0])) == 4.0
+    assert est.pairwise_abs_sum_rows(row_of([3.0, 1.0, 2.0]))[0] == 4.0
     assert est.raw_pairwise_rows(row_of([3.0, 1.0, 2.0]))[0] == (4 - 1) * (4 - 2) / 4.0
 
 
@@ -58,13 +54,13 @@ def test_sorted_formula_equals_double_loop_exactly_on_integers():
     for _ in range(1000):
         m = int(rng.integers(2, 60))
         values = rng.integers(0, 10**6, size=m).astype(float)
-        assert est.pairwise_abs_sum(values) == double_loop_abs_sum(values)
+        assert est.pairwise_abs_sum_rows(row_of(values))[0] == double_loop_abs_sum(values)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=30))
 def test_sorted_formula_matches_double_loop_on_floats(values):
-    got = est.pairwise_abs_sum(np.array(values))
+    got = est.pairwise_abs_sum_rows(row_of(values))[0]
     want = double_loop_abs_sum(values)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
@@ -74,7 +70,7 @@ def test_row_version_matches_scalar_version():
     matrix = rng.random((50, 7))
     rows = est.pairwise_abs_sum_rows(matrix)
     for i in range(50):
-        assert rows[i] == est.pairwise_abs_sum(matrix[i])
+        assert rows[i] == est.pairwise_abs_sum_rows(matrix[i:i + 1])[0]
 
 
 def test_gap_form_is_positive_on_unequal_rows_and_the_same_alone():
@@ -145,17 +141,10 @@ def test_pairwise_is_permutation_invariant():
 
 
 def test_internal_length_worked_examples():
-    assert est.internal_branch_length(times_of([3.0, 1.0, 2.0])) == 2.0
-    assert est.internal_branch_length(times_of([1.0, 3.0, 2.0])) == 3.0
-    assert est.internal_branch_length(times_of([2.0, 1.0])) == 1.0
-    assert est.internal_branch_length(times_of([1.0, 2.0])) == 1.0
-
-
-def test_internal_length_requires_branch_order_and_size():
-    with pytest.raises(SampleTooSmall):
-        est.internal_branch_length(times_of([1.0]))
-    with pytest.raises(BranchOrderUnknown):
-        est.internal_branch_length(times_of([3.0, 1.0], branch_order=False))
+    assert est.internal_branch_length_rows(row_of([3.0, 1.0, 2.0]))[0] == 2.0
+    assert est.internal_branch_length_rows(row_of([1.0, 3.0, 2.0]))[0] == 3.0
+    assert est.internal_branch_length_rows(row_of([2.0, 1.0]))[0] == 1.0
+    assert est.internal_branch_length_rows(row_of([1.0, 2.0]))[0] == 1.0
 
 
 def test_row_version_matches_internal_length():
@@ -164,7 +153,7 @@ def test_row_version_matches_internal_length():
     rows = est.internal_branch_length_rows(matrix)
     for i in range(40):
         assert rows[i] == pytest.approx(
-            est.internal_branch_length(times_of(matrix[i])), rel=1e-14
+            est.internal_branch_length_rows(matrix[i:i + 1])[0], rel=1e-14
         )
 
 
@@ -179,17 +168,17 @@ def test_order_averaged_length_equals_pairwise_form(n, seed):
     rng = np.random.default_rng(seed)
     h = rng.random(n - 1)
     avg = np.mean([
-        est.internal_branch_length(times_of(p)) for p in itertools.permutations(h)
+        est.internal_branch_length_rows(row_of(p))[0] for p in itertools.permutations(h)
     ])
-    rhs = (h.max() - h.mean()) + est.pairwise_abs_sum(h) / (n - 1)
+    rhs = (h.max() - h.mean()) + est.pairwise_abs_sum_rows(row_of(h))[0] / (n - 1)
     assert avg == pytest.approx(rhs, rel=1e-12)
 
 
 def test_estimate_lengths_worked_example():
     # branch-order internal length 2 of n = 4 tips, on the times and on their tree
-    times = times_of([3.0, 1.0, 2.0], t=4.0)
-    assert est.lengths_rows(row_of(times.times))[0] == 2.0
-    assert est.estimate_lengths(4, treeio.build_cpp_tree(times)) == 2.0
+    heights = [3.0, 1.0, 2.0]
+    assert est.lengths_rows(row_of(heights))[0] == 2.0
+    assert est.estimate_lengths(4, treeio.build_cpp_tree(heights, 4.0)) == 2.0
 
 
 def test_mean_internal_length_near_limit():

@@ -23,7 +23,7 @@ from bdgrowth.errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from bdgrowth.estimators import internal_branch_length
+from bdgrowth.estimators import internal_branch_length_rows
 from bdgrowth.rng import RngStream
 from bdgrowth.treeio import SampleTree, TreeNode
 
@@ -405,15 +405,12 @@ def test_parser_matches_the_cursor_parser_on_decorated_writer_trees():
 
 def test_extract_worked_example():
     times = treeio.extract_coalescence_times(treeio.parse_newick(BASIC))
-    assert times.times == (2.0, 1.0)
-    assert times.n == 3
-    assert not times.branch_order
-    assert times.t == 2.0
+    assert times.tolist() == [2.0, 1.0]
 
 
 def test_extract_cherry():
     times = treeio.extract_coalescence_times(treeio.parse_newick("(A:3,B:3);"))
-    assert times.times == (3.0,)
+    assert times.tolist() == [3.0]
 
 
 def test_non_ultrametric_rejected_with_deviation():
@@ -427,14 +424,14 @@ def test_tolerance_permits_rounding_jitter():
     tree = treeio.parse_newick("((A:1.000001,B:1):1,C:2.0000005);")
     times = treeio.extract_coalescence_times(tree, tol=1e-5)
     # cherry height is averaged across its two tips
-    assert times.times[1] == pytest.approx(1.0000005, rel=1e-9)
+    assert times[1] == pytest.approx(1.0000005, rel=1e-9)
 
 
 def test_extract_invariant_to_child_rotation():
     rotated = treeio.parse_newick("(C:2,(B:1,A:1):1);")
     base = treeio.extract_coalescence_times(treeio.parse_newick(BASIC))
     other = treeio.extract_coalescence_times(rotated)
-    assert base.times == other.times
+    assert base.tolist() == other.tolist()
 
 
 def test_extract_single_tip_rejected():
@@ -452,9 +449,9 @@ def test_extraction_errors_keep_their_precedence():
             treeio.parse_newick("((A:1,B:1,C:3)x:1,(D:1)y:1);"))
 
 
-def reference_heights_and_height(tree):
-    """Heights (largest first) and tree height of the original extraction:
-    one postorder per quantity, summing in the same order."""
+def reference_heights(tree):
+    """Heights, largest first, of the original extraction: one postorder,
+    summing in the same order."""
     counts, totals, heights = {}, {}, []
     for node in treeio._postorder(tree.root):
         if node.is_leaf():
@@ -466,11 +463,7 @@ def reference_heights_and_height(tree):
             total += totals[id(child)] + counts[id(child)] * (child.length or 0.0)
         counts[id(node)], totals[id(node)] = count, total
         heights.append(total / count)
-    depths = {id(tree.root): 0.0}
-    for node in reversed(treeio._postorder(tree.root)):
-        for child in node.children:
-            depths[id(child)] = depths[id(node)] + (child.length or 0.0)
-    return sorted(heights, reverse=True), max(depths[id(tip)] for tip in tree.tips())
+    return sorted(heights, reverse=True)
 
 
 def reference_internal_length(tree):
@@ -496,10 +489,7 @@ def test_single_pass_extraction_and_length_are_bit_identical_to_the_reference():
         tree = treeio.parse_newick(text)
         for node in treeio._postorder(tree.root):
             rng.shuffle(node.children)
-        heights, height = reference_heights_and_height(tree)
-        times = treeio.extract_coalescence_times(tree)
-        assert times.times == tuple(heights)
-        assert times.t == height + tree.root_stem
+        assert treeio.extract_coalescence_times(tree).tolist() == reference_heights(tree)
         assert treeio.tree_internal_branch_length(tree) == reference_internal_length(tree)
 
 
@@ -533,9 +523,9 @@ def test_cpp_tree_length_equals_branch_order_formula_exactly():
         n = int(rng.integers(3, 9))
         h = dyadic_heights(rng, n)
         t = float(h.max() + rng.integers(1, 50))
-        times = co.CoalescenceTimes(n, tuple(h), t=t)
-        tree = treeio.build_cpp_tree(times)
-        assert treeio.tree_internal_branch_length(tree) == internal_branch_length(times)
+        tree = treeio.build_cpp_tree(h, t)
+        assert (treeio.tree_internal_branch_length(tree)
+                == internal_branch_length_rows(h[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -544,30 +534,27 @@ def test_cpp_tree_length_equals_branch_order_formula_exactly():
 
 
 def test_build_cherry_with_stem():
-    times = co.CoalescenceTimes(2, (3.0,), t=5.0)
-    tree = treeio.build_cpp_tree(times)
+    tree = treeio.build_cpp_tree([3.0], 5.0)
     assert tree.n_tips == 2
     assert tree.root_stem == 2.0
     assert not tree.stem_from_input
-    extracted = treeio.extract_coalescence_times(tree)
-    assert extracted.times == (3.0,)
-    assert extracted.t == 5.0
+    assert treeio.extract_coalescence_times(tree).tolist() == [3.0]
 
 
 def test_build_three_tip_example_topology():
     # heights (2, 1) with T = 3: tips 2 and 3 join at depth 1, that clade
     # joins tip 1 at depth 2
-    tree = treeio.build_cpp_tree(co.CoalescenceTimes(3, (2.0, 1.0), t=3.0))
+    tree = treeio.build_cpp_tree([2.0, 1.0], 3.0)
     assert treeio.serialize_newick(tree) == "(t1:2,(t2:1,t3:1):1):1;"
 
 
 def test_build_rejects_relative_or_invalid_heights():
     with pytest.raises(RelativeAxisError):
-        treeio.build_cpp_tree(co.CoalescenceTimes(3, (-1.0, -2.0), relative=True))
+        treeio.build_cpp_tree([-1.0, -2.0], None)
     with pytest.raises(ValueError):
-        treeio.build_cpp_tree(co.CoalescenceTimes(3, (5.0, 1.0), t=3.0))
+        treeio.build_cpp_tree([5.0, 1.0], 3.0)
     with pytest.raises(ValueError):
-        treeio.build_cpp_tree(co.CoalescenceTimes(3, (-1.0, 1.0), t=3.0))
+        treeio.build_cpp_tree([-1.0, 1.0], 3.0)
 
 
 def test_build_extract_round_trip_multiset():
@@ -575,18 +562,16 @@ def test_build_extract_round_trip_multiset():
     for _ in range(300):
         n = int(rng.integers(2, 9))
         h = dyadic_heights(rng, n)
-        times = co.CoalescenceTimes(n, tuple(h), t=float(h.max()) + 1.0)
-        extracted = treeio.extract_coalescence_times(treeio.build_cpp_tree(times))
-        assert sorted(extracted.times) == sorted(times.times)
+        extracted = treeio.extract_coalescence_times(treeio.build_cpp_tree(h, h.max() + 1.0))
+        assert sorted(extracted) == sorted(h)
 
 
 def test_deep_comb_tree_does_not_overflow():
     n = 3000
     h = np.arange(n - 1, 0, -1, dtype=float)  # strictly decreasing: left comb
-    times = co.CoalescenceTimes(n, tuple(h), t=float(n))
-    tree = treeio.build_cpp_tree(times)
+    tree = treeio.build_cpp_tree(h, float(n))
     extracted = treeio.extract_coalescence_times(tree)
-    assert extracted.n == n
+    assert len(extracted) == n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +599,11 @@ def test_serialize_deterministic_and_quotes_when_needed():
 
 
 def test_simulated_tree_survives_text_round_trip():
-    times = co.CoalescenceTimes(3, (2.0, 1.0), t=3.0)
-    text = treeio.serialize_newick(treeio.build_cpp_tree(times))
-    recovered = treeio.extract_coalescence_times(treeio.parse_newick(text))
-    assert sorted(recovered.times) == [1.0, 2.0]
-    assert recovered.t == 3.0
+    text = treeio.serialize_newick(treeio.build_cpp_tree([2.0, 1.0], 3.0))
+    tree = treeio.parse_newick(text)
+    recovered = treeio.extract_coalescence_times(tree)
+    assert sorted(recovered) == [1.0, 2.0]
+    assert recovered[0] + tree.root_stem == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +612,7 @@ def test_simulated_tree_survives_text_round_trip():
 
 
 def one_tree_per_row(matrix, t):
-    n = matrix.shape[1] + 1
-    return [treeio.serialize_newick(treeio.build_cpp_tree(co.CoalescenceTimes(n, tuple(row), t=t)))
-            for row in matrix.tolist()]
+    return [treeio.serialize_newick(treeio.build_cpp_tree(row, t)) for row in matrix]
 
 
 def tree_rows(regime, n, count, seed, t=40.0):
@@ -672,7 +655,7 @@ def test_writer_matches_on_deep_combs():
 ])
 def test_writer_refuses_what_build_cpp_tree_refuses(row, t):
     with pytest.raises((BdGrowthError, ValueError)) as built:
-        treeio.build_cpp_tree(co.CoalescenceTimes(3, row, t=t, relative=t is None))
+        treeio.build_cpp_tree(row, t)
     with pytest.raises(type(built.value)):
         treeio.cpp_newick_rows(np.array([row, (2.0, 1.0)]), t)
 
@@ -689,6 +672,7 @@ def test_writer_output_parses_back_to_its_heights():
     m = tree_rows("exact", n, 100, 205)
     tol = 1e-11 * t * n
     for row, text in zip(m, treeio.cpp_newick_rows(m, t)):
-        back = treeio.extract_coalescence_times(treeio.parse_newick(text))
-        assert np.max(np.abs(np.array(back.times) - np.sort(row)[::-1])) <= tol
-        assert abs(back.t - t) <= tol
+        tree = treeio.parse_newick(text)
+        back = treeio.extract_coalescence_times(tree)
+        assert np.max(np.abs(back - np.sort(row)[::-1])) <= tol
+        assert abs(back[0] + tree.root_stem - t) <= tol
