@@ -11,7 +11,7 @@ change keeps output bytes:
     diff before.txt after.txt
 
 Every command is expected to exit 0; the script names on stderr each one that
-does not, and then exits 1. Stdlib only; the whole run takes a few seconds.
+does not, and then exits 1. Stdlib only; the whole run takes under a minute.
 """
 
 from __future__ import annotations
@@ -94,6 +94,16 @@ COMMANDS = [
                             "--out", "estimate-level-fly.csv"]),
     ("estimate-json", ["estimate", "trees.nwk", "--constants", TABLE,
                        "--methods", ALL_METHODS, "--format", "json"]),
+    # sizes that span several row chunks of the samplers and two S_n stream
+    # blocks, so the digests cover the seams between them
+    ("calibrate-chunks", ["calibrate", "--n", "60", "--replicates", "60001", "--seed", "9",
+                          "--out", "constants-chunks.csv"]),
+    ("coverage-chunks", ["coverage", "--n", "100", "--replicates", "6000", "--seed", "10",
+                         "--calibration-replicates", "20000", "--out", "coverage-chunks.csv"]),
+    ("sweep-chunks", ["sweep", "--n", "40", "--replicates", "20000", "--seed", "11",
+                      "--out", "sweep-chunks.csv"]),
+    ("asymptotics-chunks", ["asymptotics", "--n", "200", "--replicates", "3000", "--seed", "12",
+                            "--out", "asymptotics-chunks.json"]),
 ]
 
 

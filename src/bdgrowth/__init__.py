@@ -15,7 +15,6 @@ from .calibration import (
     build_constants_table,
     c_bias,
     c_inv_closed_form,
-    c_inv_monte_carlo,
     c_mse,
     load_constants_table,
     moment_identities_check,
@@ -31,9 +30,7 @@ from .coalescent import (
     check_finite_rows,
     delta_t,
     sample_coalescence_times_block,
-    sample_h_exact,
     sample_q,
-    sample_u_given_q,
     sample_y,
 )
 from .confidence import ConfidenceSpec, coverage_study, make_regime

@@ -16,9 +16,10 @@ tabulated once:
 c_inv has the closed form (n/(n-2)) * (1 - (sum_{k<n} 1/k)/(n-1)); the other
 two and the 2.5% / 97.5% quantiles of S_n used for confidence intervals are
 estimated by Monte Carlo and cached in a small versioned CSV table. Sampling
-runs in fixed-size replicate blocks with one child stream per block and a
-fixed-order merge, so the table is byte-stable for a given (n, replicates,
-seed) regardless of worker count.
+runs in fixed-size blocks of 50 000 replicates with one child stream per
+block and a fixed-order merge, so the table is byte-stable for a given (n,
+replicates, seed) regardless of worker count. A block is drawn and reduced
+in row chunks of about 2 MB, which bound its memory and keep its bits.
 """
 
 from __future__ import annotations
@@ -77,14 +78,18 @@ def c_inv_closed_form(n: int) -> float:
 
 def _sn_block(n: int, count: int, gen) -> np.ndarray:
     q = coalescent.sample_q(n, gen, size=(count, 1))
-    v = open_uniform(gen, (count, n - 1))
-    # u_given_q_quantile less its -log q row shift, which S_n ignores, with
-    # one log per element, in place; v is freed before the kernel's sort
-    u = q * v
-    u += 1.0
-    u /= np.subtract(1.0, v, out=v)
-    del v
-    return raw_pairwise_rows(np.log(u, out=u))
+    out = np.empty(count)
+    start = 0
+    for q_part, v in coalescent.uniform_chunks(gen, q, n):
+        # u_given_q_quantile less its -log q row shift, which S_n ignores, with
+        # one log per element, in place; v is freed before the kernel's sort
+        u = q_part * v
+        u += 1.0
+        u /= np.subtract(1.0, v, out=v)
+        del v
+        out[start:start + len(u)] = raw_pairwise_rows(np.log(u, out=u))
+        start += len(u)
+    return out
 
 
 def sample_sn(n: int, replicates: int, rng: RngStream, workers: int = 1) -> SnSample:
@@ -122,14 +127,6 @@ def c_bias(sample: SnSample) -> float:
     if v.size == 0:
         raise ValueError("empty sample")
     return float(1.0 / np.mean(v))
-
-
-def c_inv_monte_carlo(sample: SnSample) -> float:
-    """Sample mean of 1/S_n; cross-validates the sampler against the closed form."""
-    v = sample.values
-    if v.size == 0:
-        raise ValueError("empty sample")
-    return float(np.mean(1.0 / v))
 
 
 def sn_quantiles(sample: SnSample, lo: float = 0.025, hi: float = 0.975) -> tuple[float, float]:

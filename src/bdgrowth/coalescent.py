@@ -25,15 +25,17 @@ conditionally i.i.d. branch heights. Three regimes are implemented:
 A sample is a float row of its n - 1 heights, in branch order; samples of
 one n stack into a (k, n-1) matrix. Without T only differences count.
 
-All sampling is inverse transform through the closed-form CDFs below, which
-the test suite validates against adaptive quadrature of the densities. The
-logistic support in the LargeN regime is the full real line; the half-line
-variant does not normalize and breaks E[(U_i - U_j)^+] = 1.
+All sampling is inverse transform through the closed-form quantile
+functions below; the test suite checks the CDFs they invert against
+adaptive quadrature of the densities. The logistic support in the LargeN
+regime is the full real line; the half-line variant does not normalize and
+breaks E[(U_i - U_j)^+] = 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,8 @@ from .rng import as_generator, open_uniform
 _B_ZERO_REL = 1e-9
 
 _TINY = 5e-324  # smallest positive subnormal double
+
+_CHUNK_HEIGHTS = 1 << 18  # heights per drawn block: 2 MB bounds sampler and kernel memory
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,26 @@ class BirthDeathParams:
         return self.lam - self.mu
 
 
+def finite_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Pass on the row blocks of a height matrix while every row so far is
+    finite. After the first row that holds inf or nan, read the rest without
+    passing them on, so no kernel sees such a row, and then refuse the
+    matrix, saying how many of its rows hold them."""
+    bad = rows = 0
+    for chunk in chunks:
+        rows += len(chunk)
+        bad += int(np.count_nonzero(~np.isfinite(chunk).all(axis=1)))
+        if not bad:
+            yield chunk
+    if bad:
+        raise NonFiniteTimes(f"{bad} of {rows} rows hold non-finite coalescence times")
+
+
 def check_finite_rows(matrix: np.ndarray) -> None:
     """Refuse a (k, n-1) height matrix that holds inf or nan, saying how many
     of its rows do."""
-    bad = int(np.count_nonzero(~np.isfinite(matrix).all(axis=1)))
-    if bad:
-        raise NonFiniteTimes(
-            f"{bad} of {len(matrix)} rows hold non-finite coalescence times")
+    for _ in finite_chunks([matrix]):
+        pass
 
 
 @dataclass(frozen=True)
@@ -130,66 +147,30 @@ def delta_t(params: BirthDeathParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Densities, CDFs, and quantile functions of the building-block distributions.
-# The quantile functions are the inverse transforms the samplers use.
+# Quantile functions of the building-block distributions: the inverse
+# transforms the samplers use. Each docstring names the CDF it inverts.
 # ---------------------------------------------------------------------------
 
 
-def y_density(y, n: int, delta: float):
-    y = np.asarray(y, dtype=float)
-    return n * delta * y ** (n - 1) / (y + delta - y * delta) ** (n + 1)
-
-
-def y_cdf(y, n: int, delta: float):
-    y = np.asarray(y, dtype=float)
-    return (y / (y + delta * (1.0 - y))) ** n
-
-
 def y_quantile(u, n: int, delta: float):
-    """Inverse of y_cdf: u^(1/n)*delta / (1 - u^(1/n)*(1 - delta))."""
+    """Inverse of the CDF (y / (y + delta*(1 - y)))^n of Y:
+    u^(1/n)*delta / (1 - u^(1/n)*(1 - delta))."""
     w = np.log(u) / n
     t = np.exp(w)
     # denominator written as (1 - t) + t*delta; expm1 keeps 1 - t accurate
     return t * delta / (-np.expm1(w) + t * delta)
 
 
-def h_exact_density(t, y: float, params: BirthDeathParams):
-    t = np.asarray(t, dtype=float)
-    r = params.r
-    a = y * params.lam
-    b = r - a
-    e_t = np.exp(-r * t)
-    e_cap = math.exp(-r * params.t)
-    norm = (a + b * e_cap) / (a * -math.expm1(-r * params.t))
-    return norm * a * r * r * e_t / (a + b * e_t) ** 2
-
-
-def h_exact_cdf(t, y: float, params: BirthDeathParams):
-    """CDF of a branch height given Y = y, on (0, T).
-
-    General form C*(a*r/b)*(1/(a + b*exp(-r*t)) - 1/r) with
-    C = (a + b*exp(-rT)) / (a*(1 - exp(-rT))); reduces to a truncated
-    exponential when b = r - y*lam vanishes.
-    """
-    t = np.asarray(t, dtype=float)
-    r = params.r
-    a = y * params.lam
-    b = r - a
-    if abs(b) < _B_ZERO_REL * r:
-        return np.expm1(-r * t) / np.expm1(-r * params.t)
-    e_t = np.exp(-r * t)
-    e_cap = math.exp(-r * params.t)
-    c = (a + b * e_cap) / (a * -math.expm1(-r * params.t))
-    return c * (a * r / b) * (1.0 / (a + b * e_t) - 1.0 / r)
-
-
 def h_exact_quantile(u, y, params: BirthDeathParams):
-    """Inverse of h_exact_cdf, exact at both support endpoints.
+    """Inverse of the CDF of a branch height given Y = y, exact at both
+    support endpoints.
 
-    Solving F(t) = u gives exp(-r*t) = (a*(1-u) + E*(b + u*a)) /
-    (a + u*b + E*b*(1-u)) with E = exp(-rT); at u = 0 this is 1 and at
-    u = 1 it is E, so no cancellation occurs near either endpoint. y may be
-    an array broadcasting against u.
+    That CDF on (0, T) is C*(a*r/b)*(1/(a + b*exp(-r*t)) - 1/r) with
+    C = (a + b*exp(-rT)) / (a*(1 - exp(-rT))), a truncated exponential when
+    b = r - y*lam vanishes. Solving F(t) = u gives exp(-r*t) =
+    (a*(1-u) + E*(b + u*a)) / (a + u*b + E*b*(1-u)) with E = exp(-rT); at
+    u = 0 this is 1 and at u = 1 it is E, so no cancellation occurs near
+    either endpoint. y may be an array broadcasting against u.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -206,35 +187,15 @@ def h_exact_quantile(u, y, params: BirthDeathParams):
     return float(out) if out.ndim == 0 else out
 
 
-def q_density(q, n: int):
-    q = np.asarray(q, dtype=float)
-    return n * q ** (n - 1) / (1.0 + q) ** (n + 1)
-
-
-def q_cdf(q, n: int):
-    q = np.asarray(q, dtype=float)
-    return (q / (1.0 + q)) ** n
-
-
 def q_quantile(u, n: int):
-    """Inverse of q_cdf: v/(1-v) with v = u^(1/n)."""
+    """Inverse of the CDF (q / (1 + q))^n of Q: v/(1-v) with v = u^(1/n)."""
     w = np.log(u) / n
     return np.exp(w) / (-np.expm1(w))
 
 
-def u_given_q_density(u, q: float):
-    u = np.asarray(u, dtype=float)
-    out = (1.0 + q) / q * np.exp(u) / (1.0 + np.exp(u)) ** 2
-    return np.where(u > -np.log(q), out, 0.0)
-
-
-def u_given_q_cdf(u, q: float):
-    u = np.asarray(u, dtype=float)
-    return np.clip(1.0 - (1.0 + q) / (q * (1.0 + np.exp(u))), 0.0, None)
-
-
 def u_given_q_quantile(v, q):
-    """Inverse of u_given_q_cdf: log((1 + q*v) / (q*(1 - v)))."""
+    """Inverse of the CDF 1 - (1 + q) / (q*(1 + e^u)) of U given Q = q on
+    (-log q, inf): log((1 + q*v) / (q*(1 - v)))."""
     v = np.asarray(v, dtype=float)
     return np.log1p(q * v) - np.log(q) - np.log1p(-v)
 
@@ -259,21 +220,11 @@ def sample_y(n: int, delta: float, rng, size=None):
     return y_quantile(open_uniform(gen, size), n, delta)
 
 
-def sample_h_exact(y, params: BirthDeathParams, rng, size=None):
-    gen = as_generator(rng)
-    return h_exact_quantile(open_uniform(gen, size), y, params)
-
-
 def sample_q(n: int, rng, size=None):
     if n < 2:
         raise ValueError("sample size must be >= 2")
     gen = as_generator(rng)
     return q_quantile(open_uniform(gen, size), n)
-
-
-def sample_u_given_q(q, rng, size=None):
-    gen = as_generator(rng)
-    return u_given_q_quantile(open_uniform(gen, size), q)
 
 
 def fixed_n_heights(q, u, r: float, t: float | None):
@@ -287,13 +238,29 @@ def large_n_heights(w, u, n: int, r: float, t: float):
     return t - (np.log(1.0 / np.asarray(w, dtype=float)) + math.log(n) + np.asarray(u, dtype=float)) / r
 
 
-def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:
-    """Vectorized replicates: a (count, n - 1) array, one branch-ordered row each.
+def uniform_chunks(gen, latent: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Consecutive row slices of a (count, 1) latent column, each with its
+    (rows, n-1) open uniforms, drawn from gen in row order.
 
-    All latents are drawn first, then the height matrix, so the draws are
-    fully deterministic given the stream and count. Finite ExactFiniteT
-    heights lie strictly inside (0, T); at large r*T some rows hold inf or
-    nan, which callers refuse with check_finite_rows. The two limiting regimes
+    A chunk holds about _CHUNK_HEIGHTS values. gen fills row-major, so the
+    chunks' uniforms are, in order, the numbers one (count, n-1) draw gives.
+    """
+    step = max(1, _CHUNK_HEIGHTS // (n - 1))
+    for start in range(0, len(latent), step):
+        part = latent[start:start + step]
+        yield part, open_uniform(gen, (len(part), n - 1))
+
+
+def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarray]:
+    """The (count, n - 1) replicate matrix of a regime, as consecutive row
+    blocks of about 2 MB each, one branch-ordered row per replicate.
+
+    The latent column of all count rows is drawn first, then each block's
+    uniforms, so the draws are fully deterministic given the stream and
+    count, and the blocks stacked are the same bits whatever their size:
+    every transform is elementwise. Finite ExactFiniteT heights lie strictly
+    inside (0, T); at large r*T some rows hold inf or nan, which callers
+    refuse with finite_chunks or check_finite_rows. The two limiting regimes
     live on an unbounded axis, so occasional heights outside (0, T) are
     expected there; with no T the FixedNLimit rows are relative heights, of
     which only differences are meaningful.
@@ -305,15 +272,28 @@ def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> n
     gen = as_generator(rng)
     if isinstance(regime, ExactFiniteT):
         p = regime.params
-        y = sample_y(n, delta_t(p), gen, size=(count, 1))
-        with np.errstate(divide="ignore", invalid="ignore"):  # callers refuse such rows
-            return h_exact_quantile(open_uniform(gen, (count, n - 1)), y, p)
-    if isinstance(regime, FixedNLimit):
-        q = sample_q(n, gen, size=(count, 1))
-        u = u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)
-        return fixed_n_heights(q, u, regime.r, regime.t)
-    if isinstance(regime, LargeN):
-        w = -np.log(open_uniform(gen, (count, 1)))
-        u = logistic_quantile(open_uniform(gen, (count, n - 1)))
-        return large_n_heights(w, u, n, regime.r, regime.t)
-    raise TypeError(f"unknown regime {regime!r}")
+        latent = sample_y(n, delta_t(p), gen, size=(count, 1))
+
+        def heights(y, v):
+            with np.errstate(divide="ignore", invalid="ignore"):  # callers refuse such rows
+                return h_exact_quantile(v, y, p)
+    elif isinstance(regime, FixedNLimit):
+        latent = sample_q(n, gen, size=(count, 1))
+
+        def heights(q, v):
+            return fixed_n_heights(q, u_given_q_quantile(v, q), regime.r, regime.t)
+    elif isinstance(regime, LargeN):
+        latent = -np.log(open_uniform(gen, (count, 1)))
+
+        def heights(w, v):
+            return large_n_heights(w, logistic_quantile(v), n, regime.r, regime.t)
+    else:
+        raise TypeError(f"unknown regime {regime!r}")
+    return (heights(part, v) for part, v in uniform_chunks(gen, latent, n))
+
+
+def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:
+    """height_chunks stacked into one (count, n - 1) array, the same bits
+    whatever the block size."""
+    chunks = list(height_chunks(n, regime, rng, count))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

@@ -19,8 +19,8 @@ from .coalescent import (
     ExactFiniteT,
     FixedNLimit,
     LargeN,
-    check_finite_rows,
-    sample_coalescence_times_block,
+    finite_chunks,
+    height_chunks,
 )
 from .errors import InsufficientReplicates, MismatchedN
 from .estimators import raw_pairwise_rows
@@ -112,6 +112,5 @@ def coverage_study(
     elif spec.n != n:
         raise MismatchedN(f"quantiles computed for n={spec.n}, study uses n={n}")
     regime_value = make_regime(regime, r, t, birth_rate)
-    h = sample_coalescence_times_block(n, regime_value, rng.child(1), replicates)
-    check_finite_rows(h)
-    return covered_fraction(raw_pairwise_rows(h), spec, r)
+    chunks = finite_chunks(height_chunks(n, regime_value, rng.child(1), replicates))
+    return covered_fraction(np.concatenate([raw_pairwise_rows(h) for h in chunks]), spec, r)

@@ -21,7 +21,8 @@ import numpy as np
 from . import calibration
 from .calibration import write_rows
 from .confidence import ConfidenceSpec, covered_fraction, make_regime
-from .coalescent import check_finite_rows, sample_coalescence_times_block
+from .coalescent import (check_finite_rows, finite_chunks, height_chunks,
+                         sample_coalescence_times_block)
 from .estimators import METHODS, RAW, lengths_rows, raw_pairwise_rows
 from .rng import RngStream
 
@@ -233,9 +234,9 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
     the curves share all Monte Carlo noise and their argmins are stable.
     """
     regime_value = make_regime(regime, r, t, birth_rate)
-    h = sample_coalescence_times_block(n, regime_value, rng, replicates)
-    check_finite_rows(h)
-    _, raw, _ = estimates_for_matrix(h, None, ())
+    chunks = finite_chunks(height_chunks(n, regime_value, rng, replicates))
+    raw = np.concatenate([raw_pairwise_rows(h) for h in chunks])
+    raw = raw[~np.isnan(raw)]  # rows whose heights all coincide, as in estimates_for_matrix
     rows = []
     for c in c_grid:
         err = c * raw - r
@@ -280,10 +281,10 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     if t is None:
         t = 4.0 * math.log(n) / r  # comfortably above the typical tree height
     regime = make_regime("large-n", r, t)
-    h = sample_coalescence_times_block(n, regime, rng, replicates)
-    check_finite_rows(h)
-    inv = calibration.c_inv_closed_form(n) * raw_pairwise_rows(h)
-    lengths = lengths_rows(h)
+    parts = [(raw_pairwise_rows(h), lengths_rows(h))
+             for h in finite_chunks(height_chunks(n, regime, rng, replicates))]
+    inv = calibration.c_inv_closed_form(n) * np.concatenate([raw for raw, _ in parts])
+    lengths = np.concatenate([length for _, length in parts])
 
     scaled_inv = math.sqrt(n) * (inv - r)
     scaled_len = math.sqrt(n) * (lengths - r)

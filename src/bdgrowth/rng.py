@@ -44,7 +44,10 @@ def open_uniform(gen: np.random.Generator, size=None):
     """Uniform draws on the open interval (0, 1).
 
     numpy's random() covers [0, 1); the exact 0 (probability 2^-53) is mapped
-    to 2^-53 so inverse-CDF transforms never hit a support endpoint.
+    to 2^-53 so inverse-CDF transforms never hit a support endpoint. Arrays
+    are clamped in place.
     """
     u = gen.random(size)
-    return np.maximum(u, 2.0 ** -53)
+    if size is None:
+        return np.maximum(u, 2.0 ** -53)
+    return np.maximum(u, 2.0 ** -53, out=u)

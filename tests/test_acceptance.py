@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from bdgrowth import calibration as cal
-from bdgrowth import coalescent as co
+import oracles as co
 from bdgrowth import confidence as conf
 from bdgrowth import harness, treeio
 from bdgrowth import estimators as est

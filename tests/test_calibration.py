@@ -2,13 +2,17 @@
 quantile machinery, and the persisted constants table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from bdgrowth import calibration as cal
+from bdgrowth import coalescent as co
 from bdgrowth.errors import InsufficientReplicates
-from bdgrowth.rng import RngStream
+from bdgrowth.estimators import raw_pairwise_rows
+from bdgrowth.rng import RngStream, open_uniform
 
 SEED = 20260808
 
@@ -59,9 +63,43 @@ def test_sample_sn_worker_count_independent():
     assert np.array_equal(serial.values, threaded.values)
 
 
+def sn_one_shot(n, replicates, rng):
+    """S_n as whole stream blocks give it: each block's latent column, then
+    its full uniform matrix through _sn_block's transform."""
+    for block, start in enumerate(range(0, replicates, cal._SN_BLOCK)):
+        gen = rng.child(block).generator()
+        count = min(cal._SN_BLOCK, replicates - start)
+        q = co.sample_q(n, gen, size=(count, 1))
+        v = open_uniform(gen, (count, n - 1))
+        yield raw_pairwise_rows(np.log((q * v + 1.0) / (1.0 - v)))
+
+
+@pytest.mark.parametrize("n", [3, 100, 257])
+def test_sample_sn_is_the_one_shot_draw_for_any_count(n):
+    step = max(1, co._CHUNK_HEIGHTS // (n - 1))
+    for count in (1, step - 1, step, step + 1, 50_001):
+        values = cal.sample_sn(n, count, RngStream(SEED)).values
+        start = 0
+        for block in sn_one_shot(n, count, RngStream(SEED)):
+            assert np.array_equal(values[start:start + len(block)], block)
+            start += len(block)
+        assert start == values.size == count
+
+
+def test_sample_sn_memory_is_bounded_by_the_chunks():
+    # whole 5*10^4-row blocks peaked at 114.5 MiB here
+    tracemalloc.start()
+    try:
+        cal.sample_sn(100, 100_000, RngStream(SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
 def test_monte_carlo_c_inv_matches_closed_form():
     sample = cal.sample_sn(10, 200_000, RngStream(SEED).child(10))
-    mc = cal.c_inv_monte_carlo(sample)
+    mc = oracles.c_inv_monte_carlo(sample)
     se = float(np.std(1.0 / sample.values)) / math.sqrt(sample.values.size)
     assert abs(mc - cal.c_inv_closed_form(10)) < 3 * se
 

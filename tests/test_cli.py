@@ -440,12 +440,20 @@ def test_matrix_estimates_gives_each_row_its_own_entry(constants_file, bad):
     # inf tip depths make the ultrametric check subtract inf from inf
     (["estimate", "in.nwk", "--methods", "Lengths"], OVERFLOWING_TREE + "\n",
      cli.EXIT_INPUT, "ValueError: coalescence times must be finite"),
-], ids=["estimate-overflow", "study-T800", "estimate-overflowing-tree"])
+    # the same at r*T = 5000; at n = 100 the bad rows fall in all eight of the
+    # sampler's row chunks, and every one of them is counted
+    (["coverage", "--n", 10, "--T", 5000, "--replicates", 20_000, "--seed", 1], None,
+     cli.EXIT_NUMERICAL, "6060 of 20000 rows hold non-finite coalescence times"),
+    (["coverage", "--n", 100, "--T", 5000, "--replicates", 20_000, "--seed", 1,
+      "--calibration-replicates", 20_000], None,
+     cli.EXIT_NUMERICAL, "6556 of 20000 rows hold non-finite coalescence times"),
+], ids=["estimate-overflow", "study-T800", "estimate-overflowing-tree", "coverage-T5000",
+        "coverage-T5000-chunks"])
 def test_refused_results_print_no_runtime_warning(tmp_path, constants_file, argv, text, code,
                                                   message):
     if text is not None:
         (tmp_path / argv[1]).write_text(text)
-    if argv[0] == "study":
+    if argv[0] in ("study", "coverage"):
         argv = argv + ["--constants", constants_file]
     done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *map(str, argv)], cwd=tmp_path,
                           env=src_env(), capture_output=True, text=True, timeout=120)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
+import oracles
 from bdgrowth import coalescent as co
-from bdgrowth.rng import RngStream
+from bdgrowth.errors import NonFiniteTimes
+from bdgrowth.rng import RngStream, open_uniform
 
 PARAMS = co.BirthDeathParams(lam=2.0, mu=1.0, t=5.0)
 
@@ -67,36 +69,36 @@ def test_params_validation():
 @pytest.mark.parametrize("n,delta", [(2, 1.0), (5, 0.2254), (17, 1e-6)])
 def test_y_cdf_matches_quadrature(n, delta):
     for y in (0.05, 0.3, 0.5, 0.9, 0.999):
-        val, err = integrate.quad(lambda x: co.y_density(x, n, delta), 0.0, y)
-        assert abs(val - co.y_cdf(y, n, delta)) < 1e-8
+        val, err = integrate.quad(lambda x: oracles.y_density(x, n, delta), 0.0, y)
+        assert abs(val - oracles.y_cdf(y, n, delta)) < 1e-8
 
 
 @pytest.mark.parametrize("y", [0.1, 0.5, 0.5001, 0.9])
 def test_h_cdf_matches_quadrature(y):
     for t in (0.25, 1.0, 2.5, 4.9):
-        val, err = integrate.quad(lambda x: co.h_exact_density(x, y, PARAMS), 0.0, t)
-        assert abs(val - co.h_exact_cdf(t, y, PARAMS)) < 1e-8
+        val, err = integrate.quad(lambda x: oracles.h_exact_density(x, y, PARAMS), 0.0, t)
+        assert abs(val - oracles.h_exact_cdf(t, y, PARAMS)) < 1e-8
 
 
 def test_h_cdf_support_endpoints():
     for y in (0.2, 0.5, 0.8):
-        assert co.h_exact_cdf(0.0, y, PARAMS) == pytest.approx(0.0, abs=1e-12)
-        assert co.h_exact_cdf(PARAMS.t, y, PARAMS) == pytest.approx(1.0, rel=1e-12)
+        assert oracles.h_exact_cdf(0.0, y, PARAMS) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.h_exact_cdf(PARAMS.t, y, PARAMS) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5, 20])
 def test_q_cdf_matches_quadrature(n):
     for q in (0.1, 0.5, 1.0, 4.0, 20.0):
-        val, err = integrate.quad(lambda x: co.q_density(x, n), 0.0, q)
-        assert abs(val - co.q_cdf(q, n)) < 1e-8
+        val, err = integrate.quad(lambda x: oracles.q_density(x, n), 0.0, q)
+        assert abs(val - oracles.q_cdf(q, n)) < 1e-8
 
 
 @pytest.mark.parametrize("q", [0.2, 1.0, 5.0])
 def test_u_cdf_matches_quadrature(q):
     lo = -math.log(q)
     for u in (lo + 0.05, lo + 1.0, 2.0, 6.0):
-        val, err = integrate.quad(lambda x: co.u_given_q_density(x, q), lo, u)
-        assert abs(val - co.u_given_q_cdf(u, q)) < 1e-8
+        val, err = integrate.quad(lambda x: oracles.u_given_q_density(x, q), lo, u)
+        assert abs(val - oracles.u_given_q_cdf(u, q)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def test_y_quantile_collapses_when_delta_is_one():
 def test_y_quantile_median_matches_quadrature_root():
     n, delta = 5, 0.2254
     target = optimize.brentq(
-        lambda y: integrate.quad(lambda x: co.y_density(x, n, delta), 0, y)[0] - 0.5,
+        lambda y: integrate.quad(lambda x: oracles.y_density(x, n, delta), 0, y)[0] - 0.5,
         1e-9, 1 - 1e-9,
     )
     assert co.y_quantile(0.5, n, delta) == pytest.approx(target, rel=1e-9)
@@ -144,7 +146,7 @@ def test_u_quantile_worked_value_and_lower_endpoint():
 def test_h_quantile_median_matches_quadrature_root():
     y = 0.5
     target = optimize.brentq(
-        lambda t: integrate.quad(lambda x: co.h_exact_density(x, y, PARAMS), 0, t)[0] - 0.5,
+        lambda t: integrate.quad(lambda x: oracles.h_exact_density(x, y, PARAMS), 0, t)[0] - 0.5,
         1e-9, PARAMS.t - 1e-9,
     )
     assert co.h_exact_quantile(0.5, y, PARAMS) == pytest.approx(target, rel=1e-9)
@@ -181,22 +183,22 @@ def _ks_ok(draws, cdf):
 
 def test_sample_y_distribution():
     draws = co.sample_y(5, 0.2254, RngStream(11), size=KS_N)
-    _ks_ok(draws, lambda x: co.y_cdf(x, 5, 0.2254))
+    _ks_ok(draws, lambda x: oracles.y_cdf(x, 5, 0.2254))
 
 
 def test_sample_h_exact_distribution():
-    draws = co.sample_h_exact(0.5, PARAMS, RngStream(12), size=KS_N)
-    _ks_ok(draws, lambda x: co.h_exact_cdf(x, 0.5, PARAMS))
+    draws = oracles.sample_h_exact(0.5, PARAMS, RngStream(12), size=KS_N)
+    _ks_ok(draws, lambda x: oracles.h_exact_cdf(x, 0.5, PARAMS))
 
 
 def test_sample_q_distribution():
     draws = co.sample_q(5, RngStream(13), size=KS_N)
-    _ks_ok(draws, lambda x: co.q_cdf(x, 5))
+    _ks_ok(draws, lambda x: oracles.q_cdf(x, 5))
 
 
 def test_sample_u_given_q_distribution():
-    draws = co.sample_u_given_q(1.0, RngStream(14), size=KS_N)
-    _ks_ok(draws, lambda x: co.u_given_q_cdf(x, 1.0))
+    draws = oracles.sample_u_given_q(1.0, RngStream(14), size=KS_N)
+    _ks_ok(draws, lambda x: oracles.u_given_q_cdf(x, 1.0))
 
 
 def test_q_over_one_plus_q_mean():
@@ -290,6 +292,47 @@ def test_distinct_stream_paths_differ():
     a = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77).child(0), 1)
     b = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77).child(1), 1)
     assert not np.any(a == b)
+
+
+def one_shot_heights(n, regime, rng, count):
+    """The regime's latent column, then its full (count, n-1) uniform matrix
+    through the regime's transform."""
+    gen = rng.generator()
+    if isinstance(regime, co.ExactFiniteT):
+        y = co.sample_y(n, co.delta_t(regime.params), gen, size=(count, 1))
+        return co.h_exact_quantile(open_uniform(gen, (count, n - 1)), y, regime.params)
+    if isinstance(regime, co.FixedNLimit):
+        q = co.sample_q(n, gen, size=(count, 1))
+        u = co.u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)
+        return co.fixed_n_heights(q, u, regime.r, regime.t)
+    w = -np.log(open_uniform(gen, (count, 1)))
+    u = co.logistic_quantile(open_uniform(gen, (count, n - 1)))
+    return co.large_n_heights(w, u, n, regime.r, regime.t)
+
+
+@pytest.mark.parametrize("regime", [co.ExactFiniteT(PARAMS), co.FixedNLimit(1.0),
+                                    co.FixedNLimit(1.0, 40.0), co.LargeN(1.0, 30.0)],
+                         ids=["exact", "fixed-n", "fixed-n-T", "large-n"])
+@pytest.mark.parametrize("n", [2, 20, 100])
+def test_height_chunks_stack_to_the_one_shot_draw(regime, n):
+    step = max(1, co._CHUNK_HEIGHTS // (n - 1))
+    count = 2 * step + 7
+    chunks = list(co.height_chunks(n, regime, RngStream(23), count))
+    assert [len(c) for c in chunks] == [step, step, 7]
+    reference = one_shot_heights(n, regime, RngStream(23), count)
+    assert np.array_equal(np.concatenate(chunks), reference)
+    assert np.array_equal(co.sample_coalescence_times_block(n, regime, RngStream(23), count),
+                          reference)
+
+
+def test_finite_chunks_counts_every_bad_row_and_passes_none_on():
+    good, bad = np.ones((3, 2)), np.array([[1.0, np.nan], [1.0, 2.0], [np.inf, 1.0]])
+    passed = []
+    with pytest.raises(NonFiniteTimes, match="^3 of 10 rows hold non-finite"):
+        for chunk in co.finite_chunks([good, bad, good, bad[:1]]):
+            passed.append(chunk)
+    assert len(passed) == 1 and passed[0] is good
+    assert [c is good for c in co.finite_chunks([good, good])] == [True, True]
 
 
 def test_block_sampler_deterministic():

@@ -2,6 +2,8 @@
 coverage (exact by construction under the limiting law, near-nominal at
 finite T)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,17 @@ def test_coverage_respects_supplied_level():
         7, 2.0, None, 50_000, "fixed-n", RngStream(SEED + 1), spec=spec
     )
     assert cov == pytest.approx(0.5, abs=0.02)
+
+
+def test_coverage_memory_is_bounded_by_the_chunks():
+    # whole height and S_n matrices peaked at 93.7 MiB or more here
+    tracemalloc.start()
+    try:
+        ci.coverage_study(100, 1.0, 40.0, 20_000, "exact", RngStream(SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 
 def test_coverage_replicate_floor():
