@@ -104,6 +104,9 @@ COMMANDS = [
                       "--out", "sweep-chunks.csv"]),
     ("asymptotics-chunks", ["asymptotics", "--n", "200", "--replicates", "3000", "--seed", "12",
                             "--out", "asymptotics-chunks.json"]),
+    ("study-chunks", ["study", "--n", "20", "--r", "1", "--replicates", "15000", "--seed", "13",
+                      "--estimators", "MSE,Lengths,MLE", "--constants", TABLE,
+                      "--out", "study-chunks"]),
 ]
 
 

@@ -30,7 +30,7 @@ from .errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from .estimators import LENGTHS, METHODS, estimate_lengths
+from .estimators import LENGTHS, METHODS, estimate_lengths, estimates_for_matrix
 from .rng import RngStream
 
 _NUMERICAL_ERRORS = (DegenerateTimes, NonConvergence, FloatingPointError)
@@ -158,18 +158,17 @@ def _matrix_estimates(h: np.ndarray, row, tag: str) -> list[tuple[float, float] 
     is halved until the failure is pinned to its rows."""
     if h.shape[1] < 2:
         return [SampleTooSmall(f"{tag} needs n >= 3")] * len(h)
-    # rows estimates_for_matrix drops (equal heights) or may drop (non-finite) get their error
-    finite = np.isfinite(h).all(axis=1)
-    keep = finite & (h.min(axis=1) < h.max(axis=1))
+    # rows estimates_for_matrix drops (equal heights) get their error; cmd_estimate
+    # refuses non-finite rows before grouping
+    keep = h.min(axis=1) < h.max(axis=1)
     if not keep.all():
-        out = [DegenerateTimes("all coalescence times are equal") if ok
-               else ValueError("coalescence times must be finite") for ok in finite]
+        out = [DegenerateTimes("all coalescence times are equal")] * len(h)
         for k, result in zip(np.flatnonzero(keep), _matrix_estimates(h[keep], row, tag)):
             out[k] = result
         return out
     try:
         with np.errstate(over="ignore"):  # an overflow is refused just below
-            estimates, raw, _ = harness.estimates_for_matrix(h, row, (tag,))
+            estimates, raw, _ = estimates_for_matrix(h, row, (tag,))
         values = estimates[tag]
         if not (np.isfinite(values) & (values > 0.0)).all():
             raise ValueError("estimate must be positive and finite")

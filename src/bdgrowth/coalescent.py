@@ -259,8 +259,9 @@ def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarra
     uniforms, so the draws are fully deterministic given the stream and
     count, and the blocks stacked are the same bits whatever their size:
     every transform is elementwise. Finite ExactFiniteT heights lie strictly
-    inside (0, T); at large r*T some rows hold inf or nan, which callers
-    refuse with finite_chunks or check_finite_rows. The two limiting regimes
+    inside (0, T); at large r*T some rows hold inf or nan, which
+    estimators.simulated_estimates refuses through finite_chunks and the
+    simulate command through check_finite_rows. The two limiting regimes
     live on an unbounded axis, so occasional heights outside (0, T) are
     expected there; with no T the FixedNLimit rows are relative heights, of
     which only differences are meaningful.

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibration
-from .coalescent import (
-    BirthDeathParams,
-    ExactFiniteT,
-    FixedNLimit,
-    LargeN,
-    finite_chunks,
-    height_chunks,
-)
+from .coalescent import BirthDeathParams, ExactFiniteT, FixedNLimit, LargeN
 from .errors import InsufficientReplicates, MismatchedN
-from .estimators import raw_pairwise_rows
+from .estimators import simulated_estimates
 from .rng import RngStream
 
 REGIME_NAMES = ("exact", "fixed-n", "large-n")
@@ -60,8 +53,7 @@ class ConfidenceSpec:
 
 
 def covered_fraction(raw: np.ndarray, spec: ConfidenceSpec, r: float) -> float:
-    """Fraction of the raw estimates whose interval contains r; NaN rows count
-    as not covered."""
+    """Fraction of the raw estimates whose interval contains r."""
     lo, hi = spec.interval(raw)
     return float(np.mean((lo < r) & (r < hi)))
 
@@ -102,7 +94,8 @@ def coverage_study(
     """Fraction of simulated replicates whose interval covers the true r.
 
     Quantiles are calibrated on a child stream when no spec is supplied, so
-    the calibration draws never overlap the coverage draws.
+    the calibration draws never overlap the coverage draws. Replicates whose
+    heights all coincide are dropped, as in the study.
     """
     if replicates < 1000:
         raise InsufficientReplicates("coverage needs at least 1000 replicates")
@@ -112,5 +105,5 @@ def coverage_study(
     elif spec.n != n:
         raise MismatchedN(f"quantiles computed for n={spec.n}, study uses n={n}")
     regime_value = make_regime(regime, r, t, birth_rate)
-    chunks = finite_chunks(height_chunks(n, regime_value, rng.child(1), replicates))
-    return covered_fraction(np.concatenate([raw_pairwise_rows(h) for h in chunks]), spec, r)
+    _, raw, _, _ = simulated_estimates(n, regime_value, rng.child(1), replicates, None, ())
+    return covered_fraction(raw, spec, r)

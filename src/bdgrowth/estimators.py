@@ -22,7 +22,8 @@ Four families, each a row-independent kernel on a (k, n-1) height matrix:
   raw (c = 1)   the pairwise estimator without calibration, used as the
                 pivot for confidence intervals.
 
-METHODS maps each method tag to its row kernel and constant.
+METHODS maps each method tag to its row kernel and constant;
+estimates_for_matrix and simulated_estimates run it.
 
 Pairwise and MLE estimates are permutation invariant; the branch-order
 internal length deliberately is not.
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coalescent import Regime, finite_chunks, height_chunks
 from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
 from .treeio import SampleTree, tree_internal_branch_length
 
@@ -201,8 +203,9 @@ def _newton(h: np.ndarray, fit: MleFit) -> None:
     is below tolerance (converged), when the Hessian is not negative
     definite or the step is not finite, when neither the full step nor any
     of 39 halvings gives a finite log-likelihood at least the current one,
-    or after 60 iterations. Stopped rows leave the arrays, so while every
-    row takes its full step no indexing happens at all.
+    when the halving taken leaves (a, log b) unchanged, or after 60
+    iterations. Stopped rows leave the arrays, so while every row takes its
+    full step no indexing happens at all.
     """
     a = np.add.reduce(h, axis=1) / h.shape[1]
     d = h - a[:, None]
@@ -246,7 +249,8 @@ def _newton(h: np.ndarray, fit: MleFit) -> None:
                 hit = retry[found]
                 a_new[hit], s_new[hit], b_new[hit] = a_h[found, j], s_h[found, j], b_h[found, j]
                 ll_new[hit], z[hit] = ll_h[found, j], z_h[found, j]
-                moved[hit] = True
+                # a halving that leaves (a, s) bitwise unchanged is a fixed point: stop there
+                moved[hit] = (a_new[hit] != a[hit]) | (s_new[hit] != s[hit])
             stop = ~moved
             out = rows[stop]
             fit.a[out], fit.b[out], fit.loglik[out] = a[stop], b[stop], ll[stop]
@@ -328,30 +332,76 @@ class Method:
     """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1
     and the number of rows whose estimate is a fit that did not converge)
     and the ConstantsRow field holding its c (None: c = 1). Pairwise methods
-    scale the raw pivot and carry its confidence interval."""
+    have no kernel: they scale the raw pivot and carry its interval."""
 
-    rows: Callable[[np.ndarray], tuple[np.ndarray, int]]
+    rows: Callable[[np.ndarray], tuple[np.ndarray, int]] | None = None
     column: str | None = None
-    pairwise: bool = False
+
+    @property
+    def pairwise(self) -> bool:
+        return self.rows is None
 
     def constant(self, row) -> float:
         return 1.0 if self.column is None else getattr(row, self.column)
 
 
-def _closed_form(kernel: Callable[[np.ndarray], np.ndarray]):
-    """A closed-form row kernel in the table's form: no row has a fit to converge."""
-    return lambda matrix: (kernel(matrix), 0)
-
-
-def _pairwise(column: str | None = None) -> Method:
-    return Method(_closed_form(raw_pairwise_rows), column, pairwise=True)
-
-
 METHODS: dict[str, Method] = {
-    "MSE": _pairwise("c_mse"),
-    "Bias": _pairwise("c_bias"),
-    "Inv": _pairwise("c_inv"),
-    LENGTHS: Method(_closed_form(lengths_rows)),
+    "MSE": Method(column="c_mse"),
+    "Bias": Method(column="c_bias"),
+    "Inv": Method(column="c_inv"),
+    LENGTHS: Method(lambda matrix: (lengths_rows(matrix), 0)),  # closed form: nothing to converge
     MLE: Method(mle_rows),
-    RAW: _pairwise(),
+    RAW: Method(),
 }
+
+# the five estimators the study compares; the c = 1 pivot only scores intervals
+ALL_ESTIMATORS = tuple(tag for tag in METHODS if tag != RAW)
+
+
+def estimates_for_matrix(
+    h: np.ndarray, row, estimators=ALL_ESTIMATORS
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int]]:
+    """Per-replicate estimates for a (replicates, n-1) height matrix, with
+    the constants of ConstantsRow row (None when no method needs one).
+
+    Returns the estimate arrays and the raw c = 1 pivot (which the pairwise
+    methods scale), both over the rows kept, and, for each method with any,
+    the number of kept rows whose fit did not converge (their estimate is
+    the fit's last iterate). Rows where all heights coincide would make
+    every estimator blow up, so they are dropped; callers report the count.
+    Every kernel is row-independent, so a row's estimates are the same bits
+    in any matrix.
+    """
+    raw = raw_pairwise_rows(h)
+    keep = ~np.isnan(raw)
+    if not keep.all():
+        h, raw = h[keep], raw[keep]
+    out: dict[str, np.ndarray] = {}
+    unconverged: dict[str, int] = {}
+    for tag in estimators:
+        method = METHODS[tag]
+        values, failed = (raw, 0) if method.pairwise else method.rows(h)
+        if failed:
+            unconverged[tag] = failed
+        out[tag] = method.constant(row) * values
+    return out, raw, unconverged
+
+
+def simulated_estimates(
+    n: int, regime: Regime, rng, count: int, row, estimators=ALL_ESTIMATORS
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int], int]:
+    """estimates_for_matrix on the count replicates a regime draws from rng,
+    one row chunk of height_chunks at a time, never the whole matrix.
+
+    Returns the estimates and raw pivot over the kept rows, the unconverged
+    counts summed over chunks, and the number of rows dropped. finite_chunks
+    refuses non-finite rows before a kernel sees them. The kernels are
+    row-independent, so the chunk size changes no bit of the result.
+    """
+    outs, raws, fails = zip(*(estimates_for_matrix(h, row, estimators)
+                              for h in finite_chunks(height_chunks(n, regime, rng, count))))
+    raw = np.concatenate(raws)
+    estimates = {tag: np.concatenate([out[tag] for out in outs]) for tag in estimators}
+    unconverged = {tag: total for tag in estimators
+                   if (total := sum(fail.get(tag, 0) for fail in fails))}
+    return estimates, raw, unconverged, count - raw.size

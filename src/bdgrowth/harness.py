@@ -1,10 +1,11 @@
 """Reproducible simulation experiments: error tables, densities, coverage,
 constant sweeps, and the large-sample variance check.
 
-Every experiment is a pure function of (configuration, seed). Replicates are
-simulated in vectorized blocks, estimator cells of the study grid get their
-own child streams, and CSV emission formats floats with 17 significant
-digits, so outputs are byte-stable across runs and worker counts.
+Every experiment is a pure function of (configuration, seed) and scores
+the replicates of estimators.simulated_estimates, drawn and estimated a row
+chunk at a time. Estimator cells of the study grid get their own child
+streams, and CSV emission formats floats with 17 significant digits, so
+outputs are byte-stable across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ import numpy as np
 from . import calibration
 from .calibration import write_rows
 from .confidence import ConfidenceSpec, covered_fraction, make_regime
-from .coalescent import (check_finite_rows, finite_chunks, height_chunks,
-                         sample_coalescence_times_block)
-from .estimators import METHODS, RAW, lengths_rows, raw_pairwise_rows
+from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
 from .rng import RngStream
-
-# the five estimators the study compares; the c = 1 pivot only scores intervals
-ALL_ESTIMATORS = tuple(tag for tag in METHODS if tag != RAW)
 
 DENSITY_BINS = 256
 COVERAGE_HEADER = "n,r,T,coverage,replicates"
@@ -107,32 +103,6 @@ class StudyResult:
     excluded: dict[tuple[int, float], int] = field(default_factory=dict)
 
 
-def estimates_for_matrix(
-    h: np.ndarray, row: calibration.ConstantsRow, estimators=ALL_ESTIMATORS
-) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int]]:
-    """Per-replicate estimates for a (replicates, n-1) height matrix.
-
-    Returns the estimate arrays and the raw c = 1 pivot, both over the rows
-    kept, and, for each method with any, the number of kept rows whose fit
-    did not converge (their estimate is the fit's last iterate). Rows where
-    all heights coincide would make every estimator blow up, so they are
-    dropped; callers report the count. Every kernel is row-independent, so
-    a row's estimates are the same bits in any matrix.
-    """
-    raw = raw_pairwise_rows(h)
-    keep = ~np.isnan(raw)
-    h, raw = h[keep], raw[keep]
-    out: dict[str, np.ndarray] = {}
-    unconverged: dict[str, int] = {}
-    for tag in estimators:
-        method = METHODS[tag]
-        values, failed = method.rows(h)
-        if failed:
-            unconverged[tag] = failed
-        out[tag] = method.constant(row) * values
-    return out, raw, unconverged
-
-
 def _metrics(values: np.ndarray, r: float) -> tuple[float, float, float]:
     err = values - r
     return float(np.mean(err * err)), float(np.mean(np.abs(err))), float(np.mean(err))
@@ -156,17 +126,10 @@ def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[Densit
 def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRow,
              rng: RngStream) -> CellResult:
     regime = make_regime(config.regime, r, config.t, config.birth_rate)
-    h = sample_coalescence_times_block(n, regime, rng, config.replicates)
-    check_finite_rows(h)
-    estimates, raw, unconverged = estimates_for_matrix(h, row, config.estimators)
-    return CellResult(
-        n=n,
-        r=r,
-        estimates=estimates,
-        coverage=covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r),
-        excluded=h.shape[0] - raw.size,
-        unconverged=unconverged,
-    )
+    estimates, raw, unconverged, excluded = simulated_estimates(
+        n, regime, rng, config.replicates, row, config.estimators)
+    coverage = covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r)
+    return CellResult(n, r, estimates, coverage, excluded, unconverged)
 
 
 def run_study(config: StudyConfig,
@@ -234,9 +197,7 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
     the curves share all Monte Carlo noise and their argmins are stable.
     """
     regime_value = make_regime(regime, r, t, birth_rate)
-    chunks = finite_chunks(height_chunks(n, regime_value, rng, replicates))
-    raw = np.concatenate([raw_pairwise_rows(h) for h in chunks])
-    raw = raw[~np.isnan(raw)]  # rows whose heights all coincide, as in estimates_for_matrix
+    _, raw, _, _ = simulated_estimates(n, regime_value, rng, replicates, None, ())
     rows = []
     for c in c_grid:
         err = c * raw - r
@@ -281,13 +242,9 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     if t is None:
         t = 4.0 * math.log(n) / r  # comfortably above the typical tree height
     regime = make_regime("large-n", r, t)
-    parts = [(raw_pairwise_rows(h), lengths_rows(h))
-             for h in finite_chunks(height_chunks(n, regime, rng, replicates))]
-    inv = calibration.c_inv_closed_form(n) * np.concatenate([raw for raw, _ in parts])
-    lengths = np.concatenate([length for _, length in parts])
-
-    scaled_inv = math.sqrt(n) * (inv - r)
-    scaled_len = math.sqrt(n) * (lengths - r)
+    estimates, raw, _, _ = simulated_estimates(n, regime, rng, replicates, None, (LENGTHS,))
+    scaled_inv = math.sqrt(n) * (calibration.c_inv_closed_form(n) * raw - r)
+    scaled_len = math.sqrt(n) * (estimates[LENGTHS] - r)
     ks_inv = scipy.stats.kstest(scaled_inv, "norm",
                                 args=(np.mean(scaled_inv), np.std(scaled_inv)))
     ks_len = scipy.stats.kstest(scaled_len, "norm",
@@ -295,7 +252,7 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     return AsymptoticsReport(
         n=n,
         r=r,
-        replicates=replicates,
+        replicates=raw.size,
         var_scaled_inv=float(np.var(scaled_inv)),
         var_scaled_lengths=float(np.var(scaled_len)),
         target_inv=r * r * (4.0 - math.pi ** 2 / 3.0),

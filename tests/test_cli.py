@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bdgrowth import calibration, cli, confidence, harness, treeio
-from bdgrowth.estimators import METHODS
+from bdgrowth.estimators import METHODS, estimates_for_matrix
 from bdgrowth.rng import RngStream
 
 NEWICK = "((A:1,B:1):1,C:2);"
@@ -180,7 +180,7 @@ def test_estimate_maps_each_tag_to_its_constant_and_matches_the_study_path(
     constant = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
                 "RawUnitConstant": 1.0}
     inputs = cli.read_times_csv(times)
-    study, study_raw, _ = harness.estimates_for_matrix(np.array(inputs), row, tuple(METHODS))
+    study, study_raw, _ = estimates_for_matrix(np.array(inputs), row, tuple(METHODS))
     assert study_raw.size == len(inputs)
     for i, t in enumerate(inputs):
         got = {tag: records[(f"times.csv#{i}", tag)] for tag in METHODS}
@@ -418,14 +418,20 @@ def test_estimate_refuses_unknown_tags_and_estimates_that_are_not_finite(tmp_pat
     assert float(rows[1][3]) == 2.0
 
 
-@pytest.mark.parametrize("bad", [[3.0, 1.0, np.nan, 0.5], [np.inf, np.inf, 2.0, 0.5]])
-def test_matrix_estimates_gives_each_row_its_own_entry(constants_file, bad):
+@pytest.mark.parametrize("bad, error, message", [
+    # equal heights: dropped before the kernels run
+    ([2.0, 2.0, 2.0, 2.0], cli.DegenerateTimes, "all coalescence times are equal"),
+    # subnormal heights: the estimate overflows and halving pins it to its row
+    ([0.0, 1e-320, 2e-320, 3e-320], ValueError, "estimate must be positive and finite"),
+], ids=["bad0", "bad1"])
+def test_matrix_estimates_gives_each_row_its_own_entry(constants_file, bad, error, message):
+    # non-finite rows never get here: cmd_estimate refuses them before grouping
     row = calibration.load_constants_table(constants_file)[5]
     h = np.array([[3.0, 1.0, 2.0, 0.5], bad, [4.0, 1.0, 2.0, 0.5]])
     found = cli._matrix_estimates(h, row, "Inv")
     assert len(found) == 3
-    assert isinstance(found[1], ValueError)
-    assert str(found[1]) == "coalescence times must be finite"
+    assert type(found[1]) is error
+    assert str(found[1]) == message
     for k in (0, 2):
         assert found[k] == cli._matrix_estimates(h[k:k + 1], row, "Inv")[0]
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bdgrowth import coalescent as co
 from bdgrowth import estimators as est
-from bdgrowth import harness, treeio
+from bdgrowth import treeio
 from bdgrowth.calibration import ConstantsRow
 from bdgrowth.errors import DegenerateTimes, NonConvergence, SampleTooSmall
 from bdgrowth.rng import RngStream
@@ -95,15 +95,15 @@ def test_gap_form_is_positive_on_unequal_rows_and_the_same_alone():
 
 
 def test_estimate_worked_example():
-    values, unconverged = est.METHODS[est.RAW].rows(row_of([3.0, 1.0, 2.0]))
-    assert values[0] == 1.5 and unconverged == 0
+    estimates, _, unconverged = est.estimates_for_matrix(row_of([3.0, 1.0, 2.0]), None, (est.RAW,))
+    assert estimates[est.RAW][0] == 1.5 and unconverged == {}
 
 
 def test_constant_scaling_is_exact():
     h = row_of([3.0, 1.0, 2.0, 0.5])
     row = ConstantsRow(n=5, c_inv=1.3, c_mse=0.355, c_bias=0.78, inv_q_lo=2.0, inv_q_hi=0.5,
                        replicates=1, seed=0)
-    estimates, raw, _ = harness.estimates_for_matrix(h, row, ("MSE", "Bias", "Inv", est.RAW))
+    estimates, raw, _ = est.estimates_for_matrix(h, row, ("MSE", "Bias", "Inv", est.RAW))
     assert raw[0] == est.raw_pairwise_rows(h)[0]
     for tag, c in (("MSE", 0.355), ("Bias", 0.78), ("Inv", 1.3), (est.RAW, 1.0)):
         assert est.METHODS[tag].constant(row) == c
@@ -316,6 +316,24 @@ def test_rows_out_of_range_at_the_moment_start_are_refused_before_any_fallback(m
         h = np.array([[1.0, 4.0, 2.0], bad, [0.5, 3.0, 9.0], [5.0, 1.0, 2.5]])
         with pytest.raises(NonConvergence, match="moment start out of range in 1 of 4 rows"):
             est.fit_logistic_rows(h)
+
+
+def test_newton_stops_a_row_whose_halving_step_changes_nothing(monkeypatch):
+    # such a row is at a fixed point; it used to repeat the step to the 60th
+    # iteration, trying every halving each time (7484 rows of 3-D evaluations)
+    regime = co.ExactFiniteT(co.BirthDeathParams(lam=1.0, mu=0.0, t=40.0))
+    h = co.sample_coalescence_times_block(20, regime, RngStream(5), 10_000)
+    loglik, halving_rows = est._loglik, []
+
+    def counted(z, s):
+        if z.ndim == 3:
+            halving_rows.append(z.shape[0])
+        return loglik(z, s)
+
+    monkeypatch.setattr(est, "_loglik", counted)
+    fit = est.fit_logistic_rows(h)
+    assert fit.converged.all()
+    assert sum(halving_rows) < 3000
 
 
 def test_mle_rows_counts_unconverged_fits():

@@ -2,16 +2,23 @@
 determinism, the constant sweep, and the large-sample variance check."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bdgrowth import calibration as cal
+from bdgrowth import coalescent as co
+from bdgrowth import confidence as ci
 from bdgrowth import estimators as est
 from bdgrowth import harness
 from bdgrowth.rng import RngStream
 
 SEED = 20260808
+# made-up constants: the tests below compare paths, not accuracy
+ROW_20 = cal.ConstantsRow(n=20, c_inv=0.97, c_mse=0.9, c_bias=0.95, inv_q_lo=1.5,
+                          inv_q_hi=0.6, replicates=1, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +72,95 @@ def test_coverage_rows_present(small_study):
 
 def test_degenerate_rows_excluded_and_counted(small_constants):
     matrix = np.array([[1.0, 2.0, 3.0, 2.5], [2.0, 2.0, 2.0, 2.0]])
-    estimates, raw, unconverged = harness.estimates_for_matrix(matrix, small_constants[5])
+    estimates, raw, unconverged = est.estimates_for_matrix(matrix, small_constants[5])
     assert raw.tolist() == [4 * 3 / 6.5]  # the first row is kept, the second dropped
     assert estimates["MSE"].size == 1
     assert unconverged == {}
+
+
+def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks():
+    regime = ci.make_regime("exact", 1.0, 40.0)
+    count = 15_000
+    assert len(list(co.height_chunks(20, regime, RngStream(SEED), count))) >= 2
+    h = co.sample_coalescence_times_block(20, regime, RngStream(SEED), count)
+    estimates, raw, unconverged = est.estimates_for_matrix(h, ROW_20)
+    got, got_raw, got_unconverged, excluded = est.simulated_estimates(
+        20, regime, RngStream(SEED), count, ROW_20)
+    config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=count)
+    cell = harness.run_cell(20, 1.0, config, ROW_20, RngStream(SEED))
+    assert excluded == cell.excluded == count - raw.size
+    assert got_unconverged == cell.unconverged == unconverged
+    assert got_raw.tobytes() == raw.tobytes()
+    assert list(got) == list(cell.estimates) == list(harness.ALL_ESTIMATORS)
+    for tag, values in estimates.items():
+        assert got[tag].tobytes() == cell.estimates[tag].tobytes() == values.tobytes()
+    spec = ci.ConfidenceSpec.from_constants_row(ROW_20)
+    assert cell.coverage == ci.covered_fraction(raw, spec, 1.0)
+
+
+def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch):
+    real_chunks = est.height_chunks
+
+    def constant_first_row(n, regime, rng, count):
+        chunks = real_chunks(n, regime, rng, count)
+        first = next(chunks)
+        first[0] = first[0, 0]
+        yield first
+        yield from chunks
+
+    def both(run):
+        clean = run()
+        monkeypatch.setattr(est, "height_chunks", constant_first_row)
+        try:
+            return clean, run()
+        finally:
+            monkeypatch.undo()
+
+    # each pair: the unpatched result and the one whose first row is constant
+    regime = ci.make_regime("exact", 1.0, 40.0)
+    clean, cell = both(lambda: harness.run_cell(
+        20, 1.0, harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=1000),
+        ROW_20, RngStream(SEED)))
+    assert (clean.excluded, cell.excluded) == (0, 1)
+    for tag, values in clean.estimates.items():
+        assert cell.estimates[tag].tobytes() == values[1:].tobytes()
+
+    (_, raw, _, _), (_, kept, _, dropped) = both(lambda: est.simulated_estimates(
+        10, ci.make_regime("exact", 0.5, 40.0), RngStream(SEED), 4000, None, ()))
+    assert dropped == 1 and kept.tobytes() == raw[1:].tobytes()
+    clean, sweep = both(lambda: harness.constant_sweep(10, 0.5, 40.0, [0.8], 4000,
+                                                       RngStream(SEED)))
+    assert (clean.replicates, sweep.replicates) == (4000, 3999)
+    assert sweep.rows[0].mse == np.mean((0.8 * kept - 0.5) ** 2)
+
+    spec = ci.ConfidenceSpec.from_constants_row(ROW_20)
+    (_, raw, _, _), _ = both(lambda: est.simulated_estimates(
+        20, regime, RngStream(SEED).child(1), 1000, None, ()))
+    _, cov = both(lambda: ci.coverage_study(20, 1.0, 40.0, 1000, "exact", RngStream(SEED),
+                                            spec=spec))
+    assert cov == ci.covered_fraction(raw[1:], spec, 1.0)
+
+    (_, raw, _, _), _ = both(lambda: est.simulated_estimates(
+        200, ci.make_regime("large-n", 1.0, 40.0), RngStream(SEED), 1000, None, ()))
+    clean, report = both(lambda: harness.asymptotics_check(200, 1.0, 1000, RngStream(SEED),
+                                                           t=40.0))
+    assert (clean.replicates, report.replicates) == (1000, 999)
+    scaled = math.sqrt(200) * (cal.c_inv_closed_form(200) * raw[1:] - 1.0)
+    assert report.var_scaled_inv == float(np.var(scaled))
+    assert math.isfinite(report.var_scaled_lengths)
+
+
+def test_run_cell_memory_is_bounded_by_the_chunks():
+    # the whole height matrix and the fit's terms peaked at 92 MiB or more here
+    row = dataclasses.replace(ROW_20, n=100)
+    config = harness.StudyConfig(ns=(100,), rs=(1.0,), t=40.0, replicates=10_000)
+    tracemalloc.start()
+    try:
+        harness.run_cell(100, 1.0, config, row, RngStream(SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
 
 
 def test_study_reports_unconverged_fits_once_per_cell(small_constants, monkeypatch, capsys,
