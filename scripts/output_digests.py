@@ -47,15 +47,34 @@ ERROR_CSV = """n,T,h1,h2,h3,h4
 5,40,3,1,nan,0.5
 4,40,0,1e-320,2e-320
 """
-# the tree before the unterminated one sums its lengths to inf
+# Each refusal in the order a tree meets them: an edge without a length (the
+# first one in the order the refusal names, 'D', not the first in the text),
+# too few tips, not binary before not ultrametric, a tip-depth deviation
+# just above the default 1e-6 tolerance (on paths of three edges) and one
+# just below it. The tree before the unterminated one sums its lengths to inf.
 ERROR_NEWICK = """((A:1,B:1):1,C:2);
 (A:1,B:1);
 ((A:1,B:1):1,C:5);
 ((A:1,B:1,C:1):1,D:2);
 ((A:1,B:1):0,C:1);
 ((A:1,B:1):1e-320,C:1);
+((A,B:1):1,(C:1,D):1);
+((A:1):1);
+((A:1,B:1,C:1)x:1,D:9);
+(((A:0.1,B:0.1):0.7,C:0.8):1.3,D:2.1000022);
+(((A:0.1,B:0.1):0.7,C:0.8):1.3,D:2.1000019);
 ((A:1.5e308,B:1.5e308):1.5e308,C:1.7e308);
 ((A:1,B:1
+"""
+# Trees as real files write them: quoted labels with spaces and escaped
+# quotes, labels on internal nodes, [&...] comments, children in no
+# particular order, and explicit root stems.
+DECORATED_NEWICK = """[&R] (('sample 1':1.5[&rate=0.21],'O''Neil 2':1.5)n7:2.25,
+  (('tip three':0.5, t4 : 0.5)[&height=0.5]:0.25,t5:0.75):3)[&root]:0.5;
+(t3:3.5,((t1:1,(t2:0.5,'t''6':0.5)inner:0.5)mid:2,t4:3)'the root'[&x=1]:0.5):0;
+((((c:0.1,b:0.1):0.7,a:0.8)[&posterior=0.97]:1.3,('d e':0.9,f:0.9)g:1.2):0.2,
+  (h:1.35,(i:0.675,'j k':0.675):0.675):0.95);
+('O''Neil':2.5,(('it''s':1,y:1):0.75,(z:1.5,'w v':1.5):0.25)q:0.75)top:1.25;
 """
 
 # (name, argv); later commands read what earlier ones wrote
@@ -94,6 +113,9 @@ COMMANDS = [
                             "--out", "estimate-level-fly.csv"]),
     ("estimate-json", ["estimate", "trees.nwk", "--constants", TABLE,
                        "--methods", ALL_METHODS, "--format", "json"]),
+    ("estimate-decorated", ["estimate", "decorated.nwk", "--constants", TABLE,
+                            "--methods", ALL_METHODS, "--replicates", "20000",
+                            "--out", "estimate-decorated.csv"]),
     # sizes that span several row chunks of the samplers and two S_n stream
     # blocks, so the digests cover the seams between them
     ("calibrate-chunks", ["calibrate", "--n", "60", "--replicates", "60001", "--seed", "9",
@@ -121,6 +143,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         (work / "errors.csv").write_text(ERROR_CSV, encoding="utf-8")
         (work / "errors.nwk").write_text(ERROR_NEWICK, encoding="utf-8")
+        (work / "decorated.nwk").write_text(DECORATED_NEWICK, encoding="utf-8")
         for name, command in COMMANDS:
             done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *command], cwd=work,
                                   env=env, capture_output=True, timeout=120)

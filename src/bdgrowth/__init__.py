@@ -51,14 +51,10 @@ from .errors import (
 from .estimators import METHODS, MleFit, estimate_lengths
 from .rng import RngStream
 from .treeio import (
-    SampleTree,
-    TreeNode,
-    build_cpp_tree,
+    TreeRecord,
     cpp_newick_rows,
     extract_coalescence_times,
-    parse_newick,
     parse_newick_trees,
-    serialize_newick,
     tree_internal_branch_length,
 )
 

@@ -127,9 +127,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_inputs(path: Path) -> list[tuple[str, np.ndarray | treeio.SampleTree | Exception]]:
-    """Times CSV rows or Newick trees, or the errors that rejected them, each
-    with an input identifier."""
+def _load_inputs(path: Path) -> list[tuple[str, np.ndarray | treeio.TreeRecord | Exception]]:
+    """Times CSV rows or the records of Newick trees, or the errors that
+    rejected them, each with an input identifier."""
     text = path.read_text(encoding="utf-8")
     if text.lstrip().startswith("n,T,"):
         items = read_times_csv(path)
@@ -182,6 +182,9 @@ def _matrix_estimates(h: np.ndarray, row, tag: str) -> list[tuple[float, float] 
 
 
 def cmd_estimate(args) -> int:
+    # NaN would pass every tree and a negative value refuse every tree
+    if not args.ultrametric_tol >= 0:
+        raise ValueError(f"--ultrametric-tol must be a number >= 0, not {args.ultrametric_tol}")
     inputs = _load_inputs(Path(args.input))
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     tags = [m.strip() for m in args.methods.split(",")]
@@ -192,8 +195,8 @@ def cmd_estimate(args) -> int:
     results = [[None] * len(tags) for _ in inputs]  # a record or an error per input and tag
     groups: dict[int, tuple[list, list, list]] = {}  # by n: inputs, heights, trees' Lengths
     for i, (name, item) in enumerate(inputs):
-        inputs[i] = name, None  # frees a tree once its heights and Lengths are taken
-        tree = item if isinstance(item, treeio.SampleTree) else None
+        inputs[i] = name, None  # frees a record once its heights and Lengths are taken
+        tree = item if isinstance(item, treeio.TreeRecord) else None
         try:
             if tree is not None:
                 item = treeio.extract_coalescence_times(tree, tol=args.ultrametric_tol)
@@ -367,7 +370,7 @@ def cmd_coverage(args) -> int:
             spec=spec, calibration_replicates=args.calibration_replicates,
             birth_rate=args.birth_rate,
         )
-        rows.append(harness.CoverageRow(n, args.r, args.T, cov, args.replicates))
+        rows.append(harness.CoverageRow(n, args.r, args.T, cov, cov.kept))
         print(f"n={n}: coverage {cov:.3f}")
     if args.out:
         calibration.write_rows(args.out, harness.COVERAGE_HEADER, rows)

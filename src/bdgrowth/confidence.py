@@ -52,6 +52,16 @@ class ConfidenceSpec:
         return cls(n=sample.n, q_lo=q_lo, q_hi=q_hi, level=level)
 
 
+class Coverage(float):
+    """A covered fraction that carries `kept`, the count of replicates it is
+    over; it compares, prints and computes as the fraction."""
+
+    def __new__(cls, fraction: float, kept: int):
+        self = super().__new__(cls, fraction)
+        self.kept = kept
+        return self
+
+
 def covered_fraction(raw: np.ndarray, spec: ConfidenceSpec, r: float) -> float:
     """Fraction of the raw estimates whose interval contains r."""
     lo, hi = spec.interval(raw)
@@ -90,8 +100,9 @@ def coverage_study(
     spec: ConfidenceSpec | None = None,
     calibration_replicates: int = 100_000,
     birth_rate: float = 1.0,
-) -> float:
-    """Fraction of simulated replicates whose interval covers the true r.
+) -> Coverage:
+    """Fraction of simulated replicates whose interval covers the true r,
+    carrying the count of replicates kept.
 
     Quantiles are calibrated on a child stream when no spec is supplied, so
     the calibration draws never overlap the coverage draws. Replicates whose
@@ -106,4 +117,4 @@ def coverage_study(
         raise MismatchedN(f"quantiles computed for n={spec.n}, study uses n={n}")
     regime_value = make_regime(regime, r, t, birth_rate)
     _, raw, _, _ = simulated_estimates(n, regime_value, rng.child(1), replicates, None, ())
-    return covered_fraction(raw, spec, r)
+    return Coverage(covered_fraction(raw, spec, r), raw.size)

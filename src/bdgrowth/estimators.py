@@ -39,7 +39,7 @@ import numpy as np
 
 from .coalescent import Regime, finite_chunks, height_chunks
 from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
-from .treeio import SampleTree, tree_internal_branch_length
+from .treeio import TreeRecord, tree_internal_branch_length
 
 # Tags other modules single out; METHODS below lists every tag.
 LENGTHS, MLE, RAW = "Lengths", "MLE", "RawUnitConstant"
@@ -93,8 +93,8 @@ def lengths_rows(matrix: np.ndarray) -> np.ndarray:
     return (matrix.shape[1] + 1.0) / internal_branch_length_rows(matrix)
 
 
-def estimate_lengths(n: int, tree: SampleTree) -> float:
-    """Lengths estimate n / L_in of a parsed tree with n tips, where L_in is
+def estimate_lengths(n: int, tree: TreeRecord) -> float:
+    """Lengths estimate n / L_in of a read tree with n tips, where L_in is
     the tree's topology-true internal edge sum: real trees never come with
     branch order."""
     if n < 3:

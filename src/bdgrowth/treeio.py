@@ -1,28 +1,29 @@
-"""Newick trees in both directions: text to coalescence times, and heights
-to text.
+"""Newick trees in both directions: text to the numbers estimation needs,
+and height rows to text.
 
-Reading: real genealogies arrive as rooted ultrametric Newick trees. This
-module parses them (quoted labels and bracket comments included), validates
-that they are binary and ultrametric within a relative tolerance, extracts
-the internal-node heights as a descending array (a plain tree carries no
-branch order), and measures the topology-true internal branch length used
-by the lengths-based estimator. The parser reads a node at a time: one regular-expression match
-takes a node's leading filler (whitespace and comments), its label, its
-length and the filler after it, and a loop over '(', ',', ')' and ';' builds
-the tree. In a multi-tree text, a tree that fails to parse becomes an error
-item of the batch, and parsing resumes after the first ';' at or after the
-error that lies outside comments and quoted labels. Extraction walks a tree
-once: one preorder for the tip depths, whose reverse is the postorder that
-checks binarity, counts tips and computes the heights.
+Reading: real genealogies arrive as rooted ultrametric Newick trees.
+parse_newick_trees reads each tree in one left-to-right pass (quoted labels
+and bracket comments included) and keeps no tree: one regular-expression
+match takes a node's leading filler (whitespace and comments), its label,
+its length and the filler after it, and a stack of open groups does the
+rest. Each finished subtree leaves only its tip count, its summed tip
+distance and its nearest and farthest tip distance, so the pass yields a
+TreeRecord: the join heights, the tip count, the topology-true internal
+branch length, the root stem, the spread of tip distances below the root and
+the first node that is not binary. extract_coalescence_times and
+tree_internal_branch_length read the record, validate it (at least two tips,
+binary, ultrametric within a relative tolerance) and return the descending
+heights (a plain tree carries no branch order) and the internal length used
+by the lengths-based estimator. In a multi-tree text, a tree that fails to
+parse becomes an error item of the batch, and parsing resumes after the
+first ';' at or after the error that lies outside comments and quoted labels.
 
 Writing: a row of branch-ordered heights with its tree height T defines the
-coalescent-point-process tree. build_cpp_tree(heights, t) builds it as a
-TreeNode graph and serialize_newick prints any tree canonically;
-cpp_newick_rows prints the same canonical text for every row of a height
-matrix without building a tree. Both builders follow one merge rule, _cpp_merges.
+coalescent-point-process tree; cpp_newick_rows prints its canonical text for
+every row of a height matrix without building a tree.
 
-Parsing and traversal are iterative throughout, so deeply nested comb trees
-cannot overflow the interpreter stack; every malformed input surfaces as a
+Reading and writing are iterative, so deeply nested comb trees cannot
+overflow the interpreter stack; every malformed input surfaces as a
 structured ParseError.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,67 +47,30 @@ from .errors import (
 
 DEFAULT_ULTRAMETRIC_TOL = 1e-6
 
-_LABEL_TERMINATORS = set("():,;[")
 
+class TreeRecord(NamedTuple):
+    """What estimation needs of one parsed tree.
 
-@dataclass
-class TreeNode:
-    label: str | None = None
-    length: float | None = None
-    children: list["TreeNode"] = field(default_factory=list)
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass
-class SampleTree:
-    """Rooted tree with branch lengths.
-
-    root_stem is the edge above the root node; stem_from_input records
-    whether it was explicitly present in parsed text. Synthetic stems added
-    by the point-process builder are excluded from internal-length sums, so
-    the tree-based length agrees exactly with the branch-order formula.
+    heights holds the height of every binary join, in postorder: the mean
+    distance from the join down to its tips. lo and hi are the nearest and
+    farthest tip distances below the root, each summed from its tip upward.
+    internal sums, in postorder and left to right under each node, the edges
+    above subtrees of two or more tips; stem is the explicit root edge, or
+    None. not_binary is the refusal text of the first node in postorder that
+    does not have two children, or None.
     """
 
-    root: TreeNode
-    root_stem: float | None = None
-    stem_from_input: bool = False
-
-    def tips(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
-
-    @property
-    def n_tips(self) -> int:
-        return len(self.tips())
-
-    @property
-    def tip_labels(self) -> list[str | None]:
-        return [t.label for t in self.tips()]
-
-
-def _postorder(root: TreeNode) -> list[TreeNode]:
-    """Nodes ordered children-before-parent, without recursion."""
-    order: list[TreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    order.reverse()
-    return order
+    heights: list[float]
+    tips: int
+    internal: float
+    stem: float | None
+    lo: float
+    hi: float
+    not_binary: str | None
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Reading
 # ---------------------------------------------------------------------------
 
 
@@ -138,22 +102,32 @@ def _skip_filler(text: str, pos: int) -> int:
     return end
 
 
-def _parse_one(text: str, pos: int) -> tuple[TreeNode, int, bool]:
-    """Parse one subtree from pos; returns it, the offset after its trailing
-    filler, and whether an edge below its root has no length.
+def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None, int]:
+    """Read one tree from pos in one pass; returns its record, what the
+    missing-length refusal names (None when every edge below the root has a
+    length), and the offset after the tree's trailing filler.
 
-    One _NODE match reads each node; an explicit stack of open groups
-    replaces recursion. The checks run in the order a left-to-right reading
-    meets them, so the error reported is the first one in the text.
+    Each finished subtree waits on `below` as (tips, summed distance from
+    the top of the edge above it down to its tips, that edge's length,
+    nearest and farthest tip distance from the top of that edge) until its
+    group closes. The checks run in the order a left-to-right reading meets
+    them, so the parse error reported is the first one in the text.
     """
-    match_node = re.compile(_NODE, re.S).match
-    stack: list[TreeNode] = []
-    missing_length = False
-    closed = None  # the group a ')' just closed: the next node read is its label and length
+    starts: list[int] = []  # where each open group's children begin on `below`
+    below: list[tuple[int, float, float, float, float]] = []
+    heights: list[float] = []
+    internal = 0.0
+    not_binary = None
+    # The missing-length refusal names the leftmost child without a length
+    # of the last group to close that has one: of the first such group in
+    # reverse postorder, the order the refusal has always searched in.
+    unnamed: dict[int, str] = {}  # open group's depth -> its first child without length
+    missing = None
+    closed = None  # (tips, total, lo, hi, children) of the group a ')' just closed
     while True:
         if closed is None and text.startswith("(", pos):
             pos += 1
-            stack.append(TreeNode())
+            starts.append(len(below))
             continue
         m = match_node(text, pos)
         quoted, label, token, nxt = m.groups()
@@ -179,93 +153,87 @@ def _parse_one(text: str, pos: int) -> tuple[TreeNode, int, bool]:
                 if nxt == "(":  # a '(' after filler
                     continue
                 # bare empty node is only tolerable inside a group
-                if not stack or nxt not in (",", ")"):
+                if not starts or nxt not in (",", ")"):
                     raise ParseError(pos, "leaf label or '('")
-            current = TreeNode(label=label, length=length)
+            tips, total, lo, hi = 1, 0.0, 0.0, 0.0
         else:
-            current, closed = closed, None
-            current.label, current.length = label, length
-        if not stack:
-            return current, pos, missing_length
-        stack[-1].children.append(current)
+            tips, total, lo, hi, degree = closed
+            closed = None
+            if degree != 2 and not_binary is None:
+                not_binary = f"node {label or '(unnamed)'} has {degree} children"
+        if not starts:
+            return TreeRecord(heights, tips, internal, length, lo, hi, not_binary), missing, pos
         if length is None:
-            missing_length = True
+            unnamed.setdefault(len(starts), label or "internal node")
+            length = 0.0
+        below.append((tips, total + tips * length, length, lo + length, hi + length))
         if nxt == ",":
             pos += 1
-        elif nxt == ")":
-            pos += 1
-            closed = stack.pop()
-        else:
+            continue
+        if nxt != ")":
             raise ParseError(pos, "',' or ')'")
+        pos += 1
+        if unnamed:
+            missing = unnamed.pop(len(starts), missing)
+        start = starts.pop()
+        children = below[start:]
+        del below[start:]
+        if len(children) == 2:
+            left, right = children
+            tips_l, total_l, length_l, lo_l, hi_l = left
+            tips_r, total_r, length_r, lo_r, hi_r = right
+            tips = tips_l + tips_r
+            total = total_l + total_r
+            heights.append(total / tips)
+            if tips_l > 1:
+                internal += length_l
+            if tips_r > 1:
+                internal += length_r
+            closed = (tips, total, lo_l if lo_l < lo_r else lo_r,
+                      hi_l if hi_l > hi_r else hi_r, 2)
+        else:  # refused as not binary, but its tips and lengths still count
+            for child in children:
+                if child[0] > 1:
+                    internal += child[2]
+            closed = (sum(child[0] for child in children), 0.0,
+                      min(child[3] for child in children), max(child[4] for child in children),
+                      len(children))
 
 
-def _require_lengths(root: TreeNode):
-    """Raise for the first edge below the root without a length, visiting
-    each node's children left to right, the rightmost child's subtree first."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            if child.length is None:
-                where = child.label or "internal node"
-                raise MissingBranchLength(f"edge above {where!r} has no branch length")
-            stack.append(child)
-
-
-def _finish_tree(root: TreeNode, missing_length: bool) -> SampleTree:
-    if missing_length:
-        _require_lengths(root)
-    stem = root.length
-    root.length = None
-    return SampleTree(root=root, root_stem=stem, stem_from_input=stem is not None)
-
-
-def parse_newick(text: str) -> SampleTree:
-    """Parse a single Newick tree.
+def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranchLength]:
+    """Read a ';'-separated multi-tree string, one entry per tree.
 
     Standard grammar: nested parentheses, optional (possibly quoted) labels,
-    ':'-prefixed branch lengths, bracket comments, terminating ';'. Every
-    edge except the root stem must carry a length, since the trees are bound
-    for estimation. Multifurcations parse fine; they are rejected later,
-    where the rejection can cite the offending node.
-    """
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError(0, "nonempty Newick text")
-    root, pos, missing_length = _parse_one(text, 0)
-    if not text.startswith(";", pos):
-        raise ParseError(pos, "';' terminating the tree")
-    pos = _skip_filler(text, pos + 1)
-    if pos < len(text):
-        raise ParseError(pos, "end of input after ';'")
-    return _finish_tree(root, missing_length)
-
-
-def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranchLength]:
-    """Parse a ';'-separated multi-tree string, one entry per tree.
-
-    An entry is the tree, or the error that stopped it; after an error the
+    ':'-prefixed branch lengths, bracket comments, ';' after each tree. An
+    entry is the tree's record, or the error that refused it: a ParseError,
+    or a MissingBranchLength when an edge other than the root stem has no
+    length, since the trees are bound for estimation. After a ParseError the
     next tree starts after the first ';' at or after the error's offset that
-    lies outside comments and quoted labels.
-    Text that holds no tree at all raises.
+    lies outside comments and quoted labels. Multifurcations read fine; they
+    are refused by extraction, which can cite the offending node. Text that
+    holds no tree at all raises.
     """
-    out: list[SampleTree | ParseError | MissingBranchLength] = []
+    match_node = re.compile(_NODE, re.S).match
+    out: list[TreeRecord | ParseError | MissingBranchLength] = []
     pos = 0
     while True:
         try:
             pos = _skip_filler(text, pos)
             if pos == len(text):
                 break
-            root, pos, missing_length = _parse_one(text, pos)
+            record, missing, pos = _read_tree(text, pos, match_node)
             if not text.startswith(";", pos):
                 raise ParseError(pos, "';' terminating the tree")
             pos += 1
-            out.append(_finish_tree(root, missing_length))
         except ParseError as exc:
             out.append(exc)
             end = re.compile(_TO_TREE_END).match(text, exc.offset)
             pos = len(text) if end is None else end.end()
-        except MissingBranchLength as exc:  # raised after the tree's ';'
-            out.append(exc)
+            continue
+        if missing is None:
+            out.append(record)
+        else:
+            out.append(MissingBranchLength(f"edge above {missing!r} has no branch length"))
     if not out:
         raise ParseError(0, "at least one tree")
     return out
@@ -277,91 +245,44 @@ def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranc
 
 
 def extract_coalescence_times(
-    tree: SampleTree, tol: float = DEFAULT_ULTRAMETRIC_TOL
+    tree: TreeRecord, tol: float = DEFAULT_ULTRAMETRIC_TOL
 ) -> np.ndarray:
     """Internal-node heights of a binary ultrametric tree with n tips: a
     descending float array of n - 1 heights.
 
-    Heights are measured from the tips; under rounding jitter within the
-    tolerance each node's height is the mean of its tip distances, which is
-    unbiased for symmetric rounding noise. Branch order is not recoverable
-    from a plain tree, so the result holds only order statistics. Lengths
-    whose sums overflow give inf heights, which callers refuse.
+    Refuses, in this order, fewer than two tips, a node that is not binary,
+    and tip distances below the root whose spread exceeds tol relative to
+    the farthest. Heights are measured from the tips; under rounding jitter
+    within the tolerance each node's height is the mean of its tip
+    distances, which is unbiased for symmetric rounding noise. Branch order
+    is not recoverable from a plain tree, so the result holds only order
+    statistics. Lengths whose sums overflow give inf heights, which callers
+    refuse.
     """
-    # preorder, each tip's depth below the root summed from the root down
-    order: list[TreeNode] = []
-    tip_depths: list[float] = []
-    stack = [(tree.root, 0.0)]
-    while stack:
-        node, depth = stack.pop()
-        order.append(node)
-        if node.children:
-            for child in node.children:
-                stack.append((child, depth + (child.length or 0.0)))
-        else:
-            tip_depths.append(depth)
-    if len(tip_depths) < 2:
+    if tree.tips < 2:
         raise SampleTooSmall("need at least 2 tips to have a coalescence")
-
-    # postorder: each finished subtree leaves (tips, summed distance from its
-    # root down to its tips, length of the edge above it) on `below`
-    below: list[tuple[int, float, float]] = []
-    heights = []
-    for node in reversed(order):
-        children = node.children
-        if not children:
-            below.append((1, 0.0, node.length or 0.0))
-            continue
-        if len(children) != 2:
-            raise NotBinary(f"node {node.label or '(unnamed)'} has {len(children)} children")
-        count_r, total_r, length_r = below.pop()
-        count_l, total_l, length_l = below.pop()
-        count = count_l + count_r
-        total = (total_l + count_l * length_l) + (total_r + count_r * length_r)
-        below.append((count, total, node.length or 0.0))
-        heights.append(total / count)
-
-    depths = np.array(tip_depths)
-    height = float(depths.max())
-    if height > 0:
-        with np.errstate(invalid="ignore"):  # inf depths give nan, which passes
-            worst = float(np.max(np.abs(depths - height))) / height
+    if tree.not_binary is not None:
+        raise NotBinary(tree.not_binary)
+    if tree.hi > 0:
+        worst = (tree.hi - tree.lo) / tree.hi  # nan when hi is inf, which passes
         if worst > tol:
             raise NotUltrametric(worst, tol)
-
-    heights.sort(reverse=True)
-    return np.array(heights)
+    return np.array(sorted(tree.heights, reverse=True))
 
 
-def tree_internal_branch_length(tree: SampleTree) -> float:
+def tree_internal_branch_length(tree: TreeRecord) -> float:
     """Sum of branch lengths of edges ancestral to two or more tips.
 
-    A root stem counts only when it was explicitly present in the parsed
-    input; the stem above the most recent common ancestor is otherwise not
-    part of the sample genealogy.
+    A root stem counts only when the parsed text gives one; the tree's own
+    topology decides every other edge.
     """
-    total = 0.0
-    counts: list[int] = []  # tips below each finished subtree, the newest last
-    for node in _postorder(tree.root):
-        k = len(node.children)
-        if not k:
-            counts.append(1)
-            continue
-        below = counts[-k:]
-        del counts[-k:]
-        for child, count in zip(node.children, below):
-            if count >= 2:
-                total += child.length or 0.0
-        counts.append(sum(below))
-    if counts[0] < 3:
+    if tree.tips < 3:
         raise SampleTooSmall("internal branch length needs at least 3 tips")
-    if tree.stem_from_input and tree.root_stem is not None:
-        total += tree.root_stem
-    return total
+    return tree.internal if tree.stem is None else tree.internal + tree.stem
 
 
 # ---------------------------------------------------------------------------
-# Coalescent-point-process tree construction
+# Writing coalescent-point-process trees
 # ---------------------------------------------------------------------------
 
 
@@ -398,39 +319,21 @@ def _cpp_merges(heights):
         yield 0, lines.pop()
 
 
-def build_cpp_tree(heights, t: float | None) -> SampleTree:
-    """Build the point-process tree of a row of branch-ordered heights: a
-    height-t spine, then one branch per height.
-
-    Branch i (height H_i) joins leftward at its top into the nearest earlier
-    branch that is taller, which makes the tree the max-Cartesian tree of
-    the height sequence with tips in the gaps. Tips are labelled t1..tn in
-    branch order; internal node depths from the tips are exactly the H_i and
-    the synthetic stem of length t - max(H) preserves the total height t.
-    """
-    heights = np.asarray(heights, dtype=float)
-    _check_tree_heights(heights[None, :], t)
-    stack: list[tuple[float, TreeNode]] = []  # (node height, subtree) per line
-    for tip, h in _cpp_merges(heights.tolist()):
-        if tip:
-            stack.append((0.0, TreeNode(label=f"t{tip}")))
-            continue
-        right_h, right = stack.pop()
-        left_h, left = stack.pop()
-        left.length, right.length = h - left_h, h - right_h
-        stack.append((h, TreeNode(children=[left, right])))
-    root_h, root = stack[0]
-    return SampleTree(root=root, root_stem=float(t) - root_h)
-
-
 def cpp_newick_rows(matrix: np.ndarray, t: float | None) -> list[str]:
-    """serialize_newick(build_cpp_tree(...)) of each row of a (k, n-1) height
-    matrix with tree height t, byte for byte, without building the trees.
+    """Canonical Newick text of the point-process tree of each row of a
+    (k, n-1) height matrix with tree height t, without building the trees.
+
+    Row i's tree is a height-t spine, then one branch per height: branch j
+    (height H_j) joins leftward at its top into the nearest earlier branch
+    that is taller, which makes the tree the max-Cartesian tree of the
+    heights with tips t1..tn in the gaps. Its internal nodes lie exactly at
+    the H_j, and the stem of length t - max(H) keeps the total height t.
+    The text orders children by smallest tip label (as strings), prints
+    lengths with 12 significant digits and ends with the stem and ';'.
 
     One stack pass per row over the merge steps; each entry is (node height,
-    smallest tip label, text), and a join writes its children in the order
-    of their smallest tip labels, as serialize_newick does. The checks of
-    build_cpp_tree run once on the whole matrix.
+    smallest tip label, text). The height checks run once on the whole
+    matrix.
     """
     _check_tree_heights(matrix, t)
     t = float(t)
@@ -455,44 +358,5 @@ def cpp_newick_rows(matrix: np.ndarray, t: float | None) -> list[str]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def _quote_label(label: str) -> str:
-    if label and not any(c in _LABEL_TERMINATORS or c.isspace() or c == "'" for c in label):
-        return label
-    return "'" + label.replace("'", "''") + "'"
-
-
 def _format_length(x: float) -> str:
     return format(x, ".12g")
-
-
-def serialize_newick(tree: SampleTree) -> str:
-    """Canonical Newick text: children ordered by smallest tip label,
-    lengths printed with 12 significant digits, ';'-terminated."""
-    min_label: dict[int, str] = {}
-    for node in _postorder(tree.root):
-        if node.is_leaf():
-            min_label[id(node)] = node.label or ""
-        else:
-            min_label[id(node)] = min(min_label[id(c)] for c in node.children)
-
-    rendered: dict[int, str] = {}
-    for node in _postorder(tree.root):
-        if node.is_leaf():
-            text = _quote_label(node.label or "")
-        else:
-            ordered = sorted(node.children, key=lambda c: min_label[id(c)])
-            inner = ",".join(rendered[id(c)] for c in ordered)
-            text = f"({inner})" + (_quote_label(node.label) if node.label else "")
-        if node is not tree.root and node.length is not None:
-            text += ":" + _format_length(node.length)
-        rendered[id(node)] = text
-
-    text = rendered[id(tree.root)]
-    if tree.root_stem is not None:
-        text += ":" + _format_length(tree.root_stem)
-    return text + ";"

@@ -17,7 +17,8 @@ from scipy import stats
 from bdgrowth import calibration as cal
 import oracles as co
 from bdgrowth import confidence as conf
-from bdgrowth import harness, treeio
+import oracles as treeio
+from bdgrowth import harness
 from bdgrowth import estimators as est
 from bdgrowth.rng import RngStream
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdgrowth import calibration, cli, confidence, harness, treeio
+from bdgrowth import calibration, cli, confidence, estimators, harness, treeio
 from bdgrowth.estimators import METHODS, estimates_for_matrix
 from bdgrowth.rng import RngStream
 
@@ -406,6 +406,19 @@ def test_estimate_exit_codes(tmp_path, constants_file):
     assert code == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_estimate_refuses_a_tolerance_that_is_nan_or_negative(tmp_path, capsys, tol):
+    trees = tmp_path / "t.nwk"
+    trees.write_text("((A:1,B:1):1,C:5);\n" + NEWICK + "\n")
+    out = tmp_path / "e.csv"
+    assert run(["estimate", trees, "--ultrametric-tol", tol, "--out", out]) == cli.EXIT_INPUT
+    assert "--ultrametric-tol must be a number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    # refused before the input is read: a missing file is not what it reports
+    assert run(["estimate", tmp_path / "missing.nwk", "--ultrametric-tol", tol]) == cli.EXIT_INPUT
+    assert "--ultrametric-tol" in capsys.readouterr().err
+
+
 def test_estimate_refuses_unknown_tags_and_estimates_that_are_not_finite(tmp_path, capsys):
     times = tmp_path / "times.csv"
     cli.write_times_csv(np.array([[0.0, 1e-320, 2e-320], [3.0, 1.0, 2.0]]), 4, 40.0, times)
@@ -523,6 +536,27 @@ def test_coverage_command(tmp_path, constants_file):
                 "--out", out]) == 0
     value = float(out.read_text().splitlines()[1].split(",")[3])
     assert 0.9 <= value <= 1.0
+
+
+def test_coverage_command_counts_the_replicates_it_keeps(tmp_path, constants_file, monkeypatch):
+    real_chunks = estimators.height_chunks
+
+    def constant_first_row(n, regime, rng, count):
+        chunks = real_chunks(n, regime, rng, count)
+        first = next(chunks)
+        first[0] = first[0, 0]
+        yield first
+        yield from chunks
+
+    argv = ["coverage", "--n", "5,10", "--r", 1.0, "--T", 40, "--replicates", 1000,
+            "--seed", 9, "--constants", constants_file, "--out"]
+    assert run(argv + [tmp_path / "clean.csv"]) == 0
+    monkeypatch.setattr(estimators, "height_chunks", constant_first_row)
+    assert run(argv + [tmp_path / "cov.csv"]) == 0
+    for name, kept in (("clean.csv", "1000"), ("cov.csv", "999")):
+        rows = list(csv.reader((tmp_path / name).read_text().splitlines()))
+        assert rows[0][4] == "replicates"
+        assert [row[4] for row in rows[1:]] == [kept, kept]
 
 
 @pytest.mark.parametrize("command, out", [

@@ -6,6 +6,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -178,7 +179,7 @@ def test_estimate_lengths_worked_example():
     # branch-order internal length 2 of n = 4 tips, on the times and on their tree
     heights = [3.0, 1.0, 2.0]
     assert est.lengths_rows(row_of(heights))[0] == 2.0
-    assert est.estimate_lengths(4, treeio.build_cpp_tree(heights, 4.0)) == 2.0
+    assert est.estimate_lengths(4, oracles.record_of(oracles.build_cpp_tree(heights, 4.0))) == 2.0
 
 
 def test_mean_internal_length_near_limit():
@@ -350,12 +351,12 @@ def test_mle_rows_counts_unconverged_fits():
 
 def test_estimate_validation():
     with pytest.raises(SampleTooSmall, match="lengths estimator needs n >= 3"):
-        est.estimate_lengths(2, treeio.parse_newick("(A:1,B:1);"))
+        est.estimate_lengths(2, treeio.parse_newick_trees("(A:1,B:1);")[0])
     with pytest.raises(DegenerateTimes, match="internal branch length is zero"):
-        est.estimate_lengths(3, treeio.parse_newick("((A:1,B:1):0,C:1);"))
+        est.estimate_lengths(3, treeio.parse_newick_trees("((A:1,B:1):0,C:1);")[0])
     # an internal length this small makes n / L_in overflow
     with pytest.raises(ValueError, match="estimate must be positive and finite"):
-        est.estimate_lengths(3, treeio.parse_newick("((A:1,B:1):1e-320,C:1);"))
+        est.estimate_lengths(3, treeio.parse_newick_trees("((A:1,B:1):1e-320,C:1);")[0])
 
 
 def test_reciprocal_of_raw_estimate_is_unbiased_for_c_inv_over_r():

@@ -136,9 +136,10 @@ def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch
     spec = ci.ConfidenceSpec.from_constants_row(ROW_20)
     (_, raw, _, _), _ = both(lambda: est.simulated_estimates(
         20, regime, RngStream(SEED).child(1), 1000, None, ()))
-    _, cov = both(lambda: ci.coverage_study(20, 1.0, 40.0, 1000, "exact", RngStream(SEED),
-                                            spec=spec))
+    clean, cov = both(lambda: ci.coverage_study(20, 1.0, 40.0, 1000, "exact", RngStream(SEED),
+                                                spec=spec))
     assert cov == ci.covered_fraction(raw[1:], spec, 1.0)
+    assert (clean.kept, cov.kept) == (1000, 999)
 
     (_, raw, _, _), _ = both(lambda: est.simulated_estimates(
         200, ci.make_regime("large-n", 1.0, 40.0), RngStream(SEED), 1000, None, ()))

@@ -1,12 +1,14 @@
-"""Tree I/O: parser behavior on good and hostile input, ultrametric
-validation, height extraction, internal-length agreement with the
-branch-order formula, canonical serialization round trips, and the matrix
-writer against building and serializing one tree per row."""
+"""Tree I/O: the one-pass reader on good and hostile input, checked against
+the reference graph parser of tests/oracles.py; ultrametric validation,
+height extraction, internal-length agreement with the branch-order
+formula, and the matrix writer against building and serializing one graph
+tree per row."""
 
 import random
 import re
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,86 +27,93 @@ from bdgrowth.errors import (
 )
 from bdgrowth.estimators import internal_branch_length_rows
 from bdgrowth.rng import RngStream
-from bdgrowth.treeio import SampleTree, TreeNode
 
 BASIC = "((A:1,B:1):1,C:2);"
 
 
+def read(text):
+    """The one item parse_newick_trees makes of a text holding one tree."""
+    (item,) = treeio.parse_newick_trees(text)
+    return item
+
+
 # ---------------------------------------------------------------------------
-# parsing
+# reading
 # ---------------------------------------------------------------------------
 
 
 def test_parse_basic_tree():
-    tree = treeio.parse_newick(BASIC)
-    assert tree.tip_labels == ["A", "B", "C"]
-    assert tree.root_stem is None
-    assert not tree.stem_from_input
+    tree = read(BASIC)
+    assert isinstance(tree, treeio.TreeRecord)
+    assert (tree.tips, tree.stem, tree.not_binary) == (3, None, None)
+    assert tree.heights == [1.0, 2.0]  # joins in postorder
+    assert (tree.lo, tree.hi, tree.internal) == (2.0, 2.0, 1.0)
 
 
 def test_parse_quoted_labels_and_comments():
-    tree = treeio.parse_newick("('my leaf':1,[note]'it''s':1)root:0.5;")
-    assert tree.tip_labels == ["my leaf", "it's"]
-    assert tree.root.label == "root"
-    assert tree.root_stem == 0.5
-    assert tree.stem_from_input
+    tree = read("('my leaf':1,[note]'it''s':1)root:0.5;")
+    assert (tree.tips, tree.heights, tree.stem) == (2, [1.0], 0.5)
+    # labels reach only the refusals that name them, unescaped
+    missing = read("('my leaf',[note]'it''s':1)root:0.5;")
+    assert missing.args == ("edge above 'my leaf' has no branch length",)
+    with pytest.raises(NotBinary, match="node it's x has 3 children"):
+        treeio.extract_coalescence_times(read("((A:1,B:1,C:1)'it''s x'[&c]:1,D:2);"))
 
 
 def test_parse_errors_carry_offset_and_expectation():
-    with pytest.raises(ParseError) as info:
-        treeio.parse_newick("(A:1,B:1")
-    assert info.value.offset == 8
-    assert "';'" in info.value.expected or "','" in info.value.expected
+    error = read("(A:1,B:1")
+    assert isinstance(error, ParseError)
+    assert error.offset == 8
+    assert "';'" in error.expected or "','" in error.expected
 
+    assert isinstance(read("((A:1,B:1):1,C:2)"), ParseError)  # missing ';'
+    assert isinstance(read("(A:1,B:x);"), ParseError)  # bad number
+    assert isinstance(read("[unclosed (A:1,B:1);"), ParseError)
+    tree, trailing = treeio.parse_newick_trees("(A:1,B:1); trailing")
+    assert isinstance(tree, treeio.TreeRecord) and isinstance(trailing, ParseError)
     with pytest.raises(ParseError):
-        treeio.parse_newick("((A:1,B:1):1,C:2)")  # missing ';'
-    with pytest.raises(ParseError):
-        treeio.parse_newick("(A:1,B:x);")  # bad number
-    with pytest.raises(ParseError):
-        treeio.parse_newick("(A:1,B:1); trailing")
-    with pytest.raises(ParseError):
-        treeio.parse_newick("[unclosed (A:1,B:1);")
-    with pytest.raises(ParseError):
-        treeio.parse_newick("   ")
+        treeio.parse_newick_trees("   ")
 
 
 def test_missing_length_is_an_error():
-    with pytest.raises(MissingBranchLength):
-        treeio.parse_newick("(A,B:1);")
-    with pytest.raises(MissingBranchLength):
-        treeio.parse_newick("((A:1,B:1),C:2);")
+    assert isinstance(read("(A,B:1);"), MissingBranchLength)
+    assert read("((A:1,B:1),C:2);").args == (
+        "edge above 'internal node' has no branch length",)
+    # the refusal names the first edge of a search that checks each node's
+    # children left to right and enters the rightmost subtree first
+    assert read("((A,B:1):1,(C:1,D):1);").args == ("edge above 'D' has no branch length",)
 
 
 def test_multifurcation_parses_but_fails_extraction():
-    tree = treeio.parse_newick("(A:1,B:1,C:1);")
-    assert tree.n_tips == 3
+    tree = read("(A:1,B:1,C:1);")
+    assert tree.tips == 3
     with pytest.raises(NotBinary):
         treeio.extract_coalescence_times(tree)
 
 
 def test_multi_tree_file():
     trees = treeio.parse_newick_trees("(A:1,B:1);\n(C:2,D:2);")
-    assert [t.n_tips for t in trees] == [2, 2]
+    assert [t.tips for t in trees] == [2, 2]
 
 
 def test_a_bad_tree_is_an_item_of_the_batch_and_the_next_tree_still_parses():
-    text = "(A:1,B:1);\n(C:1,D:1;\n(E:2,F:2);\n(G,H:1);\n(I:1,J:x)\n(K:3,L:3);\n(N:2,O:2);\n(M:1,"
+    text = "(A:1,B:1);\n(C:1,D:1;\n(E:2,F:2);\n(G,H:1);\n(I:1,J:x)\n(K:3,L:3);\n(N:2,O:3);\n(M:1,"
     items = treeio.parse_newick_trees(text)
     assert [type(item).__name__ for item in items] == [
-        "SampleTree", "ParseError", "SampleTree", "MissingBranchLength", "ParseError",
-        "SampleTree", "ParseError"]
+        "TreeRecord", "ParseError", "TreeRecord", "MissingBranchLength", "ParseError",
+        "TreeRecord", "ParseError"]
     assert (items[1].offset, items[1].expected) == (19, "',' or ')'")
     assert items[3].args == ("edge above 'G' has no branch length",)
     # the next tree starts after the first ';' at or after the error, so an
     # error in a tree without its own ';' takes the tree after it along
     assert items[4].offset == text.index("x")
-    assert [items[i].tip_labels for i in (0, 2, 5)] == [["A", "B"], ["E", "F"], ["N", "O"]]
+    assert [items[i].heights for i in (0, 2, 5)] == [[1.0], [2.0], [2.5]]
     assert (items[6].offset, items[6].expected) == (len(text), "leaf label or '('")
     # a ';' inside a comment or a quoted label does not end the bad tree
     for text in ("(I:1,J:x)[;];(K:3,L:3);", "(I:1,J:x)'a;''b';(K:3,L:3);"):
         items = treeio.parse_newick_trees(text)
-        assert [type(item).__name__ for item in items] == ["ParseError", "SampleTree"]
-        assert items[1].tip_labels == ["K", "L"]
+        assert [type(item).__name__ for item in items] == ["ParseError", "TreeRecord"]
+        assert items[1].heights == [3.0]
     with pytest.raises(ParseError, match="at least one tree"):
         treeio.parse_newick_trees(" [no tree here]\n")
 
@@ -118,223 +127,120 @@ def test_a_bad_tree_is_an_item_of_the_batch_and_the_next_tree_still_parses():
 def test_parser_is_total(text):
     # any outcome is fine except an unstructured crash
     try:
-        treeio.parse_newick(text)
+        for item in treeio.parse_newick_trees(text):
+            if isinstance(item, treeio.TreeRecord):
+                treeio.extract_coalescence_times(item)
     except BdGrowthError:
         pass
 
 
 # ---------------------------------------------------------------------------
-# the character-at-a-time cursor parser, kept as the reference
+# the reader against the reference graphs of the cursor parser
 # ---------------------------------------------------------------------------
 
-_LABEL_TERMINATORS = set("():,;[")
 
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def skip_filler(self):
-        """Skip whitespace and bracketed comments."""
-        while True:
-            c = self.peek()
-            if c is not None and c.isspace():
-                self.pos += 1
-            elif c == "[":
-                end = self.text.find("]", self.pos + 1)
-                if end < 0:
-                    raise ParseError(self.pos, "']' closing comment")
-                self.pos = end + 1
-            else:
-                return
-
-
-def _parse_label(cur: _Cursor) -> str | None:
-    cur.skip_filler()
-    c = cur.peek()
-    if c == "'":
-        start = cur.pos
-        cur.pos += 1
-        chunks = []
-        while True:
-            c = cur.peek()
-            if c is None:
-                raise ParseError(start, "closing quote for label")
-            cur.pos += 1
-            if c == "'":
-                if cur.peek() == "'":  # doubled quote escapes a quote
-                    chunks.append("'")
-                    cur.pos += 1
-                else:
-                    return "".join(chunks)
-            else:
-                chunks.append(c)
-    chunks = []
-    while True:
-        c = cur.peek()
-        if c is None or c in _LABEL_TERMINATORS or c.isspace():
-            break
-        chunks.append(c)
-        cur.pos += 1
-    return "".join(chunks) or None
-
-
-def _parse_length(cur: _Cursor) -> float | None:
-    cur.skip_filler()
-    if cur.peek() != ":":
-        return None
-    cur.pos += 1
-    cur.skip_filler()
-    start = cur.pos
-    while True:
-        c = cur.peek()
-        if c is None or c in _LABEL_TERMINATORS or c.isspace():
-            break
-        cur.pos += 1
-    token = cur.text[start:cur.pos]
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(start, "branch length after ':'") from None
-    if not np.isfinite(value):
-        raise ParseError(start, "finite branch length")
-    return value
-
-
-def _parse_one(cur: _Cursor) -> TreeNode:
-    """Parse one subtree with an explicit stack of open groups."""
-    stack: list[TreeNode] = []
-    while True:
-        cur.skip_filler()
-        if cur.peek() == "(":
-            cur.pos += 1
-            stack.append(TreeNode())
+def reference_heights(tree):
+    """Heights, largest first, of the original extraction: one postorder,
+    summing in the same order."""
+    counts, totals, heights = {}, {}, []
+    for node in oracles._postorder(tree.root):
+        if node.is_leaf():
+            counts[id(node)], totals[id(node)] = 1, 0.0
             continue
-        label = _parse_label(cur)
-        length = _parse_length(cur)
-        if label is None and length is None:
-            # bare empty node is only tolerable inside a group
-            if not stack or cur.peek() not in (",", ")"):
-                raise ParseError(cur.pos, "leaf label or '('")
-        current = TreeNode(label=label, length=length)
-        while True:
-            if not stack:
-                return current
-            stack[-1].children.append(current)
-            cur.skip_filler()
-            c = cur.peek()
-            if c == ",":
-                cur.pos += 1
-                break
-            if c == ")":
-                cur.pos += 1
-                node = stack.pop()
-                node.label = _parse_label(cur)
-                node.length = _parse_length(cur)
-                current = node
-                continue
-            raise ParseError(cur.pos, "',' or ')'")
-
-
-def _require_lengths(root: TreeNode):
-    stack = [root]
-    while stack:
-        node = stack.pop()
+        count, total = 0, 0.0
         for child in node.children:
-            if child.length is None:
-                where = child.label or "internal node"
-                raise MissingBranchLength(f"edge above {where!r} has no branch length")
-            stack.append(child)
+            count += counts[id(child)]
+            total += totals[id(child)] + counts[id(child)] * (child.length or 0.0)
+        counts[id(node)], totals[id(node)] = count, total
+        heights.append(total / count)
+    return sorted(heights, reverse=True)
 
 
-def _finish_tree(root: TreeNode) -> SampleTree:
-    _require_lengths(root)
-    stem = root.length
-    root.length = None
-    return SampleTree(root=root, root_stem=stem, stem_from_input=stem is not None)
+def reference_internal_length(tree):
+    counts = {}
+    for node in oracles._postorder(tree.root):
+        counts[id(node)] = sum(counts[id(c)] for c in node.children) or 1
+    total = 0.0
+    for node in oracles._postorder(tree.root):
+        for child in node.children:
+            if counts[id(child)] >= 2:
+                total += child.length or 0.0
+    if tree.stem_from_input:
+        total += tree.root_stem
+    return total
 
 
-def reference_parse_newick(text: str) -> SampleTree:
-    """Parse a single Newick tree.
-
-    Standard grammar: nested parentheses, optional (possibly quoted) labels,
-    ':'-prefixed branch lengths, bracket comments, terminating ';'. Every
-    edge except the root stem must carry a length, since the trees are bound
-    for estimation. Multifurcations parse fine; they are rejected later,
-    where the rejection can cite the offending node.
-    """
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError(0, "nonempty Newick text")
-    cur = _Cursor(text)
-    root = _parse_one(cur)
-    cur.skip_filler()
-    if cur.peek() != ";":
-        raise ParseError(cur.pos, "';' terminating the tree")
-    cur.pos += 1
-    cur.skip_filler()
-    if cur.peek() is not None:
-        raise ParseError(cur.pos, "end of input after ';'")
-    return _finish_tree(root)
-
-
-def reference_parse_newick_trees(text: str) -> list[SampleTree]:
-    """Parse a ';'-separated multi-tree string."""
-    trees = []
-    cur = _Cursor(text)
-    while True:
-        cur.skip_filler()
-        if cur.peek() is None:
-            break
-        root = _parse_one(cur)
-        cur.skip_filler()
-        if cur.peek() != ";":
-            raise ParseError(cur.pos, "';' terminating the tree")
-        cur.pos += 1
-        trees.append(_finish_tree(root))
-    if not trees:
-        raise ParseError(0, "at least one tree")
-    return trees
-
-
-def tree_shape(tree):
-    """Label, length and child count of every node in preorder, with the stem."""
-    nodes, stack = [], [tree.root]
+def reference_extract(tree, tol):
+    """The original extraction's refusals, in its order, on a graph; its tip
+    depths are summed from the root down."""
+    depths, stack = [], [(tree.root, 0.0)]
     while stack:
-        node = stack.pop()
-        nodes.append((node.label, node.length, len(node.children)))
-        stack.extend(reversed(node.children))
-    return nodes, tree.root_stem, tree.stem_from_input
+        node, depth = stack.pop()
+        stack.extend((child, depth + (child.length or 0.0)) for child in node.children)
+        if not node.children:
+            depths.append(depth)
+    if len(depths) < 2:
+        raise SampleTooSmall("need at least 2 tips to have a coalescence")
+    for node in oracles._postorder(tree.root):
+        if node.children and len(node.children) != 2:
+            raise NotBinary(f"node {node.label or '(unnamed)'} has {len(node.children)} children")
+    depths = np.array(depths)
+    height = float(depths.max())
+    if height > 0:
+        with np.errstate(invalid="ignore"):
+            worst = float(np.max(np.abs(depths - height))) / height
+        if worst > tol:
+            raise NotUltrametric(worst, tol)
+    return reference_heights(tree)
 
 
-def error_shape(exc):
-    if isinstance(exc, ParseError):
-        return type(exc).__name__, exc.offset, exc.expected
-    return type(exc).__name__, str(exc)
+def reference_length(tree):
+    if tree.n_tips < 3:
+        raise SampleTooSmall("internal branch length needs at least 3 tips")
+    return reference_internal_length(tree)
 
 
-def shape(item):
-    return tree_shape(item) if isinstance(item, SampleTree) else error_shape(item)
+def bits(call):
+    """call()'s floats as exact bits, or its refusal. A tip-depth deviation
+    is summed in another order by each side, so it is compared to 1e-12."""
+    try:
+        value = call()
+    except NotUltrametric as exc:
+        return "NotUltrametric", pytest.approx(exc.worst_deviation, rel=1e-12)
+    except BdGrowthError as exc:
+        return type(exc).__name__, str(exc)
+    return [x.hex() for x in value] if isinstance(value, list) else value.hex()
+
+
+def shape(item, tol=treeio.DEFAULT_ULTRAMETRIC_TOL):
+    """Tip count, stem, and the outcomes of extraction and internal length of
+    a record or a reference graph; or an error's type, offset and text."""
+    if isinstance(item, treeio.TreeRecord):
+        return (item.tips, item.stem,
+                bits(lambda: treeio.extract_coalescence_times(item, tol).tolist()),
+                bits(lambda: treeio.tree_internal_branch_length(item)))
+    if isinstance(item, oracles.SampleTree):
+        return (item.n_tips, item.root_stem, bits(lambda: reference_extract(item, tol)),
+                bits(lambda: reference_length(item)))
+    if isinstance(item, ParseError):
+        return type(item).__name__, item.offset, item.expected
+    return type(item).__name__, str(item)
 
 
 def outcome(parse, text):
-    """What parse makes of text: a tree's shape, a list of shapes, or the
-    shape of the error it raised."""
+    """What parse makes of text: a list of shapes, or the shape of the error
+    it raised."""
     try:
         result = parse(text)
     except (ParseError, MissingBranchLength) as exc:
-        return error_shape(exc)
-    return [shape(item) for item in result] if isinstance(result, list) else shape(result)
+        return shape(exc)
+    return [shape(item) for item in result]
 
 
 def assert_parsers_agree(text):
-    assert outcome(treeio.parse_newick, text) == outcome(reference_parse_newick, text)
-    # the batch parser keeps every tree the reference reads, and where the
-    # reference stops at an error, that error is the batch's first error item
-    want = outcome(reference_parse_newick_trees, text)
+    # the reader keeps every tree the reference reads, and where the
+    # reference stops at an error, that error is the reader's first error item
+    want = outcome(oracles.parse_newick_trees, text)
     got = outcome(treeio.parse_newick_trees, text)
     if isinstance(want, list) or not isinstance(got, list):
         assert got == want
@@ -375,6 +281,21 @@ def test_parser_matches_the_cursor_parser_on_named_cases(text):
     assert_parsers_agree(text)
 
 
+@pytest.mark.parametrize("text", [
+    "((A,B:1):1,(C:1,D):1);",
+    "((A:1):1);",
+    "((A:1,B:1,C:1)x:1,D:9);",
+    "((A:1,B:1,C:3)x:1,(D:1)y:1);",
+    "(((A:0.1,B:0.1):0.7,C:0.8):1.3,D:2.1000022);",
+    "(((A:0.1,B:0.1):0.7,C:0.8):1.3,D:2.1000019);",
+    "((A:1.5e308,B:1.5e308):1.5e308,C:1.7e308);",
+    "((A:-1e308,B:-1e308):-1e308,C:1);",
+    "((A:-0.0,B:-0.0):1,C:1):-0.0;",
+])
+def test_reader_matches_the_reference_on_refusals_and_extremes(text):
+    assert_parsers_agree(text)
+
+
 def decorated_newick(rng, text):
     """A writer tree with quoted and bare tip labels, [&...] comments after
     lengths, and labels on some internal nodes."""
@@ -398,99 +319,69 @@ def test_parser_matches_the_cursor_parser_on_decorated_writer_trees():
     assert len(treeio.parse_newick_trees(batch)) == len(texts)
 
 
-# ---------------------------------------------------------------------------
-# extraction and validation
-# ---------------------------------------------------------------------------
-
-
-def test_extract_worked_example():
-    times = treeio.extract_coalescence_times(treeio.parse_newick(BASIC))
-    assert times.tolist() == [2.0, 1.0]
-
-
-def test_extract_cherry():
-    times = treeio.extract_coalescence_times(treeio.parse_newick("(A:3,B:3);"))
-    assert times.tolist() == [3.0]
-
-
-def test_non_ultrametric_rejected_with_deviation():
-    tree = treeio.parse_newick("((A:1,B:2):1,C:2);")
-    with pytest.raises(NotUltrametric) as info:
-        treeio.extract_coalescence_times(tree)
-    assert info.value.worst_deviation > 0.3
-
-
-def test_tolerance_permits_rounding_jitter():
-    tree = treeio.parse_newick("((A:1.000001,B:1):1,C:2.0000005);")
-    times = treeio.extract_coalescence_times(tree, tol=1e-5)
-    # cherry height is averaged across its two tips
-    assert times[1] == pytest.approx(1.0000005, rel=1e-9)
-
-
-def test_extract_invariant_to_child_rotation():
-    rotated = treeio.parse_newick("(C:2,(B:1,A:1):1);")
-    base = treeio.extract_coalescence_times(treeio.parse_newick(BASIC))
-    other = treeio.extract_coalescence_times(rotated)
-    assert base.tolist() == other.tolist()
-
-
-def test_extract_single_tip_rejected():
-    with pytest.raises(SampleTooSmall):
-        treeio.extract_coalescence_times(treeio.parse_newick("A:1;"))
-
-
-def test_extraction_errors_keep_their_precedence():
-    # one tip under a unary node: too small comes before not binary
-    with pytest.raises(SampleTooSmall):
-        treeio.extract_coalescence_times(treeio.parse_newick("((A:1):1);"))
-    # neither binary nor ultrametric: not binary, at the first such node in postorder
-    with pytest.raises(NotBinary, match="node x has 3 children"):
-        treeio.extract_coalescence_times(
-            treeio.parse_newick("((A:1,B:1,C:3)x:1,(D:1)y:1);"))
-
-
-def reference_heights(tree):
-    """Heights, largest first, of the original extraction: one postorder,
-    summing in the same order."""
-    counts, totals, heights = {}, {}, []
-    for node in treeio._postorder(tree.root):
-        if node.is_leaf():
-            counts[id(node)], totals[id(node)] = 1, 0.0
-            continue
-        count, total = 0, 0.0
-        for child in node.children:
-            count += counts[id(child)]
-            total += totals[id(child)] + counts[id(child)] * (child.length or 0.0)
-        counts[id(node)], totals[id(node)] = count, total
-        heights.append(total / count)
-    return sorted(heights, reverse=True)
-
-
-def reference_internal_length(tree):
-    counts = {}
-    for node in treeio._postorder(tree.root):
-        counts[id(node)] = sum(counts[id(c)] for c in node.children) or 1
-    total = 0.0
-    for node in treeio._postorder(tree.root):
-        for child in node.children:
-            if counts[id(child)] >= 2:
-                total += child.length or 0.0
-    if tree.stem_from_input:
-        total += tree.root_stem
-    return total
-
-
 def test_single_pass_extraction_and_length_are_bit_identical_to_the_reference():
     rng = np.random.default_rng(203)
     m = co.sample_coalescence_times_block(
         12, make_regime("exact", 1.0, 40.0), RngStream(203), 300)
     for text in treeio.cpp_newick_rows(m, 40.0):
         # printed lengths are rounded, so sums depend on their order
-        tree = treeio.parse_newick(text)
-        for node in treeio._postorder(tree.root):
+        tree = oracles.parse_newick(text)
+        for node in oracles._postorder(tree.root):
             rng.shuffle(node.children)
-        assert treeio.extract_coalescence_times(tree).tolist() == reference_heights(tree)
-        assert treeio.tree_internal_branch_length(tree) == reference_internal_length(tree)
+        shuffled = oracles.serialize_newick(tree, exact=True)
+        record = read(shuffled)
+        assert treeio.extract_coalescence_times(record).tolist() == reference_heights(tree)
+        assert treeio.tree_internal_branch_length(record) == reference_internal_length(tree)
+        assert_parsers_agree(shuffled)
+
+
+# ---------------------------------------------------------------------------
+# extraction and validation
+# ---------------------------------------------------------------------------
+
+
+def test_extract_worked_example():
+    times = treeio.extract_coalescence_times(read(BASIC))
+    assert times.tolist() == [2.0, 1.0]
+
+
+def test_extract_cherry():
+    times = treeio.extract_coalescence_times(read("(A:3,B:3);"))
+    assert times.tolist() == [3.0]
+
+
+def test_non_ultrametric_rejected_with_deviation():
+    tree = read("((A:1,B:2):1,C:2);")
+    with pytest.raises(NotUltrametric) as info:
+        treeio.extract_coalescence_times(tree)
+    assert info.value.worst_deviation > 0.3
+
+
+def test_tolerance_permits_rounding_jitter():
+    tree = read("((A:1.000001,B:1):1,C:2.0000005);")
+    times = treeio.extract_coalescence_times(tree, tol=1e-5)
+    # cherry height is averaged across its two tips
+    assert times[1] == pytest.approx(1.0000005, rel=1e-9)
+
+
+def test_extract_invariant_to_child_rotation():
+    base = treeio.extract_coalescence_times(read(BASIC))
+    other = treeio.extract_coalescence_times(read("(C:2,(B:1,A:1):1);"))
+    assert base.tolist() == other.tolist()
+
+
+def test_extract_single_tip_rejected():
+    with pytest.raises(SampleTooSmall):
+        treeio.extract_coalescence_times(read("A:1;"))
+
+
+def test_extraction_errors_keep_their_precedence():
+    # one tip under a unary node: too small comes before not binary
+    with pytest.raises(SampleTooSmall):
+        treeio.extract_coalescence_times(read("((A:1):1);"))
+    # neither binary nor ultrametric: not binary, at the first such node in postorder
+    with pytest.raises(NotBinary, match="node x has 3 children"):
+        treeio.extract_coalescence_times(read("((A:1,B:1,C:3)x:1,(D:1)y:1);"))
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +390,16 @@ def test_single_pass_extraction_and_length_are_bit_identical_to_the_reference():
 
 
 def test_tree_internal_length_worked_example():
-    assert treeio.tree_internal_branch_length(treeio.parse_newick(BASIC)) == 1.0
+    assert treeio.tree_internal_branch_length(read(BASIC)) == 1.0
 
 
 def test_tree_internal_length_includes_explicit_stem_only():
-    with_stem = treeio.parse_newick("((A:1,B:1):1,C:2):0.5;")
-    assert treeio.tree_internal_branch_length(with_stem) == 1.5
+    assert treeio.tree_internal_branch_length(read("((A:1,B:1):1,C:2):0.5;")) == 1.5
 
 
 def test_tree_internal_length_needs_three_tips():
     with pytest.raises(SampleTooSmall):
-        treeio.tree_internal_branch_length(treeio.parse_newick("(A:2,B:2);"))
+        treeio.tree_internal_branch_length(read("(A:2,B:2);"))
 
 
 def dyadic_heights(rng, n):
@@ -523,38 +413,41 @@ def test_cpp_tree_length_equals_branch_order_formula_exactly():
         n = int(rng.integers(3, 9))
         h = dyadic_heights(rng, n)
         t = float(h.max() + rng.integers(1, 50))
-        tree = treeio.build_cpp_tree(h, t)
-        assert (treeio.tree_internal_branch_length(tree)
-                == internal_branch_length_rows(h[None, :])[0])
+        formula = internal_branch_length_rows(h[None, :])[0]
+        # the written tree's stem t - max(H) is explicit, so it counts
+        (text,) = treeio.cpp_newick_rows(h[None, :], t)
+        assert treeio.tree_internal_branch_length(read(text)) == formula + (t - h.max())
+        assert oracles.tree_internal_branch_length(oracles.build_cpp_tree(h, t)) == formula
 
 
 # ---------------------------------------------------------------------------
-# point-process construction
+# point-process trees, written and read back
 # ---------------------------------------------------------------------------
 
 
 def test_build_cherry_with_stem():
-    tree = treeio.build_cpp_tree([3.0], 5.0)
-    assert tree.n_tips == 2
-    assert tree.root_stem == 2.0
-    assert not tree.stem_from_input
+    (text,) = treeio.cpp_newick_rows(np.array([[3.0]]), 5.0)
+    assert text == "(t1:3,t2:3):2;"
+    tree = read(text)
+    assert (tree.tips, tree.stem) == (2, 2.0)
     assert treeio.extract_coalescence_times(tree).tolist() == [3.0]
 
 
 def test_build_three_tip_example_topology():
     # heights (2, 1) with T = 3: tips 2 and 3 join at depth 1, that clade
     # joins tip 1 at depth 2
-    tree = treeio.build_cpp_tree([2.0, 1.0], 3.0)
-    assert treeio.serialize_newick(tree) == "(t1:2,(t2:1,t3:1):1):1;"
+    assert treeio.cpp_newick_rows(np.array([[2.0, 1.0]]), 3.0) == ["(t1:2,(t2:1,t3:1):1):1;"]
+    tree = oracles.build_cpp_tree([2.0, 1.0], 3.0)
+    assert oracles.serialize_newick(tree) == "(t1:2,(t2:1,t3:1):1):1;"
 
 
 def test_build_rejects_relative_or_invalid_heights():
     with pytest.raises(RelativeAxisError):
-        treeio.build_cpp_tree([-1.0, -2.0], None)
+        treeio.cpp_newick_rows(np.array([[-1.0, -2.0]]), None)
     with pytest.raises(ValueError):
-        treeio.build_cpp_tree([5.0, 1.0], 3.0)
+        treeio.cpp_newick_rows(np.array([[5.0, 1.0]]), 3.0)
     with pytest.raises(ValueError):
-        treeio.build_cpp_tree([-1.0, 1.0], 3.0)
+        treeio.cpp_newick_rows(np.array([[-1.0, 1.0]]), 3.0)
 
 
 def test_build_extract_round_trip_multiset():
@@ -562,48 +455,51 @@ def test_build_extract_round_trip_multiset():
     for _ in range(300):
         n = int(rng.integers(2, 9))
         h = dyadic_heights(rng, n)
-        extracted = treeio.extract_coalescence_times(treeio.build_cpp_tree(h, h.max() + 1.0))
-        assert sorted(extracted) == sorted(h)
+        (text,) = treeio.cpp_newick_rows(h[None, :], h.max() + 1.0)
+        assert sorted(treeio.extract_coalescence_times(read(text))) == sorted(h)
 
 
 def test_deep_comb_tree_does_not_overflow():
     n = 3000
     h = np.arange(n - 1, 0, -1, dtype=float)  # strictly decreasing: left comb
-    tree = treeio.build_cpp_tree(h, float(n))
-    extracted = treeio.extract_coalescence_times(tree)
-    assert len(extracted) == n - 1
+    for row in (h, h[::-1]):
+        (text,) = treeio.cpp_newick_rows(row[None, :], float(n))
+        assert treeio.extract_coalescence_times(read(text)).tolist() == sorted(h, reverse=True)
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the graph writer the matrix writer is checked against
 # ---------------------------------------------------------------------------
 
 
 def test_serialize_canonical_child_order():
-    tree = treeio.parse_newick("((C:1,B:1):1,A:2);")
-    assert treeio.serialize_newick(tree) == "(A:2,(B:1,C:1):1);"
+    tree = oracles.parse_newick("((C:1,B:1):1,A:2);")
+    assert oracles.serialize_newick(tree) == "(A:2,(B:1,C:1):1);"
+    assert oracles.serialize_newick(tree, exact=True) == "((C:1.0,B:1.0):1.0,A:2.0);"
 
 
 def test_serialize_parse_round_trip_is_identity():
     for text in (BASIC, "(A:2,(B:1,C:1):1);", "(A:2,(B:1,C:1):1):0.25;"):
-        once = treeio.serialize_newick(treeio.parse_newick(text))
-        twice = treeio.serialize_newick(treeio.parse_newick(once))
+        once = oracles.serialize_newick(oracles.parse_newick(text))
+        twice = oracles.serialize_newick(oracles.parse_newick(once))
         assert once == twice
+        exact = oracles.serialize_newick(oracles.parse_newick(text), exact=True)
+        assert oracles.serialize_newick(oracles.parse_newick(exact), exact=True) == exact
 
 
 def test_serialize_deterministic_and_quotes_when_needed():
-    tree = treeio.parse_newick("('a b':1,c:1);")
-    text = treeio.serialize_newick(tree)
-    assert text == treeio.serialize_newick(tree)
+    tree = oracles.parse_newick("('a b':1,c:1);")
+    text = oracles.serialize_newick(tree)
+    assert text == oracles.serialize_newick(tree)
     assert "'a b'" in text
 
 
 def test_simulated_tree_survives_text_round_trip():
-    text = treeio.serialize_newick(treeio.build_cpp_tree([2.0, 1.0], 3.0))
-    tree = treeio.parse_newick(text)
+    (text,) = treeio.cpp_newick_rows(np.array([[2.0, 1.0]]), 3.0)
+    tree = read(text)
     recovered = treeio.extract_coalescence_times(tree)
     assert sorted(recovered) == [1.0, 2.0]
-    assert recovered[0] + tree.root_stem == 3.0
+    assert recovered[0] + tree.stem == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +508,7 @@ def test_simulated_tree_survives_text_round_trip():
 
 
 def one_tree_per_row(matrix, t):
-    return [treeio.serialize_newick(treeio.build_cpp_tree(row, t)) for row in matrix]
+    return [oracles.serialize_newick(oracles.build_cpp_tree(row, t)) for row in matrix]
 
 
 def tree_rows(regime, n, count, seed, t=40.0):
@@ -655,7 +551,7 @@ def test_writer_matches_on_deep_combs():
 ])
 def test_writer_refuses_what_build_cpp_tree_refuses(row, t):
     with pytest.raises((BdGrowthError, ValueError)) as built:
-        treeio.build_cpp_tree(row, t)
+        oracles.build_cpp_tree(row, t)
     with pytest.raises(type(built.value)):
         treeio.cpp_newick_rows(np.array([row, (2.0, 1.0)]), t)
 
@@ -672,7 +568,7 @@ def test_writer_output_parses_back_to_its_heights():
     m = tree_rows("exact", n, 100, 205)
     tol = 1e-11 * t * n
     for row, text in zip(m, treeio.cpp_newick_rows(m, t)):
-        tree = treeio.parse_newick(text)
+        tree = read(text)
         back = treeio.extract_coalescence_times(tree)
         assert np.max(np.abs(back - np.sort(row)[::-1])) <= tol
-        assert abs(back[0] + tree.root_stem - t) <= tol
+        assert abs(back[0] + tree.stem - t) <= tol
