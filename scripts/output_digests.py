@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -77,6 +78,25 @@ DECORATED_NEWICK = """[&R] (('sample 1':1.5[&rate=0.21],'O''Neil 2':1.5)n7:2.25,
 ('O''Neil':2.5,(('it''s':1,y:1):0.75,(z:1.5,'w v':1.5):0.25)q:0.75)top:1.25;
 """
 
+
+def refusals_csv() -> str:
+    """A few hundred good n = 5 rows drawn from a seeded stdlib generator,
+    with a row some method refuses after every 37th: rows at the 1e200 and
+    the 4e-162 scale (the logistic fit's moment start is out of range), a
+    constant row (dropped as degenerate), a row whose fit ends outside the
+    feasible region and subnormal heights (the pairwise and lengths
+    estimates overflow)."""
+    rng = random.Random(14)
+    bad = ["5,,0,1e200,3e199,1e199", "5,40,2,2,2,2", "5,,0,4e-162,2e-162,1e-162",
+           "5,,0,1e-161,5e-162,2e-162", "5,40,0,1e-320,2e-320,3e-320"]
+    lines = ["n,T,h1,h2,h3,h4"]
+    for i in range(300):
+        if i % 37 == 5:
+            lines.append(bad[i // 37 % len(bad)])
+        lines.append("5,40," + ",".join(repr(rng.uniform(0.0, 40.0)) for _ in range(4)))
+    return "\n".join(lines) + "\n"
+
+
 # (name, argv); later commands read what earlier ones wrote
 COMMANDS = [
     ("calibrate", ["calibrate", "--n", "5,10", "--replicates", "20000", "--seed", "3",
@@ -113,6 +133,8 @@ COMMANDS = [
                             "--out", "estimate-level-fly.csv"]),
     ("estimate-json", ["estimate", "trees.nwk", "--constants", TABLE,
                        "--methods", ALL_METHODS, "--format", "json"]),
+    ("estimate-refusals", ["estimate", "refusals.csv", "--constants", TABLE,
+                           "--methods", ALL_METHODS, "--out", "estimate-refusals.csv"]),
     ("estimate-decorated", ["estimate", "decorated.nwk", "--constants", TABLE,
                             "--methods", ALL_METHODS, "--replicates", "20000",
                             "--out", "estimate-decorated.csv"]),
@@ -144,6 +166,7 @@ def main(argv=None) -> int:
         (work / "errors.csv").write_text(ERROR_CSV, encoding="utf-8")
         (work / "errors.nwk").write_text(ERROR_NEWICK, encoding="utf-8")
         (work / "decorated.nwk").write_text(DECORATED_NEWICK, encoding="utf-8")
+        (work / "refusals.csv").write_text(refusals_csv(), encoding="utf-8")
         for name, command in COMMANDS:
             done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *command], cwd=work,
                                   env=env, capture_output=True, timeout=120)

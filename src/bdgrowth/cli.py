@@ -138,53 +138,47 @@ def _load_inputs(path: Path) -> list[tuple[str, np.ndarray | treeio.TreeRecord |
     return [(f"{path.name}#{i}", item) for i, item in enumerate(items)]
 
 
-def _spec_for(n: int, table, args, spec_cache: dict) -> confidence.ConfidenceSpec:
-    if n not in spec_cache:
-        if args.level == 0.95:
-            row = calibration.constants_row(table, n, args.replicates, args.seed)
-            spec_cache[n] = confidence.ConfidenceSpec.from_constants_row(row)
-        else:
-            # tabulated quantiles are 95%-specific; other levels recalibrate,
-            # and a row missing from the table comes from the same draw
-            sample = calibration.calibration_sample(table, n, args.replicates, args.seed)
-            spec_cache[n] = confidence.ConfidenceSpec.from_sample(sample, level=args.level)
-    return spec_cache[n]
+def _spec_and_row(n: int, table, args):
+    """The interval spec and constants row for sample size n."""
+    if args.level == 0.95:
+        row = calibration.constants_row(table, n, args.replicates, args.seed)
+        return confidence.ConfidenceSpec.from_constants_row(row), row
+    # tabulated quantiles are 95%-specific; other levels recalibrate, and a
+    # row missing from the table comes from the same draw
+    sample = calibration.calibration_sample(table, n, args.replicates, args.seed)
+    spec = confidence.ConfidenceSpec.from_sample(sample, level=args.level)
+    return spec, calibration.constants_row(table, n, args.replicates, args.seed)
 
 
-def _matrix_estimates(h: np.ndarray, row, tag: str) -> list[tuple[float, float] | Exception]:
-    """(estimate, raw pivot) of tag for each row of h on the study's path, or
-    the error that stopped the row. The kernels are row-independent, so a
-    matrix that fails or gives an estimate that is not positive and finite
-    is halved until the failure is pinned to its rows."""
+def _matrix_estimates(h: np.ndarray, row, tags) -> dict[str, list[tuple | Exception]]:
+    """For each tag, (estimate, raw pivot) for each row of h on the study's
+    path, or the error that refuses the row: one estimates_for_matrix call,
+    whose dropped, refused and failed rows map to the errors each row gets
+    alone, since every kernel is row-independent."""
     if h.shape[1] < 2:
-        return [SampleTooSmall(f"{tag} needs n >= 3")] * len(h)
-    # rows estimates_for_matrix drops (equal heights) get their error; cmd_estimate
-    # refuses non-finite rows before grouping
-    keep = h.min(axis=1) < h.max(axis=1)
-    if not keep.all():
-        out = [DegenerateTimes("all coalescence times are equal")] * len(h)
-        for k, result in zip(np.flatnonzero(keep), _matrix_estimates(h[keep], row, tag)):
-            out[k] = result
-        return out
-    try:
-        with np.errstate(over="ignore"):  # an overflow is refused just below
-            estimates, raw, _ = estimates_for_matrix(h, row, (tag,))
-        values = estimates[tag]
-        if not (np.isfinite(values) & (values > 0.0)).all():
-            raise ValueError("estimate must be positive and finite")
-        return list(zip(values.tolist(), raw.tolist()))
-    except _ITEM_ERRORS as exc:
-        if len(h) == 1:
-            return [exc.with_traceback(None)]  # a kept error pins no frames
-    # outside the handler, so the halves' errors do not chain to this one
-    mid = len(h) // 2
-    return _matrix_estimates(h[:mid], row, tag) + _matrix_estimates(h[mid:], row, tag)
+        return {tag: [SampleTooSmall(f"{tag} needs n >= 3")] * len(h) for tag in tags}
+    # cmd_estimate refuses non-finite rows before grouping
+    found = estimates_for_matrix(h, row, tags)
+    kept = np.flatnonzero(found.kept).tolist()
+    raw = found.raw.tolist()
+    out = {}
+    for tag in tags:
+        results = out[tag] = [DegenerateTimes("all coalescence times are equal")] * len(h)
+        for i, point, pivot in zip(kept, found.estimates[tag].tolist(), raw):
+            results[i] = point, pivot
+        fit = found.refusals.get(tag)
+        for k in found.failed.get(tag, []):
+            refused = fit.refusal(k) if fit else None
+            results[kept[k]] = refused or ValueError("estimate must be positive and finite")
+    return out
 
 
 def cmd_estimate(args) -> int:
     # NaN would pass every tree and a negative value refuse every tree
     if not args.ultrametric_tol >= 0:
         raise ValueError(f"--ultrametric-tol must be a number >= 0, not {args.ultrametric_tol}")
+    if not 0 < args.level < 1:
+        raise ValueError(f"--level must be a number in (0, 1), not {args.level}")
     inputs = _load_inputs(Path(args.input))
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     tags = [m.strip() for m in args.methods.split(",")]
@@ -218,23 +212,23 @@ def cmd_estimate(args) -> int:
             except _ITEM_ERRORS as exc:
                 lengths.append(exc)
 
-    spec_cache: dict = {}
+    calibrated = [tag for tag in tags if METHODS[tag].pairwise or METHODS[tag].column]
     for n, (members, heights, lengths) in groups.items():
-        h = np.array(heights)
+        found = {LENGTHS: lengths} if lengths else {}
+        try:
+            spec, row = _spec_and_row(n, table, args) if calibrated else (None, None)
+        except _ITEM_ERRORS as exc:
+            spec = row = None
+            found.update((tag, [exc] * len(members)) for tag in calibrated)
+        rest = [tag for tag in tags if tag not in found]
+        if rest:
+            found.update(_matrix_estimates(np.array(heights), row, rest))
         for j, tag in enumerate(tags):
-            method = METHODS[tag]
-            try:
-                # the spec first: at a level other than 0.95 its draw also makes the row
-                spec = _spec_for(n, table, args, spec_cache) if method.pairwise else None
-                row = (calibration.constants_row(table, n, args.replicates, args.seed)
-                       if method.column else None)
-                found = lengths if lengths and tag == LENGTHS else _matrix_estimates(h, row, tag)
-            except _ITEM_ERRORS as exc:
-                found = [exc] * len(members)
-            for i, result in zip(members, found):
+            for i, result in zip(members, found[tag]):
                 if not isinstance(result, Exception):
                     point, raw = result
-                    ci_low, ci_high = (None, None) if spec is None else spec.interval(raw)
+                    ci_low, ci_high = (spec.interval(raw) if METHODS[tag].pairwise
+                                       else (None, None))
                     result = {"input": inputs[i][0], "n": n, "method": tag, "estimate": point,
                               "ci_low": ci_low, "ci_high": ci_high, "error": ""}
                 results[i][j] = result

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +51,29 @@ _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
 
 @dataclass(frozen=True)
 class MleFit:
-    """Per-row logistic fits from fit_logistic_rows."""
+    """Per-row logistic fits from fit_logistic_rows. refused is 1 where the
+    row's moment start is out of range (a and b hold it; the row is never
+    iterated), 2 where its fit ends outside the feasible region, else 0."""
 
     a: np.ndarray
     b: np.ndarray
     loglik: np.ndarray
     converged: np.ndarray
+    refused: np.ndarray
+
+    def refusal(self, row: int | None = None) -> NonConvergence | None:
+        """The NonConvergence refusing this row fitted alone, or with no row
+        the whole matrix, as the first check to refuse a row; None if none."""
+        codes = self.refused if row is None else self.refused[row:row + 1]
+        for code, what in ((1, "moment start out of range"),
+                           (2, "optimizer left the feasible region")):
+            hit = codes == code
+            if hit.any():
+                i = (row or 0) + int(np.argmax(hit))
+                first = f"b={self.b[i]}" if code == 1 else f"a={self.a[i]}, b={self.b[i]}"
+                return NonConvergence(f"{what} in {int(hit.sum())} of {codes.size} rows "
+                                      f"(first: {first})")
+        return None
 
 
 def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
@@ -199,26 +217,29 @@ def _all(mask: np.ndarray) -> bool:
 def _newton(h: np.ndarray, fit: MleFit) -> None:
     """Damped Newton on (a, log b) from the moment start, every row at once.
 
-    Writes each row's last iterate into fit. A row stops when its gradient
-    is below tolerance (converged), when the Hessian is not negative
-    definite or the step is not finite, when neither the full step nor any
-    of 39 halvings gives a finite log-likelihood at least the current one,
-    when the halving taken leaves (a, log b) unchanged, or after 60
-    iterations. Stopped rows leave the arrays, so while every row takes its
-    full step no indexing happens at all.
+    Writes each row's last iterate into fit. A row whose moment start is
+    out of range (b0*b0 not finite and positive) is refused and never
+    iterated. A row stops when its gradient is below tolerance (converged),
+    when the Hessian is not negative definite or the step is not finite,
+    when neither the full step nor any of 39 halvings gives a finite
+    log-likelihood at least the current one, when the halving taken leaves
+    (a, log b) unchanged, or after 60 iterations. Refused and stopped rows
+    leave the arrays, so while every row takes its full step no indexing
+    happens at all.
     """
     a = np.add.reduce(h, axis=1) / h.shape[1]
     d = h - a[:, None]
     s = np.log(np.sqrt((d * d).sum(axis=1) / (h.shape[1] - 1)) * _SQRT3_OVER_PI)
     b = np.exp(s)
     bb = b * b  # the Hessian divides by it: where it over- or underflows no step fits
-    refused = ~(np.isfinite(bb) & (bb > 0.0))
-    if refused.any():
-        raise NonConvergence(f"moment start out of range in {int(refused.sum())} of "
-                             f"{h.shape[0]} rows (first: b={b[np.argmax(refused)]})")
+    rows = np.arange(h.shape[0])  # the fit index of each row still moving
+    start = np.isfinite(bb) & (bb > 0.0)
+    if not _all(start):
+        out = ~start
+        fit.a[out], fit.b[out], fit.loglik[out], fit.refused[out] = a[out], b[out], np.nan, 1
+        rows, h, d, a, s, b = rows[start], h[start], d[start], a[start], s[start], b[start]
     z = d / b[:, None]
     ll = _loglik(z, s)
-    rows = np.arange(h.shape[0])  # the fit index of each row still moving
     for _ in range(_NEWTON_ITERATIONS):
         ga, gs, n_aa, n_as, n_ss = _score_and_hessian(z, b)
         done = _converged(ga, gs)
@@ -295,31 +316,33 @@ def fit_logistic_rows(matrix: np.ndarray) -> MleFit:
     equations for the rows where Newton stops short. Convergence means the
     dimensionless gradient (sum tanh(z/2), sum z*tanh(z/2) - m) has
     max-norm below 1e-8. Every step is row-wise, so a row's fit is the same
-    bits whatever other rows share its matrix. NonConvergence is raised when
-    a row leaves the feasible region, and at once when b0*b0 is not finite
-    and positive.
+    bits whatever other rows share its matrix. Nothing is raised: a row
+    whose b0*b0 is not finite and positive is refused before any iteration,
+    and a row whose fit leaves the feasible region after it; MleFit.refused
+    marks both and MleFit.refusal gives the error.
     """
     h = np.asarray(matrix, dtype=float)
     k = h.shape[0]
     fit = MleFit(a=np.empty(k), b=np.empty(k), loglik=np.empty(k),
-                 converged=np.zeros(k, dtype=bool))
+                 converged=np.zeros(k, dtype=bool), refused=np.zeros(k, dtype=np.int8))
     with np.errstate(all="ignore"):  # trial steps may overflow; such trials are rejected
         _newton(h, fit)
         if not _all(fit.converged):
-            rows = np.flatnonzero(~fit.converged)
-            _bisection_fallback(h[rows], fit.b[rows], fit, rows)
-    bad = ~(np.isfinite(fit.loglik) & (fit.b > 0.0) & (fit.b < np.inf))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonConvergence(f"optimizer left the feasible region in {int(bad.sum())} of "
-                             f"{k} rows (first: a={fit.a[i]}, b={fit.b[i]})")
+            rows = np.flatnonzero(~fit.converged & (fit.refused == 0))
+            if rows.size:
+                _bisection_fallback(h[rows], fit.b[rows], fit, rows)
+    infeasible = ~(np.isfinite(fit.loglik) & (fit.b > 0.0) & (fit.b < np.inf))
+    fit.refused[infeasible & (fit.refused == 0)] = 2
     return fit
 
 
-def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """Row-wise logistic-fit estimate 1/b, and how many rows did not converge."""
+def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int, MleFit | None]:
+    """Row-wise logistic-fit estimate 1/b (NaN where the fit is refused), how
+    many fitted rows did not converge, and the fit if it refused a row."""
     fit = fit_logistic_rows(matrix)
-    return 1.0 / fit.b, int(np.count_nonzero(~fit.converged))
+    fitted = fit.refused == 0
+    values = np.divide(1.0, fit.b, out=np.full_like(fit.b, np.nan), where=fitted)
+    return values, int(np.count_nonzero(~fit.converged & fitted)), None if _all(fitted) else fit
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +352,13 @@ def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class Method:
-    """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1
-    and the number of rows whose estimate is a fit that did not converge)
-    and the ConstantsRow field holding its c (None: c = 1). Pairwise methods
-    have no kernel: they scale the raw pivot and carry its interval."""
+    """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1,
+    NaN where it refuses the row; the number of rows whose estimate is a fit
+    that did not converge; the fit, if it refused a row) and the
+    ConstantsRow field holding its c (None: c = 1). Pairwise methods have no
+    kernel: they scale the raw pivot and carry its interval."""
 
-    rows: Callable[[np.ndarray], tuple[np.ndarray, int]] | None = None
+    rows: Callable[[np.ndarray], tuple[np.ndarray, int, MleFit | None]] | None = None
     column: str | None = None
 
     @property
@@ -349,7 +373,8 @@ METHODS: dict[str, Method] = {
     "MSE": Method(column="c_mse"),
     "Bias": Method(column="c_bias"),
     "Inv": Method(column="c_inv"),
-    LENGTHS: Method(lambda matrix: (lengths_rows(matrix), 0)),  # closed form: nothing to converge
+    # closed form: nothing to converge or refuse
+    LENGTHS: Method(lambda matrix: (lengths_rows(matrix), 0, None)),
     MLE: Method(mle_rows),
     RAW: Method(),
 }
@@ -358,33 +383,49 @@ METHODS: dict[str, Method] = {
 ALL_ESTIMATORS = tuple(tag for tag in METHODS if tag != RAW)
 
 
-def estimates_for_matrix(
-    h: np.ndarray, row, estimators=ALL_ESTIMATORS
-) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int]]:
+class MatrixEstimates(NamedTuple):
+    """estimates_for_matrix's findings. kept masks the rows kept; the rest is
+    over them, by tag where a dict: the estimates, the raw c = 1 pivot the
+    pairwise methods scale, the count of fits that did not converge (the
+    estimate is the last iterate), the indices of estimates that are not
+    positive and finite, and the fit that refused some of those rows."""
+
+    estimates: dict[str, np.ndarray]
+    raw: np.ndarray
+    unconverged: dict[str, int]
+    kept: np.ndarray
+    failed: dict[str, np.ndarray]
+    refusals: dict[str, MleFit]
+
+
+def estimates_for_matrix(h: np.ndarray, row, estimators=ALL_ESTIMATORS) -> MatrixEstimates:
     """Per-replicate estimates for a (replicates, n-1) height matrix, with
     the constants of ConstantsRow row (None when no method needs one).
 
-    Returns the estimate arrays and the raw c = 1 pivot (which the pairwise
-    methods scale), both over the rows kept, and, for each method with any,
-    the number of kept rows whose fit did not converge (their estimate is
-    the fit's last iterate). Rows where all heights coincide would make
-    every estimator blow up, so they are dropped; callers report the count.
+    Rows where all heights coincide would make every estimator blow up, so
+    they are dropped; callers report them. No row stops the matrix: a row a
+    kernel refuses or whose estimate overflows is reported in the result.
     Every kernel is row-independent, so a row's estimates are the same bits
     in any matrix.
     """
-    raw = raw_pairwise_rows(h)
-    keep = ~np.isnan(raw)
-    if not keep.all():
-        h, raw = h[keep], raw[keep]
-    out: dict[str, np.ndarray] = {}
-    unconverged: dict[str, int] = {}
-    for tag in estimators:
-        method = METHODS[tag]
-        values, failed = (raw, 0) if method.pairwise else method.rows(h)
-        if failed:
-            unconverged[tag] = failed
-        out[tag] = method.constant(row) * values
-    return out, raw, unconverged
+    with np.errstate(over="ignore"):  # an estimate that overflows is reported as failed
+        raw = raw_pairwise_rows(h)
+        kept = ~np.isnan(raw)
+        if not _all(kept):
+            h, raw = h[kept], raw[kept]
+        found = MatrixEstimates({}, raw, {}, kept, {}, {})
+        for tag in estimators:
+            method = METHODS[tag]
+            values, unconverged, fit = (raw, 0, None) if method.pairwise else method.rows(h)
+            values = found.estimates[tag] = method.constant(row) * values
+            failed = ~(np.isfinite(values) & (values > 0.0))
+            if unconverged:
+                found.unconverged[tag] = unconverged
+            if failed.any():
+                found.failed[tag] = np.flatnonzero(failed)
+            if fit is not None:
+                found.refusals[tag] = fit
+    return found
 
 
 def simulated_estimates(
@@ -395,13 +436,19 @@ def simulated_estimates(
 
     Returns the estimates and raw pivot over the kept rows, the unconverged
     counts summed over chunks, and the number of rows dropped. finite_chunks
-    refuses non-finite rows before a kernel sees them. The kernels are
+    refuses non-finite rows before a kernel sees them, and a chunk with a
+    refused fit raises that chunk's NonConvergence: a simulated replicate is
+    no input of its own to give an error row. The kernels are
     row-independent, so the chunk size changes no bit of the result.
     """
-    outs, raws, fails = zip(*(estimates_for_matrix(h, row, estimators)
-                              for h in finite_chunks(height_chunks(n, regime, rng, count))))
-    raw = np.concatenate(raws)
-    estimates = {tag: np.concatenate([out[tag] for out in outs]) for tag in estimators}
+    chunks = []
+    for h in finite_chunks(height_chunks(n, regime, rng, count)):
+        chunks.append(estimates_for_matrix(h, row, estimators))
+        for fit in chunks[-1].refusals.values():
+            raise fit.refusal()
+    raw = np.concatenate([found.raw for found in chunks])
+    estimates = {tag: np.concatenate([found.estimates[tag] for found in chunks])
+                 for tag in estimators}
     unconverged = {tag: total for tag in estimators
-                   if (total := sum(fail.get(tag, 0) for fail in fails))}
+                   if (total := sum(found.unconverged.get(tag, 0) for found in chunks))}
     return estimates, raw, unconverged, count - raw.size

@@ -271,14 +271,16 @@ def extract_coalescence_times(
 
 
 def tree_internal_branch_length(tree: TreeRecord) -> float:
-    """Sum of branch lengths of edges ancestral to two or more tips.
+    """Sum of branch lengths of edges ancestral to two or more tips, by the
+    tree's own topology.
 
-    A root stem counts only when the parsed text gives one; the tree's own
-    topology decides every other edge.
+    A root stem, explicit or not, lies above the sample's most recent common
+    ancestor and is no part of its genealogy, so it does not count: the
+    point-process tree of a height row gives the row's branch-order length.
     """
     if tree.tips < 3:
         raise SampleTooSmall("internal branch length needs at least 3 tips")
-    return tree.internal if tree.stem is None else tree.internal + tree.stem
+    return tree.internal
 
 
 # ---------------------------------------------------------------------------

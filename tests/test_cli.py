@@ -180,7 +180,7 @@ def test_estimate_maps_each_tag_to_its_constant_and_matches_the_study_path(
     constant = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
                 "RawUnitConstant": 1.0}
     inputs = cli.read_times_csv(times)
-    study, study_raw, _ = estimates_for_matrix(np.array(inputs), row, tuple(METHODS))
+    study, study_raw, *_ = estimates_for_matrix(np.array(inputs), row, tuple(METHODS))
     assert study_raw.size == len(inputs)
     for i, t in enumerate(inputs):
         got = {tag: records[(f"times.csv#{i}", tag)] for tag in METHODS}
@@ -431,22 +431,112 @@ def test_estimate_refuses_unknown_tags_and_estimates_that_are_not_finite(tmp_pat
     assert float(rows[1][3]) == 2.0
 
 
-@pytest.mark.parametrize("bad, error, message", [
+@pytest.mark.parametrize("bad, tag, error, message", [
     # equal heights: dropped before the kernels run
-    ([2.0, 2.0, 2.0, 2.0], cli.DegenerateTimes, "all coalescence times are equal"),
-    # subnormal heights: the estimate overflows and halving pins it to its row
-    ([0.0, 1e-320, 2e-320, 3e-320], ValueError, "estimate must be positive and finite"),
-], ids=["bad0", "bad1"])
-def test_matrix_estimates_gives_each_row_its_own_entry(constants_file, bad, error, message):
+    ([2.0, 2.0, 2.0, 2.0], "Inv", cli.DegenerateTimes, "all coalescence times are equal"),
+    # subnormal heights: the estimate overflows and is failed on its row
+    ([0.0, 1e-320, 2e-320, 3e-320], "Inv", ValueError, "estimate must be positive and finite"),
+    # the logistic fit refuses the row at its moment start, where b*b overflows
+    # or underflows, or after it, where the fit leaves the feasible region
+    ([0.0, 1e200, 3e199, 1e199], "MLE", cli.NonConvergence,
+     "moment start out of range in 1 of 1 rows (first: b=inf)"),
+    ([0.0, 4e-162, 2e-162, 1e-162], "MLE", cli.NonConvergence,
+     "moment start out of range in 1 of 1 rows (first: b=1.2254711261427042e-162)"),
+    ([0.0, 1e-161, 5e-162, 2e-162], "MLE", cli.NonConvergence,
+     "optimizer left the feasible region in 1 of 1 rows (first: a=4.999999999999999e-162, b=0.0)"),
+], ids=["bad0", "bad1", "mle-start-inf", "mle-start-underflow", "mle-infeasible"])
+def test_matrix_estimates_gives_each_row_its_own_entry(constants_file, bad, tag, error, message):
     # non-finite rows never get here: cmd_estimate refuses them before grouping
     row = calibration.load_constants_table(constants_file)[5]
     h = np.array([[3.0, 1.0, 2.0, 0.5], bad, [4.0, 1.0, 2.0, 0.5]])
-    found = cli._matrix_estimates(h, row, "Inv")
-    assert len(found) == 3
-    assert type(found[1]) is error
-    assert str(found[1]) == message
-    for k in (0, 2):
-        assert found[k] == cli._matrix_estimates(h[k:k + 1], row, "Inv")[0]
+    tags = (tag, "Lengths")
+    found = cli._matrix_estimates(h, row, tags)
+    assert len(found[tag]) == 3
+    assert type(found[tag][1]) is error
+    assert str(found[tag][1]) == message
+    for k in range(3):
+        alone = cli._matrix_estimates(h[k:k + 1], row, tags)
+        for t in tags:
+            got, one = found[t][k], alone[t][0]
+            if isinstance(one, Exception):
+                assert (type(got), str(got)) == (type(one), str(one))
+            else:  # the same bits as the row's one-row result
+                assert [x.hex() for x in got] == [x.hex() for x in one]
+
+
+def test_estimate_runs_each_group_once_whatever_its_refused_rows(tmp_path, constants_file,
+                                                                  monkeypatch):
+    calls = {"estimates_for_matrix": [], "fit_logistic_rows": []}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(h, *args):
+            calls[name].append(len(h))
+            return real(h, *args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(cli, "estimates_for_matrix")
+    counted(estimators, "fit_logistic_rows")
+    bad = ["5,,0,1e200,3e199,1e199", "5,40,2,2,2,2", "5,,0,1e-161,5e-162,2e-162",
+           "5,40,0,1e-320,2e-320,3e-320"]
+    lines = ["n,T,h1"]
+    for i in range(40):
+        lines.append(f"5,40,{i % 7 + 1},{i % 3 + 0.5},2.25,{i % 5 + 0.1}")
+        lines.append(bad[i % len(bad)] if i % 3 == 0 else f"3,40,{i % 4 + 1},0.5")
+    times = tmp_path / "mixed.csv"
+    times.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "e.csv"
+    assert run(["estimate", times, "--constants", constants_file, "--methods", ",".join(METHODS),
+                "--out", out]) == 0
+    # one call per n-group for all tags, and one fit per call; the three
+    # constant rows are dropped before the fit
+    assert sorted(calls["estimates_for_matrix"]) == [26, 54]
+    assert sorted(calls["fit_logistic_rows"]) == [26, 51]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    errors = {row[6].split(" (")[0] for row in rows if row[2] == "MLE" and row[6]}
+    assert errors == {"DegenerateTimes: all coalescence times are equal",
+                      "NonConvergence: moment start out of range in 1 of 1 rows",
+                      "NonConvergence: optimizer left the feasible region in 1 of 1 rows"}
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.5", "nan"])
+def test_estimate_refuses_a_level_outside_zero_one(tmp_path, capsys, level):
+    times = tmp_path / "t.csv"
+    cli.write_times_csv(np.array([[3.0, 1.0, 2.0]]), 4, 40.0, times)
+    out = tmp_path / "e.csv"
+    argv = ["--methods", "Inv,Lengths", "--level", level, "--replicates", 1000, "--out", out]
+    assert run(["estimate", times, *argv]) == cli.EXIT_INPUT
+    assert "--level must be a number in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+    # refused before the input is read: a missing file is not what it reports
+    assert run(["estimate", tmp_path / "missing.csv", *argv]) == cli.EXIT_INPUT
+    assert "--level" in capsys.readouterr().err
+
+
+def test_study_exits_3_when_the_mle_refuses_a_simulated_row(tmp_path, constants_file,
+                                                            monkeypatch, capsys):
+    real_chunks = estimators.height_chunks
+
+    def refused_first_row(n, regime, rng, count):
+        chunks = real_chunks(n, regime, rng, count)
+        first = next(chunks)
+        first[0] = 1e200 * np.arange(n - 1)  # b*b overflows at the fit's moment start
+        yield first
+        yield from chunks
+
+    monkeypatch.setattr(estimators, "height_chunks", refused_first_row)
+    argv = ["study", "--n", 5, "--r", 1, "--replicates", 200, "--seed", 3,
+            "--constants", constants_file]
+    # a simulated sample has no row to spare: the refused fit ends the run
+    assert run(argv + ["--estimators", "MLE", "--out", tmp_path / "mle"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: moment start out of range in 1 of 200 rows (first: b=inf)\n")
+    assert not (tmp_path / "mle").exists()
+    # the other estimators take the row
+    assert run(argv + ["--estimators", "Inv,Lengths", "--out", tmp_path / "rest"]) == cli.EXIT_OK
+    assert (tmp_path / "rest" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("argv, text, code, message", [

@@ -96,7 +96,8 @@ def test_gap_form_is_positive_on_unequal_rows_and_the_same_alone():
 
 
 def test_estimate_worked_example():
-    estimates, _, unconverged = est.estimates_for_matrix(row_of([3.0, 1.0, 2.0]), None, (est.RAW,))
+    estimates, _, unconverged, *_ = est.estimates_for_matrix(row_of([3.0, 1.0, 2.0]), None,
+                                                              (est.RAW,))
     assert estimates[est.RAW][0] == 1.5 and unconverged == {}
 
 
@@ -104,7 +105,7 @@ def test_constant_scaling_is_exact():
     h = row_of([3.0, 1.0, 2.0, 0.5])
     row = ConstantsRow(n=5, c_inv=1.3, c_mse=0.355, c_bias=0.78, inv_q_lo=2.0, inv_q_hi=0.5,
                        replicates=1, seed=0)
-    estimates, raw, _ = est.estimates_for_matrix(h, row, ("MSE", "Bias", "Inv", est.RAW))
+    estimates, raw, *_ = est.estimates_for_matrix(h, row, ("MSE", "Bias", "Inv", est.RAW))
     assert raw[0] == est.raw_pairwise_rows(h)[0]
     for tag, c in (("MSE", 0.355), ("Bias", 0.78), ("Inv", 1.3), (est.RAW, 1.0)):
         assert est.METHODS[tag].constant(row) == c
@@ -202,8 +203,8 @@ def test_mle_recovers_scale_from_quantile_data():
     assert fit.converged[0]
     assert fit.b[0] == pytest.approx(2.0, rel=0.05)
     assert fit.a[0] == pytest.approx(10.0, rel=0.01)
-    values, unconverged = est.mle_rows(row_of(h))
-    assert values[0] == 1.0 / fit.b[0] and unconverged == 0
+    values, unconverged, refused = est.mle_rows(row_of(h))
+    assert values[0] == 1.0 / fit.b[0] and unconverged == 0 and refused is None
 
 
 def test_mle_scale_and_shift_equivariance():
@@ -235,8 +236,14 @@ def test_mle_permutation_invariant():
 def test_mle_rejects_degenerate_and_small():
     # equal heights, or a single one, leave no moment start to fit from
     for h in ([1.0, 1.0, 1.0], [1.0]):
-        with pytest.raises(NonConvergence, match="moment start out of range in 1 of 1 rows"):
-            est.fit_logistic_rows(row_of(h))
+        fit = est.fit_logistic_rows(row_of(h))
+        assert fit.refused.tolist() == [1] and not fit.converged[0]
+        message = f"moment start out of range in 1 of 1 rows (first: b={fit.b[0]})"
+        for refusal in (fit.refusal(), fit.refusal(0)):
+            assert type(refusal) is NonConvergence and str(refusal) == message
+        values, unconverged, refused = est.mle_rows(row_of(h))
+        assert np.isnan(values[0]) and unconverged == 0
+        assert str(refused.refusal(0)) == str(fit.refusal(0))
 
 
 def test_mle_converges_on_tiny_samples():
@@ -301,11 +308,12 @@ def test_batched_mle_raises_no_floating_point_warning():
     for h in _stress_matrices():
         est.fit_logistic_rows(h)
         est.fit_logistic_rows(h[:1])
-    # at these scales b*b overflows or log b underflows: the fit fails loudly,
-    # not with a warning from inside the kernel
+    # at these scales b*b overflows or log b underflows: the row is refused,
+    # not fitted with a warning from inside the kernel
     for h in ([[0.0, 1e200]], [[2e-201, 1e-202, 8e-201]]):
-        with pytest.raises(NonConvergence):
-            est.fit_logistic_rows(np.array(h))
+        fit = est.fit_logistic_rows(np.array(h))
+        assert fit.refused.tolist() == [1]
+        assert str(fit.refusal()).startswith("moment start out of range in 1 of 1 rows")
 
 
 def test_rows_out_of_range_at_the_moment_start_are_refused_before_any_fallback(monkeypatch):
@@ -313,10 +321,20 @@ def test_rows_out_of_range_at_the_moment_start_are_refused_before_any_fallback(m
         raise AssertionError("a refused row reached the bisection fallback")
 
     monkeypatch.setattr(est, "_bisection_fallback", fallback)
-    for bad in ([0.0, 1e200, 3e199], [0.0, 1e160, 3e159], [1e-170, 2e-170, 5e-170]):
-        h = np.array([[1.0, 4.0, 2.0], bad, [0.5, 3.0, 9.0], [5.0, 1.0, 2.5]])
-        with pytest.raises(NonConvergence, match="moment start out of range in 1 of 4 rows"):
-            est.fit_logistic_rows(h)
+    good = np.array([[1.0, 4.0, 2.0], [0.5, 3.0, 9.0], [5.0, 1.0, 2.5]])
+    alone = est.fit_logistic_rows(good)
+    for bad, b in (([0.0, 1e200, 3e199], "inf"), ([0.0, 1e160, 3e159], "inf"),
+                   ([1e-170, 2e-170, 5e-170], "0.0")):
+        h = np.insert(good, 1, bad, axis=0)
+        fit = est.fit_logistic_rows(h)
+        assert fit.refused.tolist() == [0, 1, 0, 0]
+        message = "moment start out of range in {} rows (first: b=" + b + ")"
+        assert str(fit.refusal()) == message.format("1 of 4")
+        assert str(fit.refusal(1)) == message.format("1 of 1")
+        assert fit.refusal(0) is fit.refusal(2) is None
+        # the refused row's neighbours are fitted as if it were not there
+        for field in ("a", "b", "loglik", "converged"):
+            assert getattr(fit, field)[[0, 2, 3]].tobytes() == getattr(alone, field).tobytes()
 
 
 def test_newton_stops_a_row_whose_halving_step_changes_nothing(monkeypatch):
@@ -339,8 +357,8 @@ def test_newton_stops_a_row_whose_halving_step_changes_nothing(monkeypatch):
 
 def test_mle_rows_counts_unconverged_fits():
     h = _stress_matrices()[1]
-    values, unconverged = est.mle_rows(h)
-    assert unconverged == 0
+    values, unconverged, refused = est.mle_rows(h)
+    assert unconverged == 0 and refused is None
     assert np.array_equal(values, 1.0 / est.fit_logistic_rows(h).b)
 
 

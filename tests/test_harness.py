@@ -72,10 +72,11 @@ def test_coverage_rows_present(small_study):
 
 def test_degenerate_rows_excluded_and_counted(small_constants):
     matrix = np.array([[1.0, 2.0, 3.0, 2.5], [2.0, 2.0, 2.0, 2.0]])
-    estimates, raw, unconverged = est.estimates_for_matrix(matrix, small_constants[5])
-    assert raw.tolist() == [4 * 3 / 6.5]  # the first row is kept, the second dropped
-    assert estimates["MSE"].size == 1
-    assert unconverged == {}
+    found = est.estimates_for_matrix(matrix, small_constants[5])
+    assert found.raw.tolist() == [4 * 3 / 6.5]  # the first row is kept, the second dropped
+    assert found.kept.tolist() == [True, False]
+    assert found.estimates["MSE"].size == 1
+    assert (found.unconverged, found.failed, found.refusals) == ({}, {}, {})
 
 
 def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks():
@@ -83,7 +84,7 @@ def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks(
     count = 15_000
     assert len(list(co.height_chunks(20, regime, RngStream(SEED), count))) >= 2
     h = co.sample_coalescence_times_block(20, regime, RngStream(SEED), count)
-    estimates, raw, unconverged = est.estimates_for_matrix(h, ROW_20)
+    estimates, raw, unconverged, *_ = est.estimates_for_matrix(h, ROW_20)
     got, got_raw, got_unconverged, excluded = est.simulated_estimates(
         20, regime, RngStream(SEED), count, ROW_20)
     config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=count)
@@ -169,8 +170,8 @@ def test_study_reports_unconverged_fits_once_per_cell(small_constants, monkeypat
     mle = est.METHODS["MLE"]
 
     def two_unconverged(h):
-        values, _ = mle.rows(h)
-        return values, 2
+        values, _, refused = mle.rows(h)
+        return values, 2, refused
 
     monkeypatch.setitem(est.METHODS, "MLE", dataclasses.replace(mle, rows=two_unconverged))
     config = harness.StudyConfig(ns=(5, 10), rs=(0.5, 1.0), t=40.0, replicates=50, seed=SEED,

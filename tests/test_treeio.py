@@ -25,7 +25,7 @@ from bdgrowth.errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from bdgrowth.estimators import internal_branch_length_rows
+from bdgrowth.estimators import estimate_lengths, internal_branch_length_rows, lengths_rows
 from bdgrowth.rng import RngStream
 
 BASIC = "((A:1,B:1):1,C:2);"
@@ -165,8 +165,6 @@ def reference_internal_length(tree):
         for child in node.children:
             if counts[id(child)] >= 2:
                 total += child.length or 0.0
-    if tree.stem_from_input:
-        total += tree.root_stem
     return total
 
 
@@ -393,8 +391,9 @@ def test_tree_internal_length_worked_example():
     assert treeio.tree_internal_branch_length(read(BASIC)) == 1.0
 
 
-def test_tree_internal_length_includes_explicit_stem_only():
-    assert treeio.tree_internal_branch_length(read("((A:1,B:1):1,C:2):0.5;")) == 1.5
+def test_tree_internal_length_ignores_the_root_stem():
+    for text in ("((A:1,B:1):1,C:2):0.5;", "((A:1,B:1):1,C:2);"):
+        assert treeio.tree_internal_branch_length(read(text)) == 1.0
 
 
 def test_tree_internal_length_needs_three_tips():
@@ -414,9 +413,11 @@ def test_cpp_tree_length_equals_branch_order_formula_exactly():
         h = dyadic_heights(rng, n)
         t = float(h.max() + rng.integers(1, 50))
         formula = internal_branch_length_rows(h[None, :])[0]
-        # the written tree's stem t - max(H) is explicit, so it counts
+        # the written tree's stem t - max(H) is explicit, and does not count:
+        # the tree gives the same Lengths as the times CSV of its row
         (text,) = treeio.cpp_newick_rows(h[None, :], t)
-        assert treeio.tree_internal_branch_length(read(text)) == formula + (t - h.max())
+        assert treeio.tree_internal_branch_length(read(text)) == formula
+        assert estimate_lengths(n, read(text)) == lengths_rows(h[None, :])[0]
         assert oracles.tree_internal_branch_length(oracles.build_cpp_tree(h, t)) == formula
 
 
