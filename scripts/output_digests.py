@@ -115,6 +115,9 @@ COMMANDS = [
                      "--out", "asymptotics.json"]),
     ("simulate", ["simulate", "--n", "10", "--count", "300", "--seed", "7", "--T", "40",
                   "--out", "times.csv", "--trees", "trees.nwk"]),
+    # r*T = 745, where exp(-rT) is the smallest subnormal double
+    ("simulate-far", ["simulate", "--n", "10", "--count", "300", "--seed", "7", "--T", "745",
+                      "--out", "times-far.csv"]),
     ("estimate-times", ["estimate", "times.csv", "--constants", TABLE,
                         "--methods", ALL_METHODS, "--out", "estimate-times.csv"]),
     ("estimate-trees", ["estimate", "trees.nwk", "--constants", TABLE,

@@ -28,10 +28,8 @@ from .coalescent import (
     FixedNLimit,
     LargeN,
     check_finite_rows,
-    delta_t,
     sample_coalescence_times_block,
     sample_q,
-    sample_y,
 )
 from .confidence import ConfidenceSpec, coverage_study, make_regime
 from .errors import (

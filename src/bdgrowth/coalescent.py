@@ -6,11 +6,15 @@ coalescence times, measured backwards from the sampling instant. Their joint
 law has a coalescent-point-process form: one latent draw, then n - 1
 conditionally i.i.d. branch heights. Three regimes are implemented:
 
-  ExactFiniteT   the exact finite-T law. Latent Y on (0, 1) with density
-                 n*d*y^(n-1) / (y + d - y*d)^(n+1), d = delta_t(params);
-                 given Y = y the heights are i.i.d. on (0, T) with density
+  ExactFiniteT   the exact finite-T law. Latent Y on (0, 1) with CDF
+                 (y / (y + delta*(1 - y)))^n, delta = E*d, E = exp(-rT) and
+                 d = r / (lam*(1 - E) + r*E); given Y = y the heights are
+                 i.i.d. on (0, T) with density
                  C * a*r^2*exp(-r*t) / (a + b*exp(-r*t))^2 where a = y*lam,
-                 b = r - a and C normalizes.
+                 b = r - a and C normalizes. Y/(1 - Y) = delta*Q with Q the
+                 FixedNLimit latent below, so the sampler draws Q, and as
+                 rT grows the law passes continuously into FixedNLimit
+                 (Lambert & Stadler, Theor. Popul. Biol. 90, 2013).
 
   FixedNLimit    the T -> infinity law for fixed n. Latent Q on (0, inf)
                  with density n*q^(n-1)/(1+q)^(n+1); given Q = q the shifted
@@ -42,12 +46,6 @@ import numpy as np
 
 from .errors import NonFiniteTimes
 from .rng import as_generator, open_uniform
-
-# Switch to the limiting (truncated-exponential) branch-height CDF when
-# |r - y*lam| / r drops below this; the singularity there is removable.
-_B_ZERO_REL = 1e-9
-
-_TINY = 5e-324  # smallest positive subnormal double
 
 _CHUNK_HEIGHTS = 1 << 18  # heights per drawn block: 2 MB bounds sampler and kernel memory
 
@@ -129,62 +127,40 @@ class LargeN:
 Regime = ExactFiniteT | FixedNLimit | LargeN
 
 
-def delta_t(params: BirthDeathParams) -> float:
-    """Probability weight r*exp(-rT) / (lam*(1 - exp(-rT)) + r*exp(-rT)).
-
-    Evaluated in log space so that large r*T underflows to the smallest
-    positive double rather than to zero; the value is 1 only in the T -> 0
-    limit and lies in (0, 1) for every valid parameter set.
-    """
-    r = params.r
-    rt = r * params.t
-    # 1 - exp(-rt) via expm1 keeps the T -> 0 limit accurate.
-    denom = params.lam * (-math.expm1(-rt)) + r * math.exp(-rt)
-    value = math.exp(math.log(r) - rt - math.log(denom))
-    if value == 0.0:
-        return _TINY
-    return min(value, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Quantile functions of the building-block distributions: the inverse
 # transforms the samplers use. Each docstring names the CDF it inverts.
 # ---------------------------------------------------------------------------
 
 
-def y_quantile(u, n: int, delta: float):
-    """Inverse of the CDF (y / (y + delta*(1 - y)))^n of Y:
-    u^(1/n)*delta / (1 - u^(1/n)*(1 - delta))."""
-    w = np.log(u) / n
-    t = np.exp(w)
-    # denominator written as (1 - t) + t*delta; expm1 keeps 1 - t accurate
-    return t * delta / (-np.expm1(w) + t * delta)
+def h_exact_quantile(u, q, params: BirthDeathParams):
+    """Inverse of the CDF of a branch height given the latent Q = q, that is
+    given Y = y with y/(1 - y) = delta*q: C*(a*r/b)*(1/(a + b*exp(-r*t)) - 1/r)
+    on (0, T), with E = exp(-rT), a = y*lam, b = r - a and
+    C = (a + b*E)/(a*(1 - E)).
 
-
-def h_exact_quantile(u, y, params: BirthDeathParams):
-    """Inverse of the CDF of a branch height given Y = y, exact at both
-    support endpoints.
-
-    That CDF on (0, T) is C*(a*r/b)*(1/(a + b*exp(-r*t)) - 1/r) with
-    C = (a + b*exp(-rT)) / (a*(1 - exp(-rT))), a truncated exponential when
-    b = r - y*lam vanishes. Solving F(t) = u gives exp(-r*t) =
-    (a*(1-u) + E*(b + u*a)) / (a + u*b + E*b*(1-u)) with E = exp(-rT); at
-    u = 0 this is 1 and at u = 1 it is E, so no cancellation occurs near
-    either endpoint. y may be an array broadcasting against u.
+    With d = r/(lam*(1 - E) + r*E) and A = a/E = lam*d*q/(1 + E*d*q), solving
+    it for u gives exp(-r*h) = E*(A*(1 - E)*(1 - u) + r)/D, where
+    D = E*A*(1 - E)*(1 - u) + r*(u + E*(1 - u)). Every term is positive, so
+    nothing cancels, b = 0 is no special case and the formula is finite at
+    every r*T; at E = 0 it is the FixedNLimit height. A and D are carried
+    divided by r, so until the last step only r*T and lam/r enter.
+    h is read as T - log1p(.)/r near T and, where P = 1 - exp(-r*h) =
+    r*u*(1 - E)/D is below 1/2, as -log1p(-P)/r near 0. q may be an array
+    broadcasting against u.
     """
     u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = params.r
-    a = y * params.lam
-    b = r - a
-    e_cap = math.exp(-r * params.t)
-    # both branches are finite everywhere, so evaluating and selecting is safe
-    num = a * (1.0 - u) + e_cap * (b + u * a)
-    den = a + u * b + e_cap * b * (1.0 - u)
-    general = -np.log(num / den) / r
-    limit = -np.log1p(u * (e_cap - 1.0)) / r
-    out = np.where(np.abs(b) < _B_ZERO_REL * r, limit, general)
-    return float(out) if out.ndim == 0 else out
+    r, t, lam_r = params.r, params.t, params.lam / params.r
+    e_cap, e_rest = math.exp(-r * t), -math.expm1(-r * t)
+    dq = np.asarray(q, dtype=float) / (lam_r * e_rest + e_cap)
+    a = lam_r * dq / (1.0 + e_cap * dq)
+    v = 1.0 - u
+    den = e_cap * e_rest * a * v + (u + e_cap * v)
+    p = u * e_rest / den
+    h = np.asarray(t - np.log1p(v * (e_rest * (a * e_rest + 1.0)) / den) / r)
+    near = p < 0.5
+    h[near] = -np.log1p(-p[near]) / r
+    return float(h) if h.ndim == 0 else h
 
 
 def q_quantile(u, n: int):
@@ -209,15 +185,6 @@ def logistic_quantile(v):
 # Samplers. Each accepts an RngStream (fresh, reproducible sequence) or a
 # numpy Generator (continues an existing sequence); none keeps state.
 # ---------------------------------------------------------------------------
-
-
-def sample_y(n: int, delta: float, rng, size=None):
-    if n < 2:
-        raise ValueError("sample size must be >= 2")
-    if not (0 < delta <= 1):
-        raise ValueError("delta must lie in (0, 1]")
-    gen = as_generator(rng)
-    return y_quantile(open_uniform(gen, size), n, delta)
 
 
 def sample_q(n: int, rng, size=None):
@@ -258,13 +225,11 @@ def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarra
     The latent column of all count rows is drawn first, then each block's
     uniforms, so the draws are fully deterministic given the stream and
     count, and the blocks stacked are the same bits whatever their size:
-    every transform is elementwise. Finite ExactFiniteT heights lie strictly
-    inside (0, T); at large r*T some rows hold inf or nan, which
-    estimators.simulated_estimates refuses through finite_chunks and the
-    simulate command through check_finite_rows. The two limiting regimes
-    live on an unbounded axis, so occasional heights outside (0, T) are
-    expected there; with no T the FixedNLimit rows are relative heights, of
-    which only differences are meaningful.
+    every transform is elementwise. ExactFiniteT heights are finite at every
+    r*T and lie inside (0, T) up to rounding at its ends. The two limiting
+    regimes live on an unbounded axis, so occasional heights outside (0, T)
+    are expected there; with no T the FixedNLimit rows are relative heights,
+    of which only differences are meaningful.
     """
     if n < 2:
         raise ValueError("sample size must be >= 2")
@@ -272,12 +237,10 @@ def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarra
         raise ValueError("count must be >= 1")
     gen = as_generator(rng)
     if isinstance(regime, ExactFiniteT):
-        p = regime.params
-        latent = sample_y(n, delta_t(p), gen, size=(count, 1))
+        latent = sample_q(n, gen, size=(count, 1))
 
-        def heights(y, v):
-            with np.errstate(divide="ignore", invalid="ignore"):  # callers refuse such rows
-                return h_exact_quantile(v, y, p)
+        def heights(q, v):
+            return h_exact_quantile(v, q, regime.params)
     elif isinstance(regime, FixedNLimit):
         latent = sample_q(n, gen, size=(count, 1))
 

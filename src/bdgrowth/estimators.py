@@ -290,19 +290,21 @@ def _newton(h: np.ndarray, fit: MleFit) -> None:
 def _bisection_fallback(h: np.ndarray, b: np.ndarray, fit: MleFit, rows: np.ndarray) -> None:
     """Coordinate bisection on the two stationarity equations for the given
     fit rows, starting from scale b, at most 100 rounds; writes each row's
-    last iterate into fit."""
+    last iterate into fit. A round is a function of its starting b alone, so
+    a row whose round returns that b bitwise would repeat it to the end: it
+    stops there with the same bits."""
     for _ in range(_FALLBACK_ROUNDS):
         a = _solve_location(h, b)
-        b = _solve_scale(h, a, b)
-        s = np.log(b)
+        b_new = _solve_scale(h, a, b)
+        s = np.log(b_new)
         b_s = np.exp(s)
         z = (h - a[:, None]) / b_s[:, None]
         ga, gs, *_ = _score_and_hessian(z, b_s)
         done = _converged(ga, gs)
         fit.a[rows], fit.b[rows], fit.loglik[rows] = a, b_s, _loglik(z, s)
         fit.converged[rows] = done
-        keep = ~done
-        rows, h, b = rows[keep], h[keep], b[keep]
+        keep = ~done & (b_new != b)
+        rows, h, b = rows[keep], h[keep], b_new[keep]
         if not rows.size:
             return
 

@@ -9,8 +9,8 @@ its length and the filler after it, and a stack of open groups does the
 rest. Each finished subtree leaves only its tip count, its summed tip
 distance and its nearest and farthest tip distance, so the pass yields a
 TreeRecord: the join heights, the tip count, the topology-true internal
-branch length, the root stem, the spread of tip distances below the root and
-the first node that is not binary. extract_coalescence_times and
+branch length, the spread of tip distances below the root and the first
+node that is not binary; a root stem is read and checked but not kept. extract_coalescence_times and
 tree_internal_branch_length read the record, validate it (at least two tips,
 binary, ultrametric within a relative tolerance) and return the descending
 heights (a plain tree carries no branch order) and the internal length used
@@ -55,15 +55,13 @@ class TreeRecord(NamedTuple):
     distance from the join down to its tips. lo and hi are the nearest and
     farthest tip distances below the root, each summed from its tip upward.
     internal sums, in postorder and left to right under each node, the edges
-    above subtrees of two or more tips; stem is the explicit root edge, or
-    None. not_binary is the refusal text of the first node in postorder that
-    does not have two children, or None.
+    above subtrees of two or more tips. not_binary is the refusal text of the
+    first node in postorder that does not have two children, or None.
     """
 
     heights: list[float]
     tips: int
     internal: float
-    stem: float | None
     lo: float
     hi: float
     not_binary: str | None
@@ -162,7 +160,7 @@ def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None,
             if degree != 2 and not_binary is None:
                 not_binary = f"node {label or '(unnamed)'} has {degree} children"
         if not starts:
-            return TreeRecord(heights, tips, internal, length, lo, hi, not_binary), missing, pos
+            return TreeRecord(heights, tips, internal, lo, hi, not_binary), missing, pos
         if length is None:
             unnamed.setdefault(len(starts), label or "internal node")
             length = 0.0

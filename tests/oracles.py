@@ -1,11 +1,14 @@
 """Test oracles: the densities and CDFs that the samplers' quantile functions
-invert, two single-factor samplers, the Monte Carlo c_inv, and Newick trees
-as node graphs.
+invert, the exact regime's Y latent and single-factor samplers, the Monte
+Carlo c_inv, and Newick trees as node graphs.
 
 No command needs these; the tests check the closed-form CDFs against
 quadrature of the densities and the samplers' draws against the CDFs. The
-module also re-exports bdgrowth.coalescent, so a test can read samplers and
-oracles from one namespace.
+exact regime is written here in its Y form: latent Y with CDF
+(y / (y + delta*(1 - y)))^n and heights given Y = y. The sampler draws the
+latent Q = Y/((1 - Y)*delta) instead, which is why delta_t, y_quantile and
+sample_y live only here. The module also re-exports bdgrowth.coalescent, so
+a test can read samplers and oracles from one namespace.
 
 The tree graph (TreeNode, SampleTree) is what bdgrowth.treeio reads without
 building: a character-at-a-time parser makes it, build_cpp_tree builds the
@@ -23,14 +26,37 @@ import numpy as np
 from bdgrowth import treeio
 from bdgrowth.calibration import SnSample
 from bdgrowth.coalescent import *  # noqa: F403
-from bdgrowth.coalescent import (
-    _B_ZERO_REL,
-    BirthDeathParams,
-    h_exact_quantile,
-    u_given_q_quantile,
-)
+from bdgrowth.coalescent import BirthDeathParams, h_exact_quantile, u_given_q_quantile
 from bdgrowth.errors import MissingBranchLength, ParseError
 from bdgrowth.rng import as_generator, open_uniform
+
+# Switch to the limiting (truncated-exponential) branch-height CDF when
+# |r - y*lam| / r drops below this; the singularity there is removable.
+_B_ZERO_REL = 1e-9
+
+
+def delta_t(params: BirthDeathParams) -> float:
+    """Probability weight r*exp(-rT) / (lam*(1 - exp(-rT)) + r*exp(-rT)) of
+    the Y latent, in log space; it underflows to 0 beyond r*T of about 745."""
+    r = params.r
+    rt = r * params.t
+    # 1 - exp(-rt) via expm1 keeps the T -> 0 limit accurate.
+    denom = params.lam * (-math.expm1(-rt)) + r * math.exp(-rt)
+    return min(math.exp(math.log(r) - rt - math.log(denom)), 1.0)
+
+
+def y_quantile(u, n: int, delta: float):
+    """Inverse of the CDF (y / (y + delta*(1 - y)))^n of Y:
+    u^(1/n)*delta / (1 - u^(1/n)*(1 - delta))."""
+    w = np.log(u) / n
+    t = np.exp(w)
+    # denominator written as (1 - t) + t*delta; expm1 keeps 1 - t accurate
+    return t * delta / (-np.expm1(w) + t * delta)
+
+
+def sample_y(n: int, delta: float, rng, size=None):
+    gen = as_generator(rng)
+    return y_quantile(open_uniform(gen, size), n, delta)
 
 
 def y_density(y, n: int, delta: float):
@@ -94,9 +120,15 @@ def u_given_q_cdf(u, q: float):
     return np.clip(1.0 - (1.0 + q) / (q * (1.0 + np.exp(u))), 0.0, None)
 
 
+def q_of_y(y, params: BirthDeathParams):
+    """The sampler's latent q = y/((1 - y)*delta) that Y = y stands for."""
+    return y / ((1.0 - y) * delta_t(params))
+
+
 def sample_h_exact(y, params: BirthDeathParams, rng, size=None):
+    """Branch heights given Y = y, through the sampler's quantile."""
     gen = as_generator(rng)
-    return h_exact_quantile(open_uniform(gen, size), y, params)
+    return h_exact_quantile(open_uniform(gen, size), q_of_y(y, params), params)
 
 
 def sample_u_given_q(q, rng, size=None):

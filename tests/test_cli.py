@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,20 @@ NEWICK = "((A:1,B:1):1,C:2);"
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def poison_height_chunks(monkeypatch):
+    """Patch the simulating commands' sampler to put inf in every 4th row of
+    each row chunk and nan in the row after it: rows no sampler draws, for
+    the commands' finite-row guard to refuse."""
+    real_chunks = estimators.height_chunks
+
+    def poisoned(n, regime, rng, count):
+        for chunk in real_chunks(n, regime, rng, count):
+            chunk[::4, 0], chunk[1::4, -1] = np.inf, np.nan
+            yield chunk
+
+    monkeypatch.setattr(estimators, "height_chunks", poisoned)
 
 
 def src_env():
@@ -543,32 +558,38 @@ def test_study_exits_3_when_the_mle_refuses_a_simulated_row(tmp_path, constants_
     # n / L_in and the pairwise estimate overflow; the row is refused
     (["estimate", "in.csv", "--methods", "Lengths"], "n,T,h1,h2,h3\n4,40,0,1e-320,2e-320\n",
      cli.EXIT_INPUT, "ValueError: estimate must be positive and finite"),
-    # the exact sampler's log meets 0 in some rows; the run is refused
+    # simulated rows holding inf or nan refuse the run
     (["study", "--n", 10, "--r", 1, "--T", 800, "--replicates", 500, "--out", "study"], None,
-     cli.EXIT_NUMERICAL, "rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, "250 of 500 rows hold non-finite coalescence times"),
     # inf tip depths make the ultrametric check subtract inf from inf
     (["estimate", "in.nwk", "--methods", "Lengths"], OVERFLOWING_TREE + "\n",
      cli.EXIT_INPUT, "ValueError: coalescence times must be finite"),
     # the same at r*T = 5000; at n = 100 the bad rows fall in all eight of the
     # sampler's row chunks, and every one of them is counted
     (["coverage", "--n", 10, "--T", 5000, "--replicates", 20_000, "--seed", 1], None,
-     cli.EXIT_NUMERICAL, "6060 of 20000 rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, "10000 of 20000 rows hold non-finite coalescence times"),
     (["coverage", "--n", 100, "--T", 5000, "--replicates", 20_000, "--seed", 1,
       "--calibration-replicates", 20_000], None,
-     cli.EXIT_NUMERICAL, "6556 of 20000 rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, "10004 of 20000 rows hold non-finite coalescence times"),
 ], ids=["estimate-overflow", "study-T800", "estimate-overflowing-tree", "coverage-T5000",
         "coverage-T5000-chunks"])
 def test_refused_results_print_no_runtime_warning(tmp_path, constants_file, argv, text, code,
-                                                  message):
+                                                  message, monkeypatch, capsys):
+    # the simulating commands read poisoned rows; estimate does not sample
+    poison_height_chunks(monkeypatch)
+    monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / argv[1]).write_text(text)
     if argv[0] in ("study", "coverage"):
         argv = argv + ["--constants", constants_file]
-    done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *map(str, argv)], cwd=tmp_path,
-                          env=src_env(), capture_output=True, text=True, timeout=120)
-    assert done.returncode == code
-    assert message in done.stdout + done.stderr
-    assert "RuntimeWarning" not in done.stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == code
+    done = capsys.readouterr()
+    assert message in done.out + done.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # nothing is written but the input
+    assert [p.name for p in tmp_path.iterdir()] == ([argv[1]] if text is not None else [])
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +676,8 @@ def test_coverage_command_counts_the_replicates_it_keeps(tmp_path, constants_fil
     (["sweep", "--n", 10, "--replicates", 2000], "sweep.csv"),
 ], ids=["study", "coverage", "sweep"])
 def test_simulating_commands_refuse_non_finite_heights(tmp_path, capsys, constants_file,
-                                                      command, out):
-    # at r*T = 800 the exact sampler returns inf and nan heights in some rows
+                                                      monkeypatch, command, out):
+    poison_height_chunks(monkeypatch)
     if command[0] != "sweep":
         command = command + ["--constants", constants_file]
     code = run(command + ["--r", 1, "--T", 800, "--seed", 3, "--out", tmp_path / out])

@@ -10,6 +10,7 @@ from scipy import integrate, optimize, stats
 
 import oracles
 from bdgrowth import coalescent as co
+from bdgrowth import estimators as est
 from bdgrowth.errors import NonFiniteTimes
 from bdgrowth.rng import RngStream, open_uniform
 
@@ -20,35 +21,28 @@ KS_BOUND = 1.36 * math.sqrt(2.0 / KS_N)
 
 
 # ---------------------------------------------------------------------------
-# delta_t
+# delta_t, the Y latent's weight (an oracle: the sampler draws Q)
 # ---------------------------------------------------------------------------
 
 
 def test_delta_tends_to_one_for_tiny_t():
     p = co.BirthDeathParams(1.0, 0.0, 1e-12)
-    assert co.delta_t(p) == pytest.approx(1.0, abs=1e-9)
+    assert oracles.delta_t(p) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_delta_pure_birth_is_exp_minus_t():
     for t in (0.5, 1.0, 3.0, 10.0):
         p = co.BirthDeathParams(1.0, 0.0, t)
-        assert co.delta_t(p) == pytest.approx(math.exp(-t), rel=1e-12)
+        assert oracles.delta_t(p) == pytest.approx(math.exp(-t), rel=1e-12)
 
 
 def test_delta_worked_value():
-    assert co.delta_t(co.BirthDeathParams(2.0, 1.0, 1.0)) == pytest.approx(0.22540, abs=1e-5)
-
-
-def test_delta_underflows_to_smallest_positive_not_zero():
-    p = co.BirthDeathParams(1.0, 0.0, 1e6)
-    d = co.delta_t(p)
-    assert d > 0.0
-    assert d <= 5e-324
+    assert oracles.delta_t(co.BirthDeathParams(2.0, 1.0, 1.0)) == pytest.approx(0.22540, abs=1e-5)
 
 
 def test_delta_stays_in_unit_interval():
     for lam, mu, t in [(1, 0, 1), (2, 1.5, 40), (10, 9.99, 0.01), (0.5, 0.1, 100)]:
-        d = co.delta_t(co.BirthDeathParams(lam, mu, t))
+        d = oracles.delta_t(co.BirthDeathParams(lam, mu, t))
         assert 0 < d < 1
 
 
@@ -108,7 +102,7 @@ def test_u_cdf_matches_quadrature(q):
 
 def test_y_quantile_collapses_when_delta_is_one():
     u = np.array([0.1, 0.5, 0.9])
-    assert co.y_quantile(u, 4, 1.0) == pytest.approx(u ** 0.25, rel=1e-14)
+    assert oracles.y_quantile(u, 4, 1.0) == pytest.approx(u ** 0.25, rel=1e-14)
 
 
 def test_y_quantile_median_matches_quadrature_root():
@@ -117,7 +111,7 @@ def test_y_quantile_median_matches_quadrature_root():
         lambda y: integrate.quad(lambda x: oracles.y_density(x, n, delta), 0, y)[0] - 0.5,
         1e-9, 1 - 1e-9,
     )
-    assert co.y_quantile(0.5, n, delta) == pytest.approx(target, rel=1e-9)
+    assert oracles.y_quantile(0.5, n, delta) == pytest.approx(target, rel=1e-9)
 
 
 def test_q_quantile_hits_one_at_half_to_the_n():
@@ -126,7 +120,7 @@ def test_q_quantile_hits_one_at_half_to_the_n():
 
 
 def test_quantiles_at_support_edges():
-    assert co.y_quantile(1.0 - 1e-14, 5, 0.3) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.y_quantile(1.0 - 1e-14, 5, 0.3) == pytest.approx(1.0, abs=1e-12)
     assert co.q_quantile(1e-300, 4) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -149,24 +143,28 @@ def test_h_quantile_median_matches_quadrature_root():
         lambda t: integrate.quad(lambda x: oracles.h_exact_density(x, y, PARAMS), 0, t)[0] - 0.5,
         1e-9, PARAMS.t - 1e-9,
     )
-    assert co.h_exact_quantile(0.5, y, PARAMS) == pytest.approx(target, rel=1e-9)
+    q = oracles.q_of_y(y, PARAMS)
+    assert co.h_exact_quantile(0.5, q, PARAMS) == pytest.approx(target, rel=1e-9)
 
 
 def test_h_quantile_continuous_at_removable_singularity():
-    # y = r/lam makes b = 0; the general branch just outside the switch
-    # threshold must agree with the limiting branch
-    y0 = PARAMS.r / PARAMS.lam
-    for u in (0.1, 0.5, 0.9):
-        limit = co.h_exact_quantile(u, y0, PARAMS)
+    # at the q where y = r/lam, b = r - y*lam vanishes and the height law is
+    # the truncated exponential; the quantile has no branch there and is
+    # smooth across it
+    q0 = oracles.q_of_y(PARAMS.r / PARAMS.lam, PARAMS)
+    e_cap = math.exp(-PARAMS.r * PARAMS.t)
+    for u in (1e-9, 0.1, 0.5, 0.9, 1 - 1e-9):
+        limit = -math.log1p(u * (e_cap - 1.0)) / PARAMS.r
+        assert co.h_exact_quantile(u, q0, PARAMS) == pytest.approx(limit, rel=1e-14)
         for eps in (1e-8, -1e-8):
-            general = co.h_exact_quantile(u, y0 * (1 + eps), PARAMS)
-            assert general == pytest.approx(limit, rel=1e-6)
+            assert co.h_exact_quantile(u, q0 * (1 + eps), PARAMS) == pytest.approx(limit,
+                                                                                   rel=1e-7)
 
 
 def test_h_quantile_brackets_support():
     for u in (1e-12, 0.5, 1 - 1e-12):
         for y in (0.05, 0.5, 0.95):
-            t = co.h_exact_quantile(u, y, PARAMS)
+            t = co.h_exact_quantile(u, oracles.q_of_y(y, PARAMS), PARAMS)
             assert 0.0 <= t <= PARAMS.t
 
 
@@ -182,7 +180,7 @@ def _ks_ok(draws, cdf):
 
 
 def test_sample_y_distribution():
-    draws = co.sample_y(5, 0.2254, RngStream(11), size=KS_N)
+    draws = oracles.sample_y(5, 0.2254, RngStream(11), size=KS_N)
     _ks_ok(draws, lambda x: oracles.y_cdf(x, 5, 0.2254))
 
 
@@ -277,6 +275,55 @@ def test_exact_agrees_with_fixed_n_limit_at_t40(n):
     assert d.statistic < 0.01
 
 
+@pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (2.0, 1.5), (1e-300, 0.0)])
+@pytest.mark.parametrize("rt", [1e-9, 1e-3, 40.0, 700.0, 745.0, 800.0, 5000.0])
+def test_exact_heights_are_finite_and_inside_the_support_at_every_rt(lam, mu, rt):
+    # exp(-rT) goes subnormal near r*T = 708 and underflows at 745; the
+    # heights do not notice, and from r*T = 40 on they are the T -> infinity
+    # law: the mean raw estimate is that law's, 1.288176*r, whatever the
+    # scale of the rates
+    params = co.BirthDeathParams(lam, mu, rt / (lam - mu))
+    h = co.sample_coalescence_times_block(10, co.ExactFiniteT(params), RngStream(1), 20_000)
+    assert np.all((h > 0.0) & (h < params.t))
+    if rt >= 40:
+        assert est.raw_pairwise_rows(h).mean() / params.r == pytest.approx(1.288176, abs=1e-6)
+    if rt >= 745:
+        limit = co.sample_coalescence_times_block(10, co.FixedNLimit(params.r, params.t),
+                                                  RngStream(2), 20_000)
+        assert stats.ks_2samp(h[:, 0], limit[:, 0]).pvalue > 0.01
+
+
+def extended_h_quantile(u, q, params):
+    """h_exact_quantile's closed form evaluated in np.longdouble, with its
+    P = 1 - exp(-r*h)."""
+    ld = np.longdouble
+    r, lam, t = ld(params.r), ld(params.lam), ld(params.t)
+    u, q = u.astype(ld), q.astype(ld)
+    e_cap, e_rest = np.exp(-r * t), -np.expm1(-r * t)
+    d = r / (lam * e_rest + r * e_cap)
+    a = lam * d * q / (1 + e_cap * d * q)
+    den = e_cap * a * e_rest * (1 - u) + r * (u + e_cap * (1 - u))
+    p = r * u * e_rest / den
+    near_t = t - np.log1p(e_rest * (1 - u) * (a * e_rest + r) / den) / r
+    return np.where(p < 0.5, -np.log1p(-np.minimum(p, ld(0.5))) / r, near_t), p
+
+
+@pytest.mark.parametrize("lam, mu, t", [(1, 0, 40), (2, 1, 5), (1, 0.999, 0.01), (1, 0, 1e-9),
+                                        (10, 9.99, 0.01), (3, 0.5, 1e-3), (1, 0, 745),
+                                        (1, 0, 5000), (1e-3, 0, 2e5)])
+def test_h_quantile_matches_its_closed_form_in_extended_precision(lam, mu, t):
+    eps = np.finfo(float).eps
+    if np.finfo(np.longdouble).eps >= eps:
+        pytest.skip("np.longdouble is no wider than a double here")
+    params = co.BirthDeathParams(lam, mu, t)
+    u, q = np.meshgrid([2.0 ** -53, 1e-9, 1e-3, 0.3, 0.5, 0.7, 1 - 1e-9, 1 - 2.0 ** -53],
+                       [1e-6, 0.1, 1.0, 10.0, 1e6, 1e16])
+    ref, p = extended_h_quantile(u, q, params)
+    # each reading is exact at its end: near 0 to ulps of h, near T to ulps of T
+    scale = np.where(p < 0.5, ref, params.t)
+    assert np.all(np.abs(co.h_exact_quantile(u, q, params) - ref) <= 4 * eps * scale)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -299,8 +346,8 @@ def one_shot_heights(n, regime, rng, count):
     through the regime's transform."""
     gen = rng.generator()
     if isinstance(regime, co.ExactFiniteT):
-        y = co.sample_y(n, co.delta_t(regime.params), gen, size=(count, 1))
-        return co.h_exact_quantile(open_uniform(gen, (count, n - 1)), y, regime.params)
+        q = co.sample_q(n, gen, size=(count, 1))
+        return co.h_exact_quantile(open_uniform(gen, (count, n - 1)), q, regime.params)
     if isinstance(regime, co.FixedNLimit):
         q = co.sample_q(n, gen, size=(count, 1))
         u = co.u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)

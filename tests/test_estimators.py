@@ -355,6 +355,27 @@ def test_newton_stops_a_row_whose_halving_step_changes_nothing(monkeypatch):
     assert sum(halving_rows) < 3000
 
 
+def test_fallback_stops_a_row_whose_round_changes_nothing(monkeypatch):
+    # Newton leaves this row unconverged and bisection drives b to 0, where
+    # each round returns b = 0 again; without the stop the row would repeat
+    # that to the 100th round
+    solve, calls = est._solve_location, []
+
+    def counted(h, b):
+        calls.append(h.shape[0])
+        return solve(h, b)
+
+    monkeypatch.setattr(est, "_solve_location", counted)
+    fit = est.fit_logistic_rows(np.array([[0.0, 1e-161, 5e-162, 2e-162]]))
+    assert len(calls) <= 3
+    # the bits the 100 rounds ended on
+    assert (fit.a[0].hex(), fit.b[0].hex()) == ("0x1.1fee341fc585cp-536", "0x0.0p+0")
+    assert np.isnan(fit.loglik[0]) and fit.converged.tolist() == [False]
+    assert fit.refused.tolist() == [2]
+    assert str(fit.refusal(0)) == ("optimizer left the feasible region in 1 of 1 rows "
+                                   "(first: a=4.999999999999999e-162, b=0.0)")
+
+
 def test_mle_rows_counts_unconverged_fits():
     h = _stress_matrices()[1]
     values, unconverged, refused = est.mle_rows(h)

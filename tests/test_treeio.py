@@ -45,14 +45,14 @@ def read(text):
 def test_parse_basic_tree():
     tree = read(BASIC)
     assert isinstance(tree, treeio.TreeRecord)
-    assert (tree.tips, tree.stem, tree.not_binary) == (3, None, None)
+    assert (tree.tips, tree.not_binary) == (3, None)
     assert tree.heights == [1.0, 2.0]  # joins in postorder
     assert (tree.lo, tree.hi, tree.internal) == (2.0, 2.0, 1.0)
 
 
 def test_parse_quoted_labels_and_comments():
     tree = read("('my leaf':1,[note]'it''s':1)root:0.5;")
-    assert (tree.tips, tree.heights, tree.stem) == (2, [1.0], 0.5)
+    assert (tree.tips, tree.heights) == (2, [1.0])
     # labels reach only the refusals that name them, unescaped
     missing = read("('my leaf',[note]'it''s':1)root:0.5;")
     assert missing.args == ("edge above 'my leaf' has no branch length",)
@@ -211,14 +211,14 @@ def bits(call):
 
 
 def shape(item, tol=treeio.DEFAULT_ULTRAMETRIC_TOL):
-    """Tip count, stem, and the outcomes of extraction and internal length of
-    a record or a reference graph; or an error's type, offset and text."""
+    """Tip count and the outcomes of extraction and internal length of a
+    record or a reference graph; or an error's type, offset and text."""
     if isinstance(item, treeio.TreeRecord):
-        return (item.tips, item.stem,
+        return (item.tips,
                 bits(lambda: treeio.extract_coalescence_times(item, tol).tolist()),
                 bits(lambda: treeio.tree_internal_branch_length(item)))
     if isinstance(item, oracles.SampleTree):
-        return (item.n_tips, item.root_stem, bits(lambda: reference_extract(item, tol)),
+        return (item.n_tips, bits(lambda: reference_extract(item, tol)),
                 bits(lambda: reference_length(item)))
     if isinstance(item, ParseError):
         return type(item).__name__, item.offset, item.expected
@@ -429,9 +429,9 @@ def test_cpp_tree_length_equals_branch_order_formula_exactly():
 def test_build_cherry_with_stem():
     (text,) = treeio.cpp_newick_rows(np.array([[3.0]]), 5.0)
     assert text == "(t1:3,t2:3):2;"
-    tree = read(text)
-    assert (tree.tips, tree.stem) == (2, 2.0)
-    assert treeio.extract_coalescence_times(tree).tolist() == [3.0]
+    assert read(text).tips == 2
+    assert oracles.parse_newick(text).root_stem == 2.0
+    assert treeio.extract_coalescence_times(read(text)).tolist() == [3.0]
 
 
 def test_build_three_tip_example_topology():
@@ -497,10 +497,9 @@ def test_serialize_deterministic_and_quotes_when_needed():
 
 def test_simulated_tree_survives_text_round_trip():
     (text,) = treeio.cpp_newick_rows(np.array([[2.0, 1.0]]), 3.0)
-    tree = read(text)
-    recovered = treeio.extract_coalescence_times(tree)
+    recovered = treeio.extract_coalescence_times(read(text))
     assert sorted(recovered) == [1.0, 2.0]
-    assert recovered[0] + tree.stem == 3.0
+    assert recovered[0] + oracles.parse_newick(text).root_stem == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +568,6 @@ def test_writer_output_parses_back_to_its_heights():
     m = tree_rows("exact", n, 100, 205)
     tol = 1e-11 * t * n
     for row, text in zip(m, treeio.cpp_newick_rows(m, t)):
-        tree = read(text)
-        back = treeio.extract_coalescence_times(tree)
+        back = treeio.extract_coalescence_times(read(text))
         assert np.max(np.abs(back - np.sort(row)[::-1])) <= tol
-        assert abs(back[0] + tree.stem - t) <= tol
+        assert abs(back[0] + oracles.parse_newick(text).root_stem - t) <= tol
