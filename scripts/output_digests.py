@@ -109,6 +109,12 @@ COMMANDS = [
                         "--constants", TABLE, "--out", "coverage-table.csv"]),
     ("coverage-fly", ["coverage", "--n", "7", "--replicates", "1000", "--seed", "5",
                       "--calibration-replicates", "20000", "--out", "coverage-fly.csv"]),
+    # the table coverage-fly calibrates on the fly; on it, coverage writes the same bytes
+    ("calibrate-7", ["calibrate", "--n", "7", "--replicates", "20000", "--seed", "5",
+                     "--out", "constants-7.csv"]),
+    ("coverage-fly-table", ["coverage", "--n", "7", "--replicates", "1000", "--seed", "5",
+                            "--calibration-replicates", "20000", "--constants", "constants-7.csv",
+                            "--out", "coverage-fly-table.csv"]),
     ("sweep", ["sweep", "--n", "10", "--replicates", "2000", "--seed", "6",
                "--out", "sweep.csv"]),
     ("asymptotics", ["asymptotics", "--n", "200", "--replicates", "1000", "--seed", "8",

@@ -31,12 +31,11 @@ from .coalescent import (
     sample_coalescence_times_block,
     sample_q,
 )
-from .confidence import ConfidenceSpec, coverage_study, make_regime
+from .confidence import ConfidenceSpec, calibration_for, coverage_study, make_regime
 from .errors import (
     BdGrowthError,
     DegenerateTimes,
     InsufficientReplicates,
-    MismatchedN,
     MissingBranchLength,
     NonConvergence,
     NonFiniteTimes,

@@ -24,7 +24,6 @@ in row chunks of about 2 MB, which bound its memory and keep its bits.
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coalescent
-from .errors import BdGrowthError, InsufficientReplicates
+from .errors import InsufficientReplicates
 from .estimators import raw_pairwise_rows
 from .rng import RngStream, open_uniform
 
@@ -188,10 +187,11 @@ def moment_identities_check(replicates: int, rng: RngStream) -> MomentChecks:
 
 def build_constants_row(n: int, replicates: int, seed: int, workers: int = 1) -> ConstantsRow:
     sample = sample_sn(n, replicates, RngStream(seed).child(n), workers=workers)
-    return _row_from_sample(sample, seed)
+    return row_from_sample(sample, seed)
 
 
-def _row_from_sample(sample: SnSample, seed: int) -> ConstantsRow:
+def row_from_sample(sample: SnSample, seed: int) -> ConstantsRow:
+    """The constants row of an S_n draw, checked; seed is recorded with it."""
     q_lo, q_hi = sn_quantiles(sample)
     row = ConstantsRow(
         n=sample.n,
@@ -205,42 +205,6 @@ def _row_from_sample(sample: SnSample, seed: int) -> ConstantsRow:
     )
     _check_row(row)
     return row
-
-
-def constants_row(table: dict[int, ConstantsRow | Exception], n: int, replicates: int,
-                  seed: int) -> ConstantsRow:
-    """table[n], calibrated on the fly by calibration_sample when missing."""
-    if n not in table:
-        calibration_sample(table, n, replicates, seed)
-    row = table[n]
-    if isinstance(row, Exception):
-        raise row.with_traceback(None)
-    return row
-
-
-def calibration_sample(table: dict[int, ConstantsRow | Exception], n: int, replicates: int,
-                       seed: int) -> SnSample:
-    """The S_n draw that calibrates n, the one build_constants_row makes.
-
-    When table has no row for n, the row built from this same draw is added
-    to it, after a warning. A calibration that fails is stored in place of
-    the row and raised again on every later request, so a run warns about
-    and tries each n once. An n below 3 has no S_n and is refused before the
-    warning.
-    """
-    if n < 3:
-        raise ValueError("S_n needs n >= 3")
-    if n in table:
-        return sample_sn(n, replicates, RngStream(seed).child(n))
-    print(f"warning: no constants row for n={n}; "
-          f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
-    try:
-        sample = sample_sn(n, replicates, RngStream(seed).child(n))
-        table[n] = _row_from_sample(sample, seed)
-    except (ValueError, BdGrowthError) as exc:
-        table[n] = exc.with_traceback(None)
-        raise
-    return sample
 
 
 def _check_row(row: ConstantsRow):

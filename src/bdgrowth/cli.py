@@ -138,18 +138,6 @@ def _load_inputs(path: Path) -> list[tuple[str, np.ndarray | treeio.TreeRecord |
     return [(f"{path.name}#{i}", item) for i, item in enumerate(items)]
 
 
-def _spec_and_row(n: int, table, args):
-    """The interval spec and constants row for sample size n."""
-    if args.level == 0.95:
-        row = calibration.constants_row(table, n, args.replicates, args.seed)
-        return confidence.ConfidenceSpec.from_constants_row(row), row
-    # tabulated quantiles are 95%-specific; other levels recalibrate, and a
-    # row missing from the table comes from the same draw
-    sample = calibration.calibration_sample(table, n, args.replicates, args.seed)
-    spec = confidence.ConfidenceSpec.from_sample(sample, level=args.level)
-    return spec, calibration.constants_row(table, n, args.replicates, args.seed)
-
-
 def _matrix_estimates(h: np.ndarray, row, tags) -> dict[str, list[tuple | Exception]]:
     """For each tag, (estimate, raw pivot) for each row of h on the study's
     path, or the error that refuses the row: one estimates_for_matrix call,
@@ -216,7 +204,8 @@ def cmd_estimate(args) -> int:
     for n, (members, heights, lengths) in groups.items():
         found = {LENGTHS: lengths} if lengths else {}
         try:
-            spec, row = _spec_and_row(n, table, args) if calibrated else (None, None)
+            row, spec = (confidence.calibration_for(table, n, args.replicates, args.seed,
+                                                    args.level) if calibrated else (None, None))
         except _ITEM_ERRORS as exc:
             spec = row = None
             found.update((tag, [exc] * len(members)) for tag in calibrated)
@@ -329,7 +318,12 @@ def cmd_study(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = np.arange(args.c_min, args.c_max + 0.5 * args.c_step, args.c_step)
+    lo, hi, step = args.c_min, args.c_max, args.c_step
+    if not (np.isfinite([lo, hi]).all() and 0 < step < np.inf):
+        raise ValueError(f"need finite --c-min, --c-max and --c-step > 0, not {lo}, {hi}, {step}")
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    if not grid.size:
+        raise ValueError(f"--c-min {lo} above --c-max {hi} leaves no grid")
     result = harness.constant_sweep(
         args.n, args.r, args.T, grid, args.replicates,
         RngStream(args.seed), regime=args.regime, birth_rate=args.birth_rate,
@@ -356,14 +350,10 @@ def cmd_coverage(args) -> int:
     rows = []
     stream = RngStream(args.seed)
     for i, n in enumerate(parse_n_list(args.n)):
-        spec = None
-        if n in table:
-            spec = confidence.ConfidenceSpec.from_constants_row(table[n])
-        cov = confidence.coverage_study(
-            n, args.r, args.T, args.replicates, args.regime, stream.child(i),
-            spec=spec, calibration_replicates=args.calibration_replicates,
-            birth_rate=args.birth_rate,
-        )
+        table[n], spec = confidence.calibration_for(table, n, args.calibration_replicates,
+                                                    args.seed)
+        cov = confidence.coverage_study(n, args.r, args.T, args.replicates, args.regime,
+                                        stream.child(i), spec, birth_rate=args.birth_rate)
         rows.append(harness.CoverageRow(n, args.r, args.T, cov, cov.kept))
         print(f"n={n}: coverage {cov:.3f}")
     if args.out:

@@ -1,21 +1,26 @@
-"""Quantile-calibrated confidence intervals for the growth rate.
+"""Quantile-calibrated confidence intervals for the growth rate, and their calibration.
 
 With c = 1 the pairwise estimate is r_hat = r * S_n, so quantiles q_lo and
 q_hi of S_n satisfying P(q_lo < S_n < q_hi) = level turn a single raw
 estimate into the interval (r_hat / q_hi, r_hat / q_lo). Under the fixed-n
 limiting law the coverage is exact by construction; at finite T it stays
 close to the nominal level.
+
+The constants and the quantiles both come from the law of S_n, which depends
+on n alone: calibration_for takes them from a constants table, or from the
+S_n draw that `calibrate` tabulates for the same (n, replicates, seed).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import calibration
 from .coalescent import BirthDeathParams, ExactFiniteT, FixedNLimit, LargeN
-from .errors import InsufficientReplicates, MismatchedN
+from .errors import InsufficientReplicates
 from .estimators import simulated_estimates
 from .rng import RngStream
 
@@ -24,18 +29,14 @@ REGIME_NAMES = ("exact", "fixed-n", "large-n")
 
 @dataclass(frozen=True)
 class ConfidenceSpec:
-    """S_n quantiles for one sample size, plus the coverage level they target."""
+    """S_n quantiles that bound an interval of some coverage level."""
 
-    n: int
     q_lo: float
     q_hi: float
-    level: float = 0.95
 
     def __post_init__(self):
         if not (0 < self.q_lo < self.q_hi):
             raise ValueError("need 0 < q_lo < q_hi")
-        if not (0 < self.level < 1):
-            raise ValueError("level must lie in (0, 1)")
 
     def interval(self, raw):
         """(raw/q_hi, raw/q_lo) for a raw estimate or an array of them."""
@@ -43,13 +44,40 @@ class ConfidenceSpec:
 
     @classmethod
     def from_constants_row(cls, row: calibration.ConstantsRow) -> "ConfidenceSpec":
-        return cls(n=row.n, q_lo=1.0 / row.inv_q_lo, q_hi=1.0 / row.inv_q_hi)
+        return cls(q_lo=1.0 / row.inv_q_lo, q_hi=1.0 / row.inv_q_hi)
 
     @classmethod
     def from_sample(cls, sample: calibration.SnSample, level: float = 0.95) -> "ConfidenceSpec":
         tail = (1.0 - level) / 2.0
-        q_lo, q_hi = calibration.sn_quantiles(sample, tail, 1.0 - tail)
-        return cls(n=sample.n, q_lo=q_lo, q_hi=q_hi, level=level)
+        return cls(*calibration.sn_quantiles(sample, tail, 1.0 - tail))
+
+
+def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicates: int,
+                    seed: int, level: float = 0.95
+                    ) -> tuple[calibration.ConstantsRow, ConfidenceSpec]:
+    """The constants row for sample size n, and the S_n quantiles of an
+    interval at `level`.
+
+    The row is table[n] when the table has one. Otherwise, after a warning,
+    it is built from sample_sn(n, replicates, RngStream(seed).child(n)): the
+    row `calibrate --n n --replicates replicates --seed seed` writes. At
+    level 0.95 the quantiles are the row's. Another level takes them from
+    that same draw, which is made at most once. An n below 3 has no S_n and
+    is refused before the warning.
+    """
+    row, sample = table.get(n), None
+    if row is None:
+        if n < 3:
+            raise ValueError("S_n needs n >= 3")
+        print(f"warning: no constants row for n={n}; "
+              f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
+        sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
+        row = calibration.row_from_sample(sample, seed)
+    if level == 0.95:
+        return row, ConfidenceSpec.from_constants_row(row)
+    if sample is None:
+        sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
+    return row, ConfidenceSpec.from_sample(sample, level)
 
 
 class Coverage(float):
@@ -90,31 +118,17 @@ def make_regime(name: str, r: float, t: float | None, birth_rate: float = 1.0):
     raise ValueError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
 
 
-def coverage_study(
-    n: int,
-    r: float,
-    t: float | None,
-    replicates: int,
-    regime: str,
-    rng: RngStream,
-    spec: ConfidenceSpec | None = None,
-    calibration_replicates: int = 100_000,
-    birth_rate: float = 1.0,
-) -> Coverage:
-    """Fraction of simulated replicates whose interval covers the true r,
-    carrying the count of replicates kept.
+def coverage_study(n: int, r: float, t: float | None, replicates: int, regime: str,
+                   rng: RngStream, spec: ConfidenceSpec, birth_rate: float = 1.0) -> Coverage:
+    """Fraction of simulated replicates whose interval under spec covers the
+    true r, carrying the count of replicates kept.
 
-    Quantiles are calibrated on a child stream when no spec is supplied, so
-    the calibration draws never overlap the coverage draws. Replicates whose
-    heights all coincide are dropped, as in the study.
+    spec holds S_n quantiles for this n, as calibration_for returns them.
+    The replicates are drawn on rng.child(1). Replicates whose heights all
+    coincide are dropped, as in the study.
     """
     if replicates < 1000:
         raise InsufficientReplicates("coverage needs at least 1000 replicates")
-    if spec is None:
-        sample = calibration.sample_sn(n, calibration_replicates, rng.child(0))
-        spec = ConfidenceSpec.from_sample(sample)
-    elif spec.n != n:
-        raise MismatchedN(f"quantiles computed for n={spec.n}, study uses n={n}")
     regime_value = make_regime(regime, r, t, birth_rate)
     _, raw, _, _ = simulated_estimates(n, regime_value, rng.child(1), replicates, None, ())
     return Coverage(covered_fraction(raw, spec, r), raw.size)

@@ -29,10 +29,6 @@ class InsufficientReplicates(BdGrowthError):
     """Monte Carlo sample too small for the requested precision."""
 
 
-class MismatchedN(BdGrowthError):
-    """Calibration inputs computed for a different sample size than the data."""
-
-
 class RelativeAxisError(BdGrowthError):
     """Operation needs absolute-time coalescence times but got relative ones."""
 

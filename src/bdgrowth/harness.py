@@ -21,7 +21,8 @@ import numpy as np
 
 from . import calibration
 from .calibration import write_rows
-from .confidence import ConfidenceSpec, covered_fraction, make_regime
+from .confidence import ConfidenceSpec, calibration_for, covered_fraction, make_regime
+from .errors import InsufficientReplicates
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
 from .rng import RngStream
 
@@ -136,7 +137,7 @@ def run_study(config: StudyConfig,
               constants: dict[int, calibration.ConstantsRow] | None = None) -> StudyResult:
     table = dict(constants or {})
     for n in config.ns:
-        calibration.constants_row(table, n, config.calibration_replicates, config.seed)
+        table[n], _ = calibration_for(table, n, config.calibration_replicates, config.seed)
     cells = [(n, r) for n in config.ns for r in config.rs]
     stream = RngStream(config.seed)
 
@@ -237,6 +238,10 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     """
     if n < 200:
         raise ValueError("asymptotics check needs n >= 200")
+    if not r > 0:  # before the default T divides by it
+        raise ValueError("growth rate must be positive and finite")
+    if replicates < 2:
+        raise InsufficientReplicates("the normality tests need at least 2 replicates")
     import scipy.stats  # imported here: it is most of the package's import time
 
     if t is None:

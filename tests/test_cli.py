@@ -640,6 +640,33 @@ def test_asymptotics_command(tmp_path):
     assert payload["target_inv"] == pytest.approx(0.7101, abs=1e-4)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--c-step", 0], ["--c-step", -0.01], ["--c-step", "nan"], ["--c-step", "inf"],
+    ["--c-min", 1.2, "--c-max", 0.4], ["--c-min", "nan"], ["--c-max", "inf"],
+], ids=["zero-step", "negative-step", "nan-step", "inf-step", "min-above-max", "nan-min",
+        "inf-max"])
+def test_sweep_refuses_a_grid_it_cannot_step_through(tmp_path, capsys, flags):
+    code = run(["sweep", "--n", 10, "--replicates", 1000, "--out", tmp_path / "s.csv"] + flags)
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and all(
+        flag in err for flag in flags if str(flag).startswith("--"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--r", 0], "growth rate must be positive"),  # the default T divides by r
+    (["--replicates", 1], "at least 2 replicates"),  # the KS p-values would be NaN
+], ids=["zero-rate", "one-replicate"])
+def test_asymptotics_refuses_what_it_cannot_test(tmp_path, capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["asymptotics", "--n", 200, "--out", tmp_path / "asym.json"] + flags)
+    assert code == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coverage_command(tmp_path, constants_file):
     out = tmp_path / "cov.csv"
     assert run(["coverage", "--n", "5", "--r", 1.0, "--T", 40,
@@ -668,6 +695,35 @@ def test_coverage_command_counts_the_replicates_it_keeps(tmp_path, constants_fil
         rows = list(csv.reader((tmp_path / name).read_text().splitlines()))
         assert rows[0][4] == "replicates"
         assert [row[4] for row in rows[1:]] == [kept, kept]
+
+
+@pytest.mark.parametrize("command, replicates_flag", [
+    (["coverage", "--n", 7, "--replicates", 1000], "--calibration-replicates"),
+    (["study", "--n", 7, "--r", 1, "--replicates", 300, "--estimators", "MSE,Inv,Lengths"],
+     "--calibration-replicates"),
+    (["estimate", "times.csv", "--methods", "MSE,Bias,Inv,RawUnitConstant"], "--replicates"),
+    (["estimate", "times.csv", "--methods", "Inv", "--level", 0.9], "--replicates"),
+], ids=["coverage", "study", "estimate", "estimate-level"])
+def test_on_the_fly_calibration_writes_what_the_calibrate_table_gives(
+        tmp_path, capsys, monkeypatch, command, replicates_flag):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--n", 7, "--count", 40, "--seed", 2, "--T", 40,
+                "--out", "times.csv"]) == 0
+    assert run(["calibrate", "--n", 7, "--replicates", 20_000, "--seed", 5,
+                "--out", "constants.csv"]) == 0
+    argv = command + [replicates_flag, 20_000, "--seed", 5, "--out"]
+    capsys.readouterr()
+    assert run(argv + ["fly"]) == 0
+    assert capsys.readouterr().err.count("calibrating on the fly with 20000 replicates") == 1
+    assert run(argv + ["table", "--constants", "constants.csv"]) == 0
+    assert "calibrating" not in capsys.readouterr().err
+    fly, table = Path("fly"), Path("table")
+    if fly.is_dir():
+        assert sorted(p.name for p in fly.iterdir()) == sorted(p.name for p in table.iterdir())
+        for path in fly.iterdir():
+            assert path.read_bytes() == (table / path.name).read_bytes(), path.name
+    else:
+        assert fly.read_bytes() == table.read_bytes()
 
 
 @pytest.mark.parametrize("command, out", [

@@ -9,7 +9,7 @@ import pytest
 
 from bdgrowth import calibration as cal
 from bdgrowth import confidence as ci
-from bdgrowth.errors import InsufficientReplicates, MismatchedN
+from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
 from bdgrowth.rng import RngStream
 
@@ -24,7 +24,7 @@ def evenly_spaced_heights(n, spacing=1.0):
 def test_interval_from_tabulated_reciprocals():
     # n = 10 tabulated reciprocals 1/q_lo = 1.43, 1/q_hi = 0.44: a raw
     # estimate of 1 maps to the interval (0.44, 1.43)
-    spec = ci.ConfidenceSpec(n=10, q_lo=1.0 / 1.43, q_hi=1.0 / 0.44)
+    spec = ci.ConfidenceSpec(q_lo=1.0 / 1.43, q_hi=1.0 / 0.44)
     raw = raw_pairwise_rows(evenly_spaced_heights(10, spacing=72.0 / 120.0))
     assert raw[0] == pytest.approx(1.0, rel=1e-12)
     lo, hi = spec.interval(raw)
@@ -34,7 +34,7 @@ def test_interval_from_tabulated_reciprocals():
 
 
 def test_interval_scales_linearly_in_raw_estimate():
-    spec = ci.ConfidenceSpec(n=5, q_lo=1.0 / 1.73, q_hi=1.0 / 0.21)
+    spec = ci.ConfidenceSpec(q_lo=1.0 / 1.73, q_hi=1.0 / 0.21)
     raw = raw_pairwise_rows(evenly_spaced_heights(5))
     lo, hi = spec.interval(raw)
     assert lo[0] == pytest.approx(raw[0] * 0.21, rel=1e-9)
@@ -44,7 +44,7 @@ def test_interval_scales_linearly_in_raw_estimate():
 
 
 def test_interval_equivariance_under_time_scaling():
-    spec = ci.ConfidenceSpec(n=6, q_lo=0.5, q_hi=3.0)
+    spec = ci.ConfidenceSpec(q_lo=0.5, q_hi=3.0)
     base = evenly_spaced_heights(6)
     lo, hi = spec.interval(raw_pairwise_rows(base))
     lo4, hi4 = spec.interval(raw_pairwise_rows(4.0 * base))
@@ -54,22 +54,41 @@ def test_interval_equivariance_under_time_scaling():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ci.ConfidenceSpec(n=5, q_lo=2.0, q_hi=1.0)
-    with pytest.raises(ValueError):
-        ci.ConfidenceSpec(n=5, q_lo=0.5, q_hi=2.0, level=1.5)
+        ci.ConfidenceSpec(q_lo=2.0, q_hi=1.0)
+    sample = cal.SnSample(5, np.linspace(0.5, 2.0, 10_000))
+    for level in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            ci.ConfidenceSpec.from_sample(sample, level=level)
+
+
+def test_calibration_for_reads_the_table_or_makes_the_draw_calibrate_tabulates(capsys):
+    row = cal.build_constants_row(7, 20_000, SEED)
+    expected = row, ci.ConfidenceSpec.from_constants_row(row)
+    assert ci.calibration_for({7: row}, 7, 20_000, SEED) == expected
+    assert capsys.readouterr().err == ""
+    assert ci.calibration_for({}, 7, 20_000, SEED) == expected
+    assert capsys.readouterr().err.count("calibrating on the fly") == 1
+    # another level takes its quantiles from that same draw, table or not
+    sample = cal.sample_sn(7, 20_000, RngStream(SEED).child(7))
+    expected = row, ci.ConfidenceSpec.from_sample(sample, level=0.9)
+    for table in ({7: row}, {}):
+        assert ci.calibration_for(table, 7, 20_000, SEED, level=0.9) == expected
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="n >= 3"):
+        ci.calibration_for({}, 2, 20_000, SEED)
+    assert capsys.readouterr().err == ""  # refused before the warning
 
 
 def test_coverage_exact_by_construction_under_limit_law():
-    cov = ci.coverage_study(
-        8, 1.0, None, 100_000, "fixed-n", RngStream(SEED),
-        calibration_replicates=200_000,
-    )
+    _, spec = ci.calibration_for({}, 8, 200_000, SEED)
+    cov = ci.coverage_study(8, 1.0, None, 100_000, "fixed-n", RngStream(SEED), spec)
     # binomial noise plus quantile-estimation noise at these sizes
     assert cov == pytest.approx(0.95, abs=0.005)
 
 
 def test_coverage_near_nominal_at_finite_t():
-    cov = ci.coverage_study(10, 1.0, 40.0, 1000, "exact", RngStream(SEED))
+    _, spec = ci.calibration_for({}, 10, 100_000, SEED)
+    cov = ci.coverage_study(10, 1.0, 40.0, 1000, "exact", RngStream(SEED), spec)
     assert 0.92 <= cov <= 0.98
 
 
@@ -86,7 +105,8 @@ def test_coverage_memory_is_bounded_by_the_chunks():
     # whole height and S_n matrices peaked at 93.7 MiB or more here
     tracemalloc.start()
     try:
-        ci.coverage_study(100, 1.0, 40.0, 20_000, "exact", RngStream(SEED))
+        _, spec = ci.calibration_for({}, 100, 100_000, SEED)
+        ci.coverage_study(100, 1.0, 40.0, 20_000, "exact", RngStream(SEED), spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -95,13 +115,8 @@ def test_coverage_memory_is_bounded_by_the_chunks():
 
 def test_coverage_replicate_floor():
     with pytest.raises(InsufficientReplicates):
-        ci.coverage_study(5, 1.0, 40.0, 10, "exact", RngStream(1))
-
-
-def test_coverage_rejects_mismatched_spec():
-    spec = ci.ConfidenceSpec(n=6, q_lo=0.5, q_hi=2.0)
-    with pytest.raises(MismatchedN):
-        ci.coverage_study(5, 1.0, 40.0, 1000, "exact", RngStream(1), spec=spec)
+        ci.coverage_study(5, 1.0, 40.0, 10, "exact", RngStream(1),
+                          ci.ConfidenceSpec(q_lo=0.5, q_hi=2.0))
 
 
 def test_make_regime_validation():

@@ -1,5 +1,6 @@
 """Smoke test of scripts/output_digests.py: every command of its fixed set
-exits 0 and every output gets a digest line."""
+exits 0, every output gets a digest line, and the outputs that must agree
+do."""
 
 import importlib.util
 import re
@@ -20,9 +21,12 @@ def test_output_digests_runs_every_command_and_digests_every_output():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
-    files = {line.split("  ")[1] for line in lines}
+    digests = {line.split("  ")[1]: line.split("  ")[0] for line in lines}
+    files = set(digests)
     for name, command in script.COMMANDS:
         assert f"{name}.stdout" in files
         if "--out" in command:
             out = command[command.index("--out") + 1]
             assert out in files or any(f.startswith(out + "/") for f in files)
+    # calibrating on the fly is the draw `calibrate` tabulates
+    assert digests["coverage-fly.csv"] == digests["coverage-fly-table.csv"]
