@@ -24,9 +24,8 @@ in row chunks of about 2 MB, which bound its memory and keep its bits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,14 +41,12 @@ _TABLE_COLUMNS = "n,c_inv,c_mse,c_bias,inv_q_lo,inv_q_hi,replicates,seed"
 DEFAULT_REPLICATES = 1_000_000  # matches two-decimal table precision with margin
 
 
-@dataclass(frozen=True)
-class SnSample:
+class SnSample(NamedTuple):
     n: int
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConstantsRow:
+class ConstantsRow(NamedTuple):
     n: int
     c_inv: float
     c_mse: float
@@ -105,6 +102,8 @@ def sample_sn(n: int, replicates: int, rng: RngStream, workers: int = 1) -> SnSa
         return _sn_block(n, sizes[block], rng.child(block).generator())
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, range(len(sizes))))
     else:
@@ -144,8 +143,7 @@ def sn_quantiles(sample: SnSample, lo: float = 0.025, hi: float = 0.975) -> tupl
     return float(q[0]), float(q[1])
 
 
-@dataclass(frozen=True)
-class MomentChecks:
+class MomentChecks(NamedTuple):
     """Monte Carlo values of the four logistic positive-part moments.
 
     For i.i.d. standard logistic U's the exact values are 1, pi^2/3,
@@ -234,9 +232,9 @@ g17 = "{:.17g}".format
 
 
 def write_rows(path: str | Path, header: str, rows):
-    """CSV of dataclass rows, one line per row in field order, floats via g17."""
-    lines = [header] + [",".join(g17(v) if isinstance(v, float) else str(v)
-                                 for v in vars(row).values()) for row in rows]
+    """CSV of NamedTuple rows, one line per row in field order, floats via g17."""
+    lines = [header] + [",".join(g17(v) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

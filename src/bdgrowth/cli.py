@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, confidence, harness, treeio
+from . import calibration, confidence, treeio
 from .calibration import g17
 from .coalescent import check_finite_rows, sample_coalescence_times_block
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     RelativeAxisError,
     SampleTooSmall,
 )
-from .estimators import LENGTHS, METHODS, estimate_lengths, estimates_for_matrix
+from .estimators import ALL_ESTIMATORS, LENGTHS, METHODS, estimate_lengths, estimates_for_matrix
 from .rng import RngStream
 
 _NUMERICAL_ERRORS = (DegenerateTimes, NonConvergence, FloatingPointError)
@@ -265,6 +265,9 @@ def _write_estimates(records, args):
 
 # ---------------------------------------------------------------------------
 # calibrate / study / sweep / asymptotics / coverage
+#
+# study, sweep and asymptotics import harness when they run: no other
+# command uses it, and each command pays only for the modules it runs.
 # ---------------------------------------------------------------------------
 
 
@@ -297,6 +300,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from . import harness
+
     config = harness.StudyConfig(
         ns=tuple(parse_n_list(args.n)),
         rs=tuple(float(x) for x in args.r.split(",")),
@@ -318,6 +323,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import harness
+
     lo, hi, step = args.c_min, args.c_max, args.c_step
     if not (np.isfinite([lo, hi]).all() and 0 < step < np.inf):
         raise ValueError(f"need finite --c-min, --c-max and --c-step > 0, not {lo}, {hi}, {step}")
@@ -335,9 +342,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    from . import harness
+
     report = harness.asymptotics_check(args.n, args.r, args.replicates,
                                        RngStream(args.seed), t=args.T)
-    text = json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -346,6 +355,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    confidence.check_coverage_replicates(args.replicates)  # before any calibration
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     rows = []
     stream = RngStream(args.seed)
@@ -354,10 +364,10 @@ def cmd_coverage(args) -> int:
                                                     args.seed)
         cov = confidence.coverage_study(n, args.r, args.T, args.replicates, args.regime,
                                         stream.child(i), spec, birth_rate=args.birth_rate)
-        rows.append(harness.CoverageRow(n, args.r, args.T, cov, cov.kept))
+        rows.append(confidence.CoverageRow(n, args.r, args.T, cov, cov.kept))
         print(f"n={n}: coverage {cov:.3f}")
     if args.out:
-        calibration.write_rows(args.out, harness.COVERAGE_HEADER, rows)
+        calibration.write_rows(args.out, confidence.COVERAGE_HEADER, rows)
     return EXIT_OK
 
 
@@ -385,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate growth rates from times CSV or Newick")
     p.add_argument("input")
     p.add_argument("--constants", default=None, help="constants table path")
-    p.add_argument("--methods", default=",".join(harness.ALL_ESTIMATORS),
+    p.add_argument("--methods", default=",".join(ALL_ESTIMATORS),
                    help=f"comma-separated subset of {', '.join(METHODS)} (default %(default)s)")
     p.add_argument("--replicates", type=int, default=calibration.DEFAULT_REPLICATES,
                    help="replicates for on-the-fly calibration")
@@ -413,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--regime", choices=confidence.REGIME_NAMES, default="exact")
-    p.add_argument("--estimators", default=",".join(harness.ALL_ESTIMATORS),
-                   help=f"comma-separated subset of {', '.join(harness.ALL_ESTIMATORS)} "
+    p.add_argument("--estimators", default=",".join(ALL_ESTIMATORS),
+                   help=f"comma-separated subset of {', '.join(ALL_ESTIMATORS)} "
                         "(default %(default)s)")
     p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--constants", default=None)

@@ -40,25 +40,25 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteTimes
+from .errors import NonFiniteTimes, checked
 from .rng import as_generator, open_uniform
 
 _CHUNK_HEIGHTS = 1 << 18  # heights per drawn block: 2 MB bounds sampler and kernel memory
 
 
-@dataclass(frozen=True)
-class BirthDeathParams:
+@checked
+class BirthDeathParams(NamedTuple):
     """Birth rate, death rate and observation time of the process."""
 
     lam: float
     mu: float
     t: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("birth rate must be positive and finite")
         if not (0 <= self.mu < self.lam):
@@ -93,8 +93,7 @@ def check_finite_rows(matrix: np.ndarray) -> None:
         pass
 
 
-@dataclass(frozen=True)
-class ExactFiniteT:
+class ExactFiniteT(NamedTuple):
     params: BirthDeathParams
 
     @property
@@ -102,22 +101,22 @@ class ExactFiniteT:
         return self.params.t
 
 
-@dataclass(frozen=True)
-class FixedNLimit:
+@checked
+class FixedNLimit(NamedTuple):
     r: float
     t: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError("growth rate must be positive and finite")
 
 
-@dataclass(frozen=True)
-class LargeN:
+@checked
+class LargeN(NamedTuple):
     r: float
     t: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError("growth rate must be positive and finite")
         if not math.isfinite(self.t):

@@ -14,27 +14,28 @@ S_n draw that `calibrate` tabulates for the same (n, replicates, seed).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import calibration
 from .coalescent import BirthDeathParams, ExactFiniteT, FixedNLimit, LargeN
-from .errors import InsufficientReplicates
+from .errors import InsufficientReplicates, checked
 from .estimators import simulated_estimates
 from .rng import RngStream
 
 REGIME_NAMES = ("exact", "fixed-n", "large-n")
+COVERAGE_HEADER = "n,r,T,coverage,replicates"
 
 
-@dataclass(frozen=True)
-class ConfidenceSpec:
+@checked
+class ConfidenceSpec(NamedTuple):
     """S_n quantiles that bound an interval of some coverage level."""
 
     q_lo: float
     q_hi: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (0 < self.q_lo < self.q_hi):
             raise ValueError("need 0 < q_lo < q_hi")
 
@@ -62,22 +63,36 @@ def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicat
     it is built from sample_sn(n, replicates, RngStream(seed).child(n)): the
     row `calibrate --n n --replicates replicates --seed seed` writes. At
     level 0.95 the quantiles are the row's. Another level takes them from
-    that same draw, which is made at most once. An n below 3 has no S_n and
-    is refused before the warning.
+    that same draw, which is made at most once. Each draw says so on stderr
+    in one line, naming n, the replicate count and a level other than 0.95.
+    An n below 3 has no S_n and is refused before the warning.
     """
     row, sample = table.get(n), None
+    for_level = "" if level == 0.95 else f" for level {level}"
     if row is None:
         if n < 3:
             raise ValueError("S_n needs n >= 3")
         print(f"warning: no constants row for n={n}; "
-              f"calibrating on the fly with {replicates} replicates", file=sys.stderr)
+              f"calibrating on the fly with {replicates} replicates{for_level}", file=sys.stderr)
         sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
         row = calibration.row_from_sample(sample, seed)
     if level == 0.95:
         return row, ConfidenceSpec.from_constants_row(row)
     if sample is None:
+        print(f"warning: the constants row for n={n} holds 95% quantiles only; "
+              f"drawing {replicates} S_n replicates{for_level}", file=sys.stderr)
         sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
     return row, ConfidenceSpec.from_sample(sample, level)
+
+
+class CoverageRow(NamedTuple):
+    """One line of a coverage.csv, under COVERAGE_HEADER."""
+
+    n: int
+    r: float
+    t: float
+    coverage: float
+    replicates: int
 
 
 class Coverage(float):
@@ -118,6 +133,13 @@ def make_regime(name: str, r: float, t: float | None, birth_rate: float = 1.0):
     raise ValueError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
 
 
+def check_coverage_replicates(replicates: int) -> None:
+    """Refuse fewer than 1000 replicates: coverage_study's floor, which the
+    coverage command checks before it calibrates."""
+    if replicates < 1000:
+        raise InsufficientReplicates("coverage needs at least 1000 replicates")
+
+
 def coverage_study(n: int, r: float, t: float | None, replicates: int, regime: str,
                    rng: RngStream, spec: ConfidenceSpec, birth_rate: float = 1.0) -> Coverage:
     """Fraction of simulated replicates whose interval under spec covers the
@@ -127,8 +149,7 @@ def coverage_study(n: int, r: float, t: float | None, replicates: int, regime: s
     The replicates are drawn on rng.child(1). Replicates whose heights all
     coincide are dropped, as in the study.
     """
-    if replicates < 1000:
-        raise InsufficientReplicates("coverage needs at least 1000 replicates")
+    check_coverage_replicates(replicates)
     regime_value = make_regime(regime, r, t, birth_rate)
     _, raw, _, _ = simulated_estimates(n, regime_value, rng.child(1), replicates, None, ())
     return Coverage(covered_fraction(raw, spec, r), raw.size)

@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the hook by which a
+record refuses bad values."""
+
+
+def checked(cls):
+    """Make cls, a NamedTuple class, run its _check method, which raises on a
+    bad value, on every new instance, _replace's too. A NamedTuple body
+    cannot define __new__, so it is wrapped here."""
+    make = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        self = make(klass, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls
 
 
 class BdGrowthError(Exception):

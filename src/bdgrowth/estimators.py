@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +48,7 @@ _GRAD_TOL = 1e-8  # on the dimensionless gradient in (a, log b)
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
 
 
-@dataclass(frozen=True)
-class MleFit:
+class MleFit(NamedTuple):
     """Per-row logistic fits from fit_logistic_rows. refused is 1 where the
     row's moment start is out of range (a and b hold it; the row is never
     iterated), 2 where its fit ends outside the feasible region, else 0."""
@@ -352,8 +350,7 @@ def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int, MleFit | None]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1,
     NaN where it refuses the row; the number of rows whose estimate is a fit
     that did not converge; the fit, if it refused a row) and the

@@ -13,25 +13,30 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import calibration
 from .calibration import write_rows
-from .confidence import ConfidenceSpec, calibration_for, covered_fraction, make_regime
-from .errors import InsufficientReplicates
+from .confidence import (
+    COVERAGE_HEADER,
+    ConfidenceSpec,
+    CoverageRow,
+    calibration_for,
+    covered_fraction,
+    make_regime,
+)
+from .errors import InsufficientReplicates, checked
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
 from .rng import RngStream
 
 DENSITY_BINS = 256
-COVERAGE_HEADER = "n,r,T,coverage,replicates"
 
 
-@dataclass(frozen=True)
-class StudyConfig:
+@checked
+class StudyConfig(NamedTuple):
     ns: tuple[int, ...]
     rs: tuple[float, ...]
     t: float
@@ -43,7 +48,7 @@ class StudyConfig:
     calibration_replicates: int = calibration.DEFAULT_REPLICATES
     workers: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if any(n < 3 for n in self.ns):
@@ -53,8 +58,7 @@ class StudyConfig:
                 raise ValueError(f"unknown estimator {tag!r}")
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     estimator: str
     n: int
     r: float
@@ -65,8 +69,7 @@ class MetricsRow:
     replicates: int
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     estimator: str
     n: int
     r: float
@@ -76,17 +79,7 @@ class DensityRow:
     density: float
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    n: int
-    r: float
-    t: float
-    coverage: float
-    replicates: int
-
-
-@dataclass
-class CellResult:
+class CellResult(NamedTuple):
     n: int
     r: float
     estimates: dict[str, np.ndarray]
@@ -95,13 +88,12 @@ class CellResult:
     unconverged: dict[str, int]  # fits that did not converge, by tag
 
 
-@dataclass
-class StudyResult:
+class StudyResult(NamedTuple):
     config: StudyConfig
     metrics: list[MetricsRow]
     densities: list[DensityRow]
     coverage: list[CoverageRow]
-    excluded: dict[tuple[int, float], int] = field(default_factory=dict)
+    excluded: dict[tuple[int, float], int]
 
 
 def _metrics(values: np.ndarray, r: float) -> tuple[float, float, float]:
@@ -146,6 +138,8 @@ def run_study(config: StudyConfig,
         return run_cell(n, r, config, table[n], stream.child(i))
 
     if config.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run, range(len(cells))))
     else:
@@ -171,15 +165,13 @@ def run_study(config: StudyConfig,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     c: float
     mse: float
     abs_bias: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     n: int
     r: float
     t: float
@@ -214,8 +206,7 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+class AsymptoticsReport(NamedTuple):
     n: int
     r: float
     replicates: int

@@ -10,17 +10,19 @@ order, so output never depends on worker count or scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import checked
 
-@dataclass(frozen=True)
-class RngStream:
+
+@checked
+class RngStream(NamedTuple):
     seed: int
     path: tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not all(isinstance(i, int) and i >= 0 for i in self.path):
             raise ValueError("stream path must be non-negative integers")
 

@@ -2,9 +2,13 @@
 commands, per-input error isolation, and exit codes."""
 
 import csv
+import dataclasses
+import importlib
+import inspect
 import itertools
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bdgrowth
 from bdgrowth import calibration, cli, confidence, estimators, harness, treeio
 from bdgrowth.estimators import METHODS, estimates_for_matrix
 from bdgrowth.rng import RngStream
@@ -237,6 +242,27 @@ def test_estimate_tries_an_uncalibratable_n_once(tmp_path, capsys):
 def test_importing_the_cli_leaves_scipy_stats_unimported():
     code = "import sys, bdgrowth.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=src_env(), timeout=120).returncode == 0
+
+
+def test_importing_the_cli_leaves_the_harness_and_the_thread_pool_unimported():
+    # estimate, simulate, calibrate and coverage never run either; study,
+    # sweep and asymptotics import the harness, threads only --workers > 1
+    code = ("import sys, bdgrowth.cli; "
+            "print(sorted({'bdgrowth.harness', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_record_class_is_a_dataclass():
+    modules = [importlib.import_module(f"bdgrowth.{info.name}")
+               for info in pkgutil.iter_modules(bdgrowth.__path__)]
+    assert harness in modules
+    classes = [value for module in modules for value in vars(module).values()
+               if inspect.isclass(value) and value.__module__.startswith("bdgrowth")]
+    assert cli.confidence.CoverageRow in classes
+    assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
 
 
 def test_estimate_error_field_round_trips_through_csv(tmp_path, constants_file):
@@ -676,6 +702,21 @@ def test_coverage_command(tmp_path, constants_file):
     assert 0.9 <= value <= 1.0
 
 
+def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, capsys,
+                                                                 monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("sample_sn called before the replicate floor was checked")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    out = tmp_path / "cov.csv"
+    assert run(["coverage", "--n", 5, "--replicates", 10, "--calibration-replicates", 20_000,
+                "--out", out]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "coverage needs at least 1000 replicates" in err
+    assert "calibrating" not in err
+    assert not out.exists()
+
+
 def test_coverage_command_counts_the_replicates_it_keeps(tmp_path, constants_file, monkeypatch):
     real_chunks = estimators.height_chunks
 
@@ -783,4 +824,31 @@ def test_estimate_at_another_level_draws_s_n_once(tmp_path, capsys, monkeypatch)
     for rec in json.loads(captured.out):
         raw = rec["estimate"] / {"RawUnitConstant": 1.0, "Inv": row.c_inv,
                                  "MSE": row.c_mse}[rec["method"]]
+        assert (rec["ci_low"], rec["ci_high"]) == pytest.approx(spec.interval(raw), rel=1e-12)
+
+
+def test_estimate_says_when_another_level_draws_s_n_beside_a_table_row(
+        tmp_path, capsys, constants_file):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 10, "--count", 5, "--seed", 2, "--T", 40,
+                "--out", times]) == 0
+    base = ["estimate", times, "--constants", constants_file, "--methods", "Inv,Lengths",
+            "--replicates", 20_000, "--seed", 3, "--format", "json"]
+    capsys.readouterr()
+    assert run(base) == 0
+    assert capsys.readouterr().err == ""  # the table row holds the 95% quantiles
+    assert run(base + ["--level", 0.9]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert all(word in lines[0] for word in ("n=10", "level 0.9", "20000"))
+    assert "calibrating" not in lines[0]  # the constants still come from the table
+    # the intervals are those of the draw the line names; the estimates the table's
+    row = calibration.load_constants_table(constants_file)[10]
+    spec = confidence.ConfidenceSpec.from_sample(
+        calibration.sample_sn(10, 20_000, RngStream(3).child(10)), level=0.9)
+    inv = [rec for rec in json.loads(captured.out) if rec["method"] == "Inv"]
+    assert len(inv) == 5
+    for rec in inv:
+        raw = rec["estimate"] / row.c_inv
         assert (rec["ci_low"], rec["ci_high"]) == pytest.approx(spec.interval(raw), rel=1e-12)

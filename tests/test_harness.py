@@ -1,7 +1,6 @@
 """Study harness: metric identities, degenerate-replicate exclusion, output
 determinism, the constant sweep, and the large-sample variance check."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -154,7 +153,7 @@ def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch
 
 def test_run_cell_memory_is_bounded_by_the_chunks():
     # the whole height matrix and the fit's terms peaked at 92 MiB or more here
-    row = dataclasses.replace(ROW_20, n=100)
+    row = ROW_20._replace(n=100)
     config = harness.StudyConfig(ns=(100,), rs=(1.0,), t=40.0, replicates=10_000)
     tracemalloc.start()
     try:
@@ -173,7 +172,7 @@ def test_study_reports_unconverged_fits_once_per_cell(small_constants, monkeypat
         values, _, refused = mle.rows(h)
         return values, 2, refused
 
-    monkeypatch.setitem(est.METHODS, "MLE", dataclasses.replace(mle, rows=two_unconverged))
+    monkeypatch.setitem(est.METHODS, "MLE", mle._replace(rows=two_unconverged))
     config = harness.StudyConfig(ns=(5, 10), rs=(0.5, 1.0), t=40.0, replicates=50, seed=SEED,
                                  estimators=("Inv", "MLE"))
     result = harness.run_study(config, small_constants)
