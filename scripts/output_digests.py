@@ -119,6 +119,8 @@ COMMANDS = [
                "--out", "sweep.csv"]),
     ("asymptotics", ["asymptotics", "--n", "200", "--replicates", "1000", "--seed", "8",
                      "--out", "asymptotics.json"]),
+    ("asymptotics-list", ["asymptotics", "--n", "200,300", "--replicates", "1000",
+                          "--seed", "8", "--out", "asymptotics-list.json"]),
     ("simulate", ["simulate", "--n", "10", "--count", "300", "--seed", "7", "--T", "40",
                   "--out", "times.csv", "--trees", "trees.nwk"]),
     # r*T = 745, where exp(-rT) is the smallest subnormal double

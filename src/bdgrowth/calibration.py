@@ -32,7 +32,7 @@ import numpy as np
 from . import coalescent
 from .errors import InsufficientReplicates
 from .estimators import raw_pairwise_rows
-from .rng import RngStream, open_uniform
+from .rng import RngStream, open_uniform, ordered_map
 
 _SN_BLOCK = 50_000  # replicates per stream block; fixed so tables reproduce
 _TABLE_VERSION = "sn-constants-table v1"
@@ -101,14 +101,7 @@ def sample_sn(n: int, replicates: int, rng: RngStream, workers: int = 1) -> SnSa
     def run(block: int) -> np.ndarray:
         return _sn_block(n, sizes[block], rng.child(block).generator())
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, range(len(sizes))))
-    else:
-        chunks = [run(b) for b in range(len(sizes))]
-    return SnSample(n=n, values=np.concatenate(chunks))
+    return SnSample(n=n, values=np.concatenate(ordered_map(run, len(sizes), workers)))
 
 
 def c_mse(sample: SnSample) -> float:

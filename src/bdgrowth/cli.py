@@ -3,7 +3,10 @@
 Subcommands: simulate | estimate | calibrate | study | sweep | asymptotics |
 coverage. Every command is deterministic given its flags and --seed, writes
 only under its configured output location, and exits 0 on success, 2 on
-input errors, 3 on numerical failures.
+input errors, 3 on numerical failures. calibrate, study, coverage and
+asymptotics take a list of sample sizes (parse_n_list) and check all of them
+before their first draw; asymptotics writes one JSON array with a report per
+listed n, in the order given.
 
 Times CSV format: header "n,T,h1,...,h{n-1}", one replicate per row; an
 empty T column marks relative-axis times (only differences meaningful).
@@ -272,18 +275,24 @@ def _write_estimates(records, args):
 
 
 def parse_n_list(text: str) -> list[int]:
-    """Comma-separated sizes with 'a-b' ranges and an optional ':step'."""
+    """Comma-separated sizes with 'a-b' ranges and an optional ':step'.
+    Every size must be at least 3, and a range must ascend by a step >= 1."""
     out: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
         if "-" in piece:
             span, _, step = piece.partition(":")
-            lo, hi = span.split("-")
-            out.extend(range(int(lo), int(hi) + 1, int(step) if step else 1))
+            lo, hi = (int(v) for v in span.split("-"))
+            step = int(step) if step else 1
+            if lo > hi or step < 1:
+                raise ValueError(f"range {piece!r} must ascend by a step >= 1")
+            out.extend(range(lo, hi + 1, step))
         elif piece:
             out.append(int(piece))
     if not out:
         raise ValueError(f"no sample sizes in {text!r}")
+    if min(out) < 3:
+        raise ValueError(f"sample sizes must be at least 3, not {min(out)}")
     return out
 
 
@@ -344,9 +353,13 @@ def cmd_sweep(args) -> int:
 def cmd_asymptotics(args) -> int:
     from . import harness
 
-    report = harness.asymptotics_check(args.n, args.r, args.replicates,
-                                       RngStream(args.seed), t=args.T)
-    text = json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n"
+    ns = parse_n_list(args.n)
+    for n in ns:
+        harness.check_large_n(n)
+    stream = RngStream(args.seed)
+    reports = [harness.asymptotics_check(n, args.r, args.replicates, stream.child(i),
+                                         t=args.T)._asdict() for i, n in enumerate(ns)]
+    text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -355,11 +368,13 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    confidence.check_coverage_replicates(args.replicates)  # before any calibration
+    ns = parse_n_list(args.n)  # every check runs before the first calibration
+    confidence.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    confidence.check_coverage_replicates(args.replicates)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     rows = []
     stream = RngStream(args.seed)
-    for i, n in enumerate(parse_n_list(args.n)):
+    for i, n in enumerate(ns):
         table[n], spec = confidence.calibration_for(table, n, args.calibration_replicates,
                                                     args.seed)
         cov = confidence.coverage_study(n, args.r, args.T, args.replicates, args.regime,
@@ -448,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("asymptotics", help="large-sample variance check")
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--n", default="500", help="sample sizes, each at least 200")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--replicates", type=int, default=10_000)

@@ -30,7 +30,7 @@ from .confidence import (
 )
 from .errors import InsufficientReplicates, checked
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
-from .rng import RngStream
+from .rng import RngStream, ordered_map
 
 DENSITY_BINS = 256
 
@@ -127,6 +127,8 @@ def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRo
 
 def run_study(config: StudyConfig,
               constants: dict[int, calibration.ConstantsRow] | None = None) -> StudyResult:
+    for r in config.rs:  # a regime the values cannot make is refused before any draw
+        make_regime(config.regime, r, config.t, config.birth_rate)
     table = dict(constants or {})
     for n in config.ns:
         table[n], _ = calibration_for(table, n, config.calibration_replicates, config.seed)
@@ -137,13 +139,7 @@ def run_study(config: StudyConfig,
         n, r = cells[i]
         return run_cell(n, r, config, table[n], stream.child(i))
 
-    if config.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run, range(len(cells))))
-    else:
-        results = [run(i) for i in range(len(cells))]
+    results = ordered_map(run, len(cells), config.workers)
 
     metrics, densities, coverage, excluded = [], [], [], {}
     for cell in results:
@@ -218,6 +214,13 @@ class AsymptoticsReport(NamedTuple):
     ks_pvalue_lengths: float
 
 
+def check_large_n(n: int) -> None:
+    """Refuse an n below 200: asymptotics_check's floor, which the
+    asymptotics command checks for every listed n before its first draw."""
+    if n < 200:
+        raise ValueError("asymptotics check needs n >= 200")
+
+
 def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
                       t: float | None = None) -> AsymptoticsReport:
     """Empirical scaled variances under the large-n regime.
@@ -227,8 +230,7 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     errors is scored with a Kolmogorov-Smirnov test against the fitted
     normal.
     """
-    if n < 200:
-        raise ValueError("asymptotics check needs n >= 200")
+    check_large_n(n)
     if not r > 0:  # before the default T divides by it
         raise ValueError("growth rate must be positive and finite")
     if replicates < 2:

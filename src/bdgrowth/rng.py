@@ -5,7 +5,7 @@ Every stochastic operation in this package draws from an RngStream, a
 mechanism. Identical (seed, path) pairs reproduce identical draws bit for
 bit; distinct paths give statistically independent streams. Parallel code
 hands each work unit its own child stream and merges results in a fixed
-order, so output never depends on worker count or scheduling.
+order (ordered_map), so output never depends on worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -33,6 +33,17 @@ class RngStream(NamedTuple):
     def child(self, *indices: int) -> "RngStream":
         """Substream addressed by appending indices to the path."""
         return RngStream(self.seed, self.path + indices)
+
+
+def ordered_map(run, count: int, workers: int = 1) -> list:
+    """[run(i) for i in range(count)], on a pool of `workers` threads when
+    above 1; the results come back in index order either way."""
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(count)))
+    return [run(i) for i in range(count)]
 
 
 def as_generator(rng) -> np.random.Generator:

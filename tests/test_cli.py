@@ -636,6 +636,12 @@ def test_n_list_parsing():
     assert cli.parse_n_list("30-100:10") == [30, 40, 50, 60, 70, 80, 90, 100]
     with pytest.raises(ValueError):
         cli.parse_n_list(",")
+    for text in ("5,10-5", "10-5:-1", "5-10:0"):
+        with pytest.raises(ValueError, match="must ascend by a step >= 1"):
+            cli.parse_n_list(text)
+    for text in ("5,2", "2-6", "0"):
+        with pytest.raises(ValueError, match="sample sizes must be at least 3"):
+            cli.parse_n_list(text)
 
 
 def test_study_command_writes_outputs(tmp_path, constants_file):
@@ -663,7 +669,20 @@ def test_asymptotics_command(tmp_path):
     assert run(["asymptotics", "--n", 200, "--replicates", 1500, "--seed", 8,
                 "--out", out]) == 0
     payload = json.loads(out.read_text())
-    assert payload["target_inv"] == pytest.approx(0.7101, abs=1e-4)
+    assert payload[0]["target_inv"] == pytest.approx(0.7101, abs=1e-4)
+
+
+def test_asymptotics_command_writes_one_report_per_listed_n_in_order(tmp_path):
+    out = tmp_path / "asym.json"
+    assert run(["asymptotics", "--n", "200,300", "--replicates", 1000, "--seed", 8,
+                "--out", out]) == 0
+    text = out.read_text()
+    payload = json.loads(text)
+    assert [report["n"] for report in payload] == [200, 300]
+    for i, n in enumerate((200, 300)):
+        expected = harness.asymptotics_check(n, 1.0, 1000, RngStream(8).child(i))._asdict()
+        assert payload[i] == expected
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("flags", [
@@ -713,6 +732,33 @@ def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, caps
                 "--out", out]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert "coverage needs at least 1000 replicates" in err
+    assert "calibrating" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["study", "--n", "5,6", "--r", 2, "--birth-rate", 1, "--T", 40],
+     "birth rate 1.0 below growth rate 2.0"),
+    (["coverage", "--n", 5, "--r", 2, "--birth-rate", 1, "--T", 40],
+     "birth rate 1.0 below growth rate 2.0"),
+    (["coverage", "--n", "5,2"], "sample sizes must be at least 3, not 2"),
+    (["calibrate", "--n", "20,2"], "sample sizes must be at least 3, not 2"),
+    (["study", "--n", "5,10-5"], "range '10-5' must ascend"),
+    (["asymptotics", "--n", "500,50"], "asymptotics check needs n >= 200"),
+], ids=["study-regime", "coverage-regime", "coverage-n", "calibrate-n", "study-range",
+        "asymptotics-n"])
+def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, monkeypatch,
+                                                            argv, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before every value was checked")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    monkeypatch.setattr(estimators, "height_chunks", refused)
+    out = tmp_path / "out"
+    assert run(argv + ["--calibration-replicates" if argv[0] in ("study", "coverage")
+                       else "--replicates", 20_000, "--out", out]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err
     assert "calibrating" not in err
     assert not out.exists()
 
