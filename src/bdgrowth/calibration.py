@@ -25,7 +25,7 @@ in row chunks of about 2 MB, which bound its memory and keep its bits.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -126,14 +126,48 @@ def sn_quantiles(sample: SnSample, lo: float = 0.025, hi: float = 0.975) -> tupl
     Below 10^4 replicates the quantile noise exceeds the precision of the
     published table, so such samples are refused.
     """
-    if sample.values.size < 10_000:
-        raise InsufficientReplicates(
-            f"{sample.values.size} replicates; quantiles need at least 10000"
-        )
+    check_quantile_replicates(sample.values.size)
     if not (0 < lo < hi < 1):
         raise ValueError("need 0 < lo < hi < 1")
-    q = np.quantile(sample.values, [lo, hi], method="linear")
-    return float(q[0]), float(q[1])
+    q_lo, q_hi = linear_quantiles(sample.values, (lo, hi))
+    return q_lo, q_hi
+
+
+def check_quantile_replicates(replicates: int) -> None:
+    """Refuse fewer than 10^4 S_n replicates: sn_quantiles' floor, which its
+    callers check before their first draw."""
+    if replicates < 10_000:
+        raise InsufficientReplicates(f"{replicates} replicates; quantiles need at least 10000")
+
+
+def linear_quantiles(values: np.ndarray, probs) -> list[float]:
+    """Type-7 quantiles of values at each probability in probs: bit for bit
+    np.quantile(values, probs, method="linear"), from one np.partition and
+    without the np.unique call that loads numpy.ma. A sample holding NaN has
+    NaN quantiles.
+
+    Position v = (n-1)p has order statistics a (index floor v) and b above
+    it, and weight g = v - floor v; the value is a + (b-a)g, or b - (b-a)(1-g)
+    where g >= 0.5. A position at the top takes index -1 for both, as numpy.
+    """
+    n = values.size
+    spots = []
+    for p in probs:
+        if not 0 <= p <= 1:
+            raise ValueError(f"quantile probability {p} outside [0, 1]")
+        v = (n - 1) * p
+        spots.append((v, int(v) if v < n - 1 else -1))
+    kth = {n - 1}  # the largest value, or a NaN, which sorts last
+    kth.update(j for _, i in spots if i >= 0 for j in (i, i + 1))
+    part = np.partition(values, sorted(kth))
+    if np.isnan(part[-1]):
+        return [float("nan")] * len(spots)
+    out = []
+    for v, i in spots:
+        a, b = float(part[i]), float(part[i + 1 if i >= 0 else i])
+        g, d = v - i, b - a
+        out.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
+    return out
 
 
 class MomentChecks(NamedTuple):
@@ -213,6 +247,7 @@ def build_constants_table(
     n_list, replicates: int, seed: int, path: str | Path | None = None, workers: int = 1
 ) -> list[ConstantsRow]:
     """Rows for every n, optionally persisted; regeneration is byte-stable."""
+    check_quantile_replicates(replicates)
     rows = [build_constants_row(int(n), replicates, seed, workers=workers) for n in n_list]
     if path is not None:
         write_constants_table(rows, path)
@@ -220,14 +255,22 @@ def build_constants_table(
 
 
 # 17 significant digits read back as the same double; every CSV of this
-# package formats its floats with it
+# package formats its floats so, through g17 or a "%.17g" template
 g17 = "{:.17g}".format
 
 
-def write_rows(path: str | Path, header: str, rows):
-    """CSV of NamedTuple rows, one line per row in field order, floats via g17."""
-    lines = [header] + [",".join(g17(v) if isinstance(v, float) else str(v) for v in row)
-                        for row in rows]
+def write_rows(path: str | Path, header: str, rows: list):
+    """CSV of NamedTuple rows of one class, one line per row in field order.
+
+    One %-template formats every row: "%.17g" for the fields annotated
+    float, which writes g17's bytes, and "%s" for the rest. A value that is
+    not a number in a float field raises.
+    """
+    lines = [header]
+    if rows:
+        hints = get_type_hints(type(rows[0]))
+        template = ",".join("%.17g" if hints[f] is float else "%s" for f in rows[0]._fields)
+        lines += [template % row for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

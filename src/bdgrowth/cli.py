@@ -50,10 +50,11 @@ EXIT_NUMERICAL = 3
 
 
 def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
+    """A times CSV of a (k, n-1) height matrix: one %-template formats every
+    row, the heights as "%.17g" (g17's bytes)."""
     header = "n,T," + ",".join(f"h{i}" for i in range(1, n))
-    t_text = "" if t is None else g17(t)
-    prefix = f"{n},{t_text},"
-    lines = [header] + [prefix + ",".join(map(g17, row)) for row in matrix.tolist()]
+    template = f"{n},{'' if t is None else g17(t)}," + ",".join(["%.17g"] * (n - 1))
+    lines = [header] + [template % tuple(row) for row in matrix.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -372,6 +373,8 @@ def cmd_coverage(args) -> int:
     confidence.make_regime(args.regime, args.r, args.T, args.birth_rate)
     confidence.check_coverage_replicates(args.replicates)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
+    if any(n not in table for n in ns):  # its draw would come after earlier n's studies
+        calibration.check_quantile_replicates(args.calibration_replicates)
     rows = []
     stream = RngStream(args.seed)
     for i, n in enumerate(ns):
@@ -465,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics", help="large-sample variance check")
     p.add_argument("--n", default="500", help="sample sizes, each at least 200")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--T", type=float, default=None,
+                   help="reporting height, positive and finite (default 4 log(n)/r); it "
+                        "only shifts the heights, which no estimator sees")
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -65,13 +65,16 @@ def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicat
     level 0.95 the quantiles are the row's. Another level takes them from
     that same draw, which is made at most once. Each draw says so on stderr
     in one line, naming n, the replicate count and a level other than 0.95.
-    An n below 3 has no S_n and is refused before the warning.
+    An n below 3 has no S_n, and fewer than 10^4 replicates give no
+    quantiles; where a draw is needed, either is refused before the warning.
     """
     row, sample = table.get(n), None
     for_level = "" if level == 0.95 else f" for level {level}"
-    if row is None:
+    if row is None or level != 0.95:
         if n < 3:
             raise ValueError("S_n needs n >= 3")
+        calibration.check_quantile_replicates(replicates)
+    if row is None:
         print(f"warning: no constants row for n={n}; "
               f"calibrating on the fly with {replicates} replicates{for_level}", file=sys.stderr)
         sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))

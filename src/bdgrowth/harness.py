@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import calibration
-from .calibration import write_rows
+from .calibration import linear_quantiles, write_rows
 from .confidence import (
     COVERAGE_HEADER,
     ConfidenceSpec,
@@ -104,16 +105,12 @@ def _metrics(values: np.ndarray, r: float) -> tuple[float, float, float]:
 def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[DensityRow]:
     # adaptive range: upper tails of these estimators are heavy, clip at the
     # 99.9th percentile so the bins resolve the body of the distribution
-    lo = 0.0
-    hi = float(np.quantile(values, 0.999)) * 1.02
-    counts, edges = np.histogram(values, bins=DENSITY_BINS, range=(lo, hi))
-    width = edges[1] - edges[0]
-    total = values.size
-    return [
-        DensityRow(tag, n, r, float(edges[i]), float(edges[i + 1]),
-                   int(counts[i]), counts[i] / (total * width))
-        for i in range(DENSITY_BINS)
-    ]
+    hi = linear_quantiles(values, (0.999,))[0] * 1.02
+    counts, edges = np.histogram(values, bins=DENSITY_BINS, range=(0.0, hi))
+    density = counts / (values.size * (edges[1] - edges[0]))
+    edges = edges.tolist()
+    return list(map(DensityRow._make, zip(repeat(tag), repeat(n), repeat(r), edges[:-1],
+                                          edges[1:], counts.tolist(), density.tolist())))
 
 
 def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRow,
@@ -233,6 +230,8 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
     check_large_n(n)
     if not r > 0:  # before the default T divides by it
         raise ValueError("growth rate must be positive and finite")
+    if t is not None and not 0 < t < math.inf:
+        raise ValueError(f"T must be positive and finite, not {t}")
     if replicates < 2:
         raise InsufficientReplicates("the normality tests need at least 2 replicates")
     import scipy.stats  # imported here: it is most of the package's import time

@@ -347,16 +347,12 @@ def cpp_newick_rows(matrix: np.ndarray, t: float | None) -> list[str]:
                 continue
             right_h, right_min, right = stack.pop()
             left_h, left_min, left = stack.pop()
-            left = f"{left}:{_format_length(h - left_h)}"
-            right = f"{right}:{_format_length(h - right_h)}"
+            left = f"{left}:{h - left_h:.12g}"
+            right = f"{right}:{h - right_h:.12g}"
             if left_min < right_min:
                 stack.append((h, left_min, f"({left},{right})"))
             else:
                 stack.append((h, right_min, f"({right},{left})"))
         root_h, _, text = stack[0]
-        out.append(f"{text}:{_format_length(t - root_h)};")
+        out.append(f"{text}:{t - root_h:.12g};")
     return out
-
-
-def _format_length(x: float) -> str:
-    return format(x, ".12g")

@@ -406,7 +406,7 @@ def serialize_newick(tree: SampleTree, exact: bool = False) -> str:
         if node is tree.root and exact and not tree.stem_from_input:
             length = None
         if length is not None:
-            text += ":" + (repr(length) if exact else treeio._format_length(length))
+            text += ":" + (repr(length) if exact else format(length, ".12g"))
         rendered[id(node)] = text
     return rendered[id(tree.root)] + ";"
 

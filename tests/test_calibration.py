@@ -3,6 +3,7 @@ quantile machinery, and the persisted constants table."""
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import oracles
 from bdgrowth import calibration as cal
 from bdgrowth import coalescent as co
+from bdgrowth.confidence import Coverage
 from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
 from bdgrowth.rng import RngStream, open_uniform
@@ -127,6 +129,37 @@ def test_quantiles_refuse_small_samples():
         cal.sn_quantiles(sample)
 
 
+def test_linear_quantiles_are_numpys_bit_for_bit():
+    # sizes 1..3000, scales 1e-5..1e5, both signs, ties from rounding, and
+    # an inf among the values; a sample holding NaN gives NaN, as numpy does
+    gen = np.random.default_rng(SEED)
+    probs = [0.0, 1.0, 0.025, 0.975, 0.999]
+    for k in range(10_000):
+        size = int(gen.integers(1, 3001)) if k % 2 else int(np.exp(gen.uniform(0, np.log(3000))))
+        values = gen.standard_normal(size) * 10.0 ** gen.uniform(-5, 5)
+        if k % 3 == 0:
+            values = np.round(values, int(gen.integers(0, 3)))
+        if k % 11 == 0:
+            values[gen.integers(size)] = np.inf
+        if k % 7 == 0:
+            values[gen.integers(size)] = np.nan
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy interpolates
+            want = np.quantile(values, probs, method="linear").tolist()
+        got = cal.linear_quantiles(values, probs)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (k, size)
+        if k % 7 == 0:
+            assert all(math.isnan(x) for x in got)
+
+
+def test_linear_quantiles_leave_the_sample_and_refuse_a_probability_outside_zero_one():
+    values = np.array([3.0, 1.0, 2.0])
+    assert cal.linear_quantiles(values, (0.5, 0.75)) == [2.0, 2.5]
+    assert values.tolist() == [3.0, 1.0, 2.0]
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            cal.linear_quantiles(values, (p,))
+
+
 def test_fresh_draws_fall_below_lower_quantile_at_nominal_rate():
     n = 5
     reference = cal.sample_sn(n, 1_000_000, RngStream(SEED).child(n))
@@ -182,6 +215,45 @@ def test_row_independent_of_other_table_entries():
     lone = cal.build_constants_table([8], 20_000, SEED)[0]
     paired = cal.build_constants_table([5, 8], 20_000, SEED)[1]
     assert lone == paired
+
+
+def test_build_constants_table_refuses_too_few_replicates_before_its_first_draw(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before the replicate floor was checked")
+
+    monkeypatch.setattr(cal, "sample_sn", refused)
+    with pytest.raises(InsufficientReplicates, match="9999 replicates"):
+        cal.build_constants_table([5, 8], 9999, SEED)
+
+
+class MixedRow(NamedTuple):
+    label: str
+    count: int
+    x: float
+    y: float
+    z: float
+    w: float
+
+
+def test_write_rows_writes_the_bytes_of_g17_and_str(tmp_path):
+    rows = [
+        MixedRow("a", 3, 0.1, np.float64(1 / 3), Coverage(0.95, 7), -0.0),
+        MixedRow("b c", -12, math.inf, -math.inf, math.nan, 1e-320),
+        MixedRow("", 0, 2.0 ** 70, np.float64(-2.5e-300), Coverage(1.0, 1), 5e17),
+    ]
+    path = tmp_path / "rows.csv"
+    cal.write_rows(path, "label,count,x,y,z,w", rows)
+    old = ["label,count,x,y,z,w"] + [
+        ",".join(cal.g17(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    assert path.read_text(encoding="utf-8") == "\n".join(old) + "\n"
+    cal.write_rows(path, "label,count,x,y,z,w", [])
+    assert path.read_text(encoding="utf-8") == "label,count,x,y,z,w\n"
+
+
+def test_write_rows_refuses_a_value_that_is_not_a_number_in_a_float_field(tmp_path):
+    rows = [MixedRow("a", 1, 0.5, 0.5, 0.5, 0.5), MixedRow("b", 2, 0.5, None, 0.5, 0.5)]
+    with pytest.raises(TypeError):
+        cal.write_rows(tmp_path / "rows.csv", "label,count,x,y,z,w", rows)
 
 
 def test_load_rejects_foreign_files(tmp_path):

@@ -255,6 +255,22 @@ def test_importing_the_cli_leaves_the_harness_and_the_thread_pool_unimported():
     assert done.stdout.strip() == "[]"
 
 
+def test_study_coverage_and_calibrate_leave_numpy_ma_unimported(tmp_path, constants_file):
+    # np.quantile loads numpy.ma through np.unique; calibration.linear_quantiles
+    # gives its values without it
+    code = ("import sys, bdgrowth.cli; code = bdgrowth.cli.main(sys.argv[1:]); "
+            "sys.exit(code or 10 * ('numpy.ma' in sys.modules))")
+    for argv in (
+        ["study", "--n", 5, "--r", 1, "--replicates", 300, "--constants", constants_file,
+         "--out", tmp_path / "study"],
+        ["coverage", "--n", 5, "--replicates", 1000, "--calibration-replicates", 10_000],
+        ["calibrate", "--n", 5, "--replicates", 10_000, "--out", tmp_path / "c.csv"],
+    ):
+        done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv[0], done.returncode, done.stderr)
+
+
 def test_no_record_class_is_a_dataclass():
     modules = [importlib.import_module(f"bdgrowth.{info.name}")
                for info in pkgutil.iter_modules(bdgrowth.__path__)]
@@ -745,8 +761,13 @@ def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, caps
     (["calibrate", "--n", "20,2"], "sample sizes must be at least 3, not 2"),
     (["study", "--n", "5,10-5"], "range '10-5' must ascend"),
     (["asymptotics", "--n", "500,50"], "asymptotics check needs n >= 200"),
+    (["asymptotics", "--n", "200,300", "--T", -5], "T must be positive and finite"),
+    (["asymptotics", "--n", 200, "--T", 0], "T must be positive and finite"),
+    (["asymptotics", "--n", 200, "--T", "nan"], "T must be positive and finite"),
+    (["asymptotics", "--n", 200, "--T", "inf"], "T must be positive and finite"),
 ], ids=["study-regime", "coverage-regime", "coverage-n", "calibrate-n", "study-range",
-        "asymptotics-n"])
+        "asymptotics-n", "asymptotics-negative-T", "asymptotics-zero-T", "asymptotics-nan-T",
+        "asymptotics-inf-T"])
 def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                             argv, message):
     def refused(*args, **kwargs):
@@ -761,6 +782,63 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
     assert message in err
     assert "calibrating" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--n", "100,200", "--calibration-replicates", 9999, "--replicates", 1000],
+    ["coverage", "--n", "5,20", "--constants", "TABLE", "--calibration-replicates", 9999],
+    ["study", "--n", "5,20", "--constants", "TABLE", "--calibration-replicates", 9999],
+    ["calibrate", "--n", "5,8", "--replicates", 9999],
+], ids=["coverage", "coverage-part-table", "study-part-table", "calibrate"])
+def test_commands_refuse_too_few_s_n_replicates_before_their_first_draw(
+        tmp_path, capsys, monkeypatch, constants_file, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before the replicate floor was checked")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    monkeypatch.setattr(estimators, "height_chunks", refused)
+    out = tmp_path / "out"
+    argv = [constants_file if a == "TABLE" else a for a in argv]
+    assert run(argv + ["--out", out]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "9999 replicates; quantiles need at least 10000" in err
+    assert "calibrating" not in err
+    assert not out.exists()
+
+
+def test_estimate_refuses_too_few_s_n_replicates_without_drawing(tmp_path, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before the replicate floor was checked")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    src = tmp_path / "tree.nwk"
+    src.write_text(NEWICK)
+    out = tmp_path / "est.csv"
+    assert run(["estimate", src, "--methods", "Inv,Lengths", "--replicates", 9999,
+                "--out", out]) == cli.EXIT_OK
+    assert "calibrating" not in capsys.readouterr().err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows[0]["error"] == ("InsufficientReplicates: 9999 replicates; "
+                                "quantiles need at least 10000")
+    assert rows[1]["error"] == "" and rows[1]["method"] == "Lengths"
+
+
+def test_a_full_table_runs_with_too_few_s_n_replicates_to_draw(tmp_path, capsys, monkeypatch,
+                                                              constants_file):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew S_n although the table has the row")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    src = tmp_path / "tree.nwk"
+    src.write_text("(((A:1,B:1):1,C:2):1,(D:1.5,E:1.5):1.5);")
+    table = ["--constants", constants_file]
+    assert run(["coverage", "--n", "5,10", "--replicates", 1000,
+                "--calibration-replicates", 9999] + table) == cli.EXIT_OK
+    assert run(["study", "--n", 5, "--replicates", 200, "--calibration-replicates", 9999,
+                "--out", tmp_path / "study"] + table) == cli.EXIT_OK
+    assert run(["estimate", src, "--methods", "Inv", "--replicates", 9999,
+                "--out", tmp_path / "est.csv"] + table) == cli.EXIT_OK
+    assert "calibrating" not in capsys.readouterr().err
 
 
 def test_coverage_command_counts_the_replicates_it_keeps(tmp_path, constants_file, monkeypatch):

@@ -63,6 +63,24 @@ def test_density_rows_account_for_most_replicates(small_study):
         assert sum(d.count for d in rows) >= 0.995 * 400
 
 
+def test_density_rows_equal_the_per_bin_loop_bit_for_bit(small_study, small_constants):
+    # the per-bin construction on np.quantile, as a reference for the
+    # columnar one on calibration.linear_quantiles
+    def per_bin(tag, n, r, values):
+        hi = float(np.quantile(values, 0.999)) * 1.02
+        counts, edges = np.histogram(values, bins=harness.DENSITY_BINS, range=(0.0, hi))
+        width = edges[1] - edges[0]
+        return [(tag, n, r, float(edges[i]), float(edges[i + 1]), int(counts[i]),
+                 float(counts[i] / (values.size * width))) for i in range(harness.DENSITY_BINS)]
+
+    cell = harness.run_cell(5, 1.0, small_study.config, small_constants[5], RngStream(SEED).child(0))
+    for tag, values in cell.estimates.items():
+        rows = harness._density_rows(tag, 5, 1.0, values)
+        assert all(type(row) is harness.DensityRow for row in rows)
+        want = per_bin(tag, 5, 1.0, values)
+        assert [[repr(v) for v in row] for row in rows] == [[repr(v) for v in row] for row in want]
+
+
 def test_coverage_rows_present(small_study):
     assert [(c.n, c.r) for c in small_study.coverage] == [(5, 1.0), (10, 1.0)]
     for c in small_study.coverage:
