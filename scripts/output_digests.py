@@ -110,6 +110,8 @@ COMMANDS = [
     ("coverage-fly", ["coverage", "--n", "7", "--replicates", "1000", "--seed", "5",
                       "--calibration-replicates", "20000", "--out", "coverage-fly.csv"]),
     # the table coverage-fly calibrates on the fly; on it, coverage writes the same bytes
+    ("calibrate-blocks", ["calibrate", "--n", "3,40", "--replicates", "120001", "--seed", "9",
+                          "--out", "constants-blocks.csv"]),
     ("calibrate-7", ["calibrate", "--n", "7", "--replicates", "20000", "--seed", "5",
                      "--out", "constants-7.csv"]),
     ("coverage-fly-table", ["coverage", "--n", "7", "--replicates", "1000", "--seed", "5",
@@ -124,6 +126,8 @@ COMMANDS = [
     ("simulate", ["simulate", "--n", "10", "--count", "300", "--seed", "7", "--T", "40",
                   "--out", "times.csv", "--trees", "trees.nwk"]),
     # r*T = 745, where exp(-rT) is the smallest subnormal double
+    ("simulate-birth", ["simulate", "--n", "10", "--count", "300", "--seed", "7", "--r", "0.3",
+                        "--T", "7", "--birth-rate", "2", "--out", "times-birth.csv"]),
     ("simulate-far", ["simulate", "--n", "10", "--count", "300", "--seed", "7", "--T", "745",
                       "--out", "times-far.csv"]),
     ("estimate-times", ["estimate", "times.csv", "--constants", TABLE,

@@ -17,9 +17,19 @@ c_inv has the closed form (n/(n-2)) * (1 - (sum_{k<n} 1/k)/(n-1)); the other
 two and the 2.5% / 97.5% quantiles of S_n used for confidence intervals are
 estimated by Monte Carlo and cached in a small versioned CSV table. Sampling
 runs in fixed-size blocks of 50 000 replicates with one child stream per
-block and a fixed-order merge, so the table is byte-stable for a given (n,
-replicates, seed) regardless of worker count. A block is drawn and reduced
-in row chunks of about 2 MB, which bound its memory and keep its bits.
+block, each written to its own slice of the result, so the table is
+byte-stable for a given (n, replicates, seed) regardless of worker count.
+
+The blocks run on up to `workers` threads, by default every CPU the process
+may use (rng.usable_cpus), and never more threads than blocks. Memory is
+allocated on the calling thread only: freed memory of a worker thread stays
+in that thread's malloc arena, which would raise the peak resident size.
+The calling thread draws each block's latent column into the block's slice
+of the result and allocates each thread's chunk buffers once, about 2 MB
+split between the threads; a thread then draws and reduces its blocks in row
+chunks of those buffers, in place, with the operations, in their order, of
+the out-of-place transform and estimators.raw_pairwise_rows, so every S_n
+keeps its bits whatever the thread count.
 """
 
 from __future__ import annotations
@@ -31,8 +41,7 @@ import numpy as np
 
 from . import coalescent
 from .errors import InsufficientReplicates
-from .estimators import raw_pairwise_rows
-from .rng import RngStream, open_uniform, ordered_map
+from .rng import RngStream, check_workers, each_index, open_uniform, thread_count, usable_cpus
 
 _SN_BLOCK = 50_000  # replicates per stream block; fixed so tables reproduce
 _TABLE_VERSION = "sn-constants-table v1"
@@ -72,36 +81,65 @@ def c_inv_closed_form(n: int) -> float:
     return n / (n - 2) * (1.0 - harmonic_number(n - 1) / (n - 1))
 
 
-def _sn_block(n: int, count: int, gen) -> np.ndarray:
-    q = coalescent.sample_q(n, gen, size=(count, 1))
-    out = np.empty(count)
-    start = 0
-    for q_part, v in coalescent.uniform_chunks(gen, q, n):
-        # u_given_q_quantile less its -log q row shift, which S_n ignores, with
-        # one log per element, in place; v is freed before the kernel's sort
-        u = q_part * v
-        u += 1.0
-        u /= np.subtract(1.0, v, out=v)
-        del v
-        out[start:start + len(u)] = raw_pairwise_rows(np.log(u, out=u))
-        start += len(u)
-    return out
+def _sn_block(gen, out: np.ndarray, u: np.ndarray, v: np.ndarray, positive: np.ndarray):
+    """Replace the latent column in out, drawn from gen, by the S_n values of
+    its rows, drawing their uniforms from gen a chunk of u's rows at a time.
+
+    u and v are (rows, n-1) buffers and positive a (rows,) one. The steps are
+    those of u_given_q_quantile, less its -log q row shift, which S_n
+    ignores, then of raw_pairwise_rows, each in place: a chunk's result goes
+    to the rows of out whose latents it has read.
+    """
+    m = u.shape[1]  # n - 1
+    k = np.arange(1.0, m)
+    weights = k * (m - k)
+    flat = v.reshape(-1)
+    for start in range(0, len(out), len(u)):
+        q = out[start:start + len(u)]
+        rows = len(q)
+        ur, vr, pos = u[:rows], v[:rows], positive[:rows]
+        np.maximum(gen.random(out=vr), 2.0 ** -53, out=vr)  # open_uniform
+        np.multiply(q[:, None], vr, out=ur)
+        ur += 1.0
+        ur /= np.subtract(1.0, vr, out=vr)
+        np.log(ur, out=ur)
+        ur.sort(axis=1)
+        gaps = flat[:rows * (m - 1)].reshape(rows, m - 1)
+        np.subtract(ur[:, 1:], ur[:, :-1], out=gaps)
+        gaps *= weights
+        np.add.reduce(gaps, axis=1, out=q)
+        np.greater(q, 0.0, out=pos)
+        np.divide(m * (m - 1), q, out=q, where=pos)
+        if not pos.all():  # all heights equal
+            q[~pos] = np.nan
 
 
-def sample_sn(n: int, replicates: int, rng: RngStream, workers: int = 1) -> SnSample:
-    """Monte Carlo draws of S_n, deterministic in (n, replicates, seed)."""
+def sample_sn(n: int, replicates: int, rng: RngStream, workers: int | None = None) -> SnSample:
+    """Monte Carlo draws of S_n, deterministic in (n, replicates, seed) and
+    the same bits on any number of workers (default: usable_cpus())."""
     if n < 3:
         raise ValueError("S_n needs n >= 3")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    sizes = [_SN_BLOCK] * (replicates // _SN_BLOCK)
-    if replicates % _SN_BLOCK:
-        sizes.append(replicates % _SN_BLOCK)
+    workers = usable_cpus() if workers is None else workers
+    starts = range(0, replicates, _SN_BLOCK)
+    threads = thread_count(len(starts), workers)
+    values = np.empty(replicates)
+    gens = []
+    for block, start in enumerate(starts):
+        gens.append(rng.child(block).generator())
+        count = min(_SN_BLOCK, replicates - start)
+        values[start:start + count] = coalescent.sample_q(n, gens[-1], size=count)
+    rows = max(1, coalescent._CHUNK_HEIGHTS // threads // (n - 1))
+    buffers = [(np.empty((rows, n - 1)), np.empty((rows, n - 1)), np.empty(rows, dtype=bool))
+               for _ in range(threads)]
 
-    def run(block: int) -> np.ndarray:
-        return _sn_block(n, sizes[block], rng.child(block).generator())
+    def run(slot: int, block: int):
+        start = starts[block]
+        _sn_block(gens[block], values[start:start + _SN_BLOCK], *buffers[slot])
 
-    return SnSample(n=n, values=np.concatenate(ordered_map(run, len(sizes), workers)))
+    each_index(run, len(starts), workers)
+    return SnSample(n=n, values=values)
 
 
 def c_mse(sample: SnSample) -> float:
@@ -210,7 +248,8 @@ def moment_identities_check(replicates: int, rng: RngStream) -> MomentChecks:
 # ---------------------------------------------------------------------------
 
 
-def build_constants_row(n: int, replicates: int, seed: int, workers: int = 1) -> ConstantsRow:
+def build_constants_row(n: int, replicates: int, seed: int,
+                        workers: int | None = None) -> ConstantsRow:
     sample = sample_sn(n, replicates, RngStream(seed).child(n), workers=workers)
     return row_from_sample(sample, seed)
 
@@ -244,10 +283,14 @@ def _check_row(row: ConstantsRow):
 
 
 def build_constants_table(
-    n_list, replicates: int, seed: int, path: str | Path | None = None, workers: int = 1
+    n_list, replicates: int, seed: int, path: str | Path | None = None,
+    workers: int | None = None
 ) -> list[ConstantsRow]:
-    """Rows for every n, optionally persisted; regeneration is byte-stable."""
+    """Rows for every n, optionally persisted; regeneration is byte-stable.
+    The replicate floor and the worker count are checked before any draw."""
     check_quantile_replicates(replicates)
+    if workers is not None:
+        check_workers(workers)
     rows = [build_constants_row(int(n), replicates, seed, workers=workers) for n in n_list]
     if path is not None:
         write_constants_table(rows, path)

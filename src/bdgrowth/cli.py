@@ -247,19 +247,22 @@ def _write_estimates(records, args):
     if args.format == "json" or (args.out and str(args.out).endswith(".json")):
         payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
+        # one %-template per kind of record, floats as "%.17g" (g17's bytes):
+        # an estimate with an interval, one without, and an error, which is
+        # quoted with its quotes doubled and leaves every number field empty
+        with_ci, without_ci, error = ("%s,%s,%s,%.17g,%.17g,%.17g,", "%s,%s,%s,%.17g,,,",
+                                      '%s,,%s,,,,"%s"')
         lines = ["input,n,method,estimate,ci_low,ci_high,error"]
         for rec in records:
-            lines.append(
-                ",".join([
-                    rec["input"],
-                    "" if rec["n"] is None else str(rec["n"]),
-                    rec["method"],
-                    "" if rec["estimate"] is None else g17(rec["estimate"]),
-                    "" if rec["ci_low"] is None else g17(rec["ci_low"]),
-                    "" if rec["ci_high"] is None else g17(rec["ci_high"]),
-                    '"' + rec["error"].replace('"', '""') + '"' if rec["error"] else "",
-                ])
-            )
+            if rec["error"]:
+                lines.append(error % (rec["input"], rec["method"],
+                                      rec["error"].replace('"', '""')))
+            elif rec["ci_low"] is None:
+                lines.append(without_ci % (rec["input"], rec["n"], rec["method"],
+                                           rec["estimate"]))
+            else:
+                lines.append(with_ci % (rec["input"], rec["n"], rec["method"], rec["estimate"],
+                                        rec["ci_low"], rec["ci_high"]))
         payload = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -430,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=calibration.DEFAULT_REPLICATES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="most threads drawing S_n (default: the usable CPUs); "
+                        "the table does not depend on it")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("study", help="error/density/coverage study over a grid")
@@ -448,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", default=None)
     p.add_argument("--calibration-replicates", type=int,
                    default=calibration.DEFAULT_REPLICATES)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads running the (n, r) cells; the outputs do not depend on it")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("sweep", help="MSE and |bias| as functions of the constant")

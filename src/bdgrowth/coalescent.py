@@ -121,6 +121,8 @@ class LargeN(NamedTuple):
             raise ValueError("growth rate must be positive and finite")
         if not math.isfinite(self.t):
             raise ValueError("tree height must be finite")
+        if not self.t > 0:
+            raise ValueError("tree height must be positive")
 
 
 Regime = ExactFiniteT | FixedNLimit | LargeN
@@ -146,17 +148,29 @@ def h_exact_quantile(u, q, params: BirthDeathParams):
     divided by r, so until the last step only r*T and lam/r enter.
     h is read as T - log1p(.)/r near T and, where P = 1 - exp(-r*h) =
     r*u*(1 - E)/D is below 1/2, as -log1p(-P)/r near 0. q may be an array
-    broadcasting against u.
+    broadcasting against u. The full-size steps run in place, in three
+    arrays of u's broadcast size.
     """
     u = np.asarray(u, dtype=float)
     r, t, lam_r = params.r, params.t, params.lam / params.r
     e_cap, e_rest = math.exp(-r * t), -math.expm1(-r * t)
     dq = np.asarray(q, dtype=float) / (lam_r * e_rest + e_cap)
     a = lam_r * dq / (1.0 + e_cap * dq)
-    v = 1.0 - u
-    den = e_cap * e_rest * a * v + (u + e_cap * v)
-    p = u * e_rest / den
-    h = np.asarray(t - np.log1p(v * (e_rest * (a * e_rest + 1.0)) / den) / r)
+    v = np.subtract(1.0, u, out=np.empty(np.broadcast_shapes(u.shape, a.shape)))
+    den = np.multiply(e_cap * e_rest * a, v, out=np.empty_like(v))
+    p = np.multiply(e_cap, v, out=np.empty_like(v))
+    den += np.add(u, p, out=p)  # D = E*A*(1 - E)*v + (u + E*v)
+    np.multiply(u, e_rest, out=p)
+    p /= den
+    # h takes den's array, not v's: returning the first array allocated
+    # left the freed later two at the heap top, and the allocator gave them
+    # back to the system, so the next call faulted them in again
+    v *= e_rest * (a * e_rest + 1.0)
+    h = np.divide(v, den, out=den)
+    del v, den
+    np.log1p(h, out=h)
+    h /= r
+    np.subtract(t, h, out=h)
     near = p < 0.5
     h[near] = -np.log1p(-p[near]) / r
     return float(h) if h.ndim == 0 else h

@@ -31,7 +31,7 @@ from .confidence import (
 )
 from .errors import InsufficientReplicates, checked
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
-from .rng import RngStream, ordered_map
+from .rng import RngStream, check_workers, ordered_map
 
 DENSITY_BINS = 256
 
@@ -52,6 +52,7 @@ class StudyConfig(NamedTuple):
     def _check(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        check_workers(self.workers)
         if any(n < 3 for n in self.ns):
             raise ValueError("study needs n >= 3")
         for tag in self.estimators:

@@ -6,10 +6,14 @@ mechanism. Identical (seed, path) pairs reproduce identical draws bit for
 bit; distinct paths give statistically independent streams. Parallel code
 hands each work unit its own child stream and merges results in a fixed
 order (ordered_map), so output never depends on worker count or scheduling.
+Threads are plain threading.Threads (each_index); threading is loaded with
+numpy, so running in parallel imports nothing.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -35,15 +39,71 @@ class RngStream(NamedTuple):
         return RngStream(self.seed, self.path + indices)
 
 
-def ordered_map(run, count: int, workers: int = 1) -> list:
-    """[run(i) for i in range(count)], on a pool of `workers` threads when
-    above 1; the results come back in index order either way."""
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, which `taskset`
+    sets), or os.cpu_count() where the platform has no affinity."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(count)))
-    return [run(i) for i in range(count)]
+
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below 1."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, not {workers}")
+
+
+def thread_count(count: int, workers: int) -> int:
+    """The threads each_index runs count indices on: min(count, workers)."""
+    check_workers(workers)
+    return max(1, min(count, workers))
+
+
+def each_index(run, count: int, workers: int) -> None:
+    """run(slot, i) once for each i in range(count), on thread_count(count,
+    workers) threads: the calling one, slot 0, and one started thread per
+    further slot. Each thread takes the next index not yet taken, so which
+    slot runs an index depends on timing; slot only names a thread's own
+    buffers. After an error no thread takes a further index, and the first
+    error is raised once every thread has ended. One slot starts no thread.
+    """
+    indices = iter(range(count))
+    lock = threading.Lock()
+    errors = []
+
+    def work(slot: int):
+        try:
+            while not errors:
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                run(slot, i)
+        except BaseException as exc:  # raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(slot,))
+               for slot in range(1, thread_count(count, workers))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def ordered_map(run, count: int, workers: int = 1) -> list:
+    """[run(i) for i in range(count)] on each_index's threads; the results
+    come back in index order whatever the worker count."""
+    results = [None] * count
+
+    def put(_slot: int, i: int):
+        results[i] = run(i)
+
+    each_index(put, count, workers)
+    return results
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -16,9 +16,13 @@ point-process tree of a height row as one, and serialize_newick prints it.
 extract_coalescence_times and tree_internal_branch_length take a graph and
 answer with bdgrowth.treeio's reading of its exact text, so a graph test
 checks the package's reader.
+
+CountedThread stands in for threading.Thread where a test counts the
+threads a command starts.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -425,3 +429,17 @@ def extract_coalescence_times(tree: SampleTree, tol: float = treeio.DEFAULT_ULTR
 
 def tree_internal_branch_length(tree: SampleTree) -> float:
     return treeio.tree_internal_branch_length(record_of(tree))
+
+
+class CountedThread(threading.Thread):
+    """A real thread that counts its constructions and refuses any beyond
+    `limit`, before a thread of the batch has started."""
+
+    made = 0
+    limit = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        if self.made > self.limit:
+            raise AssertionError(f"constructed {self.made} threads, more than {self.limit}")
+        super().__init__(*args, **kwargs)

@@ -1,7 +1,9 @@
 """Calibration: the closed-form constant, Monte Carlo moments of the pivot,
 quantile machinery, and the persisted constants table."""
 
+import itertools
 import math
+import threading
 import tracemalloc
 from typing import NamedTuple
 
@@ -9,12 +11,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import CountedThread
 from bdgrowth import calibration as cal
 from bdgrowth import coalescent as co
 from bdgrowth.confidence import Coverage
 from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
-from bdgrowth.rng import RngStream, open_uniform
+from bdgrowth.rng import RngStream, each_index, open_uniform, ordered_map
 
 SEED = 20260808
 
@@ -60,9 +63,50 @@ def test_sample_sn_deterministic_and_positive():
 
 
 def test_sample_sn_worker_count_independent():
-    serial = cal.sample_sn(5, 120_000, RngStream(SEED), workers=1)
-    threaded = cal.sample_sn(5, 120_000, RngStream(SEED), workers=3)
-    assert np.array_equal(serial.values, threaded.values)
+    # each thread count splits the chunk buffers, so the chunks differ too
+    for n, replicates in itertools.product((3, 20, 100), (10_000, 120_001)):
+        serial = cal.sample_sn(n, replicates, RngStream(SEED), workers=1).values
+        default = cal.sample_sn(n, replicates, RngStream(SEED)).values
+        assert serial.tobytes() == default.tobytes(), (n, replicates)
+        for workers in (2, 3, 7):
+            threaded = cal.sample_sn(n, replicates, RngStream(SEED), workers=workers).values
+            assert serial.tobytes() == threaded.tobytes(), (n, replicates, workers)
+
+
+def test_sample_sn_starts_one_thread_less_than_it_runs(monkeypatch):
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "made", 0)
+    monkeypatch.setattr(CountedThread, "limit", 2)
+    cal.sample_sn(5, 120_000, RngStream(SEED), workers=100_000)  # three blocks
+    assert CountedThread.made == 2  # the calling thread runs the third share
+    cal.sample_sn(5, 120_000, RngStream(SEED), workers=1)
+    cal.sample_sn(5, 50_000, RngStream(SEED), workers=4)  # one block
+    assert CountedThread.made == 2
+
+
+def test_sample_sn_refuses_fewer_than_one_worker():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"need at least one worker, not {workers}"):
+            cal.sample_sn(5, 1000, RngStream(SEED), workers=workers)
+        with pytest.raises(ValueError, match="at least one worker"):
+            cal.build_constants_table([5], 10_000, SEED, workers=workers)
+
+
+def test_each_index_raises_a_threads_error_after_every_thread_ends():
+    done = []
+
+    def run(slot, i):
+        if i == 1:
+            raise FloatingPointError(f"index {i}")
+        done.append(i)
+
+    with pytest.raises(FloatingPointError, match="index 1"):
+        each_index(run, 4, 2)
+    done.clear()
+    with pytest.raises(FloatingPointError, match="index 1"):
+        each_index(run, 4, 1)
+    assert done == [0]  # no index is taken after the error
+    assert ordered_map(lambda i: i * i, 5, 3) == [0, 1, 4, 9, 16]
 
 
 def sn_one_shot(n, replicates, rng):

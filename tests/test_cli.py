@@ -12,6 +12,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import bdgrowth
 from bdgrowth import calibration, cli, confidence, estimators, harness, treeio
 from bdgrowth.estimators import METHODS, estimates_for_matrix
 from bdgrowth.rng import RngStream
+from oracles import CountedThread
 
 NEWICK = "((A:1,B:1):1,C:2);"
 
@@ -245,8 +247,8 @@ def test_importing_the_cli_leaves_scipy_stats_unimported():
 
 
 def test_importing_the_cli_leaves_the_harness_and_the_thread_pool_unimported():
-    # estimate, simulate, calibrate and coverage never run either; study,
-    # sweep and asymptotics import the harness, threads only --workers > 1
+    # estimate, simulate, calibrate and coverage never run the harness; study,
+    # sweep and asymptotics import it; threads are plain threading.Threads
     code = ("import sys, bdgrowth.cli; "
             "print(sorted({'bdgrowth.harness', 'concurrent.futures'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
@@ -765,9 +767,17 @@ def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, caps
     (["asymptotics", "--n", 200, "--T", 0], "T must be positive and finite"),
     (["asymptotics", "--n", 200, "--T", "nan"], "T must be positive and finite"),
     (["asymptotics", "--n", 200, "--T", "inf"], "T must be positive and finite"),
+    (["study", "--regime", "large-n", "--T", -5, "--n", 5], "tree height must be positive"),
+    (["coverage", "--regime", "large-n", "--T", 0, "--n", 5], "tree height must be positive"),
+    (["sweep", "--regime", "large-n", "--T", -5], "tree height must be positive"),
+    (["calibrate", "--n", 5, "--workers", 0], "need at least one worker, not 0"),
+    (["calibrate", "--n", 5, "--workers", -3], "need at least one worker, not -3"),
+    (["study", "--n", 5, "--workers", 0], "need at least one worker, not 0"),
 ], ids=["study-regime", "coverage-regime", "coverage-n", "calibrate-n", "study-range",
         "asymptotics-n", "asymptotics-negative-T", "asymptotics-zero-T", "asymptotics-nan-T",
-        "asymptotics-inf-T"])
+        "asymptotics-inf-T", "study-large-n-negative-T", "coverage-large-n-zero-T",
+        "sweep-large-n-negative-T", "calibrate-zero-workers", "calibrate-negative-workers",
+        "study-zero-workers"])
 def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                             argv, message):
     def refused(*args, **kwargs):
@@ -782,6 +792,20 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
     assert message in err
     assert "calibrating" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, started", [
+    (["calibrate", "--n", 5, "--replicates", 120_001], 2),  # 3 S_n blocks
+    (["study", "--n", "5,10", "--r", 1, "--replicates", 300, "--constants", "TABLE"], 1),
+], ids=["calibrate-3-blocks", "study-2-cells"])
+def test_workers_beyond_the_blocks_or_cells_start_no_more_threads(
+        tmp_path, monkeypatch, constants_file, argv, started):
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "made", 0)
+    monkeypatch.setattr(CountedThread, "limit", started)
+    argv = [constants_file if a == "TABLE" else a for a in argv]
+    assert run(argv + ["--workers", 100_000, "--out", tmp_path / "out"]) == 0
+    assert CountedThread.made == started  # the calling thread runs one share
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 coverage (exact by construction under the limiting law, near-nominal at
 finite T)."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,22 @@ def test_calibration_for_reads_the_table_or_makes_the_draw_calibrate_tabulates(c
     with pytest.raises(ValueError, match="n >= 3"):
         ci.calibration_for({}, 2, 20_000, SEED)
     assert capsys.readouterr().err == ""  # refused before the warning
+
+
+def test_calibration_for_draws_the_calibrate_row_on_any_cpu_count(capsys, monkeypatch):
+    # 3 blocks of the S_n draw, on the usable CPUs, then on one, which starts no thread
+    row = cal.build_constants_row(12, 120_000, SEED, workers=1)
+    assert ci.calibration_for({}, 12, 120_000, SEED)[0] == row
+    assert cal.build_constants_row(12, 120_000, SEED) == row
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread on one usable CPU")
+
+    monkeypatch.setattr(cal, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert ci.calibration_for({}, 12, 120_000, SEED)[0] == row
+    assert cal.build_constants_row(12, 120_000, SEED) == row
+    assert capsys.readouterr().err.count("calibrating on the fly") == 2
 
 
 def test_coverage_exact_by_construction_under_limit_law():

@@ -39,6 +39,10 @@ CASES = [
     (StudyConfig, STUDY, dict(ns=(5, 2)), "study needs n >= 3"),
     (StudyConfig, STUDY, dict(estimators=("Inv", "RawUnitConstant")),
      "unknown estimator 'RawUnitConstant'"),
+    (LargeN, dict(r=1.0, t=10.0), dict(t=-5.0), "tree height must be positive"),
+    (LargeN, dict(r=1.0, t=10.0), dict(t=0.0), "tree height must be positive"),
+    (StudyConfig, STUDY, dict(workers=0), "need at least one worker, not 0"),
+    (StudyConfig, STUDY, dict(workers=-3), "need at least one worker, not -3"),
 ]
 
 
