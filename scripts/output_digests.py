@@ -148,6 +148,12 @@ COMMANDS = [
                             "--out", "estimate-level-fly.csv"]),
     ("estimate-json", ["estimate", "trees.nwk", "--constants", TABLE,
                        "--methods", ALL_METHODS, "--format", "json"]),
+    # error records in JSON ("n": null), and JSON chosen by the --out suffix alone
+    ("estimate-errors-json", ["estimate", "errors.csv", "--constants", TABLE,
+                              "--methods", ALL_METHODS, "--replicates", "20000",
+                              "--format", "json"]),
+    ("estimate-suffix-json", ["estimate", "trees.nwk", "--constants", TABLE,
+                              "--out", "estimate-suffix.json"]),
     ("estimate-refusals", ["estimate", "refusals.csv", "--constants", TABLE,
                            "--methods", ALL_METHODS, "--out", "estimate-refusals.csv"]),
     ("estimate-decorated", ["estimate", "decorated.nwk", "--constants", TABLE,

@@ -328,22 +328,16 @@ def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:
         raise ValueError(f"{path}: not a {_TABLE_VERSION} file")
     if lines[1] != _TABLE_COLUMNS:
         raise ValueError(f"{path}: unexpected column header {lines[1]!r}")
+    # each field read back by the type write_rows formats it by
+    hints = get_type_hints(ConstantsRow)
+    kinds = [hints[f] for f in ConstantsRow._fields]
     rows: dict[int, ConstantsRow] = {}
     for line in lines[2:]:
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        row = ConstantsRow(
-            n=int(parts[0]),
-            c_inv=float(parts[1]),
-            c_mse=float(parts[2]),
-            c_bias=float(parts[3]),
-            inv_q_lo=float(parts[4]),
-            inv_q_hi=float(parts[5]),
-            replicates=int(parts[6]),
-            seed=int(parts[7]),
-        )
+        try:  # a wrong field count fails zip's strict check
+            row = ConstantsRow(*[kind(v) for kind, v in zip(kinds, line.split(","), strict=True)])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {line!r}") from exc
         rows[row.n] = row
     return rows

@@ -38,6 +38,7 @@ from .rng import RngStream
 
 _NUMERICAL_ERRORS = (DegenerateTimes, NonConvergence, FloatingPointError)
 _ITEM_ERRORS = (BdGrowthError, ValueError)  # fail one input of a batch, not the batch
+ESTIMATE_FIELDS = ("input", "n", "method", "estimate", "ci_low", "ci_high", "error")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,13 +59,13 @@ def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_times_csv(path: Path) -> list[np.ndarray | Exception]:
-    """One entry per data row: its n - 1 heights as a float array, or the
-    error that rejected the row. T is checked but not returned; every
-    estimator is translation invariant. A file without the header or
-    without data rows raises.
+def read_times_csv(text: str) -> list[np.ndarray | Exception]:
+    """One entry per data row of a times CSV's text (leading blanks skipped):
+    its n - 1 heights as a float array, or the error that rejected the row.
+    T is checked but not returned; every estimator is translation invariant.
+    A text without the header or without data rows raises.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = text.lstrip().splitlines()
     if not lines or not lines[0].startswith("n,T,"):
         raise ParseError(0, 'times CSV header "n,T,h1,..."')
     out: list[np.ndarray | Exception] = []
@@ -131,15 +132,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_inputs(path: Path) -> list[tuple[str, np.ndarray | treeio.TreeRecord | Exception]]:
+def _load_inputs(path: Path) -> list[np.ndarray | treeio.TreeRecord | Exception]:
     """Times CSV rows or the records of Newick trees, or the errors that
-    rejected them, each with an input identifier."""
+    rejected them, in file order."""
     text = path.read_text(encoding="utf-8")
     if text.lstrip().startswith("n,T,"):
-        items = read_times_csv(path)
-    else:
-        items = treeio.parse_newick_trees(text)
-    return [(f"{path.name}#{i}", item) for i, item in enumerate(items)]
+        return read_times_csv(text)
+    return treeio.parse_newick_trees(text)
 
 
 def _matrix_estimates(h: np.ndarray, row, tags) -> dict[str, list[tuple | Exception]]:
@@ -171,17 +170,33 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"--ultrametric-tol must be a number >= 0, not {args.ultrametric_tol}")
     if not 0 < args.level < 1:
         raise ValueError(f"--level must be a number in (0, 1), not {args.level}")
-    inputs = _load_inputs(Path(args.input))
+    path = Path(args.input)
+    inputs = _load_inputs(path)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     tags = [m.strip() for m in args.methods.split(",")]
     for tag in tags:
         if tag not in METHODS:
             raise ValueError(f"unknown method {tag!r}")
 
-    results = [[None] * len(tags) for _ in inputs]  # a record or an error per input and tag
+    # records[i * len(tags) + j]: the ESTIMATE_FIELDS tuple of input i and tags[j]
+    records: list = [None] * (len(inputs) * len(tags))
+    errors = []
+
+    def put(i, n, spec, results):
+        name = f"{path.name}#{i}"
+        for j, (tag, result) in enumerate(zip(tags, results)):
+            if isinstance(result, Exception):
+                errors.append(result)
+                record = name, None, tag, None, None, None, f"{type(result).__name__}: {result}"
+            else:
+                point, raw = result
+                low, high = spec.interval(raw) if METHODS[tag].pairwise else (None, None)
+                record = name, n, tag, point, low, high, ""
+            records[i * len(tags) + j] = record
+
     groups: dict[int, tuple[list, list, list]] = {}  # by n: inputs, heights, trees' Lengths
-    for i, (name, item) in enumerate(inputs):
-        inputs[i] = name, None  # frees a record once its heights and Lengths are taken
+    for i, item in enumerate(inputs):
+        inputs[i] = None  # frees a record once its heights and Lengths are taken
         tree = item if isinstance(item, treeio.TreeRecord) else None
         try:
             if tree is not None:
@@ -192,7 +207,7 @@ def cmd_estimate(args) -> int:
         except _ITEM_ERRORS as exc:
             item = exc
         if isinstance(item, Exception):  # the input could not be read
-            results[i] = [item] * len(tags)
+            put(i, None, None, [item] * len(tags))
             continue
         n = len(item) + 1
         members, heights, lengths = groups.setdefault(n, ([], [], []))
@@ -216,26 +231,9 @@ def cmd_estimate(args) -> int:
         rest = [tag for tag in tags if tag not in found]
         if rest:
             found.update(_matrix_estimates(np.array(heights), row, rest))
-        for j, tag in enumerate(tags):
-            for i, result in zip(members, found[tag]):
-                if not isinstance(result, Exception):
-                    point, raw = result
-                    ci_low, ci_high = (spec.interval(raw) if METHODS[tag].pairwise
-                                       else (None, None))
-                    result = {"input": inputs[i][0], "n": n, "method": tag, "estimate": point,
-                              "ci_low": ci_low, "ci_high": ci_high, "error": ""}
-                results[i][j] = result
+        for i, results in zip(members, zip(*(found[tag] for tag in tags))):
+            put(i, n, spec, results)
 
-    records = []
-    errors = []
-    for (name, _), outcomes in zip(inputs, results):
-        for tag, result in zip(tags, outcomes):
-            if isinstance(result, Exception):
-                errors.append(result)
-                result = {"input": name, "n": None, "method": tag, "estimate": None,
-                          "ci_low": None, "ci_high": None,
-                          "error": f"{type(result).__name__}: {result}"}
-            records.append(result)
     _write_estimates(records, args)
     if len(errors) == len(records):
         numerical = any(isinstance(exc, _NUMERICAL_ERRORS) for exc in errors)
@@ -244,7 +242,10 @@ def cmd_estimate(args) -> int:
 
 
 def _write_estimates(records, args):
-    if args.format == "json" or (args.out and str(args.out).endswith(".json")):
+    # an explicit --format wins; without it, an --out path ending in .json gets JSON
+    if args.format == "json" or (not args.format and str(args.out).endswith(".json")):
+        for k, record in enumerate(records):
+            records[k] = dict(zip(ESTIMATE_FIELDS, record))
         payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
         # one %-template per kind of record, floats as "%.17g" (g17's bytes):
@@ -252,17 +253,14 @@ def _write_estimates(records, args):
         # quoted with its quotes doubled and leaves every number field empty
         with_ci, without_ci, error = ("%s,%s,%s,%.17g,%.17g,%.17g,", "%s,%s,%s,%.17g,,,",
                                       '%s,,%s,,,,"%s"')
-        lines = ["input,n,method,estimate,ci_low,ci_high,error"]
-        for rec in records:
-            if rec["error"]:
-                lines.append(error % (rec["input"], rec["method"],
-                                      rec["error"].replace('"', '""')))
-            elif rec["ci_low"] is None:
-                lines.append(without_ci % (rec["input"], rec["n"], rec["method"],
-                                           rec["estimate"]))
+        lines = [",".join(ESTIMATE_FIELDS)]
+        for record in records:
+            if record[6]:
+                lines.append(error % (record[0], record[2], record[6].replace('"', '""')))
+            elif record[4] is None:
+                lines.append(without_ci % record[:4])
             else:
-                lines.append(with_ci % (rec["input"], rec["n"], rec["method"], rec["estimate"],
-                                        rec["ci_low"], rec["ci_high"]))
+                lines.append(with_ci % record[:6])
         payload = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -424,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ultrametric-tol", type=float, default=treeio.DEFAULT_ULTRAMETRIC_TOL)
     p.add_argument("--level", type=float, default=0.95,
                    help="confidence level for the pairwise-method intervals")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="default: json for an --out path ending in .json, else csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate)
 

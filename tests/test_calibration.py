@@ -307,6 +307,18 @@ def test_load_rejects_foreign_files(tmp_path):
         cal.load_constants_table(path)
 
 
+@pytest.mark.parametrize("line", ["5,x,0.35,0.78,2,0.5,1000,3",  # a float field
+                                  "5,1.3,0.35,0.78,2,0.5,1e3,3",  # an int field
+                                  "5,1.3,0.35,0.78,2,0.5,1000"])  # a field short
+def test_load_names_the_file_and_the_row_it_cannot_read(tmp_path, line):
+    path = tmp_path / "constants.csv"
+    path.write_text(f"# {cal._TABLE_VERSION}\n{cal._TABLE_COLUMNS}\n"
+                    f"3,0.75,0.5,0.6,2,0.5,1000,3\n{line}\n")
+    with pytest.raises(ValueError) as refused:
+        cal.load_constants_table(path)
+    assert str(refused.value) == f"{path}: malformed row {line!r}"
+
+
 def test_n3_row_still_computes_monte_carlo_columns():
     # the closed form at n=3 is 3*(1 - (1/2)(1 + 1/2)) = 0.75; the MC columns
     # are mechanical (the ordering assertion only binds n >= 5)

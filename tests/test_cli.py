@@ -74,7 +74,7 @@ def test_simulate_exact_support_and_header(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,T,h1,h2,h3,h4"
     assert all(line.startswith("5,10,") for line in lines[1:])
-    rows = cli.read_times_csv(out)
+    rows = cli.read_times_csv(out.read_text())
     assert len(rows) == 50
     for row in rows:
         assert row.shape == (4,)
@@ -86,7 +86,7 @@ def test_simulate_trees_round_trip(tmp_path):
     trees = tmp_path / "trees.nwk"
     assert run(["simulate", "--n", 4, "--count", 5, "--seed", 9, "--T", 20,
                 "--r", 1.0, "--out", out, "--trees", trees]) == 0
-    rows = cli.read_times_csv(out)
+    rows = cli.read_times_csv(out.read_text())
     parsed = treeio.parse_newick_trees(trees.read_text())
     assert len(parsed) == 5
     for row, tree in zip(rows, parsed):
@@ -134,7 +134,7 @@ def test_simulate_relative_axis_when_t_missing(tmp_path):
                 "--regime", "fixed-n", "--r", 1.0, "--out", out]) == 0
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 3 and all(line.startswith("5,,") for line in lines)
-    assert all(row.shape == (4,) for row in cli.read_times_csv(out))
+    assert all(row.shape == (4,) for row in cli.read_times_csv(out.read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_estimate_maps_each_tag_to_its_constant_and_matches_the_study_path(
     row = calibration.load_constants_table(constants_file)[10]
     constant = {"MSE": row.c_mse, "Bias": row.c_bias, "Inv": row.c_inv,
                 "RawUnitConstant": 1.0}
-    inputs = cli.read_times_csv(times)
+    inputs = cli.read_times_csv(times.read_text())
     study, study_raw, *_ = estimates_for_matrix(np.array(inputs), row, tuple(METHODS))
     assert study_raw.size == len(inputs)
     for i, t in enumerate(inputs):
@@ -463,6 +463,77 @@ def test_estimate_exit_codes(tmp_path, constants_file):
     code = run(["estimate", degenerate, "--constants", constants_file,
                 "--methods", "MSE", "--out", tmp_path / "x.csv"])
     assert code == cli.EXIT_NUMERICAL
+
+
+def test_estimate_format_flag_wins_and_the_out_suffix_decides_without_it(tmp_path, capsys):
+    src = tmp_path / "tree.nwk"
+    src.write_text(NEWICK)
+    base = ["estimate", src, "--methods", "Lengths,MLE"]
+    explicit = tmp_path / "explicit.json"
+    assert run(base + ["--format", "csv", "--out", explicit]) == 0
+    assert explicit.read_text().splitlines()[0] == "input,n,method,estimate,ci_low,ci_high,error"
+    bare = tmp_path / "bare.json"
+    assert run(base + ["--out", bare]) == 0
+    records = json.loads(bare.read_text())
+    assert [rec["method"] for rec in records] == ["Lengths", "MLE"]
+    capsys.readouterr()
+    assert run(base + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == bare.read_text()
+
+
+def test_estimate_reads_a_times_csv_whose_header_follows_blank_lines(tmp_path, constants_file):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 5, "--count", 3, "--seed", 33, "--T", 40,
+                "--out", times]) == 0
+    padded = tmp_path / "padded" / "times.csv"  # the same name numbers the same inputs
+    padded.parent.mkdir()
+    padded.write_text("\n  \n\t " + times.read_text())
+    outputs = []
+    for path in (times, padded):
+        out = path.with_suffix(".est.csv")
+        assert run(["estimate", path, "--constants", constants_file,
+                    "--methods", "Inv,Lengths,MLE", "--out", out]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    rows = list(csv.reader(outputs[0].splitlines()))[1:]
+    assert len(rows) == 3 * 3 and all(row[6] == "" for row in rows)
+
+
+def test_estimate_hands_the_writer_one_tuple_per_input_and_method_in_order(
+        tmp_path, monkeypatch, constants_file):
+    seen = []
+    write = cli._write_estimates
+
+    def spy(records, args):
+        seen.append(list(records))
+        write(records, args)
+
+    monkeypatch.setattr(cli, "_write_estimates", spy)
+    blocks = {}
+    for n in (5, 10):
+        path = tmp_path / f"n{n}.csv"
+        assert run(["simulate", "--n", n, "--count", 2, "--seed", 31, "--T", 40,
+                    "--out", path]) == 0
+        header, *blocks[n] = path.read_text().splitlines()
+    # a row of the wrong length, a constant row every method refuses and a
+    # row with a height that is not a number, between rows of two sizes
+    times = tmp_path / "mixed.csv"
+    times.write_text("\n".join([header, blocks[5][0], blocks[10][0], "4,10,3", "5,,2,2,2,2",
+                                blocks[5][1], "3,40,1,x", blocks[10][1]]) + "\n")
+    trees = tmp_path / "batch.nwk"
+    trees.write_text("((A:1,B:1):1,C:2);\n((A,B:1):1,C:2);\n"
+                     "((((A:1,B:1):1,C:2):1,D:3):1,E:4);\n((H:1,I:1):1.5,J:2.5):0.5;\n")
+    tags = ["Inv", "Lengths", "MLE"]
+    for path, count, refused in ((times, 7, {2, 3, 5}), (trees, 4, {1})):
+        seen.clear()
+        assert run(["estimate", path, "--constants", constants_file, "--methods",
+                    ",".join(tags), "--out", tmp_path / "est.csv"]) == 0
+        (records,) = seen
+        assert all(type(rec) is tuple and len(rec) == 7 for rec in records)
+        assert [(rec[0], rec[2]) for rec in records] == [
+            (f"{path.name}#{i}", tag) for i in range(count) for tag in tags]
+        assert {int(rec[0].split("#")[1]) for rec in records if rec[6]} == refused
+        assert all((rec[1] is None) == bool(rec[6]) for rec in records)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
