@@ -25,7 +25,7 @@ may use (rng.usable_cpus), and never more threads than blocks. Memory is
 allocated on the calling thread only: freed memory of a worker thread stays
 in that thread's malloc arena, which would raise the peak resident size.
 The calling thread draws each block's latent column into the block's slice
-of the result and allocates each thread's chunk buffers once, about 2 MB
+of the result and allocates each thread's chunk buffers once, about 1 MB
 split between the threads; a thread then draws and reduces its blocks in row
 chunks of those buffers, in place, with the operations, in their order, of
 the out-of-place transform and estimators.raw_pairwise_rows, so every S_n

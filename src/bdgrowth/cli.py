@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -244,28 +245,33 @@ def cmd_estimate(args) -> int:
 def _write_estimates(records, args):
     # an explicit --format wins; without it, an --out path ending in .json gets JSON
     if args.format == "json" or (not args.format and str(args.out).endswith(".json")):
-        for k, record in enumerate(records):
-            records[k] = dict(zip(ESTIMATE_FIELDS, record))
-        payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        # the bytes of json.dumps(list of record dicts, indent=2, sort_keys=True),
+        # made a block of records at a time: between its brackets, a block's
+        # text is its records' lines of the whole list
+        dump = json.JSONEncoder(indent=2, sort_keys=True).encode
+        pieces = ["["]
+        for k in range(0, len(records), 1000):
+            block = [dict(zip(ESTIMATE_FIELDS, record)) for record in records[k:k + 1000]]
+            pieces += [",\n" if k else "\n", dump(block)[2:-2]]
+        pieces.append("\n]\n" if records else "]\n")
     else:
         # one %-template per kind of record, floats as "%.17g" (g17's bytes):
         # an estimate with an interval, one without, and an error, which is
         # quoted with its quotes doubled and leaves every number field empty
-        with_ci, without_ci, error = ("%s,%s,%s,%.17g,%.17g,%.17g,", "%s,%s,%s,%.17g,,,",
-                                      '%s,,%s,,,,"%s"')
-        lines = [",".join(ESTIMATE_FIELDS)]
+        with_ci, without_ci, error = ("%s,%s,%s,%.17g,%.17g,%.17g,\n", "%s,%s,%s,%.17g,,,\n",
+                                      '%s,,%s,,,,"%s"\n')
+        pieces = [",".join(ESTIMATE_FIELDS) + "\n"]
         for record in records:
             if record[6]:
-                lines.append(error % (record[0], record[2], record[6].replace('"', '""')))
+                pieces.append(error % (record[0], record[2], record[6].replace('"', '""')))
             elif record[4] is None:
-                lines.append(without_ci % record[:4])
+                pieces.append(without_ci % record[:4])
             else:
-                lines.append(with_ci % record[:6])
-        payload = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+                pieces.append(with_ci % record[:6])
+    # all of it is formatted before the output opens, so a failure leaves no
+    # partial file, and written piece by piece, so no text of the whole is made
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------

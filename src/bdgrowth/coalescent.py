@@ -28,6 +28,9 @@ conditionally i.i.d. branch heights. Three regimes are implemented:
 
 A sample is a float row of its n - 1 heights, in branch order; samples of
 one n stack into a (k, n-1) matrix. Without T only differences count.
+Simulations come in row chunks of about 2^17 heights (height_draws): the
+random numbers of a chunk are drawn in stream order, and its heights can
+then be computed on any thread, since every transform is elementwise.
 
 All sampling is inverse transform through the closed-form quantile
 functions below; the test suite checks the CDFs they invert against
@@ -39,7 +42,8 @@ breaks E[(U_i - U_j)^+] = 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +51,7 @@ import numpy as np
 from .errors import NonFiniteTimes, checked
 from .rng import as_generator, open_uniform
 
-_CHUNK_HEIGHTS = 1 << 18  # heights per drawn block: 2 MB bounds sampler and kernel memory
+_CHUNK_HEIGHTS = 1 << 17  # heights per drawn block: 1 MB bounds sampler and kernel memory
 
 
 @checked
@@ -71,17 +75,14 @@ class BirthDeathParams(NamedTuple):
         return self.lam - self.mu
 
 
-def finite_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Pass on the row blocks of a height matrix while every row so far is
-    finite. After the first row that holds inf or nan, read the rest without
-    passing them on, so no kernel sees such a row, and then refuse the
-    matrix, saying how many of its rows hold them."""
-    bad = rows = 0
-    for chunk in chunks:
-        rows += len(chunk)
-        bad += int(np.count_nonzero(~np.isfinite(chunk).all(axis=1)))
-        if not bad:
-            yield chunk
+def nonfinite_rows(matrix: np.ndarray) -> int:
+    """How many rows of a height matrix hold inf or nan."""
+    return int(np.count_nonzero(~np.isfinite(matrix).all(axis=1)))
+
+
+def refuse_nonfinite_rows(bad: int, rows: int) -> None:
+    """Refuse a height matrix of `rows` rows of which `bad` hold inf or nan,
+    saying how many do; no refusal when bad is 0."""
     if bad:
         raise NonFiniteTimes(f"{bad} of {rows} rows hold non-finite coalescence times")
 
@@ -89,8 +90,7 @@ def finite_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
 def check_finite_rows(matrix: np.ndarray) -> None:
     """Refuse a (k, n-1) height matrix that holds inf or nan, saying how many
     of its rows do."""
-    for _ in finite_chunks([matrix]):
-        pass
+    refuse_nonfinite_rows(nonfinite_rows(matrix), len(matrix))
 
 
 class ExactFiniteT(NamedTuple):
@@ -218,22 +218,30 @@ def large_n_heights(w, u, n: int, r: float, t: float):
     return t - (np.log(1.0 / np.asarray(w, dtype=float)) + math.log(n) + np.asarray(u, dtype=float)) / r
 
 
+def chunk_rows(n: int) -> int:
+    """Rows per drawn block of an n-tip height matrix: about _CHUNK_HEIGHTS
+    heights, the same on every machine."""
+    return max(1, _CHUNK_HEIGHTS // (n - 1))
+
+
 def uniform_chunks(gen, latent: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Consecutive row slices of a (count, 1) latent column, each with its
     (rows, n-1) open uniforms, drawn from gen in row order.
 
-    A chunk holds about _CHUNK_HEIGHTS values. gen fills row-major, so the
-    chunks' uniforms are, in order, the numbers one (count, n-1) draw gives.
+    A chunk holds chunk_rows(n) rows. gen fills row-major, so the chunks'
+    uniforms are, in order, the numbers one (count, n-1) draw gives.
     """
-    step = max(1, _CHUNK_HEIGHTS // (n - 1))
+    step = chunk_rows(n)
     for start in range(0, len(latent), step):
         part = latent[start:start + step]
         yield part, open_uniform(gen, (len(part), n - 1))
 
 
-def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarray]:
+def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[], np.ndarray]]:
     """The (count, n - 1) replicate matrix of a regime, as consecutive row
-    blocks of about 2 MB each, one branch-ordered row per replicate.
+    blocks of chunk_rows(n) rows, one branch-ordered row per replicate. A
+    block's random numbers are drawn when the iterator yields it, and its
+    heights computed when it is called, on whichever thread calls it.
 
     The latent column of all count rows is drawn first, then each block's
     uniforms, so the draws are fully deterministic given the stream and
@@ -266,7 +274,12 @@ def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarra
             return large_n_heights(w, logistic_quantile(v), n, regime.r, regime.t)
     else:
         raise TypeError(f"unknown regime {regime!r}")
-    return (heights(part, v) for part, v in uniform_chunks(gen, latent, n))
+    return (partial(heights, part, v) for part, v in uniform_chunks(gen, latent, n))
+
+
+def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarray]:
+    """height_draws' blocks, each computed as it is drawn."""
+    return (draw() for draw in height_draws(n, regime, rng, count))
 
 
 def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:

@@ -23,7 +23,8 @@ Four families, each a row-independent kernel on a (k, n-1) height matrix:
                 pivot for confidence intervals.
 
 METHODS maps each method tag to its row kernel and constant;
-estimates_for_matrix and simulated_estimates run it.
+estimates_for_matrix runs it on a height matrix, and simulated_estimates
+on a simulation's row chunks, on every usable CPU with the same bits.
 
 Pairwise and MLE estimates are permutation invariant; the branch-order
 internal length deliberately is not.
@@ -32,13 +33,15 @@ internal length deliberately is not.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 
-from .coalescent import Regime, finite_chunks, height_chunks
+from .coalescent import Regime, chunk_rows, height_draws, nonfinite_rows, refuse_nonfinite_rows
 from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
+from .rng import each_index, usable_cpus
 from .treeio import TreeRecord, tree_internal_branch_length
 
 # Tags other modules single out; METHODS below lists every tag.
@@ -428,26 +431,57 @@ def estimates_for_matrix(h: np.ndarray, row, estimators=ALL_ESTIMATORS) -> Matri
 
 
 def simulated_estimates(
-    n: int, regime: Regime, rng, count: int, row, estimators=ALL_ESTIMATORS
+    n: int, regime: Regime, rng, count: int, row, estimators=ALL_ESTIMATORS,
+    workers: int | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int], int]:
     """estimates_for_matrix on the count replicates a regime draws from rng,
-    one row chunk of height_chunks at a time, never the whole matrix.
+    one row chunk of height_draws at a time, never the whole matrix.
 
     Returns the estimates and raw pivot over the kept rows, the unconverged
-    counts summed over chunks, and the number of rows dropped. finite_chunks
-    refuses non-finite rows before a kernel sees them, and a chunk with a
-    refused fit raises that chunk's NonConvergence: a simulated replicate is
-    no input of its own to give an error row. The kernels are
-    row-independent, so the chunk size changes no bit of the result.
+    counts summed over chunks, and the number of rows dropped. The chunks
+    run on up to `workers` threads (default: the usable CPUs), never more
+    threads than chunks; one worker starts no thread. A thread takes the
+    next chunk's draws from rng under a lock, so the stream is read in chunk
+    order, then computes its heights and estimates outside it, and keeps
+    them at that chunk's place. The kernels are row-independent, so neither
+    the chunk size nor the thread count changes a bit of the result.
+
+    No kernel sees a chunk that holds a non-finite row, and a simulated
+    replicate is no input of its own to give an error row: the chunks are
+    read in order, and the first one that holds such rows refuses the run
+    (counting them over every chunk), and the first one with a refused fit
+    raises its NonConvergence, counted over that chunk. A run that keeps no
+    replicate is refused too: there is nothing to score.
     """
-    chunks = []
-    for h in finite_chunks(height_chunks(n, regime, rng, count)):
-        chunks.append(estimates_for_matrix(h, row, estimators))
-        for fit in chunks[-1].refusals.values():
+    chunks = -(-count // chunk_rows(n))
+    draws = enumerate(height_draws(n, regime, rng, count))
+    lock = threading.Lock()
+    results: list = [None] * chunks  # (non-finite rows, estimates or None) by chunk
+    first_fault = [chunks]  # no chunk after a faulty one needs its estimates
+
+    def run(_slot: int, _index: int):
+        with lock:
+            k, draw = next(draws)
+        h = draw()
+        bad = nonfinite_rows(h)
+        found = None if bad or k > first_fault[0] else estimates_for_matrix(h, row, estimators)
+        results[k] = bad, found
+        if bad or (found and found.refusals):
+            with lock:
+                first_fault[0] = min(first_fault[0], k)
+
+    each_index(run, chunks, usable_cpus() if workers is None else workers)
+    for bad, found in results:
+        if bad:
+            refuse_nonfinite_rows(sum(bad for bad, _ in results), count)
+        for fit in found.refusals.values():
             raise fit.refusal()
-    raw = np.concatenate([found.raw for found in chunks])
-    estimates = {tag: np.concatenate([found.estimates[tag] for found in chunks])
+    parts = [found for _, found in results]
+    raw = np.concatenate([part.raw for part in parts])
+    if not raw.size:
+        raise DegenerateTimes(f"all {count} replicates dropped: each one's heights coincide")
+    estimates = {tag: np.concatenate([part.estimates[tag] for part in parts])
                  for tag in estimators}
     unconverged = {tag: total for tag in estimators
-                   if (total := sum(found.unconverged.get(tag, 0) for found in chunks))}
+                   if (total := sum(part.unconverged.get(tag, 0) for part in parts))}
     return estimates, raw, unconverged, count - raw.size

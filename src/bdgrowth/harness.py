@@ -117,8 +117,10 @@ def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[Densit
 def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRow,
              rng: RngStream) -> CellResult:
     regime = make_regime(config.regime, r, config.t, config.birth_rate)
+    # cells on threads of their own run their chunks there: no nested threads
     estimates, raw, unconverged, excluded = simulated_estimates(
-        n, regime, rng, config.replicates, row, config.estimators)
+        n, regime, rng, config.replicates, row, config.estimators,
+        workers=1 if config.workers > 1 else None)
     coverage = covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r)
     return CellResult(n, r, estimates, coverage, excluded, unconverged)
 
@@ -183,6 +185,8 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
     The raw estimates are simulated once; every grid value rescales them, so
     the curves share all Monte Carlo noise and their argmins are stable.
     """
+    if n < 3:  # before the first draw: below 3 no replicate has a pairwise sum
+        raise ValueError(f"sweep needs n >= 3, not {n}")
     regime_value = make_regime(regime, r, t, birth_rate)
     _, raw, _, _ = simulated_estimates(n, regime_value, rng, replicates, None, ())
     rows = []

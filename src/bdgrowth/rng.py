@@ -4,8 +4,9 @@ Every stochastic operation in this package draws from an RngStream, a
 (master seed, path-of-indices) pair mapped onto numpy's SeedSequence spawn
 mechanism. Identical (seed, path) pairs reproduce identical draws bit for
 bit; distinct paths give statistically independent streams. Parallel code
-hands each work unit its own child stream and merges results in a fixed
-order (ordered_map), so output never depends on worker count or scheduling.
+hands each work unit its own child stream, or takes each unit's draws from
+one stream under a lock in unit order, and merges results in a fixed order
+(ordered_map), so output never depends on worker count or scheduling.
 Threads are plain threading.Threads (each_index); threading is loaded with
 numpy, so running in parallel imports nothing.
 """

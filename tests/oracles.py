@@ -18,12 +18,14 @@ answer with bdgrowth.treeio's reading of its exact text, so a graph test
 checks the package's reader.
 
 CountedThread stands in for threading.Thread where a test counts the
-threads a command starts.
+threads a command starts, and with_chunks_changed for the sampler where a
+test puts rows no sampler draws into a simulated matrix.
 """
 
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -443,3 +445,20 @@ class CountedThread(threading.Thread):
         if self.made > self.limit:
             raise AssertionError(f"constructed {self.made} threads, more than {self.limit}")
         super().__init__(*args, **kwargs)
+
+
+def with_chunks_changed(height_draws, changes):
+    """A stand-in for coalescent.height_draws that passes chunk k, once
+    computed, through changes[k](chunk) for each k in changes; the draws are
+    the same."""
+
+    def changed(draw, change):
+        chunk = draw()
+        change(chunk)
+        return chunk
+
+    def patched(n, regime, rng, count):
+        for k, draw in enumerate(height_draws(n, regime, rng, count)):
+            yield partial(changed, draw, changes[k]) if k in changes else draw
+
+    return patched

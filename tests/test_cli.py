@@ -1,6 +1,7 @@
 """Command-line surface: determinism of emitted files, round trips between
 commands, per-input error isolation, and exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import bdgrowth
 from bdgrowth import calibration, cli, confidence, estimators, harness, treeio
 from bdgrowth.estimators import METHODS, estimates_for_matrix
 from bdgrowth.rng import RngStream
-from oracles import CountedThread
+from oracles import CountedThread, with_chunks_changed
 
 NEWICK = "((A:1,B:1):1,C:2);"
 
@@ -36,14 +38,17 @@ def poison_height_chunks(monkeypatch):
     """Patch the simulating commands' sampler to put inf in every 4th row of
     each row chunk and nan in the row after it: rows no sampler draws, for
     the commands' finite-row guard to refuse."""
-    real_chunks = estimators.height_chunks
+    real_draws = estimators.height_draws
+
+    def poison(draw):
+        chunk = draw()
+        chunk[::4, 0], chunk[1::4, -1] = np.inf, np.nan
+        return chunk
 
     def poisoned(n, regime, rng, count):
-        for chunk in real_chunks(n, regime, rng, count):
-            chunk[::4, 0], chunk[1::4, -1] = np.inf, np.nan
-            yield chunk
+        return (partial(poison, draw) for draw in real_draws(n, regime, rng, count))
 
-    monkeypatch.setattr(estimators, "height_chunks", poisoned)
+    monkeypatch.setattr(estimators, "height_draws", poisoned)
 
 
 def src_env():
@@ -481,6 +486,20 @@ def test_estimate_format_flag_wins_and_the_out_suffix_decides_without_it(tmp_pat
     assert capsys.readouterr().out == bare.read_text()
 
 
+@pytest.mark.parametrize("records", [
+    [],
+    [("t.nwk#0", 5, "MSE", 1.25, 0.5, 3.0000000000000004, ""),
+     ("t.nwk#0", 5, "Lengths", 1e-320, None, None, ""),
+     ('d\u00e9j\u00e0 "vu".nwk#1', None, "MLE", None, None, None,
+      'NonConvergence: "quoted"\nand\ttabbed')],
+], ids=["no-record", "every-kind"])
+def test_estimate_json_is_the_bytes_of_one_json_dump(tmp_path, records):
+    out = tmp_path / "est.json"
+    cli._write_estimates(list(records), argparse.Namespace(format="json", out=out))
+    dicts = [dict(zip(cli.ESTIMATE_FIELDS, record)) for record in records]
+    assert out.read_bytes() == (json.dumps(dicts, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_estimate_reads_a_times_csv_whose_header_follows_blank_lines(tmp_path, constants_file):
     times = tmp_path / "times.csv"
     assert run(["simulate", "--n", 5, "--count", 3, "--seed", 33, "--T", 40,
@@ -647,16 +666,11 @@ def test_estimate_refuses_a_level_outside_zero_one(tmp_path, capsys, level):
 
 def test_study_exits_3_when_the_mle_refuses_a_simulated_row(tmp_path, constants_file,
                                                             monkeypatch, capsys):
-    real_chunks = estimators.height_chunks
+    def refused_first_row(chunk):
+        chunk[0] = 1e200 * np.arange(chunk.shape[1])  # b*b overflows at the fit's moment start
 
-    def refused_first_row(n, regime, rng, count):
-        chunks = real_chunks(n, regime, rng, count)
-        first = next(chunks)
-        first[0] = 1e200 * np.arange(n - 1)  # b*b overflows at the fit's moment start
-        yield first
-        yield from chunks
-
-    monkeypatch.setattr(estimators, "height_chunks", refused_first_row)
+    monkeypatch.setattr(estimators, "height_draws", with_chunks_changed(
+        estimators.height_draws, {0: refused_first_row}))
     argv = ["study", "--n", 5, "--r", 1, "--replicates", 200, "--seed", 3,
             "--constants", constants_file]
     # a simulated sample has no row to spare: the refused fit ends the run
@@ -679,13 +693,14 @@ def test_study_exits_3_when_the_mle_refuses_a_simulated_row(tmp_path, constants_
     # inf tip depths make the ultrametric check subtract inf from inf
     (["estimate", "in.nwk", "--methods", "Lengths"], OVERFLOWING_TREE + "\n",
      cli.EXIT_INPUT, "ValueError: coalescence times must be finite"),
-    # the same at r*T = 5000; at n = 100 the bad rows fall in all eight of the
-    # sampler's row chunks, and every one of them is counted
+    # the same at r*T = 5000; the poison marks two rows in four of each row
+    # chunk, rounded up per chunk: at n = 10 the bad rows fall in both of the
+    # sampler's chunks and at n = 100 in all sixteen, and every one is counted
     (["coverage", "--n", 10, "--T", 5000, "--replicates", 20_000, "--seed", 1], None,
-     cli.EXIT_NUMERICAL, "10000 of 20000 rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, "10001 of 20000 rows hold non-finite coalescence times"),
     (["coverage", "--n", 100, "--T", 5000, "--replicates", 20_000, "--seed", 1,
       "--calibration-replicates", 20_000], None,
-     cli.EXIT_NUMERICAL, "10004 of 20000 rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, "10008 of 20000 rows hold non-finite coalescence times"),
 ], ids=["estimate-overflow", "study-T800", "estimate-overflowing-tree", "coverage-T5000",
         "coverage-T5000-chunks"])
 def test_refused_results_print_no_runtime_warning(tmp_path, constants_file, argv, text, code,
@@ -774,6 +789,23 @@ def test_asymptotics_command_writes_one_report_per_listed_n_in_order(tmp_path):
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_sweep_that_keeps_no_replicate_writes_no_nan_rows(tmp_path, capsys, monkeypatch):
+    def constant_rows(chunk):
+        chunk[:] = chunk[:, :1]
+
+    # 1000 replicates at n = 10 are one chunk
+    monkeypatch.setattr(estimators, "height_draws", with_chunks_changed(
+        estimators.height_draws, {0: constant_rows}))
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["sweep", "--n", 10, "--replicates", 1000, "--out", out])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: all 1000 replicates dropped: each one's heights coincide\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--c-step", 0], ["--c-step", -0.01], ["--c-step", "nan"], ["--c-step", "inf"],
     ["--c-min", 1.2, "--c-max", 0.4], ["--c-min", "nan"], ["--c-max", "inf"],
@@ -844,18 +876,19 @@ def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, caps
     (["calibrate", "--n", 5, "--workers", 0], "need at least one worker, not 0"),
     (["calibrate", "--n", 5, "--workers", -3], "need at least one worker, not -3"),
     (["study", "--n", 5, "--workers", 0], "need at least one worker, not 0"),
+    (["sweep", "--n", 2], "sweep needs n >= 3, not 2"),
 ], ids=["study-regime", "coverage-regime", "coverage-n", "calibrate-n", "study-range",
         "asymptotics-n", "asymptotics-negative-T", "asymptotics-zero-T", "asymptotics-nan-T",
         "asymptotics-inf-T", "study-large-n-negative-T", "coverage-large-n-zero-T",
         "sweep-large-n-negative-T", "calibrate-zero-workers", "calibrate-negative-workers",
-        "study-zero-workers"])
+        "study-zero-workers", "sweep-n"])
 def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                             argv, message):
     def refused(*args, **kwargs):
         raise AssertionError("drew before every value was checked")
 
     monkeypatch.setattr(calibration, "sample_sn", refused)
-    monkeypatch.setattr(estimators, "height_chunks", refused)
+    monkeypatch.setattr(estimators, "height_draws", refused)
     out = tmp_path / "out"
     assert run(argv + ["--calibration-replicates" if argv[0] in ("study", "coverage")
                        else "--replicates", 20_000, "--out", out]) == cli.EXIT_INPUT
@@ -879,6 +912,23 @@ def test_workers_beyond_the_blocks_or_cells_start_no_more_threads(
     assert CountedThread.made == started  # the calling thread runs one share
 
 
+@pytest.mark.parametrize("workers, cpus, started", [
+    (4, 3, 3),  # the cells take three threads, and each cell's chunks run on its own
+    (1, 3, 8),  # one cell at a time, its three chunks on three threads
+], ids=["cells-on-threads", "chunks-on-threads"])
+def test_study_never_runs_more_threads_than_its_workers_or_the_cpus(
+        tmp_path, monkeypatch, constants_file, workers, cpus, started):
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "made", 0)
+    monkeypatch.setattr(CountedThread, "limit", started)
+    monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
+    replicates = 2 * estimators.chunk_rows(10) + 7  # three chunks per cell
+    assert run(["study", "--n", 10, "--r", "0.25,0.5,0.75,1", "--replicates", replicates,
+                "--estimators", "MSE", "--constants", constants_file, "--workers", workers,
+                "--out", tmp_path / "out"]) == 0
+    assert CountedThread.made == started
+
+
 @pytest.mark.parametrize("argv", [
     ["coverage", "--n", "100,200", "--calibration-replicates", 9999, "--replicates", 1000],
     ["coverage", "--n", "5,20", "--constants", "TABLE", "--calibration-replicates", 9999],
@@ -891,7 +941,7 @@ def test_commands_refuse_too_few_s_n_replicates_before_their_first_draw(
         raise AssertionError("drew before the replicate floor was checked")
 
     monkeypatch.setattr(calibration, "sample_sn", refused)
-    monkeypatch.setattr(estimators, "height_chunks", refused)
+    monkeypatch.setattr(estimators, "height_draws", refused)
     out = tmp_path / "out"
     argv = [constants_file if a == "TABLE" else a for a in argv]
     assert run(argv + ["--out", out]) == cli.EXIT_INPUT
@@ -937,19 +987,14 @@ def test_a_full_table_runs_with_too_few_s_n_replicates_to_draw(tmp_path, capsys,
 
 
 def test_coverage_command_counts_the_replicates_it_keeps(tmp_path, constants_file, monkeypatch):
-    real_chunks = estimators.height_chunks
-
-    def constant_first_row(n, regime, rng, count):
-        chunks = real_chunks(n, regime, rng, count)
-        first = next(chunks)
-        first[0] = first[0, 0]
-        yield first
-        yield from chunks
+    def constant_first_row(chunk):
+        chunk[0] = chunk[0, 0]
 
     argv = ["coverage", "--n", "5,10", "--r", 1.0, "--T", 40, "--replicates", 1000,
             "--seed", 9, "--constants", constants_file, "--out"]
     assert run(argv + [tmp_path / "clean.csv"]) == 0
-    monkeypatch.setattr(estimators, "height_chunks", constant_first_row)
+    monkeypatch.setattr(estimators, "height_draws", with_chunks_changed(
+        estimators.height_draws, {0: constant_first_row}))
     assert run(argv + [tmp_path / "cov.csv"]) == 0
     for name, kept in (("clean.csv", "1000"), ("cov.csv", "999")):
         rows = list(csv.reader((tmp_path / name).read_text().splitlines()))

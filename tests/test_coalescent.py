@@ -372,14 +372,13 @@ def test_height_chunks_stack_to_the_one_shot_draw(regime, n):
                           reference)
 
 
-def test_finite_chunks_counts_every_bad_row_and_passes_none_on():
+def test_check_finite_rows_counts_every_bad_row():
     good, bad = np.ones((3, 2)), np.array([[1.0, np.nan], [1.0, 2.0], [np.inf, 1.0]])
-    passed = []
+    matrix = np.concatenate([good, bad, good, bad[:1]])
+    assert (co.nonfinite_rows(matrix), co.nonfinite_rows(good)) == (3, 0)
     with pytest.raises(NonFiniteTimes, match="^3 of 10 rows hold non-finite"):
-        for chunk in co.finite_chunks([good, bad, good, bad[:1]]):
-            passed.append(chunk)
-    assert len(passed) == 1 and passed[0] is good
-    assert [c is good for c in co.finite_chunks([good, good])] == [True, True]
+        co.check_finite_rows(matrix)
+    co.check_finite_rows(good)
 
 
 def test_block_sampler_deterministic():

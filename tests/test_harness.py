@@ -2,7 +2,10 @@
 determinism, the constant sweep, and the large-sample variance check."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from bdgrowth import coalescent as co
 from bdgrowth import confidence as ci
 from bdgrowth import estimators as est
 from bdgrowth import harness
+from bdgrowth.errors import NonConvergence, NonFiniteTimes
 from bdgrowth.rng import RngStream
+from oracles import CountedThread, with_chunks_changed
 
 SEED = 20260808
 # made-up constants: the tests below compare paths, not accuracy
@@ -117,18 +122,13 @@ def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks(
 
 
 def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch):
-    real_chunks = est.height_chunks
-
-    def constant_first_row(n, regime, rng, count):
-        chunks = real_chunks(n, regime, rng, count)
-        first = next(chunks)
-        first[0] = first[0, 0]
-        yield first
-        yield from chunks
+    def constant_first_row(chunk):
+        chunk[0] = chunk[0, 0]
 
     def both(run):
         clean = run()
-        monkeypatch.setattr(est, "height_chunks", constant_first_row)
+        monkeypatch.setattr(est, "height_draws", with_chunks_changed(
+            est.height_draws, {0: constant_first_row}))
         try:
             return clean, run()
         finally:
@@ -167,6 +167,121 @@ def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch
     scaled = math.sqrt(200) * (cal.c_inv_closed_form(200) * raw[1:] - 1.0)
     assert report.var_scaled_inv == float(np.var(scaled))
     assert math.isfinite(report.var_scaled_lengths)
+
+
+REGIMES = {"exact": ci.make_regime("exact", 1.0, 40.0),
+           "fixed-n": ci.make_regime("fixed-n", 1.0, None),
+           "large-n": ci.make_regime("large-n", 1.0, 40.0)}
+
+
+@pytest.mark.parametrize("n", [3, 20, 100])
+@pytest.mark.parametrize("regime", REGIMES, ids=list(REGIMES))
+def test_simulated_estimates_are_the_same_bits_on_any_cpu_count(monkeypatch, regime, n):
+    # three chunks, the last ragged; n = 3 keeps to the cheaper kernels
+    count = 2 * co.chunk_rows(n) + 7
+    tags = ("MSE", "Lengths") if n == 3 else harness.ALL_ESTIMATORS
+    results = []
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(est, "usable_cpus", lambda cpus=cpus: cpus)
+        results.append(est.simulated_estimates(n, REGIMES[regime], RngStream(SEED), count,
+                                               ROW_20, tags))
+    for estimates, raw, unconverged, dropped in results[1:]:
+        assert raw.tobytes() == results[0][1].tobytes()
+        assert (unconverged, dropped) == results[0][2:]
+        assert list(estimates) == list(tags)
+        for tag, values in estimates.items():
+            assert values.tobytes() == results[0][0][tag].tobytes(), tag
+
+
+def test_many_small_chunks_on_more_threads_than_cores_keep_their_bits(monkeypatch):
+    # 154 chunks of 13 rows on 7 threads, switching threads as often as it can:
+    # a chunk stored at the wrong place or drawn out of order changes the bits
+    monkeypatch.setattr(co, "_CHUNK_HEIGHTS", 1 << 8)
+    regime, tags = REGIMES["exact"], ("MSE", "Lengths", "MLE")
+    serial = est.simulated_estimates(20, regime, RngStream(SEED), 2000, ROW_20, tags, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = est.simulated_estimates(20, regime, RngStream(SEED), 2000, ROW_20, tags,
+                                           workers=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded[1].tobytes() == serial[1].tobytes()
+    assert threaded[2:] == serial[2:]
+    for tag in tags:
+        assert threaded[0][tag].tobytes() == serial[0][tag].tobytes(), tag
+
+
+def test_simulated_estimates_start_no_thread_on_one_cpu_nor_more_than_chunks(monkeypatch):
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "made", 0)
+    monkeypatch.setattr(CountedThread, "limit", 2)
+    regime, count = REGIMES["exact"], 2 * co.chunk_rows(20) + 7  # three chunks
+    monkeypatch.setattr(est, "usable_cpus", lambda: 1)
+    est.simulated_estimates(20, regime, RngStream(SEED), count, None, ())
+    assert CountedThread.made == 0
+    monkeypatch.setattr(est, "usable_cpus", lambda: 100)
+    est.simulated_estimates(20, regime, RngStream(SEED), count, None, ())
+    assert CountedThread.made == 2  # the calling thread runs the third chunk
+    est.simulated_estimates(20, regime, RngStream(SEED), 100, None, ())  # one chunk
+    assert CountedThread.made == 2
+
+
+def refuse_rows(chunk, rows):
+    """Give the first `rows` rows of a chunk a moment start the fit refuses."""
+    chunk[:rows] = 1e200 * np.arange(chunk.shape[1])
+
+
+def test_the_first_refusal_in_chunk_order_is_raised_whatever_finishes_first(monkeypatch):
+    # chunk 1 refuses one row, chunk 2 two rows; chunk 1 waits for chunk 2's
+    # estimates before it is ready for its own, so chunk 2 finishes first
+    real_estimates = est.estimates_for_matrix
+    chunk_2_done, finished = threading.Event(), []
+
+    def chunk_1(chunk):
+        assert chunk_2_done.wait(timeout=60)
+        refuse_rows(chunk, 1)
+
+    def estimates(h, row, tags):
+        found = real_estimates(h, row, tags)
+        fit = found.refusals.get("MLE")
+        finished.append(0 if fit is None else int(np.count_nonzero(fit.refused)))
+        if finished[-1] == 2:
+            chunk_2_done.set()
+        return found
+
+    monkeypatch.setattr(est, "height_draws", with_chunks_changed(
+        est.height_draws, {1: chunk_1, 2: partial(refuse_rows, rows=2)}))
+    monkeypatch.setattr(est, "estimates_for_matrix", estimates)
+    monkeypatch.setattr(est, "usable_cpus", lambda: 3)
+    count = 4 * co.chunk_rows(20) + 7
+    with pytest.raises(NonConvergence, match="^moment start out of range in 1 of "):
+        est.simulated_estimates(20, REGIMES["exact"], RngStream(SEED), count, None, ("MLE",))
+    assert finished.index(2) < finished.index(1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_simulated_estimates_raise_the_first_fault_in_chunk_order(monkeypatch, cpus):
+    real_draws = est.height_draws
+    count = 4 * co.chunk_rows(20) + 7  # five chunks
+
+    def poison(chunk):
+        chunk[::3, 0] = np.nan
+
+    def run(changes):
+        monkeypatch.setattr(est, "height_draws", with_chunks_changed(real_draws, changes))
+        est.simulated_estimates(20, REGIMES["exact"], RngStream(SEED), count, ROW_20,
+                                ("MSE", "MLE"))
+
+    monkeypatch.setattr(est, "usable_cpus", lambda: cpus)
+    two, three = (partial(refuse_rows, rows=rows) for rows in (2, 3))
+    with pytest.raises(NonConvergence, match="^moment start out of range in 2 of "):
+        run({1: two, 2: three, 3: poison})
+    # a non-finite chunk before the first refusal refuses the run, counting
+    # the non-finite rows of every chunk, the later poisoned one too
+    per_chunk = -(-co.chunk_rows(20) // 3)
+    with pytest.raises(NonFiniteTimes, match=f"^{2 * per_chunk} of {count} rows hold non-f"):
+        run({1: poison, 2: three, 3: poison})
 
 
 def test_run_cell_memory_is_bounded_by_the_chunks():
