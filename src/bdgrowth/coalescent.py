@@ -224,6 +224,22 @@ def chunk_rows(n: int) -> int:
     return max(1, _CHUNK_HEIGHTS // (n - 1))
 
 
+def keep_freed_chunks() -> None:
+    """Have glibc's malloc keep the memory a thread frees after a chunk for
+    its next chunk, instead of handing it back to the system.
+
+    glibc serves a block at or above its mmap threshold from a mapping of
+    its own, and freeing such a block raises the threshold to the block's
+    size and the trim threshold to twice that (mallopt(3)). Freeing one
+    untouched block of eight chunks' heights thus lifts the trim threshold
+    above the few chunk-sized arrays a thread frees after each chunk.
+    Without it, each thread's arena returns them after every chunk and
+    faults them in again for the next: about 13 000 page faults per 2*10^4
+    replicates at n = 100. Other allocators just map and unmap the block.
+    """
+    np.empty(8 * _CHUNK_HEIGHTS)
+
+
 def uniform_chunks(gen, latent: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Consecutive row slices of a (count, 1) latent column, each with its
     (rows, n-1) open uniforms, drawn from gen in row order.

@@ -39,7 +39,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coalescent import Regime, chunk_rows, height_draws, nonfinite_rows, refuse_nonfinite_rows
+from .coalescent import (
+    Regime,
+    chunk_rows,
+    height_draws,
+    keep_freed_chunks,
+    nonfinite_rows,
+    refuse_nonfinite_rows,
+)
 from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
 from .rng import each_index, usable_cpus
 from .treeio import TreeRecord, tree_internal_branch_length
@@ -470,6 +477,7 @@ def simulated_estimates(
             with lock:
                 first_fault[0] = min(first_fault[0], k)
 
+    keep_freed_chunks()
     each_index(run, chunks, usable_cpus() if workers is None else workers)
     for bad, found in results:
         if bad:

@@ -2,10 +2,14 @@
 determinism, the constant sweep, and the large-sample variance check."""
 
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +286,26 @@ def test_simulated_estimates_raise_the_first_fault_in_chunk_order(monkeypatch, c
     per_chunk = -(-co.chunk_rows(20) // 3)
     with pytest.raises(NonFiniteTimes, match=f"^{2 * per_chunk} of {count} rows hold non-f"):
         run({1: poison, 2: three, 3: poison})
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_simulated_chunks_reuse_freed_memory_instead_of_faulting_it_in():
+    # a fresh process: a test run before may have raised the thresholds already
+    code = "\n".join([
+        "import resource",
+        "from bdgrowth import confidence as ci, estimators as est",
+        "from bdgrowth.rng import RngStream",
+        "regime = ci.make_regime('exact', 1.0, 40.0)",
+        "est.simulated_estimates(100, regime, RngStream(1), 20_000, None, ())",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "est.simulated_estimates(100, regime, RngStream(1), 20_000, None, ())",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    # about 9 000 on one thread and 13 000 on two when each chunk's arrays go back
+    assert int(done.stdout) < 2000
 
 
 def test_run_cell_memory_is_bounded_by_the_chunks():
