@@ -9,7 +9,6 @@ confidence intervals, and ingest real ultrametric trees from Newick files.
 
 from .calibration import (
     ConstantsRow,
-    MomentChecks,
     SnSample,
     build_constants_row,
     build_constants_table,
@@ -17,7 +16,6 @@ from .calibration import (
     c_inv_closed_form,
     c_mse,
     load_constants_table,
-    moment_identities_check,
     sample_sn,
     sn_quantiles,
     write_constants_table,

@@ -18,10 +18,10 @@ two and the 2.5% / 97.5% quantiles of S_n used for confidence intervals are
 estimated by Monte Carlo and cached in a small versioned CSV table. Sampling
 runs in fixed-size blocks of 50 000 replicates with one child stream per
 block, each written to its own slice of the result, so the table is
-byte-stable for a given (n, replicates, seed) regardless of worker count.
+byte-stable for a given (n, replicates, seed) whatever the thread count.
 
-The blocks run on up to `workers` threads, by default every CPU the process
-may use (rng.usable_cpus), and never more threads than blocks. Memory is
+The blocks run on rng.thread_count(blocks) threads: one per usable CPU, and
+never more threads than blocks, so `taskset` caps them. Memory is
 allocated on the calling thread only: freed memory of a worker thread stays
 in that thread's malloc arena, which would raise the peak resident size.
 The calling thread draws each block's latent column into the block's slice
@@ -34,6 +34,7 @@ keeps its bits whatever the thread count.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import coalescent
 from .errors import InsufficientReplicates
-from .rng import RngStream, check_workers, each_index, open_uniform, thread_count, usable_cpus
+from .rng import RngStream, each_index, thread_count
 
 _SN_BLOCK = 50_000  # replicates per stream block; fixed so tables reproduce
 _TABLE_VERSION = "sn-constants-table v1"
@@ -114,16 +115,15 @@ def _sn_block(gen, out: np.ndarray, u: np.ndarray, v: np.ndarray, positive: np.n
             q[~pos] = np.nan
 
 
-def sample_sn(n: int, replicates: int, rng: RngStream, workers: int | None = None) -> SnSample:
+def sample_sn(n: int, replicates: int, rng: RngStream) -> SnSample:
     """Monte Carlo draws of S_n, deterministic in (n, replicates, seed) and
-    the same bits on any number of workers (default: usable_cpus())."""
+    the same bits on any number of threads."""
     if n < 3:
         raise ValueError("S_n needs n >= 3")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    workers = usable_cpus() if workers is None else workers
     starts = range(0, replicates, _SN_BLOCK)
-    threads = thread_count(len(starts), workers)
+    threads = thread_count(len(starts))
     values = np.empty(replicates)
     gens = []
     for block, start in enumerate(starts):
@@ -138,7 +138,7 @@ def sample_sn(n: int, replicates: int, rng: RngStream, workers: int | None = Non
         start = starts[block]
         _sn_block(gens[block], values[start:start + _SN_BLOCK], *buffers[slot])
 
-    each_index(run, len(starts), workers)
+    each_index(run, len(starts), threads)
     return SnSample(n=n, values=values)
 
 
@@ -208,49 +208,13 @@ def linear_quantiles(values: np.ndarray, probs) -> list[float]:
     return out
 
 
-class MomentChecks(NamedTuple):
-    """Monte Carlo values of the four logistic positive-part moments.
-
-    For i.i.d. standard logistic U's the exact values are 1, pi^2/3,
-    2 - pi^2/6 and 2; these feed the asymptotic-variance constant
-    4 - pi^2/3 of the raw estimator.
-    """
-
-    e_plus: float          # E[(U1 - U2)^+]
-    e_plus_sq: float       # E[((U1 - U2)^+)^2]
-    e_chain: float         # E[(U1 - U2)^+ (U2 - U3)^+]
-    e_shared_top: float    # E[(U1 - U2)^+ (U1 - U3)^+]
-    replicates: int
-
-
-def moment_identities_check(replicates: int, rng: RngStream) -> MomentChecks:
-    if replicates < 1_000_000:
-        raise InsufficientReplicates("moment identities need at least 10^6 replicates")
-    sums = np.zeros(4)
-    done = 0
-    block = 0
-    while done < replicates:
-        count = min(_SN_BLOCK, replicates - done)
-        gen = rng.child(block).generator()
-        u = coalescent.logistic_quantile(open_uniform(gen, (count, 3)))
-        d12 = np.maximum(u[:, 0] - u[:, 1], 0.0)
-        d23 = np.maximum(u[:, 1] - u[:, 2], 0.0)
-        d13 = np.maximum(u[:, 0] - u[:, 2], 0.0)
-        sums += [d12.sum(), (d12 * d12).sum(), (d12 * d23).sum(), (d12 * d13).sum()]
-        done += count
-        block += 1
-    m = sums / replicates
-    return MomentChecks(m[0], m[1], m[2], m[3], replicates)
-
-
 # ---------------------------------------------------------------------------
 # Constants table
 # ---------------------------------------------------------------------------
 
 
-def build_constants_row(n: int, replicates: int, seed: int,
-                        workers: int | None = None) -> ConstantsRow:
-    sample = sample_sn(n, replicates, RngStream(seed).child(n), workers=workers)
+def build_constants_row(n: int, replicates: int, seed: int) -> ConstantsRow:
+    sample = sample_sn(n, replicates, RngStream(seed).child(n))
     return row_from_sample(sample, seed)
 
 
@@ -267,31 +231,34 @@ def row_from_sample(sample: SnSample, seed: int) -> ConstantsRow:
         replicates=sample.values.size,
         seed=seed,
     )
-    _check_row(row)
+    problem = _row_problem(row)
+    if problem:
+        raise RuntimeError(f"n={row.n}: {problem}; sampler is broken")
     return row
 
 
-def _check_row(row: ConstantsRow):
+def _row_problem(row: ConstantsRow) -> str | None:
+    """What makes a constants row unusable, or None if nothing does."""
+    if row.n < 3 or row.replicates < 1:
+        return "need n >= 3 and at least one replicate"
+    if not all(0 < value < math.inf
+               for value in (row.c_inv, row.c_mse, row.c_bias, row.inv_q_lo, row.inv_q_hi)):
+        return "constants and quantiles must be finite and positive"
+    if not row.inv_q_hi < row.inv_q_lo:
+        return "need inv_q_hi < inv_q_lo"
     if not row.c_mse <= row.c_bias:  # Cauchy-Schwarz, holds on any sample
-        raise RuntimeError(f"c_mse > c_bias at n={row.n}; sampler is broken")
-    if 5 <= row.n <= 100:
-        if not (0 < row.c_mse < row.c_bias < row.c_inv < 1):
-            raise RuntimeError(
-                f"constant ordering violated at n={row.n}: "
-                f"{row.c_mse}, {row.c_bias}, {row.c_inv}"
-            )
+        return "c_mse > c_bias"
+    if 5 <= row.n <= 100 and not row.c_mse < row.c_bias < row.c_inv < 1:
+        return f"constant ordering violated: {row.c_mse}, {row.c_bias}, {row.c_inv}"
+    return None
 
 
-def build_constants_table(
-    n_list, replicates: int, seed: int, path: str | Path | None = None,
-    workers: int | None = None
-) -> list[ConstantsRow]:
+def build_constants_table(n_list, replicates: int, seed: int,
+                          path: str | Path | None = None) -> list[ConstantsRow]:
     """Rows for every n, optionally persisted; regeneration is byte-stable.
-    The replicate floor and the worker count are checked before any draw."""
+    The replicate floor is checked before any draw."""
     check_quantile_replicates(replicates)
-    if workers is not None:
-        check_workers(workers)
-    rows = [build_constants_row(int(n), replicates, seed, workers=workers) for n in n_list]
+    rows = [build_constants_row(int(n), replicates, seed) for n in n_list]
     if path is not None:
         write_constants_table(rows, path)
     return rows
@@ -322,6 +289,9 @@ def write_constants_table(rows, path: str | Path):
 
 
 def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:
+    """The rows of a constants table by n. A malformed row, or one that
+    _row_problem finds unusable, is refused as a ValueError naming the file
+    and the row, so a bad table stops a command before its first draw."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if len(lines) < 2 or lines[0] != f"# {_TABLE_VERSION}":
@@ -339,5 +309,8 @@ def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:
             row = ConstantsRow(*[kind(v) for kind, v in zip(kinds, line.split(","), strict=True)])
         except ValueError as exc:
             raise ValueError(f"{path}: malformed row {line!r}") from exc
+        problem = _row_problem(row)
+        if problem:
+            raise ValueError(f"{path}: row {line!r}: {problem}")
         rows[row.n] = row
     return rows

@@ -306,9 +306,7 @@ def parse_n_list(text: str) -> list[int]:
 
 def cmd_calibrate(args) -> int:
     ns = parse_n_list(args.n)
-    rows = calibration.build_constants_table(
-        ns, args.replicates, args.seed, path=args.out, workers=args.workers
-    )
+    rows = calibration.build_constants_table(ns, args.replicates, args.seed, path=args.out)
     for row in rows:
         print(f"n={row.n}: c_inv={row.c_inv:.4f} c_mse={row.c_mse:.4f} "
               f"c_bias={row.c_bias:.4f} 1/q_lo={row.inv_q_lo:.4f} 1/q_hi={row.inv_q_hi:.4f}")
@@ -329,7 +327,6 @@ def cmd_study(args) -> int:
         estimators=tuple(args.estimators.split(",")),
         birth_rate=args.birth_rate,
         calibration_replicates=args.calibration_replicates,
-        workers=args.workers,
     )
     constants = calibration.load_constants_table(args.constants) if args.constants else None
     result = harness.run_study(config, constants)
@@ -438,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=calibration.DEFAULT_REPLICATES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="most threads drawing S_n (default: the usable CPUs); "
-                        "the table does not depend on it")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("study", help="error/density/coverage study over a grid")
@@ -458,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", default=None)
     p.add_argument("--calibration-replicates", type=int,
                    default=calibration.DEFAULT_REPLICATES)
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads running the (n, r) cells; the outputs do not depend on it")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("sweep", help="MSE and |bias| as functions of the constant")

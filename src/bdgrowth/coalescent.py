@@ -109,6 +109,8 @@ class FixedNLimit(NamedTuple):
     def _check(self):
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError("growth rate must be positive and finite")
+        if self.t is not None and not math.isfinite(self.t):
+            raise ValueError("tree height must be finite")
 
 
 @checked
@@ -240,19 +242,6 @@ def keep_freed_chunks() -> None:
     np.empty(8 * _CHUNK_HEIGHTS)
 
 
-def uniform_chunks(gen, latent: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Consecutive row slices of a (count, 1) latent column, each with its
-    (rows, n-1) open uniforms, drawn from gen in row order.
-
-    A chunk holds chunk_rows(n) rows. gen fills row-major, so the chunks'
-    uniforms are, in order, the numbers one (count, n-1) draw gives.
-    """
-    step = chunk_rows(n)
-    for start in range(0, len(latent), step):
-        part = latent[start:start + step]
-        yield part, open_uniform(gen, (len(part), n - 1))
-
-
 def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[], np.ndarray]]:
     """The (count, n - 1) replicate matrix of a regime, as consecutive row
     blocks of chunk_rows(n) rows, one branch-ordered row per replicate. A
@@ -260,13 +249,15 @@ def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[
     heights computed when it is called, on whichever thread calls it.
 
     The latent column of all count rows is drawn first, then each block's
-    uniforms, so the draws are fully deterministic given the stream and
-    count, and the blocks stacked are the same bits whatever their size:
-    every transform is elementwise. ExactFiniteT heights are finite at every
-    r*T and lie inside (0, T) up to rounding at its ends. The two limiting
-    regimes live on an unbounded axis, so occasional heights outside (0, T)
-    are expected there; with no T the FixedNLimit rows are relative heights,
-    of which only differences are meaningful.
+    uniforms. gen fills row-major, so the blocks' uniforms are, in order,
+    the numbers one (count, n-1) draw gives: the draws are fully
+    deterministic given the stream and count, and the blocks stacked are the
+    same bits whatever their size, since every transform is elementwise.
+    ExactFiniteT heights are finite at every r*T and lie inside (0, T) up to
+    rounding at its ends. The two limiting regimes live on an unbounded axis,
+    so occasional heights outside (0, T) are expected there; with no T the
+    FixedNLimit rows are relative heights, of which only differences are
+    meaningful.
     """
     if n < 2:
         raise ValueError("sample size must be >= 2")
@@ -290,16 +281,14 @@ def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[
             return large_n_heights(w, logistic_quantile(v), n, regime.r, regime.t)
     else:
         raise TypeError(f"unknown regime {regime!r}")
-    return (partial(heights, part, v) for part, v in uniform_chunks(gen, latent, n))
-
-
-def height_chunks(n: int, regime: Regime, rng, count: int) -> Iterator[np.ndarray]:
-    """height_draws' blocks, each computed as it is drawn."""
-    return (draw() for draw in height_draws(n, regime, rng, count))
+    step = chunk_rows(n)
+    return (partial(heights, latent[start:start + step],
+                    open_uniform(gen, (min(step, count - start), n - 1)))
+            for start in range(0, count, step))
 
 
 def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:
-    """height_chunks stacked into one (count, n - 1) array, the same bits
-    whatever the block size."""
-    chunks = list(height_chunks(n, regime, rng, count))
+    """height_draws' blocks, each computed as it is drawn, stacked into one
+    (count, n - 1) array: the same bits whatever the block size."""
+    chunks = [draw() for draw in height_draws(n, regime, rng, count)]
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

@@ -48,7 +48,7 @@ from .coalescent import (
     refuse_nonfinite_rows,
 )
 from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
-from .rng import each_index, usable_cpus
+from .rng import each_index, thread_count
 from .treeio import TreeRecord, tree_internal_branch_length
 
 # Tags other modules single out; METHODS below lists every tag.
@@ -439,16 +439,15 @@ def estimates_for_matrix(h: np.ndarray, row, estimators=ALL_ESTIMATORS) -> Matri
 
 def simulated_estimates(
     n: int, regime: Regime, rng, count: int, row, estimators=ALL_ESTIMATORS,
-    workers: int | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, int], int]:
     """estimates_for_matrix on the count replicates a regime draws from rng,
     one row chunk of height_draws at a time, never the whole matrix.
 
     Returns the estimates and raw pivot over the kept rows, the unconverged
     counts summed over chunks, and the number of rows dropped. The chunks
-    run on up to `workers` threads (default: the usable CPUs), never more
-    threads than chunks; one worker starts no thread. A thread takes the
-    next chunk's draws from rng under a lock, so the stream is read in chunk
+    run on rng.thread_count(chunks) threads: one per usable CPU, which
+    `taskset` caps, and never more than chunks. A thread takes the next
+    chunk's draws from rng under a lock, so the stream is read in chunk
     order, then computes its heights and estimates outside it, and keeps
     them at that chunk's place. The kernels are row-independent, so neither
     the chunk size nor the thread count changes a bit of the result.
@@ -478,7 +477,7 @@ def simulated_estimates(
                 first_fault[0] = min(first_fault[0], k)
 
     keep_freed_chunks()
-    each_index(run, chunks, usable_cpus() if workers is None else workers)
+    each_index(run, chunks, thread_count(chunks))
     for bad, found in results:
         if bad:
             refuse_nonfinite_rows(sum(bad for bad, _ in results), count)

@@ -3,9 +3,10 @@ constant sweeps, and the large-sample variance check.
 
 Every experiment is a pure function of (configuration, seed) and scores
 the replicates of estimators.simulated_estimates, drawn and estimated a row
-chunk at a time. Estimator cells of the study grid get their own child
-streams, and CSV emission formats floats with 17 significant digits, so
-outputs are byte-stable across runs and worker counts.
+chunk at a time. Estimator cells of the study grid run one after another,
+each on its own child stream with its chunks on every usable CPU, and CSV
+emission formats floats with 17 significant digits, so outputs are
+byte-stable across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ from .confidence import (
 )
 from .errors import InsufficientReplicates, checked
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
-from .rng import RngStream, check_workers, ordered_map
+from .rng import RngStream
 
 DENSITY_BINS = 256
 
@@ -47,12 +48,10 @@ class StudyConfig(NamedTuple):
     estimators: tuple[str, ...] = ALL_ESTIMATORS
     birth_rate: float = 1.0
     calibration_replicates: int = calibration.DEFAULT_REPLICATES
-    workers: int = 1
 
     def _check(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        check_workers(self.workers)
         if any(n < 3 for n in self.ns):
             raise ValueError("study needs n >= 3")
         for tag in self.estimators:
@@ -117,10 +116,8 @@ def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[Densit
 def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRow,
              rng: RngStream) -> CellResult:
     regime = make_regime(config.regime, r, config.t, config.birth_rate)
-    # cells on threads of their own run their chunks there: no nested threads
     estimates, raw, unconverged, excluded = simulated_estimates(
-        n, regime, rng, config.replicates, row, config.estimators,
-        workers=1 if config.workers > 1 else None)
+        n, regime, rng, config.replicates, row, config.estimators)
     coverage = covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r)
     return CellResult(n, r, estimates, coverage, excluded, unconverged)
 
@@ -132,17 +129,10 @@ def run_study(config: StudyConfig,
     table = dict(constants or {})
     for n in config.ns:
         table[n], _ = calibration_for(table, n, config.calibration_replicates, config.seed)
-    cells = [(n, r) for n in config.ns for r in config.rs]
     stream = RngStream(config.seed)
-
-    def run(i: int) -> CellResult:
-        n, r = cells[i]
-        return run_cell(n, r, config, table[n], stream.child(i))
-
-    results = ordered_map(run, len(cells), config.workers)
-
     metrics, densities, coverage, excluded = [], [], [], {}
-    for cell in results:
+    for i, (n, r) in enumerate(product(config.ns, config.rs)):
+        cell = run_cell(n, r, config, table[n], stream.child(i))
         used = config.replicates - cell.excluded
         for tag, count in cell.unconverged.items():
             print(f"warning: n={cell.n} r={cell.r}: {count} of {used} {tag} fits did not "

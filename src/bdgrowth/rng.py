@@ -1,14 +1,17 @@
-"""Deterministic random-number streams.
+"""Deterministic random-number streams, and the one thread policy.
 
 Every stochastic operation in this package draws from an RngStream, a
 (master seed, path-of-indices) pair mapped onto numpy's SeedSequence spawn
 mechanism. Identical (seed, path) pairs reproduce identical draws bit for
 bit; distinct paths give statistically independent streams. Parallel code
 hands each work unit its own child stream, or takes each unit's draws from
-one stream under a lock in unit order, and merges results in a fixed order
-(ordered_map), so output never depends on worker count or scheduling.
-Threads are plain threading.Threads (each_index); threading is loaded with
-numpy, so running in parallel imports nothing.
+one stream under a lock in unit order, and keeps each unit's result at its
+own place, so output never depends on the thread count or scheduling.
+
+This module alone decides how many threads run: thread_count(units) is
+min(units, usable_cpus()), so the process's CPU affinity, which `taskset`
+sets, is the only cap. Threads are plain threading.Threads (each_index);
+threading is loaded with numpy, so running in parallel imports nothing.
 """
 
 from __future__ import annotations
@@ -49,25 +52,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def check_workers(workers: int) -> None:
-    """Refuse a worker count below 1."""
-    if workers < 1:
-        raise ValueError(f"need at least one worker, not {workers}")
+def thread_count(units: int) -> int:
+    """The threads that run `units` work units: min(units, usable_cpus()),
+    and at least one."""
+    return max(1, min(units, usable_cpus()))
 
 
-def thread_count(count: int, workers: int) -> int:
-    """The threads each_index runs count indices on: min(count, workers)."""
-    check_workers(workers)
-    return max(1, min(count, workers))
-
-
-def each_index(run, count: int, workers: int) -> None:
-    """run(slot, i) once for each i in range(count), on thread_count(count,
-    workers) threads: the calling one, slot 0, and one started thread per
-    further slot. Each thread takes the next index not yet taken, so which
-    slot runs an index depends on timing; slot only names a thread's own
-    buffers. After an error no thread takes a further index, and the first
-    error is raised once every thread has ended. One slot starts no thread.
+def each_index(run, count: int, threads: int) -> None:
+    """run(slot, i) once for each i in range(count), on `threads` threads,
+    which callers take from thread_count(count): the calling one, slot 0, and
+    one started thread per further slot. Each thread takes the next index not
+    yet taken, so which slot runs an index depends on timing; slot only names
+    a thread's own buffers. After an error no thread takes a further index,
+    and the first error is raised once every thread has ended. One thread
+    starts no thread.
     """
     indices = iter(range(count))
     lock = threading.Lock()
@@ -84,27 +82,14 @@ def each_index(run, count: int, workers: int) -> None:
         except BaseException as exc:  # raised in the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(slot,))
-               for slot in range(1, thread_count(count, workers))]
-    for thread in threads:
+    started = [threading.Thread(target=work, args=(slot,)) for slot in range(1, threads)]
+    for thread in started:
         thread.start()
     work(0)
-    for thread in threads:
+    for thread in started:
         thread.join()
     if errors:
         raise errors[0]
-
-
-def ordered_map(run, count: int, workers: int = 1) -> list:
-    """[run(i) for i in range(count)] on each_index's threads; the results
-    come back in index order whatever the worker count."""
-    results = [None] * count
-
-    def put(_slot: int, i: int):
-        results[i] = run(i)
-
-    each_index(put, count, workers)
-    return results
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -1,6 +1,6 @@
 """Test oracles: the densities and CDFs that the samplers' quantile functions
 invert, the exact regime's Y latent and single-factor samplers, the Monte
-Carlo c_inv, and Newick trees as node graphs.
+Carlo c_inv and logistic moment identities, and Newick trees as node graphs.
 
 No command needs these; the tests check the closed-form CDFs against
 quadrature of the densities and the samplers' draws against the CDFs. The
@@ -26,14 +26,20 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from bdgrowth import treeio
-from bdgrowth.calibration import SnSample
+from bdgrowth.calibration import _SN_BLOCK, SnSample
 from bdgrowth.coalescent import *  # noqa: F403
-from bdgrowth.coalescent import BirthDeathParams, h_exact_quantile, u_given_q_quantile
-from bdgrowth.errors import MissingBranchLength, ParseError
+from bdgrowth.coalescent import (
+    BirthDeathParams,
+    h_exact_quantile,
+    logistic_quantile,
+    u_given_q_quantile,
+)
+from bdgrowth.errors import InsufficientReplicates, MissingBranchLength, ParseError
 from bdgrowth.rng import as_generator, open_uniform
 
 # Switch to the limiting (truncated-exponential) branch-height CDF when
@@ -148,6 +154,41 @@ def c_inv_monte_carlo(sample: SnSample) -> float:
     if v.size == 0:
         raise ValueError("empty sample")
     return float(np.mean(1.0 / v))
+
+
+class MomentChecks(NamedTuple):
+    """Monte Carlo values of the four logistic positive-part moments.
+
+    For i.i.d. standard logistic U's the exact values are 1, pi^2/3,
+    2 - pi^2/6 and 2; these feed the asymptotic-variance constant
+    4 - pi^2/3 of the raw estimator.
+    """
+
+    e_plus: float          # E[(U1 - U2)^+]
+    e_plus_sq: float       # E[((U1 - U2)^+)^2]
+    e_chain: float         # E[(U1 - U2)^+ (U2 - U3)^+]
+    e_shared_top: float    # E[(U1 - U2)^+ (U1 - U3)^+]
+    replicates: int
+
+
+def moment_identities_check(replicates: int, rng) -> MomentChecks:
+    if replicates < 1_000_000:
+        raise InsufficientReplicates("moment identities need at least 10^6 replicates")
+    sums = np.zeros(4)
+    done = 0
+    block = 0
+    while done < replicates:
+        count = min(_SN_BLOCK, replicates - done)
+        gen = rng.child(block).generator()
+        u = logistic_quantile(open_uniform(gen, (count, 3)))
+        d12 = np.maximum(u[:, 0] - u[:, 1], 0.0)
+        d23 = np.maximum(u[:, 1] - u[:, 2], 0.0)
+        d13 = np.maximum(u[:, 0] - u[:, 2], 0.0)
+        sums += [d12.sum(), (d12 * d12).sum(), (d12 * d23).sum(), (d12 * d13).sum()]
+        done += count
+        block += 1
+    m = sums / replicates
+    return MomentChecks(m[0], m[1], m[2], m[3], replicates)
 
 
 # ---------------------------------------------------------------------------

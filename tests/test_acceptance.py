@@ -103,7 +103,7 @@ def test_criterion_2_monte_carlo_constants(constants_rows):
 
 
 def test_criterion_3_moment_identities():
-    checks = cal.moment_identities_check(1_000_000, RngStream(SEED).child(3))
+    checks = co.moment_identities_check(1_000_000, RngStream(SEED).child(3))
     targets = [
         ("E[(U1-U2)^+]", checks.e_plus, 1.0),
         ("E[((U1-U2)^+)^2]", checks.e_plus_sq, math.pi ** 2 / 3.0),

@@ -5,6 +5,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +18,7 @@ from bdgrowth import coalescent as co
 from bdgrowth.confidence import Coverage
 from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
-from bdgrowth.rng import RngStream, each_index, open_uniform, ordered_map
+from bdgrowth.rng import RngStream, each_index, open_uniform
 
 SEED = 20260808
 
@@ -62,34 +63,27 @@ def test_sample_sn_deterministic_and_positive():
     assert a.values.size == 5000
 
 
-def test_sample_sn_worker_count_independent():
+def test_sample_sn_worker_count_independent(monkeypatch):
     # each thread count splits the chunk buffers, so the chunks differ too
     for n, replicates in itertools.product((3, 20, 100), (10_000, 120_001)):
-        serial = cal.sample_sn(n, replicates, RngStream(SEED), workers=1).values
-        default = cal.sample_sn(n, replicates, RngStream(SEED)).values
-        assert serial.tobytes() == default.tobytes(), (n, replicates)
-        for workers in (2, 3, 7):
-            threaded = cal.sample_sn(n, replicates, RngStream(SEED), workers=workers).values
-            assert serial.tobytes() == threaded.tobytes(), (n, replicates, workers)
+        drawn = set()
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda cpus=cpus: cpus)
+            drawn.add(cal.sample_sn(n, replicates, RngStream(SEED)).values.tobytes())
+        assert len(drawn) == 1, (n, replicates)
 
 
 def test_sample_sn_starts_one_thread_less_than_it_runs(monkeypatch):
     monkeypatch.setattr(threading, "Thread", CountedThread)
     monkeypatch.setattr(CountedThread, "made", 0)
     monkeypatch.setattr(CountedThread, "limit", 2)
-    cal.sample_sn(5, 120_000, RngStream(SEED), workers=100_000)  # three blocks
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 100_000)
+    cal.sample_sn(5, 120_000, RngStream(SEED))  # three blocks
     assert CountedThread.made == 2  # the calling thread runs the third share
-    cal.sample_sn(5, 120_000, RngStream(SEED), workers=1)
-    cal.sample_sn(5, 50_000, RngStream(SEED), workers=4)  # one block
+    cal.sample_sn(5, 50_000, RngStream(SEED))  # one block
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 1)
+    cal.sample_sn(5, 120_000, RngStream(SEED))
     assert CountedThread.made == 2
-
-
-def test_sample_sn_refuses_fewer_than_one_worker():
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match=f"need at least one worker, not {workers}"):
-            cal.sample_sn(5, 1000, RngStream(SEED), workers=workers)
-        with pytest.raises(ValueError, match="at least one worker"):
-            cal.build_constants_table([5], 10_000, SEED, workers=workers)
 
 
 def test_each_index_raises_a_threads_error_after_every_thread_ends():
@@ -106,7 +100,6 @@ def test_each_index_raises_a_threads_error_after_every_thread_ends():
     with pytest.raises(FloatingPointError, match="index 1"):
         each_index(run, 4, 1)
     assert done == [0]  # no index is taken after the error
-    assert ordered_map(lambda i: i * i, 5, 3) == [0, 1, 4, 9, 16]
 
 
 def sn_one_shot(n, replicates, rng):
@@ -222,11 +215,11 @@ def test_fresh_draws_fall_below_lower_quantile_at_nominal_rate():
 
 def test_moment_identities_enforce_replicate_floor():
     with pytest.raises(InsufficientReplicates):
-        cal.moment_identities_check(10_000, RngStream(1))
+        oracles.moment_identities_check(10_000, RngStream(1))
 
 
 def test_moment_identities_values():
-    checks = cal.moment_identities_check(1_000_000, RngStream(7))
+    checks = oracles.moment_identities_check(1_000_000, RngStream(7))
     assert checks.e_plus == pytest.approx(1.0, abs=0.02)
     assert checks.e_plus_sq == pytest.approx(math.pi ** 2 / 3.0, abs=0.02)
     assert checks.e_chain == pytest.approx(2.0 - math.pi ** 2 / 6.0, abs=0.01)
@@ -317,6 +310,31 @@ def test_load_names_the_file_and_the_row_it_cannot_read(tmp_path, line):
     with pytest.raises(ValueError) as refused:
         cal.load_constants_table(path)
     assert str(refused.value) == f"{path}: malformed row {line!r}"
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("5,0.79,nan,0.59,1.7,0.2,1000,1", "constants and quantiles must be finite and positive"),
+    ("5,0.79,0.35,inf,1.7,0.2,1000,1", "constants and quantiles must be finite and positive"),
+    ("5,0.79,0.35,0.59,1.7,-0.2,1000,1", "constants and quantiles must be finite and positive"),
+    ("5,0.79,0.35,0.59,0.2,1.7,1000,1", "need inv_q_hi < inv_q_lo"),
+    ("2,0.79,0.35,0.59,1.7,0.2,1000,1", "need n >= 3 and at least one replicate"),
+    ("5,0.79,0.35,0.59,1.7,0.2,0,1", "need n >= 3 and at least one replicate"),
+    ("3,0.75,0.6,0.5,2,0.5,1000,3", "c_mse > c_bias"),
+    ("5,0.79,0.35,0.85,1.7,0.2,1000,1", "constant ordering violated: 0.35, 0.85, 0.79"),
+], ids=["nan-c_mse", "inf-c_bias", "negative-quantile", "quantiles-swapped", "n-2",
+        "no-replicate", "c_mse-above-c_bias", "c_bias-above-c_inv"])
+def test_load_refuses_a_row_it_cannot_use(tmp_path, line, problem):
+    path = tmp_path / "constants.csv"
+    path.write_text(f"# {cal._TABLE_VERSION}\n{cal._TABLE_COLUMNS}\n"
+                    f"3,0.75,0.5,0.6,2,0.5,1000,3\n{line}\n")
+    with pytest.raises(ValueError) as refused:
+        cal.load_constants_table(path)
+    assert str(refused.value) == f"{path}: row {line!r}: {problem}"
+
+
+def test_the_benchmark_constants_table_loads():
+    table = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "constants.csv"
+    assert sorted(cal.load_constants_table(table))[:3] == [5, 8, 10]
 
 
 def test_n3_row_still_computes_monte_carlo_columns():

@@ -873,15 +873,11 @@ def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, caps
     (["study", "--regime", "large-n", "--T", -5, "--n", 5], "tree height must be positive"),
     (["coverage", "--regime", "large-n", "--T", 0, "--n", 5], "tree height must be positive"),
     (["sweep", "--regime", "large-n", "--T", -5], "tree height must be positive"),
-    (["calibrate", "--n", 5, "--workers", 0], "need at least one worker, not 0"),
-    (["calibrate", "--n", 5, "--workers", -3], "need at least one worker, not -3"),
-    (["study", "--n", 5, "--workers", 0], "need at least one worker, not 0"),
     (["sweep", "--n", 2], "sweep needs n >= 3, not 2"),
 ], ids=["study-regime", "coverage-regime", "coverage-n", "calibrate-n", "study-range",
         "asymptotics-n", "asymptotics-negative-T", "asymptotics-zero-T", "asymptotics-nan-T",
         "asymptotics-inf-T", "study-large-n-negative-T", "coverage-large-n-zero-T",
-        "sweep-large-n-negative-T", "calibrate-zero-workers", "calibrate-negative-workers",
-        "study-zero-workers", "sweep-n"])
+        "sweep-large-n-negative-T", "sweep-n"])
 def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                             argv, message):
     def refused(*args, **kwargs):
@@ -898,35 +894,82 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, started", [
-    (["calibrate", "--n", 5, "--replicates", 120_001], 2),  # 3 S_n blocks
-    (["study", "--n", "5,10", "--r", 1, "--replicates", 300, "--constants", "TABLE"], 1),
-], ids=["calibrate-3-blocks", "study-2-cells"])
-def test_workers_beyond_the_blocks_or_cells_start_no_more_threads(
-        tmp_path, monkeypatch, constants_file, argv, started):
+THREE_CHUNKS = 2 * estimators.chunk_rows(10) + 7  # replicates of three n=10 chunks
+
+
+@pytest.mark.parametrize("argv, cpus, started", [
+    (["calibrate", "--n", 5, "--replicates", 120_001], 100_000, 2),  # 3 S_n blocks
+    (["calibrate", "--n", 5, "--replicates", 120_001], 2, 1),
+    (["calibrate", "--n", 5, "--replicates", 120_001], 1, 0),
+    # four cells one after another, each its three chunks on three threads
+    (["study", "--r", "0.25,0.5,0.75,1", "--replicates", THREE_CHUNKS], 100_000, 8),
+    (["study", "--r", "0.25,0.5,0.75,1", "--replicates", THREE_CHUNKS], 2, 4),
+    (["study", "--r", "0.25,0.5", "--replicates", 300], 100_000, 0),  # one chunk a cell
+], ids=["calibrate-3-blocks", "calibrate-2-cpus", "calibrate-1-cpu", "study-3-chunks",
+        "study-2-cpus", "study-1-chunk"])
+def test_threads_never_outnumber_the_cpus_or_the_work_units(
+        tmp_path, monkeypatch, constants_file, argv, cpus, started):
     monkeypatch.setattr(threading, "Thread", CountedThread)
     monkeypatch.setattr(CountedThread, "made", 0)
     monkeypatch.setattr(CountedThread, "limit", started)
-    argv = [constants_file if a == "TABLE" else a for a in argv]
-    assert run(argv + ["--workers", 100_000, "--out", tmp_path / "out"]) == 0
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: cpus)
+    if argv[0] == "study":
+        argv = argv + ["--n", 10, "--estimators", "MSE", "--constants", constants_file]
+    assert run(argv + ["--out", tmp_path / "out"]) == 0
     assert CountedThread.made == started  # the calling thread runs one share
 
 
-@pytest.mark.parametrize("workers, cpus, started", [
-    (4, 3, 3),  # the cells take three threads, and each cell's chunks run on its own
-    (1, 3, 8),  # one cell at a time, its three chunks on three threads
-], ids=["cells-on-threads", "chunks-on-threads"])
-def test_study_never_runs_more_threads_than_its_workers_or_the_cpus(
-        tmp_path, monkeypatch, constants_file, workers, cpus, started):
-    monkeypatch.setattr(threading, "Thread", CountedThread)
-    monkeypatch.setattr(CountedThread, "made", 0)
-    monkeypatch.setattr(CountedThread, "limit", started)
-    monkeypatch.setattr(estimators, "usable_cpus", lambda: cpus)
-    replicates = 2 * estimators.chunk_rows(10) + 7  # three chunks per cell
-    assert run(["study", "--n", 10, "--r", "0.25,0.5,0.75,1", "--replicates", replicates,
-                "--estimators", "MSE", "--constants", constants_file, "--workers", workers,
-                "--out", tmp_path / "out"]) == 0
-    assert CountedThread.made == started
+@pytest.mark.parametrize("command", ["calibrate", "study"])
+def test_workers_is_an_unknown_option(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as stopped:
+        run([command, "--n", 5, "--workers", 2, "--out", tmp_path / "out"])
+    assert stopped.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "coverage", "study"])
+def test_fixed_n_regime_refuses_a_non_finite_T_before_its_first_draw(
+        tmp_path, capsys, monkeypatch, command, t):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before T was checked")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    monkeypatch.setattr(estimators, "height_draws", refused)
+    monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
+    out = tmp_path / "out"
+    assert run([command, "--regime", "fixed-n", "--T", t, "--n", 5,
+                "--out", out]) == cli.EXIT_INPUT
+    assert "tree height must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["study", "--n", 5],
+    ["coverage", "--n", 5],
+    ["estimate", "TIMES", "--methods", "MSE"],
+], ids=["study", "coverage", "estimate"])
+def test_commands_refuse_an_unusable_constants_row_before_their_first_draw(
+        tmp_path, capsys, monkeypatch, command):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 5, "--count", 3, "--T", 40, "--out", times]) == 0
+    line = "5,0.79861111111111127,nan,0.59108902510286787,1.7159781077568594,0.2,1000000,1"
+    table = tmp_path / "constants.csv"
+    table.write_text(f"# {calibration._TABLE_VERSION}\n{calibration._TABLE_COLUMNS}\n{line}\n")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before the table was checked")
+
+    monkeypatch.setattr(calibration, "sample_sn", refused)
+    monkeypatch.setattr(estimators, "height_draws", refused)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [times if a == "TIMES" else a for a in command]
+    assert run(argv + ["--constants", table, "--out", out]) == cli.EXIT_INPUT
+    assert f"{table}: row {line!r}: constants and quantiles must be finite and positive" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1070,9 +1113,9 @@ def test_estimate_at_another_level_draws_s_n_once(tmp_path, capsys, monkeypatch)
     calls = []
     sample_sn = calibration.sample_sn
 
-    def counted(n, replicates, rng, workers=1):
+    def counted(n, replicates, rng):
         calls.append(n)
-        return sample_sn(n, replicates, rng, workers)
+        return sample_sn(n, replicates, rng)
 
     monkeypatch.setattr(calibration, "sample_sn", counted)
     capsys.readouterr()

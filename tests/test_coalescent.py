@@ -364,7 +364,7 @@ def one_shot_heights(n, regime, rng, count):
 def test_height_chunks_stack_to_the_one_shot_draw(regime, n):
     step = max(1, co._CHUNK_HEIGHTS // (n - 1))
     count = 2 * step + 7
-    chunks = list(co.height_chunks(n, regime, RngStream(23), count))
+    chunks = [draw() for draw in co.height_draws(n, regime, RngStream(23), count)]
     assert [len(c) for c in chunks] == [step, step, 7]
     reference = one_shot_heights(n, regime, RngStream(23), count)
     assert np.array_equal(np.concatenate(chunks), reference)

@@ -81,15 +81,15 @@ def test_calibration_for_reads_the_table_or_makes_the_draw_calibrate_tabulates(c
 
 
 def test_calibration_for_draws_the_calibrate_row_on_any_cpu_count(capsys, monkeypatch):
-    # 3 blocks of the S_n draw, on the usable CPUs, then on one, which starts no thread
-    row = cal.build_constants_row(12, 120_000, SEED, workers=1)
+    # 3 blocks of the S_n draw, on three CPUs, then on one, which starts no thread
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 3)
+    row = cal.build_constants_row(12, 120_000, SEED)
     assert ci.calibration_for({}, 12, 120_000, SEED)[0] == row
-    assert cal.build_constants_row(12, 120_000, SEED) == row
 
     def no_thread(*args, **kwargs):
         raise AssertionError("started a thread on one usable CPU")
 
-    monkeypatch.setattr(cal, "usable_cpus", lambda: 1)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 1)
     monkeypatch.setattr(threading, "Thread", no_thread)
     assert ci.calibration_for({}, 12, 120_000, SEED)[0] == row
     assert cal.build_constants_row(12, 120_000, SEED) == row

@@ -108,7 +108,7 @@ def test_degenerate_rows_excluded_and_counted(small_constants):
 def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks():
     regime = ci.make_regime("exact", 1.0, 40.0)
     count = 15_000
-    assert len(list(co.height_chunks(20, regime, RngStream(SEED), count))) >= 2
+    assert len(list(co.height_draws(20, regime, RngStream(SEED), count))) >= 2
     h = co.sample_coalescence_times_block(20, regime, RngStream(SEED), count)
     estimates, raw, unconverged, *_ = est.estimates_for_matrix(h, ROW_20)
     got, got_raw, got_unconverged, excluded = est.simulated_estimates(
@@ -186,7 +186,7 @@ def test_simulated_estimates_are_the_same_bits_on_any_cpu_count(monkeypatch, reg
     tags = ("MSE", "Lengths") if n == 3 else harness.ALL_ESTIMATORS
     results = []
     for cpus in (1, 2, 3, 7):
-        monkeypatch.setattr(est, "usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda cpus=cpus: cpus)
         results.append(est.simulated_estimates(n, REGIMES[regime], RngStream(SEED), count,
                                                ROW_20, tags))
     for estimates, raw, unconverged, dropped in results[1:]:
@@ -202,12 +202,13 @@ def test_many_small_chunks_on_more_threads_than_cores_keep_their_bits(monkeypatc
     # a chunk stored at the wrong place or drawn out of order changes the bits
     monkeypatch.setattr(co, "_CHUNK_HEIGHTS", 1 << 8)
     regime, tags = REGIMES["exact"], ("MSE", "Lengths", "MLE")
-    serial = est.simulated_estimates(20, regime, RngStream(SEED), 2000, ROW_20, tags, workers=1)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 1)
+    serial = est.simulated_estimates(20, regime, RngStream(SEED), 2000, ROW_20, tags)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = est.simulated_estimates(20, regime, RngStream(SEED), 2000, ROW_20, tags,
-                                           workers=7)
+        threaded = est.simulated_estimates(20, regime, RngStream(SEED), 2000, ROW_20, tags)
     finally:
         sys.setswitchinterval(interval)
     assert threaded[1].tobytes() == serial[1].tobytes()
@@ -221,10 +222,10 @@ def test_simulated_estimates_start_no_thread_on_one_cpu_nor_more_than_chunks(mon
     monkeypatch.setattr(CountedThread, "made", 0)
     monkeypatch.setattr(CountedThread, "limit", 2)
     regime, count = REGIMES["exact"], 2 * co.chunk_rows(20) + 7  # three chunks
-    monkeypatch.setattr(est, "usable_cpus", lambda: 1)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 1)
     est.simulated_estimates(20, regime, RngStream(SEED), count, None, ())
     assert CountedThread.made == 0
-    monkeypatch.setattr(est, "usable_cpus", lambda: 100)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 100)
     est.simulated_estimates(20, regime, RngStream(SEED), count, None, ())
     assert CountedThread.made == 2  # the calling thread runs the third chunk
     est.simulated_estimates(20, regime, RngStream(SEED), 100, None, ())  # one chunk
@@ -257,7 +258,7 @@ def test_the_first_refusal_in_chunk_order_is_raised_whatever_finishes_first(monk
     monkeypatch.setattr(est, "height_draws", with_chunks_changed(
         est.height_draws, {1: chunk_1, 2: partial(refuse_rows, rows=2)}))
     monkeypatch.setattr(est, "estimates_for_matrix", estimates)
-    monkeypatch.setattr(est, "usable_cpus", lambda: 3)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 3)
     count = 4 * co.chunk_rows(20) + 7
     with pytest.raises(NonConvergence, match="^moment start out of range in 1 of "):
         est.simulated_estimates(20, REGIMES["exact"], RngStream(SEED), count, None, ("MLE",))
@@ -277,7 +278,7 @@ def test_simulated_estimates_raise_the_first_fault_in_chunk_order(monkeypatch, c
         est.simulated_estimates(20, REGIMES["exact"], RngStream(SEED), count, ROW_20,
                                 ("MSE", "MLE"))
 
-    monkeypatch.setattr(est, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: cpus)
     two, three = (partial(refuse_rows, rows=rows) for rows in (2, 3))
     with pytest.raises(NonConvergence, match="^moment start out of range in 2 of "):
         run({1: two, 2: three, 3: poison})
@@ -358,14 +359,16 @@ def test_study_outputs_are_byte_stable(tmp_path, small_constants):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
-def test_study_worker_count_independent(small_constants):
-    config1 = harness.StudyConfig(ns=(5, 10), rs=(1.0,), t=40.0, replicates=200,
-                                  seed=SEED, calibration_replicates=50_000, workers=1)
-    config3 = harness.StudyConfig(ns=(5, 10), rs=(1.0,), t=40.0, replicates=200,
-                                  seed=SEED, calibration_replicates=50_000, workers=3)
-    a = harness.run_study(config1, small_constants)
-    b = harness.run_study(config3, small_constants)
-    assert a.metrics == b.metrics
+def test_study_worker_count_independent(monkeypatch, small_constants):
+    # n = 10 cells take three chunks, n = 5 cells one
+    config = harness.StudyConfig(ns=(5, 10), rs=(0.5, 1.0), t=40.0,
+                                 replicates=2 * co.chunk_rows(10) + 7, seed=SEED,
+                                 estimators=("MSE", "Lengths", "MLE"))
+    results = []
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda cpus=cpus: cpus)
+        results.append(harness.run_study(config, small_constants))
+    assert all(result == results[0] for result in results[1:])
 
 
 def test_config_validation():

@@ -41,8 +41,8 @@ CASES = [
      "unknown estimator 'RawUnitConstant'"),
     (LargeN, dict(r=1.0, t=10.0), dict(t=-5.0), "tree height must be positive"),
     (LargeN, dict(r=1.0, t=10.0), dict(t=0.0), "tree height must be positive"),
-    (StudyConfig, STUDY, dict(workers=0), "need at least one worker, not 0"),
-    (StudyConfig, STUDY, dict(workers=-3), "need at least one worker, not -3"),
+    (FixedNLimit, dict(r=1.0, t=None), dict(t=float("nan")), "tree height must be finite"),
+    (FixedNLimit, dict(r=1.0, t=40.0), dict(t=float("inf")), "tree height must be finite"),
 ]
 
 
