@@ -172,6 +172,26 @@ COMMANDS = [
     ("study-chunks", ["study", "--n", "20", "--r", "1", "--replicates", "15000", "--seed", "13",
                       "--estimators", "MSE,Lengths,MLE", "--constants", TABLE,
                       "--out", "study-chunks"]),
+    # the limiting regimes through every command that takes --regime
+    ("coverage-fixed-n", ["coverage", "--n", "8,12", "--regime", "fixed-n", "--replicates",
+                          "1000", "--seed", "14", "--constants", TABLE,
+                          "--out", "coverage-fixed-n.csv"]),
+    ("sweep-large-n", ["sweep", "--n", "10", "--regime", "large-n", "--replicates", "2000",
+                       "--seed", "15", "--out", "sweep-large-n.csv"]),
+    ("study-fixed-n", ["study", "--n", "5,10", "--r", "0.5,1", "--regime", "fixed-n",
+                       "--replicates", "500", "--seed", "16", "--constants", TABLE,
+                       "--out", "study-fixed-n"]),
+    ("simulate-large-n", ["simulate", "--n", "10", "--count", "300", "--seed", "17",
+                          "--regime", "large-n", "--T", "40", "--out", "times-large-n.csv"]),
+    # an exact-regime r whose death rate 1 - r does not give r back (1 - 0.7 is
+    # 0.30000000000000004), so the outputs show which r they score against;
+    # study lists it twice, and each listing is a cell of its own
+    ("coverage-third", ["coverage", "--n", "10", "--r", "0.3", "--replicates", "1000",
+                        "--seed", "18", "--constants", TABLE, "--out", "coverage-third.csv"]),
+    ("sweep-third", ["sweep", "--n", "10", "--r", "0.3", "--replicates", "2000", "--seed", "19",
+                     "--out", "sweep-third.csv"]),
+    ("study-third", ["study", "--n", "5", "--r", "0.3,0.3", "--replicates", "300", "--seed", "20",
+                     "--constants", TABLE, "--out", "study-third"]),
 ]
 
 
