@@ -9,7 +9,6 @@ confidence intervals, and ingest real ultrametric trees from Newick files.
 
 from .calibration import (
     ConstantsRow,
-    SnSample,
     build_constants_row,
     build_constants_table,
     c_bias,
@@ -21,15 +20,15 @@ from .calibration import (
     write_constants_table,
 )
 from .coalescent import (
-    BirthDeathParams,
     ExactFiniteT,
     FixedNLimit,
     LargeN,
     check_finite_rows,
+    make_regime,
     sample_coalescence_times_block,
     sample_q,
 )
-from .confidence import ConfidenceSpec, calibration_for, coverage_study, make_regime
+from .confidence import ConfidenceSpec, calibration_for, coverage_study
 from .errors import (
     BdGrowthError,
     DegenerateTimes,

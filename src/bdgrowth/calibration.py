@@ -51,11 +51,6 @@ _TABLE_COLUMNS = "n,c_inv,c_mse,c_bias,inv_q_lo,inv_q_hi,replicates,seed"
 DEFAULT_REPLICATES = 1_000_000  # matches two-decimal table precision with margin
 
 
-class SnSample(NamedTuple):
-    n: int
-    values: np.ndarray
-
-
 class ConstantsRow(NamedTuple):
     n: int
     c_inv: float
@@ -115,7 +110,7 @@ def _sn_block(gen, out: np.ndarray, u: np.ndarray, v: np.ndarray, positive: np.n
             q[~pos] = np.nan
 
 
-def sample_sn(n: int, replicates: int, rng: RngStream) -> SnSample:
+def sample_sn(n: int, replicates: int, rng: RngStream) -> np.ndarray:
     """Monte Carlo draws of S_n, deterministic in (n, replicates, seed) and
     the same bits on any number of threads."""
     if n < 3:
@@ -139,35 +134,33 @@ def sample_sn(n: int, replicates: int, rng: RngStream) -> SnSample:
         _sn_block(gens[block], values[start:start + _SN_BLOCK], *buffers[slot])
 
     each_index(run, len(starts), threads)
-    return SnSample(n=n, values=values)
+    return values
 
 
-def c_mse(sample: SnSample) -> float:
-    """Moment ratio E[S]/E[S^2] on the empirical measure."""
-    v = sample.values
-    if v.size == 0:
+def c_mse(values: np.ndarray) -> float:
+    """Moment ratio E[S]/E[S^2] on the empirical measure of S_n draws."""
+    if values.size == 0:
         raise ValueError("empty sample")
-    return float(np.mean(v) / np.mean(v * v))
+    return float(np.mean(values) / np.mean(values * values))
 
 
-def c_bias(sample: SnSample) -> float:
-    """Reciprocal of the sample mean."""
-    v = sample.values
-    if v.size == 0:
+def c_bias(values: np.ndarray) -> float:
+    """Reciprocal of the sample mean of S_n draws."""
+    if values.size == 0:
         raise ValueError("empty sample")
-    return float(1.0 / np.mean(v))
+    return float(1.0 / np.mean(values))
 
 
-def sn_quantiles(sample: SnSample, lo: float = 0.025, hi: float = 0.975) -> tuple[float, float]:
+def sn_quantiles(values: np.ndarray, lo: float = 0.025, hi: float = 0.975) -> tuple[float, float]:
     """Empirical (lo, hi) quantiles with type-7 linear interpolation.
 
     Below 10^4 replicates the quantile noise exceeds the precision of the
     published table, so such samples are refused.
     """
-    check_quantile_replicates(sample.values.size)
+    check_quantile_replicates(values.size)
     if not (0 < lo < hi < 1):
         raise ValueError("need 0 < lo < hi < 1")
-    q_lo, q_hi = linear_quantiles(sample.values, (lo, hi))
+    q_lo, q_hi = linear_quantiles(values, (lo, hi))
     return q_lo, q_hi
 
 
@@ -214,21 +207,21 @@ def linear_quantiles(values: np.ndarray, probs) -> list[float]:
 
 
 def build_constants_row(n: int, replicates: int, seed: int) -> ConstantsRow:
-    sample = sample_sn(n, replicates, RngStream(seed).child(n))
-    return row_from_sample(sample, seed)
+    values = sample_sn(n, replicates, RngStream(seed).child(n))
+    return row_from_sample(n, values, seed)
 
 
-def row_from_sample(sample: SnSample, seed: int) -> ConstantsRow:
-    """The constants row of an S_n draw, checked; seed is recorded with it."""
-    q_lo, q_hi = sn_quantiles(sample)
+def row_from_sample(n: int, values: np.ndarray, seed: int) -> ConstantsRow:
+    """The constants row of S_n draws for n, checked; seed is recorded with it."""
+    q_lo, q_hi = sn_quantiles(values)
     row = ConstantsRow(
-        n=sample.n,
-        c_inv=c_inv_closed_form(sample.n),
-        c_mse=c_mse(sample),
-        c_bias=c_bias(sample),
+        n=n,
+        c_inv=c_inv_closed_form(n),
+        c_mse=c_mse(values),
+        c_bias=c_bias(values),
         inv_q_lo=1.0 / q_lo,
         inv_q_hi=1.0 / q_hi,
-        replicates=sample.values.size,
+        replicates=values.size,
         seed=seed,
     )
     problem = _row_problem(row)
@@ -289,9 +282,10 @@ def write_constants_table(rows, path: str | Path):
 
 
 def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:
-    """The rows of a constants table by n. A malformed row, or one that
-    _row_problem finds unusable, is refused as a ValueError naming the file
-    and the row, so a bad table stops a command before its first draw."""
+    """The rows of a constants table by n. A malformed row, one that
+    _row_problem finds unusable, or a second row for an n, is refused as a
+    ValueError naming the file and the row, so a bad table stops a command
+    before its first draw."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if len(lines) < 2 or lines[0] != f"# {_TABLE_VERSION}":
@@ -309,7 +303,7 @@ def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:
             row = ConstantsRow(*[kind(v) for kind, v in zip(kinds, line.split(","), strict=True)])
         except ValueError as exc:
             raise ValueError(f"{path}: malformed row {line!r}") from exc
-        problem = _row_problem(row)
+        problem = _row_problem(row) or (row.n in rows and f"n={row.n} listed twice")
         if problem:
             raise ValueError(f"{path}: row {line!r}: {problem}")
         rows[row.n] = row

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, confidence, treeio
+from . import calibration, coalescent, confidence, treeio
 from .calibration import g17
 from .coalescent import check_finite_rows, sample_coalescence_times_block
 from .errors import (
@@ -99,7 +99,7 @@ def read_times_csv(text: str) -> list[np.ndarray | Exception]:
 
 
 def _add_regime_flags(p: argparse.ArgumentParser):
-    p.add_argument("--regime", choices=confidence.REGIME_NAMES, default="exact")
+    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
     p.add_argument("--r", type=float, default=1.0, help="net growth rate")
     p.add_argument("--T", type=float, default=None, help="observation time / tree height")
     p.add_argument("--birth-rate", type=float, default=1.0,
@@ -107,7 +107,7 @@ def _add_regime_flags(p: argparse.ArgumentParser):
 
 
 def cmd_simulate(args) -> int:
-    regime = confidence.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
     matrix = sample_coalescence_times_block(
         args.n, regime, RngStream(args.seed), args.count
     )
@@ -304,8 +304,19 @@ def parse_n_list(text: str) -> list[int]:
     return out
 
 
+def check_out(out: str | None, directory: bool = False) -> None:
+    """Refuse, before the first draw, an --out whose directory is missing or
+    a file; a directory output is made with its missing parents."""
+    if out is not None:
+        path = Path(out)
+        where = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+        if not where.is_dir():
+            raise ValueError(f"--out {out}: {where} is not a directory")
+
+
 def cmd_calibrate(args) -> int:
     ns = parse_n_list(args.n)
+    check_out(args.out)
     rows = calibration.build_constants_table(ns, args.replicates, args.seed, path=args.out)
     for row in rows:
         print(f"n={row.n}: c_inv={row.c_inv:.4f} c_mse={row.c_mse:.4f} "
@@ -328,6 +339,7 @@ def cmd_study(args) -> int:
         birth_rate=args.birth_rate,
         calibration_replicates=args.calibration_replicates,
     )
+    check_out(args.out, directory=True)
     constants = calibration.load_constants_table(args.constants) if args.constants else None
     result = harness.run_study(config, constants)
     paths = harness.write_study_outputs(result, args.out)
@@ -345,10 +357,12 @@ def cmd_sweep(args) -> int:
     grid = np.arange(lo, hi + 0.5 * step, step)
     if not grid.size:
         raise ValueError(f"--c-min {lo} above --c-max {hi} leaves no grid")
-    result = harness.constant_sweep(
-        args.n, args.r, args.T, grid, args.replicates,
-        RngStream(args.seed), regime=args.regime, birth_rate=args.birth_rate,
-    )
+    if args.n < 3:  # before the regime: below 3 no replicate has a pairwise sum
+        raise ValueError(f"sweep needs n >= 3, not {args.n}")
+    regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    check_out(args.out)
+    result = harness.constant_sweep(args.n, args.r, regime, grid, args.replicates,
+                                    RngStream(args.seed))
     calibration.write_rows(args.out, "c,mse,abs_bias", result.rows)
     print(f"argmin MSE at c={result.argmin_mse_c:.3f}; "
           f"argmin |bias| at c={result.argmin_bias_c:.3f}; wrote {args.out}")
@@ -361,9 +375,10 @@ def cmd_asymptotics(args) -> int:
     ns = parse_n_list(args.n)
     for n in ns:
         harness.check_large_n(n)
+    check_out(args.out)
     stream = RngStream(args.seed)
-    reports = [harness.asymptotics_check(n, args.r, args.replicates, stream.child(i),
-                                         t=args.T)._asdict() for i, n in enumerate(ns)]
+    reports = [harness.asymptotics_check(n, args.r, args.replicates, stream.child(i))._asdict()
+               for i, n in enumerate(ns)]
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -374,8 +389,9 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_coverage(args) -> int:
     ns = parse_n_list(args.n)  # every check runs before the first calibration
-    confidence.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
     confidence.check_coverage_replicates(args.replicates)
+    check_out(args.out)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     if any(n not in table for n in ns):  # its draw would come after earlier n's studies
         calibration.check_quantile_replicates(args.calibration_replicates)
@@ -384,10 +400,9 @@ def cmd_coverage(args) -> int:
     for i, n in enumerate(ns):
         table[n], spec = confidence.calibration_for(table, n, args.calibration_replicates,
                                                     args.seed)
-        cov = confidence.coverage_study(n, args.r, args.T, args.replicates, args.regime,
-                                        stream.child(i), spec, birth_rate=args.birth_rate)
-        rows.append(confidence.CoverageRow(n, args.r, args.T, cov, cov.kept))
-        print(f"n={n}: coverage {cov:.3f}")
+        rows.append(confidence.coverage_study(n, args.r, regime, args.replicates,
+                                              stream.child(i), spec))
+        print(f"n={n}: coverage {rows[-1].coverage:.3f}")
     if args.out:
         calibration.write_rows(args.out, confidence.COVERAGE_HEADER, rows)
     return EXIT_OK
@@ -444,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--regime", choices=confidence.REGIME_NAMES, default="exact")
+    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
     p.add_argument("--estimators", default=",".join(ALL_ESTIMATORS),
                    help=f"comma-separated subset of {', '.join(ALL_ESTIMATORS)} "
                         "(default %(default)s)")
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-step", type=float, default=0.01)
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--regime", choices=confidence.REGIME_NAMES, default="exact")
+    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
     p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -471,9 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics", help="large-sample variance check")
     p.add_argument("--n", default="500", help="sample sizes, each at least 200")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=None,
-                   help="reporting height, positive and finite (default 4 log(n)/r); it "
-                        "only shifts the heights, which no estimator sees")
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -485,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=40.0)
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--regime", choices=confidence.REGIME_NAMES, default="exact")
+    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
     p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--constants", default=None)
     p.add_argument("--calibration-replicates", type=int, default=100_000)

@@ -6,7 +6,9 @@ coalescence times, measured backwards from the sampling instant. Their joint
 law has a coalescent-point-process form: one latent draw, then n - 1
 conditionally i.i.d. branch heights. Three regimes are implemented:
 
-  ExactFiniteT   the exact finite-T law. Latent Y on (0, 1) with CDF
+  ExactFiniteT   the exact finite-T law of a process with birth rate lam,
+                 death rate mu and observation time t, its three fields;
+                 r = lam - mu is derived. Latent Y on (0, 1) with CDF
                  (y / (y + delta*(1 - y)))^n, delta = E*d, E = exp(-rT) and
                  d = r / (lam*(1 - E) + r*E); given Y = y the heights are
                  i.i.d. on (0, T) with density
@@ -54,27 +56,6 @@ from .rng import as_generator, open_uniform
 _CHUNK_HEIGHTS = 1 << 17  # heights per drawn block: 1 MB bounds sampler and kernel memory
 
 
-@checked
-class BirthDeathParams(NamedTuple):
-    """Birth rate, death rate and observation time of the process."""
-
-    lam: float
-    mu: float
-    t: float
-
-    def _check(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError("birth rate must be positive and finite")
-        if not (0 <= self.mu < self.lam):
-            raise ValueError("need lam > mu >= 0 (supercritical)")
-        if not (self.t > 0 and math.isfinite(self.t)):
-            raise ValueError("observation time must be positive and finite")
-
-    @property
-    def r(self) -> float:
-        return self.lam - self.mu
-
-
 def nonfinite_rows(matrix: np.ndarray) -> int:
     """How many rows of a height matrix hold inf or nan."""
     return int(np.count_nonzero(~np.isfinite(matrix).all(axis=1)))
@@ -93,12 +74,25 @@ def check_finite_rows(matrix: np.ndarray) -> None:
     refuse_nonfinite_rows(nonfinite_rows(matrix), len(matrix))
 
 
+@checked
 class ExactFiniteT(NamedTuple):
-    params: BirthDeathParams
+    """Birth rate, death rate and observation time of the process."""
+
+    lam: float
+    mu: float
+    t: float
+
+    def _check(self):
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("birth rate must be positive and finite")
+        if not (0 <= self.mu < self.lam):
+            raise ValueError("need lam > mu >= 0 (supercritical)")
+        if not (self.t > 0 and math.isfinite(self.t)):
+            raise ValueError("observation time must be positive and finite")
 
     @property
-    def t(self) -> float:
-        return self.params.t
+    def r(self) -> float:
+        return self.lam - self.mu
 
 
 @checked
@@ -128,6 +122,29 @@ class LargeN(NamedTuple):
 
 
 Regime = ExactFiniteT | FixedNLimit | LargeN
+REGIME_NAMES = ("exact", "fixed-n", "large-n")
+
+
+def make_regime(name: str, r: float, t: float | None, birth_rate: float = 1.0) -> Regime:
+    """Translate a regime name plus (r, T) into a regime value.
+
+    The exact regime needs full birth-death rates; the estimand only pins
+    down r = lam - mu, so the birth rate is a separate knob (defaulting to
+    1, the usual simulation convention) and mu = birth_rate - r.
+    """
+    if name == "exact":
+        if t is None:
+            raise ValueError("exact regime needs an observation time T")
+        if birth_rate < r:
+            raise ValueError(f"birth rate {birth_rate} below growth rate {r}")
+        return ExactFiniteT(lam=birth_rate, mu=birth_rate - r, t=t)
+    if name == "fixed-n":
+        return FixedNLimit(r=r, t=t)
+    if name == "large-n":
+        if t is None:
+            raise ValueError("large-n regime needs a reporting height T")
+        return LargeN(r=r, t=t)
+    raise ValueError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +153,7 @@ Regime = ExactFiniteT | FixedNLimit | LargeN
 # ---------------------------------------------------------------------------
 
 
-def h_exact_quantile(u, q, params: BirthDeathParams):
+def h_exact_quantile(u, q, regime: ExactFiniteT):
     """Inverse of the CDF of a branch height given the latent Q = q, that is
     given Y = y with y/(1 - y) = delta*q: C*(a*r/b)*(1/(a + b*exp(-r*t)) - 1/r)
     on (0, T), with E = exp(-rT), a = y*lam, b = r - a and
@@ -154,7 +171,7 @@ def h_exact_quantile(u, q, params: BirthDeathParams):
     arrays of u's broadcast size.
     """
     u = np.asarray(u, dtype=float)
-    r, t, lam_r = params.r, params.t, params.lam / params.r
+    r, t, lam_r = regime.r, regime.t, regime.lam / regime.r
     e_cap, e_rest = math.exp(-r * t), -math.expm1(-r * t)
     dq = np.asarray(q, dtype=float) / (lam_r * e_rest + e_cap)
     a = lam_r * dq / (1.0 + e_cap * dq)
@@ -202,7 +219,7 @@ def logistic_quantile(v):
 # ---------------------------------------------------------------------------
 
 
-def sample_q(n: int, rng, size=None):
+def sample_q(n: int, rng, size):
     if n < 2:
         raise ValueError("sample size must be >= 2")
     gen = as_generator(rng)
@@ -268,7 +285,7 @@ def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[
         latent = sample_q(n, gen, size=(count, 1))
 
         def heights(q, v):
-            return h_exact_quantile(v, q, regime.params)
+            return h_exact_quantile(v, q, regime)
     elif isinstance(regime, FixedNLimit):
         latent = sample_q(n, gen, size=(count, 1))
 

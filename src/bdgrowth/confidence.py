@@ -9,6 +9,8 @@ close to the nominal level.
 The constants and the quantiles both come from the law of S_n, which depends
 on n alone: calibration_for takes them from a constants table, or from the
 S_n draw that `calibrate` tabulates for the same (n, replicates, seed).
+coverage_study scores the intervals on replicates of a regime value that
+the caller builds.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import calibration
-from .coalescent import BirthDeathParams, ExactFiniteT, FixedNLimit, LargeN
+from .coalescent import Regime
 from .errors import InsufficientReplicates, checked
 from .estimators import simulated_estimates
 from .rng import RngStream
 
-REGIME_NAMES = ("exact", "fixed-n", "large-n")
 COVERAGE_HEADER = "n,r,T,coverage,replicates"
 
 
@@ -48,9 +49,9 @@ class ConfidenceSpec(NamedTuple):
         return cls(q_lo=1.0 / row.inv_q_lo, q_hi=1.0 / row.inv_q_hi)
 
     @classmethod
-    def from_sample(cls, sample: calibration.SnSample, level: float = 0.95) -> "ConfidenceSpec":
+    def from_sample(cls, values: np.ndarray, level: float = 0.95) -> "ConfidenceSpec":
         tail = (1.0 - level) / 2.0
-        return cls(*calibration.sn_quantiles(sample, tail, 1.0 - tail))
+        return cls(*calibration.sn_quantiles(values, tail, 1.0 - tail))
 
 
 def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicates: int,
@@ -68,24 +69,22 @@ def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicat
     An n below 3 has no S_n, and fewer than 10^4 replicates give no
     quantiles; where a draw is needed, either is refused before the warning.
     """
-    row, sample = table.get(n), None
-    for_level = "" if level == 0.95 else f" for level {level}"
-    if row is None or level != 0.95:
-        if n < 3:
-            raise ValueError("S_n needs n >= 3")
-        calibration.check_quantile_replicates(replicates)
-    if row is None:
-        print(f"warning: no constants row for n={n}; "
-              f"calibrating on the fly with {replicates} replicates{for_level}", file=sys.stderr)
-        sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
-        row = calibration.row_from_sample(sample, seed)
-    if level == 0.95:
+    row = table.get(n)
+    if row is not None and level == 0.95:
         return row, ConfidenceSpec.from_constants_row(row)
-    if sample is None:
-        print(f"warning: the constants row for n={n} holds 95% quantiles only; "
-              f"drawing {replicates} S_n replicates{for_level}", file=sys.stderr)
-        sample = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
-    return row, ConfidenceSpec.from_sample(sample, level)
+    if n < 3:
+        raise ValueError("S_n needs n >= 3")
+    calibration.check_quantile_replicates(replicates)
+    for_level = "" if level == 0.95 else f" for level {level}"
+    print(f"warning: no constants row for n={n}; calibrating on the fly with "
+          f"{replicates} replicates{for_level}" if row is None else
+          f"warning: the constants row for n={n} holds 95% quantiles only; "
+          f"drawing {replicates} S_n replicates{for_level}", file=sys.stderr)
+    values = calibration.sample_sn(n, replicates, RngStream(seed).child(n))
+    if row is None:
+        row = calibration.row_from_sample(n, values, seed)
+    return row, (ConfidenceSpec.from_constants_row(row) if level == 0.95
+                 else ConfidenceSpec.from_sample(values, level))
 
 
 class CoverageRow(NamedTuple):
@@ -98,42 +97,10 @@ class CoverageRow(NamedTuple):
     replicates: int
 
 
-class Coverage(float):
-    """A covered fraction that carries `kept`, the count of replicates it is
-    over; it compares, prints and computes as the fraction."""
-
-    def __new__(cls, fraction: float, kept: int):
-        self = super().__new__(cls, fraction)
-        self.kept = kept
-        return self
-
-
 def covered_fraction(raw: np.ndarray, spec: ConfidenceSpec, r: float) -> float:
     """Fraction of the raw estimates whose interval contains r."""
     lo, hi = spec.interval(raw)
     return float(np.mean((lo < r) & (r < hi)))
-
-
-def make_regime(name: str, r: float, t: float | None, birth_rate: float = 1.0):
-    """Translate a regime name plus (r, T) into a regime value.
-
-    The exact regime needs full birth-death rates; the estimand only pins
-    down r = lam - mu, so the birth rate is a separate knob (defaulting to
-    1, the usual simulation convention) and mu = birth_rate - r.
-    """
-    if name == "exact":
-        if t is None:
-            raise ValueError("exact regime needs an observation time T")
-        if birth_rate < r:
-            raise ValueError(f"birth rate {birth_rate} below growth rate {r}")
-        return ExactFiniteT(BirthDeathParams(lam=birth_rate, mu=birth_rate - r, t=t))
-    if name == "fixed-n":
-        return FixedNLimit(r=r, t=t)
-    if name == "large-n":
-        if t is None:
-            raise ValueError("large-n regime needs a reporting height T")
-        return LargeN(r=r, t=t)
-    raise ValueError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
 
 
 def check_coverage_replicates(replicates: int) -> None:
@@ -143,16 +110,16 @@ def check_coverage_replicates(replicates: int) -> None:
         raise InsufficientReplicates("coverage needs at least 1000 replicates")
 
 
-def coverage_study(n: int, r: float, t: float | None, replicates: int, regime: str,
-                   rng: RngStream, spec: ConfidenceSpec, birth_rate: float = 1.0) -> Coverage:
-    """Fraction of simulated replicates whose interval under spec covers the
-    true r, carrying the count of replicates kept.
+def coverage_study(n: int, r: float, regime: Regime, replicates: int, rng: RngStream,
+                   spec: ConfidenceSpec) -> CoverageRow:
+    """The coverage row of n: the fraction of the regime's replicates whose
+    interval under spec covers r, the rate the regime was made from (which
+    an exact regime's lam - mu can miss by an ulp), and the count kept.
 
     spec holds S_n quantiles for this n, as calibration_for returns them.
     The replicates are drawn on rng.child(1). Replicates whose heights all
     coincide are dropped, as in the study.
     """
     check_coverage_replicates(replicates)
-    regime_value = make_regime(regime, r, t, birth_rate)
-    _, raw, _, _ = simulated_estimates(n, regime_value, rng.child(1), replicates, None, ())
-    return Coverage(covered_fraction(raw, spec, r), raw.size)
+    _, raw, _, _ = simulated_estimates(n, regime, rng.child(1), replicates, None, ())
+    return CoverageRow(n, r, regime.t, covered_fraction(raw, spec, r), raw.size)

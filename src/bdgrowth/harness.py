@@ -22,13 +22,13 @@ import numpy as np
 
 from . import calibration
 from .calibration import linear_quantiles, write_rows
+from .coalescent import LargeN, Regime, make_regime
 from .confidence import (
     COVERAGE_HEADER,
     ConfidenceSpec,
     CoverageRow,
     calibration_for,
     covered_fraction,
-    make_regime,
 )
 from .errors import InsufficientReplicates, checked
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
@@ -80,15 +80,6 @@ class DensityRow(NamedTuple):
     density: float
 
 
-class CellResult(NamedTuple):
-    n: int
-    r: float
-    estimates: dict[str, np.ndarray]
-    coverage: float
-    excluded: int
-    unconverged: dict[str, int]  # fits that did not converge, by tag
-
-
 class StudyResult(NamedTuple):
     config: StudyConfig
     metrics: list[MetricsRow]
@@ -113,36 +104,28 @@ def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[Densit
                                           edges[1:], counts.tolist(), density.tolist())))
 
 
-def run_cell(n: int, r: float, config: StudyConfig, row: calibration.ConstantsRow,
-             rng: RngStream) -> CellResult:
-    regime = make_regime(config.regime, r, config.t, config.birth_rate)
-    estimates, raw, unconverged, excluded = simulated_estimates(
-        n, regime, rng, config.replicates, row, config.estimators)
-    coverage = covered_fraction(raw, ConfidenceSpec.from_constants_row(row), r)
-    return CellResult(n, r, estimates, coverage, excluded, unconverged)
-
-
 def run_study(config: StudyConfig,
               constants: dict[int, calibration.ConstantsRow] | None = None) -> StudyResult:
-    for r in config.rs:  # a regime the values cannot make is refused before any draw
-        make_regime(config.regime, r, config.t, config.birth_rate)
+    # a regime the values cannot make is refused before any draw
+    regimes = {r: make_regime(config.regime, r, config.t, config.birth_rate) for r in config.rs}
     table = dict(constants or {})
     for n in config.ns:
         table[n], _ = calibration_for(table, n, config.calibration_replicates, config.seed)
     stream = RngStream(config.seed)
     metrics, densities, coverage, excluded = [], [], [], {}
     for i, (n, r) in enumerate(product(config.ns, config.rs)):
-        cell = run_cell(n, r, config, table[n], stream.child(i))
-        used = config.replicates - cell.excluded
-        for tag, count in cell.unconverged.items():
-            print(f"warning: n={cell.n} r={cell.r}: {count} of {used} {tag} fits did not "
+        estimates, raw, unconverged, dropped = simulated_estimates(
+            n, regimes[r], stream.child(i), config.replicates, table[n], config.estimators)
+        for tag, count in unconverged.items():
+            print(f"warning: n={n} r={r}: {count} of {raw.size} {tag} fits did not "
                   f"converge; their estimates are the last iterate", file=sys.stderr)
         for tag in config.estimators:
-            mse, mae, bias = _metrics(cell.estimates[tag], cell.r)
-            metrics.append(MetricsRow(tag, cell.n, cell.r, config.t, mse, mae, bias, used))
-            densities.extend(_density_rows(tag, cell.n, cell.r, cell.estimates[tag]))
-        coverage.append(CoverageRow(cell.n, cell.r, config.t, cell.coverage, used))
-        excluded[(cell.n, cell.r)] = cell.excluded
+            mse, mae, bias = _metrics(estimates[tag], r)
+            metrics.append(MetricsRow(tag, n, r, config.t, mse, mae, bias, raw.size))
+            densities.extend(_density_rows(tag, n, r, estimates[tag]))
+        spec = ConfidenceSpec.from_constants_row(table[n])
+        coverage.append(CoverageRow(n, r, config.t, covered_fraction(raw, spec, r), raw.size))
+        excluded[(n, r)] = dropped
     return StudyResult(config, metrics, densities, coverage, excluded)
 
 
@@ -158,27 +141,21 @@ class SweepRow(NamedTuple):
 
 
 class SweepResult(NamedTuple):
-    n: int
-    r: float
-    t: float
     rows: list[SweepRow]
     argmin_mse_c: float
     argmin_bias_c: float
-    replicates: int
 
 
-def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
-                   rng: RngStream, regime: str = "exact",
-                   birth_rate: float = 1.0) -> SweepResult:
-    """MSE and |bias| of c * raw as functions of c, on one simulated sample.
+def constant_sweep(n: int, r: float, regime: Regime, c_grid, replicates: int,
+                   rng: RngStream) -> SweepResult:
+    """MSE and |bias| of c * raw against r, the rate the regime was made
+    from, as functions of c, on one sample of the regime's replicates, for
+    an n of at least 3.
 
     The raw estimates are simulated once; every grid value rescales them, so
     the curves share all Monte Carlo noise and their argmins are stable.
     """
-    if n < 3:  # before the first draw: below 3 no replicate has a pairwise sum
-        raise ValueError(f"sweep needs n >= 3, not {n}")
-    regime_value = make_regime(regime, r, t, birth_rate)
-    _, raw, _, _ = simulated_estimates(n, regime_value, rng, replicates, None, ())
+    _, raw, _, _ = simulated_estimates(n, regime, rng, replicates, None, ())
     rows = []
     for c in c_grid:
         err = c * raw - r
@@ -186,7 +163,7 @@ def constant_sweep(n: int, r: float, t: float, c_grid, replicates: int,
                              abs(float(np.mean(err)))))
     best_mse = min(rows, key=lambda row: row.mse)
     best_bias = min(rows, key=lambda row: row.abs_bias)
-    return SweepResult(n, r, t, rows, best_mse.c, best_bias.c, raw.size)
+    return SweepResult(rows, best_mse.c, best_bias.c)
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +190,23 @@ def check_large_n(n: int) -> None:
         raise ValueError("asymptotics check needs n >= 200")
 
 
-def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream,
-                      t: float | None = None) -> AsymptoticsReport:
+def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream) -> AsymptoticsReport:
     """Empirical scaled variances under the large-n regime.
 
     The calibrated pairwise estimator targets r^2 * (4 - pi^2/3), about
     0.71 r^2; the lengths estimator targets r^2. Normality of the scaled
     errors is scored with a Kolmogorov-Smirnov test against the fitted
-    normal.
+    normal. The heights are reported below T = 4 log(n)/r, comfortably above
+    the typical tree height; T only shifts them, which no estimator sees.
     """
     check_large_n(n)
-    if not r > 0:  # before the default T divides by it
+    if not r > 0:  # before T divides by it
         raise ValueError("growth rate must be positive and finite")
-    if t is not None and not 0 < t < math.inf:
-        raise ValueError(f"T must be positive and finite, not {t}")
+    regime = LargeN(r, 4.0 * math.log(n) / r)
     if replicates < 2:
         raise InsufficientReplicates("the normality tests need at least 2 replicates")
     import scipy.stats  # imported here: it is most of the package's import time
 
-    if t is None:
-        t = 4.0 * math.log(n) / r  # comfortably above the typical tree height
-    regime = make_regime("large-n", r, t)
     estimates, raw, _, _ = simulated_estimates(n, regime, rng, replicates, None, (LENGTHS,))
     scaled_inv = math.sqrt(n) * (calibration.c_inv_closed_form(n) * raw - r)
     scaled_len = math.sqrt(n) * (estimates[LENGTHS] - r)

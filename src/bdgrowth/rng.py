@@ -99,14 +99,11 @@ def as_generator(rng) -> np.random.Generator:
     return rng.generator()
 
 
-def open_uniform(gen: np.random.Generator, size=None):
-    """Uniform draws on the open interval (0, 1).
+def open_uniform(gen: np.random.Generator, size):
+    """An array of uniform draws on the open interval (0, 1).
 
     numpy's random() covers [0, 1); the exact 0 (probability 2^-53) is mapped
-    to 2^-53 so inverse-CDF transforms never hit a support endpoint. Arrays
-    are clamped in place.
+    to 2^-53, in place, so inverse-CDF transforms never hit a support endpoint.
     """
     u = gen.random(size)
-    if size is None:
-        return np.maximum(u, 2.0 ** -53)
     return np.maximum(u, 2.0 ** -53, out=u)

@@ -31,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from bdgrowth import treeio
-from bdgrowth.calibration import _SN_BLOCK, SnSample
+from bdgrowth.calibration import _SN_BLOCK
 from bdgrowth.coalescent import *  # noqa: F403
 from bdgrowth.coalescent import (
-    BirthDeathParams,
+    ExactFiniteT,
     h_exact_quantile,
     logistic_quantile,
     u_given_q_quantile,
@@ -47,7 +47,7 @@ from bdgrowth.rng import as_generator, open_uniform
 _B_ZERO_REL = 1e-9
 
 
-def delta_t(params: BirthDeathParams) -> float:
+def delta_t(params: ExactFiniteT) -> float:
     """Probability weight r*exp(-rT) / (lam*(1 - exp(-rT)) + r*exp(-rT)) of
     the Y latent, in log space; it underflows to 0 beyond r*T of about 745."""
     r = params.r
@@ -66,7 +66,7 @@ def y_quantile(u, n: int, delta: float):
     return t * delta / (-np.expm1(w) + t * delta)
 
 
-def sample_y(n: int, delta: float, rng, size=None):
+def sample_y(n: int, delta: float, rng, size):
     gen = as_generator(rng)
     return y_quantile(open_uniform(gen, size), n, delta)
 
@@ -81,7 +81,7 @@ def y_cdf(y, n: int, delta: float):
     return (y / (y + delta * (1.0 - y))) ** n
 
 
-def h_exact_density(t, y: float, params: BirthDeathParams):
+def h_exact_density(t, y: float, params: ExactFiniteT):
     t = np.asarray(t, dtype=float)
     r = params.r
     a = y * params.lam
@@ -92,7 +92,7 @@ def h_exact_density(t, y: float, params: BirthDeathParams):
     return norm * a * r * r * e_t / (a + b * e_t) ** 2
 
 
-def h_exact_cdf(t, y: float, params: BirthDeathParams):
+def h_exact_cdf(t, y: float, params: ExactFiniteT):
     """CDF of a branch height given Y = y, on (0, T).
 
     General form C*(a*r/b)*(1/(a + b*exp(-r*t)) - 1/r) with
@@ -132,28 +132,27 @@ def u_given_q_cdf(u, q: float):
     return np.clip(1.0 - (1.0 + q) / (q * (1.0 + np.exp(u))), 0.0, None)
 
 
-def q_of_y(y, params: BirthDeathParams):
+def q_of_y(y, params: ExactFiniteT):
     """The sampler's latent q = y/((1 - y)*delta) that Y = y stands for."""
     return y / ((1.0 - y) * delta_t(params))
 
 
-def sample_h_exact(y, params: BirthDeathParams, rng, size=None):
+def sample_h_exact(y, params: ExactFiniteT, rng, size):
     """Branch heights given Y = y, through the sampler's quantile."""
     gen = as_generator(rng)
     return h_exact_quantile(open_uniform(gen, size), q_of_y(y, params), params)
 
 
-def sample_u_given_q(q, rng, size=None):
+def sample_u_given_q(q, rng, size):
     gen = as_generator(rng)
     return u_given_q_quantile(open_uniform(gen, size), q)
 
 
-def c_inv_monte_carlo(sample: SnSample) -> float:
+def c_inv_monte_carlo(values: np.ndarray) -> float:
     """Sample mean of 1/S_n; cross-validates the sampler against the closed form."""
-    v = sample.values
-    if v.size == 0:
+    if values.size == 0:
         raise ValueError("empty sample")
-    return float(np.mean(1.0 / v))
+    return float(np.mean(1.0 / values))
 
 
 class MomentChecks(NamedTuple):

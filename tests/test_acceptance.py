@@ -122,8 +122,8 @@ def test_criterion_4_coverage(constants_rows):
     for n in (5, 10, 20):
         spec = conf.ConfidenceSpec.from_constants_row(constants_rows[n])
         results[n] = conf.coverage_study(
-            n, 1.0, 40.0, 1000, "exact", RngStream(SEED).child(400, n), spec=spec
-        )
+            n, 1.0, co.ExactFiniteT(1.0, 0.0, 40.0), 1000, RngStream(SEED).child(400, n),
+            spec=spec).coverage
     ok = all(0.93 <= c <= 0.97 for c in results.values())
     report(4, ok, f"finite-T coverage at 1000 replicates in [0.93, 0.97]: {results}")
 
@@ -156,7 +156,7 @@ def test_criterion_6_order_averaging_identity():
 
 
 def test_criterion_7_asymptotic_variance():
-    rep = harness.asymptotics_check(500, 1.0, 10_000, RngStream(SEED).child(7), t=40.0)
+    rep = harness.asymptotics_check(500, 1.0, 10_000, RngStream(SEED).child(7))
     ok = 0.64 <= rep.var_scaled_inv <= 0.78 and 0.9 <= rep.var_scaled_lengths <= 1.1
     ok = ok and rep.ks_pvalue_inv > 0.01
     report(7, ok,
@@ -189,7 +189,7 @@ def test_criterion_8_study_orderings(study_result):
 
 def test_criterion_9_constant_sweep(constants_rows):
     grid = np.arange(0.3, 1.3001, 0.01)
-    sweep = harness.constant_sweep(10, 0.5, 40.0, grid, 10_000,
+    sweep = harness.constant_sweep(10, 0.5, co.ExactFiniteT(1.0, 0.5, 40.0), grid, 10_000,
                                    RngStream(SEED).child(9))
     d_mse = abs(sweep.argmin_mse_c - constants_rows[10].c_mse)
     d_bias = abs(sweep.argmin_bias_c - constants_rows[10].c_bias)
@@ -201,7 +201,7 @@ def test_criterion_9_constant_sweep(constants_rows):
 
 def test_criterion_10a_sampler_ks_suite():
     n_draws = 100_000
-    params = co.BirthDeathParams(2.0, 1.0, 5.0)
+    params = co.ExactFiniteT(2.0, 1.0, 5.0)
     suite = [
         ("Y", co.sample_y(5, 0.2254, RngStream(SEED).child(10, 0), size=n_draws),
          lambda x: co.y_cdf(x, 5, 0.2254)),

@@ -15,7 +15,6 @@ import oracles
 from oracles import CountedThread
 from bdgrowth import calibration as cal
 from bdgrowth import coalescent as co
-from bdgrowth.confidence import Coverage
 from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
 from bdgrowth.rng import RngStream, each_index, open_uniform
@@ -58,9 +57,9 @@ def test_closed_form_monotone_increasing_to_one():
 def test_sample_sn_deterministic_and_positive():
     a = cal.sample_sn(6, 5000, RngStream(SEED))
     b = cal.sample_sn(6, 5000, RngStream(SEED))
-    assert np.array_equal(a.values, b.values)
-    assert np.all(a.values > 0)
-    assert a.values.size == 5000
+    assert np.array_equal(a, b)
+    assert np.all(a > 0)
+    assert a.size == 5000
 
 
 def test_sample_sn_worker_count_independent(monkeypatch):
@@ -69,7 +68,7 @@ def test_sample_sn_worker_count_independent(monkeypatch):
         drawn = set()
         for cpus in (1, 2, 3, 7):
             monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda cpus=cpus: cpus)
-            drawn.add(cal.sample_sn(n, replicates, RngStream(SEED)).values.tobytes())
+            drawn.add(cal.sample_sn(n, replicates, RngStream(SEED)).tobytes())
         assert len(drawn) == 1, (n, replicates)
 
 
@@ -117,7 +116,7 @@ def sn_one_shot(n, replicates, rng):
 def test_sample_sn_is_the_one_shot_draw_for_any_count(n):
     step = max(1, co._CHUNK_HEIGHTS // (n - 1))
     for count in (1, step - 1, step, step + 1, 50_001):
-        values = cal.sample_sn(n, count, RngStream(SEED)).values
+        values = cal.sample_sn(n, count, RngStream(SEED))
         start = 0
         for block in sn_one_shot(n, count, RngStream(SEED)):
             assert np.array_equal(values[start:start + len(block)], block)
@@ -139,12 +138,12 @@ def test_sample_sn_memory_is_bounded_by_the_chunks():
 def test_monte_carlo_c_inv_matches_closed_form():
     sample = cal.sample_sn(10, 200_000, RngStream(SEED).child(10))
     mc = oracles.c_inv_monte_carlo(sample)
-    se = float(np.std(1.0 / sample.values)) / math.sqrt(sample.values.size)
+    se = float(np.std(1.0 / sample)) / math.sqrt(sample.size)
     assert abs(mc - cal.c_inv_closed_form(10)) < 3 * se
 
 
 def test_moment_ratios_on_constant_sample():
-    sample = cal.SnSample(5, np.full(100, 2.5))
+    sample = np.full(100, 2.5)
     assert cal.c_mse(sample) == pytest.approx(0.4, rel=1e-14)
     assert cal.c_bias(sample) == pytest.approx(0.4, rel=1e-14)
 
@@ -202,8 +201,8 @@ def test_fresh_draws_fall_below_lower_quantile_at_nominal_rate():
     reference = cal.sample_sn(n, 1_000_000, RngStream(SEED).child(n))
     q_lo, q_hi = cal.sn_quantiles(reference)
     fresh = cal.sample_sn(n, 1_000_000, RngStream(SEED + 1).child(n))
-    below = float(np.mean(fresh.values < q_lo))
-    above = float(np.mean(fresh.values > q_hi))
+    below = float(np.mean(fresh < q_lo))
+    above = float(np.mean(fresh > q_hi))
     assert below == pytest.approx(0.025, abs=0.002)
     assert above == pytest.approx(0.025, abs=0.002)
 
@@ -274,9 +273,9 @@ class MixedRow(NamedTuple):
 
 def test_write_rows_writes_the_bytes_of_g17_and_str(tmp_path):
     rows = [
-        MixedRow("a", 3, 0.1, np.float64(1 / 3), Coverage(0.95, 7), -0.0),
+        MixedRow("a", 3, 0.1, np.float64(1 / 3), 0.95, -0.0),
         MixedRow("b c", -12, math.inf, -math.inf, math.nan, 1e-320),
-        MixedRow("", 0, 2.0 ** 70, np.float64(-2.5e-300), Coverage(1.0, 1), 5e17),
+        MixedRow("", 0, 2.0 ** 70, np.float64(-2.5e-300), 1.0, 5e17),
     ]
     path = tmp_path / "rows.csv"
     cal.write_rows(path, "label,count,x,y,z,w", rows)
@@ -321,8 +320,9 @@ def test_load_names_the_file_and_the_row_it_cannot_read(tmp_path, line):
     ("5,0.79,0.35,0.59,1.7,0.2,0,1", "need n >= 3 and at least one replicate"),
     ("3,0.75,0.6,0.5,2,0.5,1000,3", "c_mse > c_bias"),
     ("5,0.79,0.35,0.85,1.7,0.2,1000,1", "constant ordering violated: 0.35, 0.85, 0.79"),
+    ("3,0.75,0.5,0.6,2.5,0.5,1000,3", "n=3 listed twice"),
 ], ids=["nan-c_mse", "inf-c_bias", "negative-quantile", "quantiles-swapped", "n-2",
-        "no-replicate", "c_mse-above-c_bias", "c_bias-above-c_inv"])
+        "no-replicate", "c_mse-above-c_bias", "c_bias-above-c_inv", "n-listed-twice"])
 def test_load_refuses_a_row_it_cannot_use(tmp_path, line, problem):
     path = tmp_path / "constants.csv"
     path.write_text(f"# {cal._TABLE_VERSION}\n{cal._TABLE_COLUMNS}\n"

@@ -14,7 +14,7 @@ from bdgrowth import estimators as est
 from bdgrowth.errors import NonFiniteTimes
 from bdgrowth.rng import RngStream, open_uniform
 
-PARAMS = co.BirthDeathParams(lam=2.0, mu=1.0, t=5.0)
+PARAMS = co.ExactFiniteT(lam=2.0, mu=1.0, t=5.0)
 
 KS_N = 100_000
 KS_BOUND = 1.36 * math.sqrt(2.0 / KS_N)
@@ -26,33 +26,33 @@ KS_BOUND = 1.36 * math.sqrt(2.0 / KS_N)
 
 
 def test_delta_tends_to_one_for_tiny_t():
-    p = co.BirthDeathParams(1.0, 0.0, 1e-12)
+    p = co.ExactFiniteT(1.0, 0.0, 1e-12)
     assert oracles.delta_t(p) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_delta_pure_birth_is_exp_minus_t():
     for t in (0.5, 1.0, 3.0, 10.0):
-        p = co.BirthDeathParams(1.0, 0.0, t)
+        p = co.ExactFiniteT(1.0, 0.0, t)
         assert oracles.delta_t(p) == pytest.approx(math.exp(-t), rel=1e-12)
 
 
 def test_delta_worked_value():
-    assert oracles.delta_t(co.BirthDeathParams(2.0, 1.0, 1.0)) == pytest.approx(0.22540, abs=1e-5)
+    assert oracles.delta_t(co.ExactFiniteT(2.0, 1.0, 1.0)) == pytest.approx(0.22540, abs=1e-5)
 
 
 def test_delta_stays_in_unit_interval():
     for lam, mu, t in [(1, 0, 1), (2, 1.5, 40), (10, 9.99, 0.01), (0.5, 0.1, 100)]:
-        d = oracles.delta_t(co.BirthDeathParams(lam, mu, t))
+        d = oracles.delta_t(co.ExactFiniteT(lam, mu, t))
         assert 0 < d < 1
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        co.BirthDeathParams(1.0, 1.0, 1.0)  # not supercritical
+        co.ExactFiniteT(1.0, 1.0, 1.0)  # not supercritical
     with pytest.raises(ValueError):
-        co.BirthDeathParams(1.0, -0.1, 1.0)
+        co.ExactFiniteT(1.0, -0.1, 1.0)
     with pytest.raises(ValueError):
-        co.BirthDeathParams(1.0, 0.5, 0.0)
+        co.ExactFiniteT(1.0, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +214,9 @@ def test_q_over_one_plus_q_mean():
 
 
 def test_exact_times_lie_strictly_inside_support():
-    for params in (PARAMS, co.BirthDeathParams(1.0, 0.0, 1.0)):
+    for params in (PARAMS, co.ExactFiniteT(1.0, 0.0, 1.0)):
         block = co.sample_coalescence_times_block(
-            6, co.ExactFiniteT(params), RngStream(16), 2000
+            6, params, RngStream(16), 2000
         )
         assert np.all(block > 0.0)
         assert np.all(block < params.t)
@@ -248,18 +248,18 @@ def test_fixed_n_heights_formula():
 
 def test_sample_times_structure_and_validation():
     for count in (1, 3):
-        h = co.sample_coalescence_times_block(5, co.ExactFiniteT(PARAMS), RngStream(19), count)
+        h = co.sample_coalescence_times_block(5, PARAMS, RngStream(19), count)
         assert h.shape == (count, 4)
     with pytest.raises(ValueError):
-        co.sample_coalescence_times_block(1, co.ExactFiniteT(PARAMS), RngStream(19), 1)
+        co.sample_coalescence_times_block(1, PARAMS, RngStream(19), 1)
     with pytest.raises(ValueError):
-        co.sample_coalescence_times_block(5, co.ExactFiniteT(PARAMS), RngStream(19), 0)
+        co.sample_coalescence_times_block(5, PARAMS, RngStream(19), 0)
 
 
 def test_exchangeable_coordinates():
     # branch heights are conditionally i.i.d., so any two coordinates agree
     # in distribution
-    block = co.sample_coalescence_times_block(6, co.ExactFiniteT(PARAMS), RngStream(20), 50_000)
+    block = co.sample_coalescence_times_block(6, PARAMS, RngStream(20), 50_000)
     result = stats.ks_2samp(block[:, 0], block[:, 3])
     assert result.pvalue > 0.01
 
@@ -268,8 +268,8 @@ def test_exchangeable_coordinates():
 def test_exact_agrees_with_fixed_n_limit_at_t40(n):
     # at r*T = 40 the finite-T law is numerically indistinguishable from its
     # limit; compare one coordinate across independent replicates
-    params = co.BirthDeathParams(1.0, 0.0, 40.0)
-    exact = co.sample_coalescence_times_block(n, co.ExactFiniteT(params), RngStream(21).child(n), 200_000)[:, 0]
+    params = co.ExactFiniteT(1.0, 0.0, 40.0)
+    exact = co.sample_coalescence_times_block(n, params, RngStream(21).child(n), 200_000)[:, 0]
     limit = co.sample_coalescence_times_block(n, co.FixedNLimit(r=1.0, t=40.0), RngStream(22).child(n), 200_000)[:, 0]
     d = stats.ks_2samp(exact, limit)
     assert d.statistic < 0.01
@@ -282,8 +282,8 @@ def test_exact_heights_are_finite_and_inside_the_support_at_every_rt(lam, mu, rt
     # heights do not notice, and from r*T = 40 on they are the T -> infinity
     # law: the mean raw estimate is that law's, 1.288176*r, whatever the
     # scale of the rates
-    params = co.BirthDeathParams(lam, mu, rt / (lam - mu))
-    h = co.sample_coalescence_times_block(10, co.ExactFiniteT(params), RngStream(1), 20_000)
+    params = co.ExactFiniteT(lam, mu, rt / (lam - mu))
+    h = co.sample_coalescence_times_block(10, params, RngStream(1), 20_000)
     assert np.all((h > 0.0) & (h < params.t))
     if rt >= 40:
         assert est.raw_pairwise_rows(h).mean() / params.r == pytest.approx(1.288176, abs=1e-6)
@@ -315,7 +315,7 @@ def test_h_quantile_matches_its_closed_form_in_extended_precision(lam, mu, t):
     eps = np.finfo(float).eps
     if np.finfo(np.longdouble).eps >= eps:
         pytest.skip("np.longdouble is no wider than a double here")
-    params = co.BirthDeathParams(lam, mu, t)
+    params = co.ExactFiniteT(lam, mu, t)
     u, q = np.meshgrid([2.0 ** -53, 1e-9, 1e-3, 0.3, 0.5, 0.7, 1 - 1e-9, 1 - 2.0 ** -53],
                        [1e-6, 0.1, 1.0, 10.0, 1e6, 1e16])
     ref, p = extended_h_quantile(u, q, params)
@@ -330,14 +330,14 @@ def test_h_quantile_matches_its_closed_form_in_extended_precision(lam, mu, t):
 
 
 def test_identical_streams_reproduce_identical_draws():
-    a = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77, (3,)), 1)
-    b = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77, (3,)), 1)
+    a = co.sample_coalescence_times_block(9, PARAMS, RngStream(77, (3,)), 1)
+    b = co.sample_coalescence_times_block(9, PARAMS, RngStream(77, (3,)), 1)
     assert np.array_equal(a, b)
 
 
 def test_distinct_stream_paths_differ():
-    a = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77).child(0), 1)
-    b = co.sample_coalescence_times_block(9, co.ExactFiniteT(PARAMS), RngStream(77).child(1), 1)
+    a = co.sample_coalescence_times_block(9, PARAMS, RngStream(77).child(0), 1)
+    b = co.sample_coalescence_times_block(9, PARAMS, RngStream(77).child(1), 1)
     assert not np.any(a == b)
 
 
@@ -347,7 +347,7 @@ def one_shot_heights(n, regime, rng, count):
     gen = rng.generator()
     if isinstance(regime, co.ExactFiniteT):
         q = co.sample_q(n, gen, size=(count, 1))
-        return co.h_exact_quantile(open_uniform(gen, (count, n - 1)), q, regime.params)
+        return co.h_exact_quantile(open_uniform(gen, (count, n - 1)), q, regime)
     if isinstance(regime, co.FixedNLimit):
         q = co.sample_q(n, gen, size=(count, 1))
         u = co.u_given_q_quantile(open_uniform(gen, (count, n - 1)), q)
@@ -357,7 +357,7 @@ def one_shot_heights(n, regime, rng, count):
     return co.large_n_heights(w, u, n, regime.r, regime.t)
 
 
-@pytest.mark.parametrize("regime", [co.ExactFiniteT(PARAMS), co.FixedNLimit(1.0),
+@pytest.mark.parametrize("regime", [PARAMS, co.FixedNLimit(1.0),
                                     co.FixedNLimit(1.0, 40.0), co.LargeN(1.0, 30.0)],
                          ids=["exact", "fixed-n", "fixed-n-T", "large-n"])
 @pytest.mark.parametrize("n", [2, 20, 100])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bdgrowth import calibration as cal
+from bdgrowth import coalescent as co
 from bdgrowth import confidence as ci
 from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
@@ -56,7 +57,7 @@ def test_interval_equivariance_under_time_scaling():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ci.ConfidenceSpec(q_lo=2.0, q_hi=1.0)
-    sample = cal.SnSample(5, np.linspace(0.5, 2.0, 10_000))
+    sample = np.linspace(0.5, 2.0, 10_000)
     for level in (0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
             ci.ConfidenceSpec.from_sample(sample, level=level)
@@ -98,24 +99,24 @@ def test_calibration_for_draws_the_calibrate_row_on_any_cpu_count(capsys, monkey
 
 def test_coverage_exact_by_construction_under_limit_law():
     _, spec = ci.calibration_for({}, 8, 200_000, SEED)
-    cov = ci.coverage_study(8, 1.0, None, 100_000, "fixed-n", RngStream(SEED), spec)
+    cov = ci.coverage_study(8, 1.0, co.FixedNLimit(1.0), 100_000, RngStream(SEED), spec)
     # binomial noise plus quantile-estimation noise at these sizes
-    assert cov == pytest.approx(0.95, abs=0.005)
+    assert cov.coverage == pytest.approx(0.95, abs=0.005)
+    assert cov == (8, 1.0, None, cov.coverage, 100_000)
 
 
 def test_coverage_near_nominal_at_finite_t():
     _, spec = ci.calibration_for({}, 10, 100_000, SEED)
-    cov = ci.coverage_study(10, 1.0, 40.0, 1000, "exact", RngStream(SEED), spec)
-    assert 0.92 <= cov <= 0.98
+    cov = ci.coverage_study(10, 1.0, co.ExactFiniteT(1.0, 0.0, 40.0), 1000, RngStream(SEED),
+                            spec)
+    assert 0.92 <= cov.coverage <= 0.98
 
 
 def test_coverage_respects_supplied_level():
     sample = cal.sample_sn(7, 100_000, RngStream(SEED).child(99))
     spec = ci.ConfidenceSpec.from_sample(sample, level=0.5)
-    cov = ci.coverage_study(
-        7, 2.0, None, 50_000, "fixed-n", RngStream(SEED + 1), spec=spec
-    )
-    assert cov == pytest.approx(0.5, abs=0.02)
+    cov = ci.coverage_study(7, 2.0, co.FixedNLimit(2.0), 50_000, RngStream(SEED + 1), spec=spec)
+    assert cov.coverage == pytest.approx(0.5, abs=0.02)
 
 
 def test_coverage_memory_is_bounded_by_the_chunks():
@@ -123,7 +124,8 @@ def test_coverage_memory_is_bounded_by_the_chunks():
     tracemalloc.start()
     try:
         _, spec = ci.calibration_for({}, 100, 100_000, SEED)
-        ci.coverage_study(100, 1.0, 40.0, 20_000, "exact", RngStream(SEED), spec)
+        ci.coverage_study(100, 1.0, co.ExactFiniteT(1.0, 0.0, 40.0), 20_000, RngStream(SEED),
+                          spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -132,16 +134,15 @@ def test_coverage_memory_is_bounded_by_the_chunks():
 
 def test_coverage_replicate_floor():
     with pytest.raises(InsufficientReplicates):
-        ci.coverage_study(5, 1.0, 40.0, 10, "exact", RngStream(1),
+        ci.coverage_study(5, 1.0, co.ExactFiniteT(1.0, 0.0, 40.0), 10, RngStream(1),
                           ci.ConfidenceSpec(q_lo=0.5, q_hi=2.0))
 
 
 def test_make_regime_validation():
     with pytest.raises(ValueError):
-        ci.make_regime("exact", 2.0, 40.0, birth_rate=1.0)  # death rate negative
+        co.make_regime("exact", 2.0, 40.0, birth_rate=1.0)  # death rate negative
     with pytest.raises(ValueError):
-        ci.make_regime("exact", 1.0, None)
+        co.make_regime("exact", 1.0, None)
     with pytest.raises(ValueError):
-        ci.make_regime("bogus", 1.0, 40.0)
-    regime = ci.make_regime("exact", 0.5, 40.0)
-    assert regime.params.mu == pytest.approx(0.5)
+        co.make_regime("bogus", 1.0, 40.0)
+    assert co.make_regime("exact", 0.5, 40.0) == co.ExactFiniteT(1.0, 0.5, 40.0)

@@ -266,7 +266,7 @@ def _stress_matrices():
             np.r_[rng.uniform(0.0, 1.0, m - 1), 1e4],
             np.r_[1e4, rng.uniform(0.0, 1e-3, m - 1)],
             np.r_[-1e6, rng.uniform(0.0, 1.0, m - 1)]]
-    for i, regime in enumerate((co.ExactFiniteT(co.BirthDeathParams(lam=1.0, mu=0.0, t=40.0)),
+    for i, regime in enumerate((co.ExactFiniteT(lam=1.0, mu=0.0, t=40.0),
                                 co.FixedNLimit(r=1.0), co.LargeN(r=1.0, t=40.0))):
         rows.extend(co.sample_coalescence_times_block(m + 1, regime, RngStream(9).child(i), 300))
     return [smallest, np.array(rows)]
@@ -340,7 +340,7 @@ def test_rows_out_of_range_at_the_moment_start_are_refused_before_any_fallback(m
 def test_newton_stops_a_row_whose_halving_step_changes_nothing(monkeypatch):
     # such a row is at a fixed point; it used to repeat the step to the 60th
     # iteration, trying every halving each time (7484 rows of 3-D evaluations)
-    regime = co.ExactFiniteT(co.BirthDeathParams(lam=1.0, mu=0.0, t=40.0))
+    regime = co.ExactFiniteT(lam=1.0, mu=0.0, t=40.0)
     h = co.sample_coalescence_times_block(20, regime, RngStream(5), 10_000)
     loglik, halving_rows = est._loglik, []
 

@@ -24,6 +24,7 @@ from bdgrowth.rng import RngStream
 from oracles import CountedThread, with_chunks_changed
 
 SEED = 20260808
+EXACT = co.ExactFiniteT(1.0, 0.0, 40.0)  # the study's default regime at r = 1, T = 40
 # made-up constants: the tests below compare paths, not accuracy
 ROW_20 = cal.ConstantsRow(n=20, c_inv=0.97, c_mse=0.9, c_bias=0.95, inv_q_lo=1.5,
                           inv_q_hi=0.6, replicates=1, seed=0)
@@ -54,9 +55,10 @@ def test_metrics_rows_complete(small_study):
 def test_mse_decomposes_into_variance_plus_bias_squared(small_study):
     # recompute from the per-replicate estimates the harness produced
     config = small_study.config
-    rows = {n: cal.build_constants_row(n, 50_000, SEED) for n in (5, 10)}
-    cell = harness.run_cell(5, 1.0, config, rows[5], RngStream(SEED).child(0))
-    for tag, values in cell.estimates.items():
+    row = cal.build_constants_row(5, 50_000, SEED)
+    estimates, *_ = est.simulated_estimates(5, EXACT, RngStream(SEED).child(0),
+                                            config.replicates, row, config.estimators)
+    for tag, values in estimates.items():
         mse = np.mean((values - 1.0) ** 2)
         var = np.var(values)
         bias = np.mean(values) - 1.0
@@ -82,8 +84,9 @@ def test_density_rows_equal_the_per_bin_loop_bit_for_bit(small_study, small_cons
         return [(tag, n, r, float(edges[i]), float(edges[i + 1]), int(counts[i]),
                  float(counts[i] / (values.size * width))) for i in range(harness.DENSITY_BINS)]
 
-    cell = harness.run_cell(5, 1.0, small_study.config, small_constants[5], RngStream(SEED).child(0))
-    for tag, values in cell.estimates.items():
+    estimates, *_ = est.simulated_estimates(5, EXACT, RngStream(SEED).child(0),
+                                            small_study.config.replicates, small_constants[5])
+    for tag, values in estimates.items():
         rows = harness._density_rows(tag, 5, 1.0, values)
         assert all(type(row) is harness.DensityRow for row in rows)
         want = per_bin(tag, 5, 1.0, values)
@@ -106,23 +109,25 @@ def test_degenerate_rows_excluded_and_counted(small_constants):
 
 
 def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks():
-    regime = ci.make_regime("exact", 1.0, 40.0)
-    count = 15_000
-    assert len(list(co.height_draws(20, regime, RngStream(SEED), count))) >= 2
-    h = co.sample_coalescence_times_block(20, regime, RngStream(SEED), count)
+    # the cell of a one-cell run_study grid, drawn on child 0 of the seed's stream
+    count, stream = 15_000, RngStream(SEED).child(0)
+    assert len(list(co.height_draws(20, EXACT, stream, count))) >= 2
+    h = co.sample_coalescence_times_block(20, EXACT, stream, count)
     estimates, raw, unconverged, *_ = est.estimates_for_matrix(h, ROW_20)
     got, got_raw, got_unconverged, excluded = est.simulated_estimates(
-        20, regime, RngStream(SEED), count, ROW_20)
-    config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=count)
-    cell = harness.run_cell(20, 1.0, config, ROW_20, RngStream(SEED))
-    assert excluded == cell.excluded == count - raw.size
-    assert got_unconverged == cell.unconverged == unconverged
+        20, EXACT, stream, count, ROW_20)
+    config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=count, seed=SEED)
+    study = harness.run_study(config, {20: ROW_20})
+    assert {(20, 1.0): excluded} == study.excluded == {(20, 1.0): count - raw.size}
+    assert got_unconverged == unconverged
     assert got_raw.tobytes() == raw.tobytes()
-    assert list(got) == list(cell.estimates) == list(harness.ALL_ESTIMATORS)
+    assert list(got) == list(harness.ALL_ESTIMATORS)
     for tag, values in estimates.items():
-        assert got[tag].tobytes() == cell.estimates[tag].tobytes() == values.tobytes()
+        assert got[tag].tobytes() == values.tobytes()
+    assert [m[4:] for m in study.metrics] == [
+        (*harness._metrics(values, 1.0), raw.size) for values in estimates.values()]
     spec = ci.ConfidenceSpec.from_constants_row(ROW_20)
-    assert cell.coverage == ci.covered_fraction(raw, spec, 1.0)
+    assert study.coverage == [(20, 1.0, 40.0, ci.covered_fraction(raw, spec, 1.0), raw.size)]
 
 
 def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch):
@@ -139,43 +144,43 @@ def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch
             monkeypatch.undo()
 
     # each pair: the unpatched result and the one whose first row is constant
-    regime = ci.make_regime("exact", 1.0, 40.0)
-    clean, cell = both(lambda: harness.run_cell(
-        20, 1.0, harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=1000),
-        ROW_20, RngStream(SEED)))
-    assert (clean.excluded, cell.excluded) == (0, 1)
-    for tag, values in clean.estimates.items():
-        assert cell.estimates[tag].tobytes() == values[1:].tobytes()
+    (clean_estimates, *_), (estimates, _, _, dropped) = both(lambda: est.simulated_estimates(
+        20, EXACT, RngStream(SEED).child(0), 1000, ROW_20))
+    assert dropped == 1
+    for tag, values in clean_estimates.items():
+        assert estimates[tag].tobytes() == values[1:].tobytes()
+    config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=1000, seed=SEED)
+    clean, study = both(lambda: harness.run_study(config, {20: ROW_20}))
+    assert (clean.excluded, study.excluded) == ({(20, 1.0): 0}, {(20, 1.0): 1})
+    assert [row.replicates for row in study.metrics + study.coverage] == [999] * 6
+    assert [m[4:7] for m in study.metrics] == [harness._metrics(v, 1.0) for v in estimates.values()]
 
+    regime = co.ExactFiniteT(1.0, 0.5, 40.0)
     (_, raw, _, _), (_, kept, _, dropped) = both(lambda: est.simulated_estimates(
-        10, ci.make_regime("exact", 0.5, 40.0), RngStream(SEED), 4000, None, ()))
+        10, regime, RngStream(SEED), 4000, None, ()))
     assert dropped == 1 and kept.tobytes() == raw[1:].tobytes()
-    clean, sweep = both(lambda: harness.constant_sweep(10, 0.5, 40.0, [0.8], 4000,
-                                                       RngStream(SEED)))
-    assert (clean.replicates, sweep.replicates) == (4000, 3999)
+    _, sweep = both(lambda: harness.constant_sweep(10, 0.5, regime, [0.8], 4000,
+                                                   RngStream(SEED)))
     assert sweep.rows[0].mse == np.mean((0.8 * kept - 0.5) ** 2)
 
     spec = ci.ConfidenceSpec.from_constants_row(ROW_20)
     (_, raw, _, _), _ = both(lambda: est.simulated_estimates(
-        20, regime, RngStream(SEED).child(1), 1000, None, ()))
-    clean, cov = both(lambda: ci.coverage_study(20, 1.0, 40.0, 1000, "exact", RngStream(SEED),
+        20, EXACT, RngStream(SEED).child(1), 1000, None, ()))
+    clean, cov = both(lambda: ci.coverage_study(20, 1.0, EXACT, 1000, RngStream(SEED),
                                                 spec=spec))
-    assert cov == ci.covered_fraction(raw[1:], spec, 1.0)
-    assert (clean.kept, cov.kept) == (1000, 999)
+    assert cov.coverage == ci.covered_fraction(raw[1:], spec, 1.0)
+    assert (clean.replicates, cov.replicates) == (1000, 999)
 
     (_, raw, _, _), _ = both(lambda: est.simulated_estimates(
-        200, ci.make_regime("large-n", 1.0, 40.0), RngStream(SEED), 1000, None, ()))
-    clean, report = both(lambda: harness.asymptotics_check(200, 1.0, 1000, RngStream(SEED),
-                                                           t=40.0))
+        200, co.LargeN(1.0, 4.0 * math.log(200)), RngStream(SEED), 1000, None, ()))
+    clean, report = both(lambda: harness.asymptotics_check(200, 1.0, 1000, RngStream(SEED)))
     assert (clean.replicates, report.replicates) == (1000, 999)
     scaled = math.sqrt(200) * (cal.c_inv_closed_form(200) * raw[1:] - 1.0)
     assert report.var_scaled_inv == float(np.var(scaled))
     assert math.isfinite(report.var_scaled_lengths)
 
 
-REGIMES = {"exact": ci.make_regime("exact", 1.0, 40.0),
-           "fixed-n": ci.make_regime("fixed-n", 1.0, None),
-           "large-n": ci.make_regime("large-n", 1.0, 40.0)}
+REGIMES = {"exact": EXACT, "fixed-n": co.FixedNLimit(1.0), "large-n": co.LargeN(1.0, 40.0)}
 
 
 @pytest.mark.parametrize("n", [3, 20, 100])
@@ -294,9 +299,9 @@ def test_simulated_chunks_reuse_freed_memory_instead_of_faulting_it_in():
     # a fresh process: a test run before may have raised the thresholds already
     code = "\n".join([
         "import resource",
-        "from bdgrowth import confidence as ci, estimators as est",
+        "from bdgrowth import coalescent as co, estimators as est",
         "from bdgrowth.rng import RngStream",
-        "regime = ci.make_regime('exact', 1.0, 40.0)",
+        "regime = co.ExactFiniteT(1.0, 0.0, 40.0)",
         "est.simulated_estimates(100, regime, RngStream(1), 20_000, None, ())",
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
         "est.simulated_estimates(100, regime, RngStream(1), 20_000, None, ())",
@@ -310,12 +315,12 @@ def test_simulated_chunks_reuse_freed_memory_instead_of_faulting_it_in():
 
 
 def test_run_cell_memory_is_bounded_by_the_chunks():
-    # the whole height matrix and the fit's terms peaked at 92 MiB or more here
+    # one cell of a run_study grid; the whole height matrix and the fit's terms peaked at 92 MiB or more here
     row = ROW_20._replace(n=100)
     config = harness.StudyConfig(ns=(100,), rs=(1.0,), t=40.0, replicates=10_000)
     tracemalloc.start()
     try:
-        harness.run_cell(100, 1.0, config, row, RngStream(SEED))
+        harness.run_study(config, {100: row})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,7 +390,8 @@ def test_config_validation():
 
 def test_sweep_curves_and_argmins(small_constants):
     grid = np.arange(0.3, 1.3001, 0.02)
-    sweep = harness.constant_sweep(10, 0.5, 40.0, grid, 4000, RngStream(SEED))
+    sweep = harness.constant_sweep(10, 0.5, co.ExactFiniteT(1.0, 0.5, 40.0), grid, 4000,
+                                   RngStream(SEED))
     assert len(sweep.rows) == grid.size
     # the rescaled-error curve is an exact quadratic in c, so a quadratic
     # fit must open upward with an interior minimum

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from bdgrowth.coalescent import BirthDeathParams, FixedNLimit, LargeN
+from bdgrowth.coalescent import ExactFiniteT, FixedNLimit, LargeN
 from bdgrowth.confidence import ConfidenceSpec
 from bdgrowth.harness import StudyConfig
 from bdgrowth.rng import RngStream
@@ -14,15 +14,15 @@ STUDY = dict(ns=(5, 10), rs=(1.0,), t=40.0)
 
 # (record type, good fields, bad fields, message)
 CASES = [
-    (BirthDeathParams, dict(lam=1.0, mu=0.5, t=40.0), dict(lam=0.0),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(lam=0.0),
      "birth rate must be positive and finite"),
-    (BirthDeathParams, dict(lam=1.0, mu=0.5, t=40.0), dict(lam=float("inf")),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(lam=float("inf")),
      "birth rate must be positive and finite"),
-    (BirthDeathParams, dict(lam=1.0, mu=0.5, t=40.0), dict(mu=1.0),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(mu=1.0),
      "need lam > mu >= 0 (supercritical)"),
-    (BirthDeathParams, dict(lam=1.0, mu=0.5, t=40.0), dict(mu=-0.1),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(mu=-0.1),
      "need lam > mu >= 0 (supercritical)"),
-    (BirthDeathParams, dict(lam=1.0, mu=0.5, t=40.0), dict(t=float("nan")),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(t=float("nan")),
      "observation time must be positive and finite"),
     (FixedNLimit, dict(r=1.0, t=None), dict(r=0.0), "growth rate must be positive and finite"),
     (FixedNLimit, dict(r=1.0, t=None), dict(r=float("inf")),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bdgrowth import coalescent as co
 from bdgrowth import treeio
-from bdgrowth.confidence import make_regime
+from bdgrowth.coalescent import make_regime
 from bdgrowth.errors import (
     BdGrowthError,
     MissingBranchLength,
