@@ -192,6 +192,17 @@ COMMANDS = [
                      "--out", "sweep-third.csv"]),
     ("study-third", ["study", "--n", "5", "--r", "0.3,0.3", "--replicates", "300", "--seed", "20",
                      "--constants", TABLE, "--out", "study-third"]),
+    # simulate's --T defaults to None: relative-axis times, with an empty T column
+    ("simulate-relative", ["simulate", "--n", "10", "--count", "300", "--seed", "21",
+                           "--regime", "fixed-n", "--out", "times-relative.csv"]),
+    ("estimate-relative", ["estimate", "times-relative.csv", "--constants", TABLE,
+                           "--methods", ALL_METHODS, "--out", "estimate-relative.csv"]),
+    # a birth rate other than 1 through the other commands that take one
+    ("sweep-birth", ["sweep", "--n", "10", "--birth-rate", "2", "--r", "0.5",
+                     "--replicates", "2000", "--seed", "22", "--out", "sweep-birth.csv"]),
+    ("coverage-birth", ["coverage", "--n", "10", "--birth-rate", "2", "--r", "0.5",
+                        "--replicates", "1000", "--seed", "23", "--constants", TABLE,
+                        "--out", "coverage-birth.csv"]),
 ]
 
 
