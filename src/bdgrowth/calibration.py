@@ -287,7 +287,7 @@ def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:
     ValueError naming the file and the row, so a bad table stops a command
     before its first draw."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if len(lines) < 2 or lines[0] != f"# {_TABLE_VERSION}":
         raise ValueError(f"{path}: not a {_TABLE_VERSION} file")
     if lines[1] != _TABLE_COLUMNS:

@@ -63,7 +63,8 @@ def write_times_csv(matrix: np.ndarray, n: int, t: float | None, path: Path):
 def read_times_csv(text: str) -> list[np.ndarray | Exception]:
     """One entry per data row of a times CSV's text (leading blanks skipped):
     its n - 1 heights as a float array, or the error that rejected the row.
-    T is checked but not returned; every estimator is translation invariant.
+    T must be finite where given, but is not returned: every estimator is
+    translation invariant. T <= 0 and heights above T are allowed.
     A text without the header or without data rows raises.
     """
     lines = text.lstrip().splitlines()
@@ -78,8 +79,8 @@ def read_times_csv(text: str) -> list[np.ndarray | Exception]:
             if len(parts) < 2:
                 raise ValueError(f"times row {line!r} has no T column")
             n = int(parts[0])
-            if parts[1].strip():
-                float(parts[1])  # T is not returned, but a bad one refuses the row
+            if parts[1].strip() and not np.isfinite(float(parts[1])):  # T is not returned
+                raise ValueError(f"T must be finite, not {parts[1].strip()!r}")
             heights = np.array([float(v) for v in parts[2:]])
             if n < 2:
                 raise ValueError("sample size must be an integer >= 2")
@@ -98,23 +99,25 @@ def read_times_csv(text: str) -> list[np.ndarray | Exception]:
 # ---------------------------------------------------------------------------
 
 
-def _add_regime_flags(p: argparse.ArgumentParser):
+def _add_regime_flags(p: argparse.ArgumentParser, t: float | None):
+    """The regime flags, --T defaulting to t; each command declares its own --r."""
     p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
-    p.add_argument("--r", type=float, default=1.0, help="net growth rate")
-    p.add_argument("--T", type=float, default=None, help="observation time / tree height")
+    p.add_argument("--T", type=float, default=t, help="observation time / tree height")
     p.add_argument("--birth-rate", type=float, default=1.0,
                    help="birth rate of the exact regime (death rate is birth - r)")
 
 
 def cmd_simulate(args) -> int:
     regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    if args.trees and args.T is None:
+        raise RelativeAxisError("writing trees needs absolute times; pass --T")
+    check_out(args.out)
+    check_out(args.trees, flag="--trees")
     matrix = sample_coalescence_times_block(
         args.n, regime, RngStream(args.seed), args.count
     )
     # every check runs before the first file is written
     check_finite_rows(matrix)
-    if args.trees and args.T is None:
-        raise RelativeAxisError("writing trees needs absolute times; pass --T")
     texts = treeio.cpp_newick_rows(matrix, args.T) if args.trees else None
     out = Path(args.out)
     write_times_csv(matrix, args.n, args.T, out)
@@ -136,7 +139,7 @@ def cmd_simulate(args) -> int:
 def _load_inputs(path: Path) -> list[np.ndarray | treeio.TreeRecord | Exception]:
     """Times CSV rows or the records of Newick trees, or the errors that
     rejected them, in file order."""
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     if text.lstrip().startswith("n,T,"):
         return read_times_csv(text)
     return treeio.parse_newick_trees(text)
@@ -171,6 +174,7 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"--ultrametric-tol must be a number >= 0, not {args.ultrametric_tol}")
     if not 0 < args.level < 1:
         raise ValueError(f"--level must be a number in (0, 1), not {args.level}")
+    check_out(args.out)
     path = Path(args.input)
     inputs = _load_inputs(path)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
@@ -304,14 +308,14 @@ def parse_n_list(text: str) -> list[int]:
     return out
 
 
-def check_out(out: str | None, directory: bool = False) -> None:
-    """Refuse, before the first draw, an --out whose directory is missing or
-    a file; a directory output is made with its missing parents."""
+def check_out(out: str | None, directory: bool = False, flag: str = "--out") -> None:
+    """Refuse, before the first draw, an output path (given as flag) whose
+    directory is missing or a file; a directory output is made with its missing parents."""
     if out is not None:
         path = Path(out)
         where = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
         if not where.is_dir():
-            raise ValueError(f"--out {out}: {where} is not a directory")
+            raise ValueError(f"{flag} {out}: {where} is not a directory")
 
 
 def cmd_calibrate(args) -> int:
@@ -426,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--trees", default=None, help="also write Newick trees here")
-    _add_regime_flags(p)
+    p.add_argument("--r", type=float, default=1.0, help="net growth rate")
+    _add_regime_flags(p, None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate growth rates from times CSV or Newick")
@@ -455,15 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="error/density/coverage study over a grid")
     p.add_argument("--n", default="5,10,20")
     p.add_argument("--r", default="0.5,1")
-    p.add_argument("--T", type=float, default=40.0)
+    _add_regime_flags(p, 40.0)
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
     p.add_argument("--estimators", default=",".join(ALL_ESTIMATORS),
                    help=f"comma-separated subset of {', '.join(ALL_ESTIMATORS)} "
                         "(default %(default)s)")
-    p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--constants", default=None)
     p.add_argument("--calibration-replicates", type=int,
                    default=calibration.DEFAULT_REPLICATES)
@@ -472,14 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="MSE and |bias| as functions of the constant")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--T", type=float, default=40.0)
+    _add_regime_flags(p, 40.0)
     p.add_argument("--c-min", type=float, default=0.3)
     p.add_argument("--c-max", type=float, default=1.3)
     p.add_argument("--c-step", type=float, default=0.01)
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
-    p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -494,11 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="confidence-interval coverage study")
     p.add_argument("--n", default="5,10,20")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=40.0)
+    _add_regime_flags(p, 40.0)
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--regime", choices=coalescent.REGIME_NAMES, default="exact")
-    p.add_argument("--birth-rate", type=float, default=1.0)
     p.add_argument("--constants", default=None)
     p.add_argument("--calibration-replicates", type=int, default=100_000)
     p.add_argument("--out", default=None)

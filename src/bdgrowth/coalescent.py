@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteTimes, checked
-from .rng import as_generator, open_uniform
+from .rng import RngStream, open_uniform
 
 _CHUNK_HEIGHTS = 1 << 17  # heights per drawn block: 1 MB bounds sampler and kernel memory
 
@@ -214,15 +214,14 @@ def logistic_quantile(v):
 
 
 # ---------------------------------------------------------------------------
-# Samplers. Each accepts an RngStream (fresh, reproducible sequence) or a
-# numpy Generator (continues an existing sequence); none keeps state.
+# Samplers. sample_q continues the Generator it is given; the regime samplers
+# draw from a fresh generator at the start of their RngStream. None keeps state.
 # ---------------------------------------------------------------------------
 
 
-def sample_q(n: int, rng, size):
+def sample_q(n: int, gen: np.random.Generator, size):
     if n < 2:
         raise ValueError("sample size must be >= 2")
-    gen = as_generator(rng)
     return q_quantile(open_uniform(gen, size), n)
 
 
@@ -259,7 +258,8 @@ def keep_freed_chunks() -> None:
     np.empty(8 * _CHUNK_HEIGHTS)
 
 
-def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[], np.ndarray]]:
+def height_draws(n: int, regime: Regime, rng: RngStream,
+                 count: int) -> Iterator[Callable[[], np.ndarray]]:
     """The (count, n - 1) replicate matrix of a regime, as consecutive row
     blocks of chunk_rows(n) rows, one branch-ordered row per replicate. A
     block's random numbers are drawn when the iterator yields it, and its
@@ -280,7 +280,7 @@ def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[
         raise ValueError("sample size must be >= 2")
     if count < 1:
         raise ValueError("count must be >= 1")
-    gen = as_generator(rng)
+    gen = rng.generator()
     if isinstance(regime, ExactFiniteT):
         latent = sample_q(n, gen, size=(count, 1))
 
@@ -304,7 +304,8 @@ def height_draws(n: int, regime: Regime, rng, count: int) -> Iterator[Callable[[
             for start in range(0, count, step))
 
 
-def sample_coalescence_times_block(n: int, regime: Regime, rng, count: int) -> np.ndarray:
+def sample_coalescence_times_block(n: int, regime: Regime, rng: RngStream,
+                                   count: int) -> np.ndarray:
     """height_draws' blocks, each computed as it is drawn, stacked into one
     (count, n - 1) array: the same bits whatever the block size."""
     chunks = [draw() for draw in height_draws(n, regime, rng, count)]

@@ -463,18 +463,13 @@ def simulated_estimates(
     draws = enumerate(height_draws(n, regime, rng, count))
     lock = threading.Lock()
     results: list = [None] * chunks  # (non-finite rows, estimates or None) by chunk
-    first_fault = [chunks]  # no chunk after a faulty one needs its estimates
 
     def run(_slot: int, _index: int):
         with lock:
             k, draw = next(draws)
         h = draw()
         bad = nonfinite_rows(h)
-        found = None if bad or k > first_fault[0] else estimates_for_matrix(h, row, estimators)
-        results[k] = bad, found
-        if bad or (found and found.refusals):
-            with lock:
-                first_fault[0] = min(first_fault[0], k)
+        results[k] = bad, None if bad else estimates_for_matrix(h, row, estimators)
 
     keep_freed_chunks()
     each_index(run, chunks, thread_count(chunks))

@@ -25,7 +25,6 @@ from .calibration import linear_quantiles, write_rows
 from .coalescent import LargeN, Regime, make_regime
 from .confidence import (
     COVERAGE_HEADER,
-    ConfidenceSpec,
     CoverageRow,
     calibration_for,
     covered_fraction,
@@ -109,8 +108,9 @@ def run_study(config: StudyConfig,
     # a regime the values cannot make is refused before any draw
     regimes = {r: make_regime(config.regime, r, config.t, config.birth_rate) for r in config.rs}
     table = dict(constants or {})
+    specs = {}  # by n: the row's 95% S_n quantiles
     for n in config.ns:
-        table[n], _ = calibration_for(table, n, config.calibration_replicates, config.seed)
+        table[n], specs[n] = calibration_for(table, n, config.calibration_replicates, config.seed)
     stream = RngStream(config.seed)
     metrics, densities, coverage, excluded = [], [], [], {}
     for i, (n, r) in enumerate(product(config.ns, config.rs)):
@@ -123,8 +123,7 @@ def run_study(config: StudyConfig,
             mse, mae, bias = _metrics(estimates[tag], r)
             metrics.append(MetricsRow(tag, n, r, config.t, mse, mae, bias, raw.size))
             densities.extend(_density_rows(tag, n, r, estimates[tag]))
-        spec = ConfidenceSpec.from_constants_row(table[n])
-        coverage.append(CoverageRow(n, r, config.t, covered_fraction(raw, spec, r), raw.size))
+        coverage.append(CoverageRow(n, r, config.t, covered_fraction(raw, specs[n], r), raw.size))
         excluded[(n, r)] = dropped
     return StudyResult(config, metrics, densities, coverage, excluded)
 

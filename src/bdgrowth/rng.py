@@ -92,13 +92,6 @@ def each_index(run, count: int, threads: int) -> None:
         raise errors[0]
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream (fresh sequence) or a Generator (continue in place)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()
-
-
 def open_uniform(gen: np.random.Generator, size):
     """An array of uniform draws on the open interval (0, 1).
 

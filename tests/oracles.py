@@ -40,7 +40,7 @@ from bdgrowth.coalescent import (
     u_given_q_quantile,
 )
 from bdgrowth.errors import InsufficientReplicates, MissingBranchLength, ParseError
-from bdgrowth.rng import as_generator, open_uniform
+from bdgrowth.rng import open_uniform
 
 # Switch to the limiting (truncated-exponential) branch-height CDF when
 # |r - y*lam| / r drops below this; the singularity there is removable.
@@ -67,7 +67,7 @@ def y_quantile(u, n: int, delta: float):
 
 
 def sample_y(n: int, delta: float, rng, size):
-    gen = as_generator(rng)
+    gen = rng.generator()
     return y_quantile(open_uniform(gen, size), n, delta)
 
 
@@ -139,12 +139,12 @@ def q_of_y(y, params: ExactFiniteT):
 
 def sample_h_exact(y, params: ExactFiniteT, rng, size):
     """Branch heights given Y = y, through the sampler's quantile."""
-    gen = as_generator(rng)
+    gen = rng.generator()
     return h_exact_quantile(open_uniform(gen, size), q_of_y(y, params), params)
 
 
 def sample_u_given_q(q, rng, size):
-    gen = as_generator(rng)
+    gen = rng.generator()
     return u_given_q_quantile(open_uniform(gen, size), q)
 
 

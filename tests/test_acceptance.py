@@ -207,7 +207,7 @@ def test_criterion_10a_sampler_ks_suite():
          lambda x: co.y_cdf(x, 5, 0.2254)),
         ("H|Y", co.sample_h_exact(0.5, params, RngStream(SEED).child(10, 1), size=n_draws),
          lambda x: co.h_exact_cdf(x, 0.5, params)),
-        ("Q", co.sample_q(5, RngStream(SEED).child(10, 2), size=n_draws),
+        ("Q", co.sample_q(5, RngStream(SEED).child(10, 2).generator(), size=n_draws),
          lambda x: co.q_cdf(x, 5)),
         ("U|Q", co.sample_u_given_q(1.0, RngStream(SEED).child(10, 3), size=n_draws),
          lambda x: co.u_given_q_cdf(x, 1.0)),

@@ -312,6 +312,14 @@ def test_estimate_isolates_bad_inputs(tmp_path, constants_file):
     assert float(lines[2].split(",")[3]) == pytest.approx(3.0)
 
 
+@pytest.fixture(scope="module")
+def times_file(tmp_path_factory):
+    """A times CSV of one n = 5 row, in a directory of its own."""
+    path = tmp_path_factory.mktemp("times") / "times.csv"
+    cli.write_times_csv(np.array([[3.0, 1.0, 2.0, 0.5]]), 5, 40.0, path)
+    return path
+
+
 def estimate_rows(path, constants_file):
     """The estimate rows of a file, keyed by input and method; the exit code."""
     out = path.with_suffix(".est.csv")
@@ -516,6 +524,44 @@ def test_estimate_reads_a_times_csv_whose_header_follows_blank_lines(tmp_path, c
     assert outputs[0] == outputs[1]
     rows = list(csv.reader(outputs[0].splitlines()))[1:]
     assert len(rows) == 3 * 3 and all(row[6] == "" for row in rows)
+
+
+@pytest.mark.parametrize("marked", ["times", "newick", "constants"])
+def test_a_byte_order_mark_leaves_every_input_file_as_it_reads_without_one(
+        tmp_path, constants_file, marked):
+    times = tmp_path / "times.csv"
+    assert run(["simulate", "--n", 5, "--count", 4, "--seed", 34, "--T", 40,
+                "--out", times, "--trees", tmp_path / "trees.nwk"]) == 0
+    inputs = {"times": times, "newick": tmp_path / "trees.nwk", "constants": constants_file}
+    outputs = []
+    for bom in ("", "\ufeff"):
+        files = dict(inputs)
+        if bom:  # the same name in another directory numbers the same inputs
+            path = files[marked] = tmp_path / "bom" / files[marked].name
+            path.parent.mkdir()
+            path.write_text(bom + inputs[marked].read_text(), encoding="utf-8")
+        source = files["newick" if marked == "newick" else "times"]
+        out = tmp_path / f"estimates{len(outputs)}.csv"
+        assert run(["estimate", source, "--constants", files["constants"],
+                    "--methods", ",".join(METHODS), "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"Error" not in outputs[0]
+
+
+def test_estimate_refuses_a_times_row_whose_T_is_not_finite(tmp_path, constants_file):
+    # T <= 0 and heights above T are what fixed-n and large-n times can hold
+    path = tmp_path / "times.csv"
+    path.write_text("n,T,h1,h2,h3\n4,nan,3,1,2\n4,inf,3,1,2\n4, -inf ,3,1,2\n"
+                    "4,-5,3,1,2\n4,1,3,1,2\n4,,3,1,2\n")
+    code, rows = estimate_rows(path, constants_file)
+    assert code == cli.EXIT_OK
+    for method in ("Inv", "Lengths", "MLE"):
+        assert [rows[(f"times.csv#{i}", method)][6] for i in range(3)] == [
+            "ValueError: T must be finite, not 'nan'", "ValueError: T must be finite, not 'inf'",
+            "ValueError: T must be finite, not '-inf'"]
+        kept = [rows[(f"times.csv#{i}", method)] for i in range(3, 6)]
+        assert kept[0][6] == "" and kept[0][1:] == kept[1][1:] == kept[2][1:]
 
 
 def test_estimate_hands_the_writer_one_tuple_per_input_and_method_in_order(
@@ -897,15 +943,23 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
     (["asymptotics", "--n", "200,300"], "missing/asymptotics.json"),
     (["study", "--n", 5, "--r", "0.5,1"], "file"),
     (["study", "--n", 5], "file/study"),
+    (["simulate", "--n", 50, "--count", 100_000, "--T", 40], "missing/times.csv"),
+    (["simulate", "--n", 5, "--T", 40], "file/times.csv"),
+    (["estimate", "TIMES", "--constants", "TABLE"], "missing/estimates.csv"),
+    (["estimate", "TIMES", "--constants", "TABLE"], "file/estimates.json"),
 ], ids=["calibrate", "calibrate-in-a-file", "sweep", "coverage", "asymptotics", "study-file",
-        "study-in-a-file"])
+        "study-in-a-file", "simulate", "simulate-in-a-file", "estimate", "estimate-in-a-file"])
 def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsys, monkeypatch,
+                                                                 constants_file, times_file,
                                                                  argv, out):
     def refused(*args, **kwargs):
         raise AssertionError("drew before --out was checked")
 
     monkeypatch.setattr(calibration, "sample_sn", refused)
     monkeypatch.setattr(estimators, "height_draws", refused)
+    monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
+    monkeypatch.setattr(cli, "estimates_for_matrix", refused)
+    argv = [{"TIMES": times_file, "TABLE": constants_file}.get(a, a) for a in argv]
     (tmp_path / "file").write_text("kept\n")
     out = tmp_path / out
     assert run(argv + ["--out", out]) == cli.EXIT_INPUT
@@ -913,6 +967,39 @@ def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsy
     assert capsys.readouterr().err == f"input error: --out {out}: {where} is not a directory\n"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--T", 40, "--trees", "missing/trees.nwk"],
+     "--trees {tmp}/missing/trees.nwk: {tmp}/missing is not a directory"),
+    (["--T", 40, "--trees", "file/trees.nwk"],
+     "--trees {tmp}/file/trees.nwk: {tmp}/file is not a directory"),
+    (["--regime", "fixed-n", "--trees", "trees.nwk"],
+     "writing trees needs absolute times; pass --T"),
+], ids=["missing", "in-a-file", "without-T"])
+def test_simulate_refuses_its_trees_before_its_first_draw(tmp_path, capsys, monkeypatch,
+                                                          flags, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before --trees was checked")
+
+    monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
+    (tmp_path / "file").write_text("kept\n")
+    flags = [tmp_path / f if str(f).endswith(".nwk") else f for f in flags]
+    assert run(["simulate", "--n", 50, "--count", 200_000, *flags,
+                "--out", tmp_path / "times.csv"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message.format(tmp=tmp_path)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("argv, t", [
+    (["simulate", "--n", "5", "--out", "times.csv"], None),
+    (["study", "--out", "study"], 40.0),
+    (["sweep", "--out", "sweep.csv"], 40.0),
+    (["coverage"], 40.0),
+], ids=["simulate", "study", "sweep", "coverage"])
+def test_regime_flags_default_to_the_exact_law_at_unit_birth_rate(argv, t):
+    args = cli.build_parser().parse_args(argv)
+    assert (args.regime, args.T, args.birth_rate) == ("exact", t, 1.0)
 
 
 def test_asymptotics_T_is_an_unknown_option(tmp_path, capsys):

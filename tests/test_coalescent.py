@@ -190,7 +190,7 @@ def test_sample_h_exact_distribution():
 
 
 def test_sample_q_distribution():
-    draws = co.sample_q(5, RngStream(13), size=KS_N)
+    draws = co.sample_q(5, RngStream(13).generator(), size=KS_N)
     _ks_ok(draws, lambda x: oracles.q_cdf(x, 5))
 
 
@@ -202,7 +202,7 @@ def test_sample_u_given_q_distribution():
 def test_q_over_one_plus_q_mean():
     # v = q/(1+q) has CDF v^n, so E[v] = n/(n+1)
     n = 7
-    q = co.sample_q(n, RngStream(15), size=1_000_000)
+    q = co.sample_q(n, RngStream(15).generator(), size=1_000_000)
     v = q / (1.0 + q)
     se = v.std() / math.sqrt(v.size)
     assert abs(v.mean() - n / (n + 1)) < 3 * se
