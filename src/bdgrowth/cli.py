@@ -309,8 +309,8 @@ def parse_n_list(text: str) -> list[int]:
 
 
 def check_out(out: str | None, directory: bool = False, flag: str = "--out") -> None:
-    """Refuse, before the first draw, an output path (given as flag) whose
-    directory is missing or a file; a directory output is made with its missing parents."""
+    """Refuse, before the first draw, an output path (option `flag`) whose directory
+    is missing or a file; a directory output is made with its missing parents."""
     if out is not None:
         path = Path(out)
         where = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent

@@ -389,6 +389,9 @@ REFUSED_TIMES_ROWS = [
     ("5", "ValueError: times row '5' has no T column"),
     ("5.0,40,3,1,2,0.5", "ValueError: invalid literal for int() with base 10: '5.0'"),
     ("5,x,3,1,2,0.5", "ValueError: could not convert string to float: 'x'"),
+    ("5,nan,3,1,2,0.5", "ValueError: T must be finite, not 'nan'"),
+    ("5,inf,3,1,2,0.5", "ValueError: T must be finite, not 'inf'"),
+    ("5, -inf ,3,1,2,0.5", "ValueError: T must be finite, not '-inf'"),
     ("5,40,3,x,2,0.5", "ValueError: could not convert string to float: 'x'"),
     ("1,40", "ValueError: sample size must be an integer >= 2"),
     ("5,40,3,1,2", "ValueError: expected 4 times, got 3"),
@@ -549,19 +552,16 @@ def test_a_byte_order_mark_leaves_every_input_file_as_it_reads_without_one(
     assert b"Error" not in outputs[0]
 
 
-def test_estimate_refuses_a_times_row_whose_T_is_not_finite(tmp_path, constants_file):
-    # T <= 0 and heights above T are what fixed-n and large-n times can hold
+def test_estimate_takes_a_times_row_whose_T_is_not_positive_or_below_its_heights(
+        tmp_path, constants_file):
+    # fixed-n and large-n times can hold such rows; only a non-finite T is refused
     path = tmp_path / "times.csv"
-    path.write_text("n,T,h1,h2,h3\n4,nan,3,1,2\n4,inf,3,1,2\n4, -inf ,3,1,2\n"
-                    "4,-5,3,1,2\n4,1,3,1,2\n4,,3,1,2\n")
+    path.write_text("n,T,h1,h2,h3\n4,-5,3,1,2\n4,1,3,1,2\n4,0,3,1,2\n4,,3,1,2\n")
     code, rows = estimate_rows(path, constants_file)
     assert code == cli.EXIT_OK
     for method in ("Inv", "Lengths", "MLE"):
-        assert [rows[(f"times.csv#{i}", method)][6] for i in range(3)] == [
-            "ValueError: T must be finite, not 'nan'", "ValueError: T must be finite, not 'inf'",
-            "ValueError: T must be finite, not '-inf'"]
-        kept = [rows[(f"times.csv#{i}", method)] for i in range(3, 6)]
-        assert kept[0][6] == "" and kept[0][1:] == kept[1][1:] == kept[2][1:]
+        kept = [rows[(f"times.csv#{i}", method)] for i in range(4)]
+        assert kept[0][6] == "" and all(row[1:] == kept[0][1:] for row in kept)
 
 
 def test_estimate_hands_the_writer_one_tuple_per_input_and_method_in_order(
