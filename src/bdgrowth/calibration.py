@@ -253,7 +253,7 @@ def build_constants_table(n_list, replicates: int, seed: int,
     check_quantile_replicates(replicates)
     rows = [build_constants_row(int(n), replicates, seed) for n in n_list]
     if path is not None:
-        write_constants_table(rows, path)
+        write_rows(path, f"# {_TABLE_VERSION}\n{_TABLE_COLUMNS}", rows)
     return rows
 
 
@@ -275,10 +275,6 @@ def write_rows(path: str | Path, header: str, rows: list):
         template = ",".join("%.17g" if hints[f] is float else "%s" for f in rows[0]._fields)
         lines += [template % row for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_constants_table(rows, path: str | Path):
-    write_rows(path, f"# {_TABLE_VERSION}\n{_TABLE_COLUMNS}", rows)
 
 
 def load_constants_table(path: str | Path) -> dict[int, ConstantsRow]:

@@ -190,13 +190,16 @@ def cmd_estimate(args) -> int:
     def put(i, n, spec, results):
         name = f"{path.name}#{i}"
         for j, (tag, result) in enumerate(zip(tags, results)):
+            low = high = None
+            if not isinstance(result, Exception) and METHODS[tag].pairwise:
+                low, high = spec.interval(result[1])
+                if not 0 < low <= high < np.inf:  # a raw estimate near overflow
+                    result = ValueError("interval must be positive and finite")
             if isinstance(result, Exception):
                 errors.append(result)
                 record = name, None, tag, None, None, None, f"{type(result).__name__}: {result}"
             else:
-                point, raw = result
-                low, high = spec.interval(raw) if METHODS[tag].pairwise else (None, None)
-                record = name, n, tag, point, low, high, ""
+                record = name, n, tag, result[0], low, high, ""
             records[i * len(tags) + j] = record
 
     groups: dict[int, tuple[list, list, list]] = {}  # by n: inputs, heights, trees' Lengths
@@ -310,12 +313,15 @@ def parse_n_list(text: str) -> list[int]:
 
 def check_out(out: str | None, directory: bool = False, flag: str = "--out") -> None:
     """Refuse, before the first draw, an output path (option `flag`) whose directory
-    is missing or a file; a directory output is made with its missing parents."""
+    is missing or a file, or a file output that is a directory; a directory
+    output is made with its missing parents."""
     if out is not None:
         path = Path(out)
         where = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
         if not where.is_dir():
             raise ValueError(f"{flag} {out}: {where} is not a directory")
+        if not directory and path.is_dir():
+            raise ValueError(f"{flag} {out}: is a directory")
 
 
 def cmd_calibrate(args) -> int:
@@ -397,15 +403,15 @@ def cmd_coverage(args) -> int:
     confidence.check_coverage_replicates(args.replicates)
     check_out(args.out)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
-    if any(n not in table for n in ns):  # its draw would come after earlier n's studies
-        calibration.check_quantile_replicates(args.calibration_replicates)
+    specs = {}  # by n, every S_n drawn before the first study, as in run_study
+    for n in ns:
+        table[n], specs[n] = confidence.calibration_for(table, n, args.calibration_replicates,
+                                                        args.seed)
     rows = []
     stream = RngStream(args.seed)
     for i, n in enumerate(ns):
-        table[n], spec = confidence.calibration_for(table, n, args.calibration_replicates,
-                                                    args.seed)
         rows.append(confidence.coverage_study(n, args.r, regime, args.replicates,
-                                              stream.child(i), spec))
+                                              stream.child(i), specs[n]))
         print(f"n={n}: coverage {rows[-1].coverage:.3f}")
     if args.out:
         calibration.write_rows(args.out, confidence.COVERAGE_HEADER, rows)

@@ -288,6 +288,14 @@ def test_no_record_class_is_a_dataclass():
     assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
 
 
+def test_the_package_root_holds_only_the_version_pyproject_names():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    # a regex, since tomllib needs Python 3.11 and the package supports 3.10
+    assert bdgrowth.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)
+    assert [name for name, value in vars(bdgrowth).items()
+            if not name.startswith("__") and not inspect.ismodule(value)] == []
+
+
 def test_estimate_error_field_round_trips_through_csv(tmp_path, constants_file):
     src = tmp_path / "quoted.nwk"
     src.write_text('((A:1,B:1,C:1)x"y:1,D:2);\n((A:1,B:1):1,C:2);')
@@ -888,6 +896,27 @@ def test_coverage_command(tmp_path, constants_file):
     assert 0.9 <= value <= 1.0
 
 
+def test_coverage_draws_every_s_n_once_before_its_first_study(tmp_path, monkeypatch):
+    events = []
+    sample_sn, height_draws = calibration.sample_sn, estimators.height_draws
+
+    def counted_sn(n, replicates, rng):
+        events.append(f"S_{n}")
+        return sample_sn(n, replicates, rng)
+
+    def counted_draws(n, regime, rng, count):
+        events.append(f"heights of {n}")
+        return height_draws(n, regime, rng, count)
+
+    monkeypatch.setattr(calibration, "sample_sn", counted_sn)
+    monkeypatch.setattr(estimators, "height_draws", counted_draws)
+    out = tmp_path / "cov.csv"
+    assert run(["coverage", "--n", "7,8,7", "--replicates", 1000,
+                "--calibration-replicates", 10_000, "--out", out]) == cli.EXIT_OK
+    assert events == ["S_7", "S_8", "heights of 7", "heights of 8", "heights of 7"]
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["n", "7", "8", "7"]
+
+
 def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, capsys,
                                                                  monkeypatch):
     def refused(*args, **kwargs):
@@ -947,8 +976,16 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
     (["simulate", "--n", 5, "--T", 40], "file/times.csv"),
     (["estimate", "TIMES", "--constants", "TABLE"], "missing/estimates.csv"),
     (["estimate", "TIMES", "--constants", "TABLE"], "file/estimates.json"),
+    (["calibrate", "--n", 5, "--replicates", 20_000], "dir"),
+    (["sweep", "--n", 10], "dir"),
+    (["coverage", "--n", "5,10"], "dir"),
+    (["asymptotics", "--n", 200], "dir"),
+    (["simulate", "--n", 50, "--count", 100_000, "--T", 40], "dir"),
+    (["estimate", "TIMES", "--constants", "TABLE"], "dir"),
 ], ids=["calibrate", "calibrate-in-a-file", "sweep", "coverage", "asymptotics", "study-file",
-        "study-in-a-file", "simulate", "simulate-in-a-file", "estimate", "estimate-in-a-file"])
+        "study-in-a-file", "simulate", "simulate-in-a-file", "estimate", "estimate-in-a-file",
+        "calibrate-dir", "sweep-dir", "coverage-dir", "asymptotics-dir", "simulate-dir",
+        "estimate-dir"])
 def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                                  constants_file, times_file,
                                                                  argv, out):
@@ -961,12 +998,15 @@ def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsy
     monkeypatch.setattr(cli, "estimates_for_matrix", refused)
     argv = [{"TIMES": times_file, "TABLE": constants_file}.get(a, a) for a in argv]
     (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
     out = tmp_path / out
-    assert run(argv + ["--out", out]) == cli.EXIT_INPUT
     where = out if out.name == "file" else out.parent
-    assert capsys.readouterr().err == f"input error: --out {out}: {where} is not a directory\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    problem = "is a directory" if out.is_dir() else f"{where} is not a directory"
+    assert run(argv + ["--out", out]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: --out {out}: {problem}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
     assert (tmp_path / "file").read_text() == "kept\n"
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -974,9 +1014,10 @@ def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsy
      "--trees {tmp}/missing/trees.nwk: {tmp}/missing is not a directory"),
     (["--T", 40, "--trees", "file/trees.nwk"],
      "--trees {tmp}/file/trees.nwk: {tmp}/file is not a directory"),
+    (["--T", 40, "--trees", "dir"], "--trees {tmp}/dir: is a directory"),
     (["--regime", "fixed-n", "--trees", "trees.nwk"],
      "writing trees needs absolute times; pass --T"),
-], ids=["missing", "in-a-file", "without-T"])
+], ids=["missing", "in-a-file", "a-directory", "without-T"])
 def test_simulate_refuses_its_trees_before_its_first_draw(tmp_path, capsys, monkeypatch,
                                                           flags, message):
     def refused(*args, **kwargs):
@@ -984,11 +1025,13 @@ def test_simulate_refuses_its_trees_before_its_first_draw(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
     (tmp_path / "file").write_text("kept\n")
-    flags = [tmp_path / f if str(f).endswith(".nwk") else f for f in flags]
+    (tmp_path / "dir").mkdir()
+    flags = [tmp_path / f if flags[k - 1] == "--trees" else f for k, f in enumerate(flags)]
     assert run(["simulate", "--n", 50, "--count", 200_000, *flags,
                 "--out", tmp_path / "times.csv"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {message.format(tmp=tmp_path)}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize("argv, t", [
@@ -1221,6 +1264,35 @@ def test_estimate_custom_level_widens_interval(tmp_path):
     rec_narrow = json.loads(narrow.read_text())[0]
     assert rec_narrow["ci_low"] > rec_wide["ci_low"]
     assert rec_narrow["ci_high"] < rec_wide["ci_high"]
+
+
+def test_estimate_refuses_an_interval_that_is_not_positive_and_finite(tmp_path, capsys):
+    def refused(constant):
+        raise AssertionError(f"{constant} in the JSON output")
+
+    times = tmp_path / "times.csv"
+    # the raw estimate is finite, its upper bound raw / q_lo overflows
+    times.write_text("n,T,h1,h2,h3\n4,40,0,1e-308,2e-308\n")
+    base = ["estimate", times, "--replicates", 20_000, "--format", "json"]
+    assert run(base + ["--methods", "MSE,RawUnitConstant"]) == cli.EXIT_INPUT
+    records = json.loads(capsys.readouterr().out, parse_constant=refused)
+    assert [(rec["method"], rec["estimate"], rec["ci_high"], rec["error"]) for rec in records] == [
+        (tag, None, None, "ValueError: interval must be positive and finite")
+        for tag in ("MSE", "RawUnitConstant")]
+
+    # beside a finite row the run succeeds, and Lengths and MLE keep the records
+    # they get without a pairwise method
+    times.write_text("n,T,h1,h2,h3\n4,40,0,1e-308,2e-308\n4,40,3,1,2\n")
+    out = tmp_path / "est.csv"
+    assert run(base[:-2] + ["--methods", "MSE,Lengths,MLE", "--out", out]) == cli.EXIT_OK
+    assert "inf" not in out.read_text()
+    assert run(base + ["--methods", "MSE,Lengths,MLE"]) == cli.EXIT_OK
+    records = json.loads(capsys.readouterr().out, parse_constant=refused)
+    assert records[0]["error"] == "ValueError: interval must be positive and finite"
+    assert records[3]["error"] == "" and records[3]["ci_high"] > records[3]["ci_low"] > 0
+    assert run(base + ["--methods", "Lengths,MLE"]) == cli.EXIT_OK
+    alone = json.loads(capsys.readouterr().out, parse_constant=refused)
+    assert [rec for rec in records if rec["method"] != "MSE"] == alone
 
 
 def test_estimate_at_another_level_draws_s_n_once(tmp_path, capsys, monkeypatch):
