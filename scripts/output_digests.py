@@ -203,6 +203,11 @@ COMMANDS = [
     ("coverage-birth", ["coverage", "--n", "10", "--birth-rate", "2", "--r", "0.5",
                         "--replicates", "1000", "--seed", "23", "--constants", TABLE,
                         "--out", "coverage-birth.csv"]),
+    ("study-birth", ["study", "--n", "5,10", "--r", "0.5", "--birth-rate", "2",
+                     "--replicates", "500", "--seed", "24", "--constants", TABLE,
+                     "--out", "study-birth"]),
+    ("study-large-n", ["study", "--n", "5", "--regime", "large-n", "--replicates", "500",
+                       "--seed", "25", "--constants", TABLE, "--out", "study-large-n"]),
 ]
 
 
