@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -107,8 +108,14 @@ def _add_regime_flags(p: argparse.ArgumentParser, t: float | None):
                    help="birth rate of the exact regime (death rate is birth - r)")
 
 
+def _regime(args, r: float) -> coalescent.Regime:
+    """The regime of r under the flags _add_regime_flags declares; the one
+    place a command reads them."""
+    return coalescent.make_regime(args.regime, r, args.T, args.birth_rate)
+
+
 def cmd_simulate(args) -> int:
-    regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    regime = _regime(args, args.r)
     if args.trees and args.T is None:
         raise RelativeAxisError("writing trees needs absolute times; pass --T")
     check_out(args.out)
@@ -313,9 +320,12 @@ def parse_n_list(text: str) -> list[int]:
 
 def check_out(out: str | None, directory: bool = False, flag: str = "--out") -> None:
     """Refuse, before the first draw, an output path (option `flag`) whose directory
-    is missing or a file, or a file output that is a directory; a directory
-    output is made with its missing parents."""
+    is missing or a file, or a file output that is a directory or whose text
+    ends in a path separator (which Path drops); a directory output is made
+    with its missing parents."""
     if out is not None:
+        if not directory and out.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+            raise ValueError(f"{flag} {out}: names a directory")
         path = Path(out)
         where = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
         if not where.is_dir():
@@ -338,21 +348,17 @@ def cmd_calibrate(args) -> int:
 def cmd_study(args) -> int:
     from . import harness
 
-    config = harness.StudyConfig(
-        ns=tuple(parse_n_list(args.n)),
-        rs=tuple(float(x) for x in args.r.split(",")),
-        t=args.T,
-        regime=args.regime,
-        replicates=args.replicates,
-        seed=args.seed,
-        estimators=tuple(args.estimators.split(",")),
-        birth_rate=args.birth_rate,
-        calibration_replicates=args.calibration_replicates,
-    )
+    ns = parse_n_list(args.n)
+    # a cell of its own for each listed r, in --r order, all built before any draw
+    cells = [(r, _regime(args, r)) for r in map(float, args.r.split(","))]
+    estimators = args.estimators.split(",")
     check_out(args.out, directory=True)
-    constants = calibration.load_constants_table(args.constants) if args.constants else None
-    result = harness.run_study(config, constants)
-    paths = harness.write_study_outputs(result, args.out)
+    table = calibration.load_constants_table(args.constants) if args.constants else None
+    result = harness.run_study(ns, cells, args.replicates, args.seed, estimators, table,
+                               args.calibration_replicates)
+    parameters = {"ns": ns, "rs": [r for r, _ in cells], "T": args.T, "regime": args.regime,
+                  "replicates": args.replicates, "seed": args.seed, "estimators": estimators}
+    paths = harness.write_study_outputs(result, args.out, parameters)
     for key, path in paths.items():
         print(f"{key}: {path}")
     return EXIT_OK
@@ -369,7 +375,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--c-min {lo} above --c-max {hi} leaves no grid")
     if args.n < 3:  # before the regime: below 3 no replicate has a pairwise sum
         raise ValueError(f"sweep needs n >= 3, not {args.n}")
-    regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    regime = _regime(args, args.r)
     check_out(args.out)
     result = harness.constant_sweep(args.n, args.r, regime, grid, args.replicates,
                                     RngStream(args.seed))
@@ -399,14 +405,11 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_coverage(args) -> int:
     ns = parse_n_list(args.n)  # every check runs before the first calibration
-    regime = coalescent.make_regime(args.regime, args.r, args.T, args.birth_rate)
+    regime = _regime(args, args.r)
     confidence.check_coverage_replicates(args.replicates)
     check_out(args.out)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
-    specs = {}  # by n, every S_n drawn before the first study, as in run_study
-    for n in ns:
-        table[n], specs[n] = confidence.calibration_for(table, n, args.calibration_replicates,
-                                                        args.seed)
+    specs = confidence.calibrations(table, ns, args.calibration_replicates, args.seed)
     rows = []
     stream = RngStream(args.seed)
     for i, n in enumerate(ns):

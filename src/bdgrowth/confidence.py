@@ -8,7 +8,8 @@ close to the nominal level.
 
 The constants and the quantiles both come from the law of S_n, which depends
 on n alone: calibration_for takes them from a constants table, or from the
-S_n draw that `calibrate` tabulates for the same (n, replicates, seed).
+S_n draw that `calibrate` tabulates for the same (n, replicates, seed), and
+calibrations does so for every n of a study before its first draw.
 coverage_study scores the intervals on replicates of a regime value that
 the caller builds.
 """
@@ -85,6 +86,17 @@ def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicat
         row = calibration.row_from_sample(n, values, seed)
     return row, (ConfidenceSpec.from_constants_row(row) if level == 0.95
                  else ConfidenceSpec.from_sample(values, level))
+
+
+def calibrations(table: dict[int, calibration.ConstantsRow], ns, replicates: int,
+                 seed: int) -> dict[int, ConfidenceSpec]:
+    """The 95% S_n quantiles of each n in ns, by n, from calibration_for, which
+    also puts each n's constants row in table; every draw is made here, in
+    ns order, before the caller simulates."""
+    specs = {}
+    for n in ns:
+        table[n], specs[n] = calibration_for(table, n, replicates, seed)
+    return specs
 
 
 class CoverageRow(NamedTuple):

@@ -1,12 +1,14 @@
 """Reproducible simulation experiments: error tables, densities, coverage,
 constant sweeps, and the large-sample variance check.
 
-Every experiment is a pure function of (configuration, seed) and scores
-the replicates of estimators.simulated_estimates, drawn and estimated a row
-chunk at a time. Estimator cells of the study grid run one after another,
-each on its own child stream with its chunks on every usable CPU, and CSV
-emission formats floats with 17 significant digits, so outputs are
-byte-stable across runs and thread counts.
+Experiments take built regimes: the command that reads the regime flags
+makes each regime value, and an experiment is a pure function of those
+values, its other parameters and a seed. Each scores the replicates of
+estimators.simulated_estimates, drawn and estimated a row chunk at a time.
+Estimator cells of the study grid run one after another, each on its own
+child stream with its chunks on every usable CPU, and CSV emission formats
+floats with 17 significant digits, so outputs are byte-stable across runs
+and thread counts.
 """
 
 from __future__ import annotations
@@ -22,40 +24,13 @@ import numpy as np
 
 from . import calibration
 from .calibration import linear_quantiles, write_rows
-from .coalescent import LargeN, Regime, make_regime
-from .confidence import (
-    COVERAGE_HEADER,
-    CoverageRow,
-    calibration_for,
-    covered_fraction,
-)
-from .errors import InsufficientReplicates, checked
+from .coalescent import LargeN, Regime
+from .confidence import COVERAGE_HEADER, CoverageRow, calibrations, covered_fraction
+from .errors import InsufficientReplicates
 from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
 from .rng import RngStream
 
 DENSITY_BINS = 256
-
-
-@checked
-class StudyConfig(NamedTuple):
-    ns: tuple[int, ...]
-    rs: tuple[float, ...]
-    t: float
-    regime: str = "exact"
-    replicates: int = 10_000
-    seed: int = 0
-    estimators: tuple[str, ...] = ALL_ESTIMATORS
-    birth_rate: float = 1.0
-    calibration_replicates: int = calibration.DEFAULT_REPLICATES
-
-    def _check(self):
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if any(n < 3 for n in self.ns):
-            raise ValueError("study needs n >= 3")
-        for tag in self.estimators:
-            if tag not in ALL_ESTIMATORS:
-                raise ValueError(f"unknown estimator {tag!r}")
 
 
 class MetricsRow(NamedTuple):
@@ -80,7 +55,6 @@ class DensityRow(NamedTuple):
 
 
 class StudyResult(NamedTuple):
-    config: StudyConfig
     metrics: list[MetricsRow]
     densities: list[DensityRow]
     coverage: list[CoverageRow]
@@ -103,29 +77,39 @@ def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[Densit
                                           edges[1:], counts.tolist(), density.tolist())))
 
 
-def run_study(config: StudyConfig,
-              constants: dict[int, calibration.ConstantsRow] | None = None) -> StudyResult:
-    # a regime the values cannot make is refused before any draw
-    regimes = {r: make_regime(config.regime, r, config.t, config.birth_rate) for r in config.rs}
-    table = dict(constants or {})
-    specs = {}  # by n: the row's 95% S_n quantiles
-    for n in config.ns:
-        table[n], specs[n] = calibration_for(table, n, config.calibration_replicates, config.seed)
-    stream = RngStream(config.seed)
+def run_study(ns, cells: list[tuple[float, Regime]], replicates: int, seed: int,
+              estimators=ALL_ESTIMATORS,
+              table: dict[int, calibration.ConstantsRow] | None = None,
+              calibration_replicates: int = calibration.DEFAULT_REPLICATES) -> StudyResult:
+    """The error tables of each (n, cell) of the grid, n-major: a cell is a
+    rate r and the regime built from it, whose replicates are scored against
+    r (which an exact regime's lam - mu can miss by an ulp). Cell i of the
+    grid is drawn on child i of the seed's stream, after every n is
+    calibrated from the table or on the fly (calibrations)."""
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    if any(n < 3 for n in ns):
+        raise ValueError("study needs n >= 3")
+    for tag in estimators:
+        if tag not in ALL_ESTIMATORS:
+            raise ValueError(f"unknown estimator {tag!r}")
+    table = dict(table or {})
+    specs = calibrations(table, ns, calibration_replicates, seed)
+    stream = RngStream(seed)
     metrics, densities, coverage, excluded = [], [], [], {}
-    for i, (n, r) in enumerate(product(config.ns, config.rs)):
+    for i, (n, (r, regime)) in enumerate(product(ns, cells)):
         estimates, raw, unconverged, dropped = simulated_estimates(
-            n, regimes[r], stream.child(i), config.replicates, table[n], config.estimators)
+            n, regime, stream.child(i), replicates, table[n], estimators)
         for tag, count in unconverged.items():
             print(f"warning: n={n} r={r}: {count} of {raw.size} {tag} fits did not "
                   f"converge; their estimates are the last iterate", file=sys.stderr)
-        for tag in config.estimators:
+        for tag in estimators:
             mse, mae, bias = _metrics(estimates[tag], r)
-            metrics.append(MetricsRow(tag, n, r, config.t, mse, mae, bias, raw.size))
+            metrics.append(MetricsRow(tag, n, r, regime.t, mse, mae, bias, raw.size))
             densities.extend(_density_rows(tag, n, r, estimates[tag]))
-        coverage.append(CoverageRow(n, r, config.t, covered_fraction(raw, specs[n], r), raw.size))
+        coverage.append(CoverageRow(n, r, regime.t, covered_fraction(raw, specs[n], r), raw.size))
         excluded[(n, r)] = dropped
-    return StudyResult(config, metrics, densities, coverage, excluded)
+    return StudyResult(metrics, densities, coverage, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +215,11 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream) -> Asym
 # ---------------------------------------------------------------------------
 
 
-def write_study_outputs(result: StudyResult, out_dir: str | Path) -> dict[str, Path]:
+def write_study_outputs(result: StudyResult, out_dir: str | Path,
+                        parameters: dict) -> dict[str, Path]:
+    """metrics.csv, densities.csv, coverage.csv and summary.json under out_dir;
+    the summary holds the study's parameters, as given, and the degenerate
+    replicates each cell excluded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -244,16 +232,8 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path) -> dict[str, P
     write_rows(paths["densities"], "estimator,n,r,bin_lo,bin_hi,count,density",
                result.densities)
     write_rows(paths["coverage"], COVERAGE_HEADER, result.coverage)
-    summary = {
-        "ns": list(result.config.ns),
-        "rs": list(result.config.rs),
-        "T": result.config.t,
-        "regime": result.config.regime,
-        "replicates": result.config.replicates,
-        "seed": result.config.seed,
-        "estimators": list(result.config.estimators),
-        "excluded_degenerate": {f"n={n},r={r}": k for (n, r), k in result.excluded.items()},
-    }
+    summary = {**parameters, "excluded_degenerate": {
+        f"n={n},r={r}": k for (n, r), k in result.excluded.items()}}
     paths["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                                 encoding="utf-8")
     return paths

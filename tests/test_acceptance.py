@@ -20,6 +20,7 @@ from bdgrowth import confidence as conf
 import oracles as treeio
 from bdgrowth import harness
 from bdgrowth import estimators as est
+from bdgrowth.coalescent import make_regime
 from bdgrowth.rng import RngStream
 
 SEED = 20260808
@@ -70,11 +71,8 @@ def constants_rows():
 
 @pytest.fixture(scope="module")
 def study_result(constants_rows):
-    config = harness.StudyConfig(
-        ns=(5, 10, 20), rs=(0.5, 1.0), t=40.0, regime="exact",
-        replicates=10_000, seed=SEED,
-    )
-    return harness.run_study(config, constants_rows)
+    cells = [(r, make_regime("exact", r, 40.0)) for r in (0.5, 1.0)]
+    return harness.run_study((5, 10, 20), cells, 10_000, SEED, table=constants_rows)
 
 
 def test_criterion_1_closed_form_constants():

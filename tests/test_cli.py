@@ -945,9 +945,16 @@ def test_coverage_refuses_too_few_replicates_before_it_calibrates(tmp_path, caps
     (["coverage", "--regime", "large-n", "--T", 0, "--n", 5], "tree height must be positive"),
     (["sweep", "--regime", "large-n", "--T", -5], "tree height must be positive"),
     (["sweep", "--n", 2], "sweep needs n >= 3, not 2"),
+    (["study", "--n", 5, "--replicates", 0], "need at least one replicate"),
+    (["study", "--n", 5, "--estimators", "Inv,RawUnitConstant"],
+     "unknown estimator 'RawUnitConstant'"),
+    (["simulate", "--n", 5, "--regime", "large-n", "--T", -5], "tree height must be positive"),
+    (["simulate", "--n", 5, "--r", 2, "--birth-rate", 1, "--T", 40],
+     "birth rate 1.0 below growth rate 2.0"),
 ], ids=["study-regime", "coverage-regime", "coverage-n", "calibrate-n", "study-range",
         "asymptotics-n", "study-large-n-negative-T", "coverage-large-n-zero-T",
-        "sweep-large-n-negative-T", "sweep-n"])
+        "sweep-large-n-negative-T", "sweep-n", "study-no-replicate", "study-estimator",
+        "simulate-large-n-negative-T", "simulate-regime"])
 def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                             argv, message):
     def refused(*args, **kwargs):
@@ -955,9 +962,11 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
 
     monkeypatch.setattr(calibration, "sample_sn", refused)
     monkeypatch.setattr(estimators, "height_draws", refused)
+    monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
     out = tmp_path / "out"
-    assert run(argv + ["--calibration-replicates" if argv[0] in ("study", "coverage")
-                       else "--replicates", 20_000, "--out", out]) == cli.EXIT_INPUT
+    size = {"study": "--calibration-replicates", "coverage": "--calibration-replicates",
+            "simulate": "--count"}.get(argv[0], "--replicates")
+    assert run(argv + [size, 20_000, "--out", out]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert message in err
     assert "calibrating" not in err
@@ -982,10 +991,12 @@ def test_commands_refuse_bad_values_before_their_first_draw(tmp_path, capsys, mo
     (["asymptotics", "--n", 200], "dir"),
     (["simulate", "--n", 50, "--count", 100_000, "--T", 40], "dir"),
     (["estimate", "TIMES", "--constants", "TABLE"], "dir"),
+    (["simulate", "--n", 5, "--count", 10, "--T", 40], "newdir/"),
+    (["calibrate", "--n", 5, "--replicates", 20_000], "c/"),
 ], ids=["calibrate", "calibrate-in-a-file", "sweep", "coverage", "asymptotics", "study-file",
         "study-in-a-file", "simulate", "simulate-in-a-file", "estimate", "estimate-in-a-file",
         "calibrate-dir", "sweep-dir", "coverage-dir", "asymptotics-dir", "simulate-dir",
-        "estimate-dir"])
+        "estimate-dir", "simulate-trailing-slash", "calibrate-trailing-slash"])
 def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsys, monkeypatch,
                                                                  constants_file, times_file,
                                                                  argv, out):
@@ -999,11 +1010,13 @@ def test_commands_refuse_an_unusable_out_before_their_first_draw(tmp_path, capsy
     argv = [{"TIMES": times_file, "TABLE": constants_file}.get(a, a) for a in argv]
     (tmp_path / "file").write_text("kept\n")
     (tmp_path / "dir").mkdir()
+    text = f"{tmp_path}/{out}"  # a string, so that a trailing slash survives
     out = tmp_path / out
     where = out if out.name == "file" else out.parent
-    problem = "is a directory" if out.is_dir() else f"{where} is not a directory"
-    assert run(argv + ["--out", out]) == cli.EXIT_INPUT
-    assert capsys.readouterr().err == f"input error: --out {out}: {problem}\n"
+    problem = ("names a directory" if text.endswith("/") else "is a directory" if out.is_dir()
+               else f"{where} is not a directory")
+    assert run(argv + ["--out", text]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: --out {text}: {problem}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
     assert (tmp_path / "file").read_text() == "kept\n"
     assert not any((tmp_path / "dir").iterdir())

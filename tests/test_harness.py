@@ -25,6 +25,9 @@ from oracles import CountedThread, with_chunks_changed
 
 SEED = 20260808
 EXACT = co.ExactFiniteT(1.0, 0.0, 40.0)  # the study's default regime at r = 1, T = 40
+STUDY_REPLICATES = 400
+CELLS = [(0.5, co.ExactFiniteT(1.0, 0.5, 40.0)), (1.0, EXACT)]  # the study's default --r
+PARAMETERS = {"seed": SEED}  # a summary.json's parameter fields, as its command gives them
 # made-up constants: the tests below compare paths, not accuracy
 ROW_20 = cal.ConstantsRow(n=20, c_inv=0.97, c_mse=0.9, c_bias=0.95, inv_q_lo=1.5,
                           inv_q_hi=0.6, replicates=1, seed=0)
@@ -37,11 +40,8 @@ def small_constants():
 
 @pytest.fixture(scope="module")
 def small_study(small_constants):
-    config = harness.StudyConfig(
-        ns=(5, 10), rs=(1.0,), t=40.0, replicates=400, seed=SEED,
-        calibration_replicates=50_000,
-    )
-    return harness.run_study(config, small_constants)
+    return harness.run_study((5, 10), [(1.0, EXACT)], STUDY_REPLICATES, SEED,
+                             table=small_constants, calibration_replicates=50_000)
 
 
 def test_metrics_rows_complete(small_study):
@@ -54,10 +54,9 @@ def test_metrics_rows_complete(small_study):
 
 def test_mse_decomposes_into_variance_plus_bias_squared(small_study):
     # recompute from the per-replicate estimates the harness produced
-    config = small_study.config
     row = cal.build_constants_row(5, 50_000, SEED)
     estimates, *_ = est.simulated_estimates(5, EXACT, RngStream(SEED).child(0),
-                                            config.replicates, row, config.estimators)
+                                            STUDY_REPLICATES, row)
     for tag, values in estimates.items():
         mse = np.mean((values - 1.0) ** 2)
         var = np.var(values)
@@ -71,7 +70,7 @@ def test_density_rows_account_for_most_replicates(small_study):
                 if d.estimator == "Inv" and d.n == n]
         assert len(rows) == harness.DENSITY_BINS
         # the adaptive range clips the extreme upper tail only
-        assert sum(d.count for d in rows) >= 0.995 * 400
+        assert sum(d.count for d in rows) >= 0.995 * STUDY_REPLICATES
 
 
 def test_density_rows_equal_the_per_bin_loop_bit_for_bit(small_study, small_constants):
@@ -85,7 +84,7 @@ def test_density_rows_equal_the_per_bin_loop_bit_for_bit(small_study, small_cons
                  float(counts[i] / (values.size * width))) for i in range(harness.DENSITY_BINS)]
 
     estimates, *_ = est.simulated_estimates(5, EXACT, RngStream(SEED).child(0),
-                                            small_study.config.replicates, small_constants[5])
+                                            STUDY_REPLICATES, small_constants[5])
     for tag, values in estimates.items():
         rows = harness._density_rows(tag, 5, 1.0, values)
         assert all(type(row) is harness.DensityRow for row in rows)
@@ -116,8 +115,7 @@ def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks(
     estimates, raw, unconverged, *_ = est.estimates_for_matrix(h, ROW_20)
     got, got_raw, got_unconverged, excluded = est.simulated_estimates(
         20, EXACT, stream, count, ROW_20)
-    config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=count, seed=SEED)
-    study = harness.run_study(config, {20: ROW_20})
+    study = harness.run_study((20,), [(1.0, EXACT)], count, SEED, table={20: ROW_20})
     assert {(20, 1.0): excluded} == study.excluded == {(20, 1.0): count - raw.size}
     assert got_unconverged == unconverged
     assert got_raw.tobytes() == raw.tobytes()
@@ -149,8 +147,8 @@ def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch
     assert dropped == 1
     for tag, values in clean_estimates.items():
         assert estimates[tag].tobytes() == values[1:].tobytes()
-    config = harness.StudyConfig(ns=(20,), rs=(1.0,), t=40.0, replicates=1000, seed=SEED)
-    clean, study = both(lambda: harness.run_study(config, {20: ROW_20}))
+    clean, study = both(lambda: harness.run_study((20,), [(1.0, EXACT)], 1000, SEED,
+                                                  table={20: ROW_20}))
     assert (clean.excluded, study.excluded) == ({(20, 1.0): 0}, {(20, 1.0): 1})
     assert [row.replicates for row in study.metrics + study.coverage] == [999] * 6
     assert [m[4:7] for m in study.metrics] == [harness._metrics(v, 1.0) for v in estimates.values()]
@@ -317,10 +315,9 @@ def test_simulated_chunks_reuse_freed_memory_instead_of_faulting_it_in():
 def test_run_cell_memory_is_bounded_by_the_chunks():
     # one cell of a run_study grid; the whole height matrix and the fit's terms peaked at 92 MiB or more here
     row = ROW_20._replace(n=100)
-    config = harness.StudyConfig(ns=(100,), rs=(1.0,), t=40.0, replicates=10_000)
     tracemalloc.start()
     try:
-        harness.run_study(config, {100: row})
+        harness.run_study((100,), [(1.0, EXACT)], 10_000, 0, table={100: row})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,51 +333,77 @@ def test_study_reports_unconverged_fits_once_per_cell(small_constants, monkeypat
         return values, 2, refused
 
     monkeypatch.setitem(est.METHODS, "MLE", mle._replace(rows=two_unconverged))
-    config = harness.StudyConfig(ns=(5, 10), rs=(0.5, 1.0), t=40.0, replicates=50, seed=SEED,
-                                 estimators=("Inv", "MLE"))
-    result = harness.run_study(config, small_constants)
+    study = partial(harness.run_study, (5, 10), CELLS, 50, SEED, ("Inv", "MLE"), small_constants)
+    result = study()
     err = capsys.readouterr().err.splitlines()
     assert err == [f"warning: n={n} r={r}: 2 of 50 MLE fits did not converge; "
                    f"their estimates are the last iterate" for n in (5, 10) for r in (0.5, 1.0)]
     # the outputs carry no trace of it
     monkeypatch.undo()
-    quiet = harness.run_study(config, small_constants)
+    quiet = study()
     assert capsys.readouterr().err == ""
     for name, run in (("warned", result), ("quiet", quiet)):
-        harness.write_study_outputs(run, tmp_path / name)
+        harness.write_study_outputs(run, tmp_path / name, PARAMETERS)
     for name in ("metrics.csv", "densities.csv", "coverage.csv", "summary.json"):
         assert (tmp_path / "warned" / name).read_bytes() == \
             (tmp_path / "quiet" / name).read_bytes()
 
 
 def test_study_outputs_are_byte_stable(tmp_path, small_constants):
-    config = harness.StudyConfig(ns=(5,), rs=(1.0,), t=40.0, replicates=200,
-                                 seed=SEED, calibration_replicates=50_000)
-    a = harness.run_study(config, small_constants)
-    harness.write_study_outputs(a, tmp_path / "one")
-    b = harness.run_study(config, small_constants)
-    harness.write_study_outputs(b, tmp_path / "two")
+    study = partial(harness.run_study, (5,), [(1.0, EXACT)], 200, SEED, table=small_constants,
+                    calibration_replicates=50_000)
+    harness.write_study_outputs(study(), tmp_path / "one", PARAMETERS)
+    harness.write_study_outputs(study(), tmp_path / "two", PARAMETERS)
     for name in ("metrics.csv", "densities.csv", "coverage.csv", "summary.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 def test_study_worker_count_independent(monkeypatch, small_constants):
     # n = 10 cells take three chunks, n = 5 cells one
-    config = harness.StudyConfig(ns=(5, 10), rs=(0.5, 1.0), t=40.0,
-                                 replicates=2 * co.chunk_rows(10) + 7, seed=SEED,
-                                 estimators=("MSE", "Lengths", "MLE"))
     results = []
     for cpus in (1, 2, 3, 7):
         monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda cpus=cpus: cpus)
-        results.append(harness.run_study(config, small_constants))
+        results.append(harness.run_study((5, 10), CELLS, 2 * co.chunk_rows(10) + 7, SEED,
+                                         ("MSE", "Lengths", "MLE"), small_constants))
     assert all(result == results[0] for result in results[1:])
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        harness.StudyConfig(ns=(2,), rs=(1.0,), t=40.0)
-    with pytest.raises(ValueError):
-        harness.StudyConfig(ns=(5,), rs=(1.0,), t=40.0, estimators=("Nope",))
+def test_config_validation(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before every value was checked")
+
+    monkeypatch.setattr(cal, "sample_sn", refused)
+    monkeypatch.setattr(est, "height_draws", refused)
+    for ns, replicates, estimators, message in [
+        ((5,), 0, ("Inv",), "need at least one replicate"),
+        ((5, 2), 100, ("Inv",), "study needs n >= 3"),
+        ((5,), 100, ("Inv", "Nope"), "unknown estimator 'Nope'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            harness.run_study(ns, [(1.0, EXACT)], replicates, SEED, estimators,
+                              calibration_replicates=20_000)
+
+
+def test_experiments_score_against_the_given_rate_not_the_regimes_lam_minus_mu():
+    regime = co.make_regime("exact", 0.3, 40.0)
+    assert regime.r == 0.30000000000000004  # 1 - (1 - 0.3)
+    row = ROW_20._replace(n=5)
+    spec = ci.ConfidenceSpec.from_constants_row(row)
+    study = harness.run_study((5,), [(0.3, regime)], 500, SEED, ("MSE", "Inv"), {5: row})
+    estimates, raw, _, _ = est.simulated_estimates(5, regime, RngStream(SEED).child(0), 500, row,
+                                                   ("MSE", "Inv"))
+    assert [m.r for m in study.metrics + study.coverage] == [0.3] * 3
+    for m, values in zip(study.metrics, estimates.values()):
+        assert (m.mse, m.mae, m.bias) == harness._metrics(values, 0.3)
+        assert (m.mse, m.bias) != harness._metrics(values, regime.r)[::2]
+    assert study.coverage[0].coverage == ci.covered_fraction(raw, spec, 0.3)
+
+    assert ci.coverage_study(5, 0.3, regime, 1000, RngStream(SEED), spec).r == 0.3
+    _, raw, _, _ = est.simulated_estimates(5, regime, RngStream(SEED), 2000, None, ())
+    sweep = harness.constant_sweep(5, 0.3, regime, [0.8], 2000, RngStream(SEED))
+    err, off = 0.8 * raw - 0.3, 0.8 * raw - regime.r
+    assert sweep.rows[0][1:] == (np.mean(err * err), abs(np.mean(err)))
+    assert sweep.rows[0][1:] != (np.mean(off * off), abs(np.mean(off)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,7 @@ import pytest
 
 from bdgrowth.coalescent import ExactFiniteT, FixedNLimit, LargeN
 from bdgrowth.confidence import ConfidenceSpec
-from bdgrowth.harness import StudyConfig
 from bdgrowth.rng import RngStream
-
-STUDY = dict(ns=(5, 10), rs=(1.0,), t=40.0)
 
 # (record type, good fields, bad fields, message)
 CASES = [
@@ -35,10 +32,11 @@ CASES = [
      "stream path must be non-negative integers"),
     (RngStream, dict(seed=1, path=(2, 3)), dict(path=(2.0,)),
      "stream path must be non-negative integers"),
-    (StudyConfig, STUDY, dict(replicates=0), "need at least one replicate"),
-    (StudyConfig, STUDY, dict(ns=(5, 2)), "study needs n >= 3"),
-    (StudyConfig, STUDY, dict(estimators=("Inv", "RawUnitConstant")),
-     "unknown estimator 'RawUnitConstant'"),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(t=0.0),
+     "observation time must be positive and finite"),
+    (ExactFiniteT, dict(lam=1.0, mu=0.5, t=40.0), dict(mu=float("nan")),
+     "need lam > mu >= 0 (supercritical)"),
+    (LargeN, dict(r=1.0, t=10.0), dict(r=float("nan")), "growth rate must be positive and finite"),
     (LargeN, dict(r=1.0, t=10.0), dict(t=-5.0), "tree height must be positive"),
     (LargeN, dict(r=1.0, t=10.0), dict(t=0.0), "tree height must be positive"),
     (FixedNLimit, dict(r=1.0, t=None), dict(t=float("nan")), "tree height must be finite"),
