@@ -3,12 +3,20 @@
 The commands below run with small sizes and fixed seeds, in a temporary
 directory, against the package under --src. Every file they leave there (a
 command's stdout is saved as NAME.stdout) is printed as `sha256  file`, in
-path order. Run it on two source trees and diff the outputs to check that a
-change keeps output bytes:
+path order, after a `#` header naming the numpy and scipy versions and
+numpy's CPU baseline and enabled dispatch targets, which can move the last
+bits of a float. Run it on two source trees and diff the outputs to check
+that a change keeps output bytes:
 
     python scripts/output_digests.py --src /path/to/parent/src > before.txt
     python scripts/output_digests.py --src src > after.txt
     diff before.txt after.txt
+
+scripts/output_digests.sha256 is the listing of the committed source, which
+tests/test_output_digests.py checks a fresh run against. A change that moves
+output bytes regenerates it, so its diff shows which outputs moved:
+
+    python scripts/output_digests.py --src src > scripts/output_digests.sha256
 
 Every command is expected to exit 0; the script names on stderr each one that
 does not, and then exits 1. Stdlib only; the whole run takes under a minute.
@@ -211,6 +219,18 @@ COMMANDS = [
 ]
 
 
+# the environment the commands run in, as the listing's header
+ENVIRONMENT = """\
+import numpy, scipy
+from numpy._core import _multiarray_umath as umath
+print("# numpy", numpy.__version__)
+print("# scipy", scipy.__version__)
+print("# numpy cpu baseline:", *umath.__cpu_baseline__)
+enabled = umath.__cpu_features__
+print("# numpy cpu dispatch:", *(t for t in umath.__cpu_dispatch__ if enabled.get(t)))
+"""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True,
@@ -218,6 +238,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
     failed = []
+    sys.stdout.write(subprocess.run([sys.executable, "-c", ENVIRONMENT], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "errors.csv").write_text(ERROR_CSV, encoding="utf-8")

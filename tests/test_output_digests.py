@@ -1,6 +1,7 @@
-"""Smoke test of scripts/output_digests.py: every command of its fixed set
-exits 0, every output gets a digest line, and the outputs that must agree
-do."""
+"""scripts/output_digests.py against its committed listing: every command of
+its fixed set exits 0, every output gets a digest line, the outputs that
+must agree do, and every digest equals the one in
+scripts/output_digests.sha256, in the environment that listing names."""
 
 import importlib.util
 import re
@@ -10,6 +11,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "output_digests.py"
+LISTING = ROOT / "scripts" / "output_digests.sha256"
+
+
+def split_listing(text: str) -> tuple[list[str], dict[str, str]]:
+    """The `#` header lines of a listing, and its digests by file."""
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    body = [line for line in lines if not line.startswith("#")]
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in body)
+    return header, {line.split("  ")[1]: line.split("  ")[0] for line in body}
 
 
 def test_output_digests_runs_every_command_and_digests_every_output():
@@ -19,9 +30,7 @@ def test_output_digests_runs_every_command_and_digests_every_output():
     done = subprocess.run([sys.executable, str(SCRIPT), "--src", str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
-    digests = {line.split("  ")[1]: line.split("  ")[0] for line in lines}
+    header, digests = split_listing(done.stdout)
     files = set(digests)
     for name, command in script.COMMANDS:
         assert f"{name}.stdout" in files
@@ -30,3 +39,10 @@ def test_output_digests_runs_every_command_and_digests_every_output():
             assert out in files or any(f.startswith(out + "/") for f in files)
     # calibrating on the fly is the draw `calibrate` tabulates
     assert digests["coverage-fly.csv"] == digests["coverage-fly-table.csv"]
+
+    want_header, want = split_listing(LISTING.read_text(encoding="utf-8"))
+    assert header == want_header, (
+        "the listing was made in another environment; regenerate it there or here:\n"
+        + "\n".join(["listing:", *want_header, "this run:", *header]))
+    moved = sorted(f for f in files | set(want) if digests.get(f) != want.get(f))
+    assert not moved, f"{len(moved)} outputs moved from {LISTING.name}: {', '.join(moved)}"
