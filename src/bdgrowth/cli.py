@@ -155,7 +155,7 @@ def _load_inputs(path: Path) -> list[np.ndarray | treeio.TreeRecord | Exception]
 def _matrix_estimates(h: np.ndarray, row, tags) -> dict[str, list[tuple | Exception]]:
     """For each tag, (estimate, raw pivot) for each row of h on the study's
     path, or the error that refuses the row: one estimates_for_matrix call,
-    whose dropped, refused and failed rows map to the errors each row gets
+    whose dropped rows and failed estimates map to the errors each row gets
     alone, since every kernel is row-independent."""
     if h.shape[1] < 2:
         return {tag: [SampleTooSmall(f"{tag} needs n >= 3")] * len(h) for tag in tags}
@@ -166,10 +166,11 @@ def _matrix_estimates(h: np.ndarray, row, tags) -> dict[str, list[tuple | Except
     out = {}
     for tag in tags:
         results = out[tag] = [DegenerateTimes("all coalescence times are equal")] * len(h)
-        for i, point, pivot in zip(kept, found.estimates[tag].tolist(), raw):
+        values = found.estimates[tag]
+        for i, point, pivot in zip(kept, values.tolist(), raw):
             results[i] = point, pivot
-        fit = found.refusals.get(tag)
-        for k in found.failed.get(tag, []):
+        fit = found.fits.get(tag)
+        for k in np.flatnonzero(~(np.isfinite(values) & (values > 0.0))).tolist():
             refused = fit.refusal(k) if fit else None
             results[kept[k]] = refused or ValueError("estimate must be positive and finite")
     return out
@@ -409,12 +410,12 @@ def cmd_coverage(args) -> int:
     confidence.check_coverage_replicates(args.replicates)
     check_out(args.out)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
-    specs = confidence.calibrations(table, ns, args.calibration_replicates, args.seed)
+    calibrated = confidence.calibrations(table, ns, args.calibration_replicates, args.seed)
     rows = []
     stream = RngStream(args.seed)
     for i, n in enumerate(ns):
         rows.append(confidence.coverage_study(n, args.r, regime, args.replicates,
-                                              stream.child(i), specs[n]))
+                                              stream.child(i), calibrated[n][1]))
         print(f"n={n}: coverage {rows[-1].coverage:.3f}")
     if args.out:
         calibration.write_rows(args.out, confidence.COVERAGE_HEADER, rows)

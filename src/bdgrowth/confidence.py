@@ -88,15 +88,12 @@ def calibration_for(table: dict[int, calibration.ConstantsRow], n: int, replicat
                  else ConfidenceSpec.from_sample(values, level))
 
 
-def calibrations(table: dict[int, calibration.ConstantsRow], ns, replicates: int,
-                 seed: int) -> dict[int, ConfidenceSpec]:
-    """The 95% S_n quantiles of each n in ns, by n, from calibration_for, which
-    also puts each n's constants row in table; every draw is made here, in
-    ns order, before the caller simulates."""
-    specs = {}
-    for n in ns:
-        table[n], specs[n] = calibration_for(table, n, replicates, seed)
-    return specs
+def calibrations(table: dict[int, calibration.ConstantsRow], ns, replicates: int, seed: int
+                 ) -> dict[int, tuple[calibration.ConstantsRow, ConfidenceSpec]]:
+    """calibration_for's constants row and 95% S_n quantiles for each
+    distinct n in ns, by n, in ns order. table is only read. Every draw is
+    made here, at most one per n, before the caller simulates."""
+    return {n: calibration_for(table, n, replicates, seed) for n in dict.fromkeys(ns)}
 
 
 class CoverageRow(NamedTuple):

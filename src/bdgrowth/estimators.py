@@ -22,9 +22,10 @@ Four families, each a row-independent kernel on a (k, n-1) height matrix:
   raw (c = 1)   the pairwise estimator without calibration, used as the
                 pivot for confidence intervals.
 
-METHODS maps each method tag to its row kernel and constant;
-estimates_for_matrix runs it on a height matrix, and simulated_estimates
-on a simulation's row chunks, on every usable CPU with the same bits.
+METHODS maps each method tag to its row kernel, which returns the
+estimates and its fit, and its constant; estimates_for_matrix runs it on a
+height matrix, and simulated_estimates on a simulation's row chunks, on
+every usable CPU with the same bits.
 
 Pairwise and MLE estimates are permutation invariant; the branch-order
 internal length deliberately is not.
@@ -68,6 +69,11 @@ class MleFit(NamedTuple):
     loglik: np.ndarray
     converged: np.ndarray
     refused: np.ndarray
+
+    @property
+    def unconverged(self) -> int:
+        """Fitted rows whose gradient never met the tolerance (estimate: the last iterate)."""
+        return int(np.count_nonzero(~self.converged & (self.refused == 0)))
 
     def refusal(self, row: int | None = None) -> NonConvergence | None:
         """The NonConvergence refusing this row fitted alone, or with no row
@@ -346,13 +352,10 @@ def fit_logistic_rows(matrix: np.ndarray) -> MleFit:
     return fit
 
 
-def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int, MleFit | None]:
-    """Row-wise logistic-fit estimate 1/b (NaN where the fit is refused), how
-    many fitted rows did not converge, and the fit if it refused a row."""
+def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, MleFit]:
+    """Row-wise logistic-fit estimate 1/b, NaN where the fit is refused, and the fit."""
     fit = fit_logistic_rows(matrix)
-    fitted = fit.refused == 0
-    values = np.divide(1.0, fit.b, out=np.full_like(fit.b, np.nan), where=fitted)
-    return values, int(np.count_nonzero(~fit.converged & fitted)), None if _all(fitted) else fit
+    return np.divide(1.0, fit.b, out=np.full_like(fit.b, np.nan), where=fit.refused == 0), fit
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +365,12 @@ def mle_rows(matrix: np.ndarray) -> tuple[np.ndarray, int, MleFit | None]:
 
 class Method(NamedTuple):
     """A method tag's row kernel ((k, n-1) heights -> k estimates at c = 1,
-    NaN where it refuses the row; the number of rows whose estimate is a fit
-    that did not converge; the fit, if it refused a row) and the
-    ConstantsRow field holding its c (None: c = 1). Pairwise methods have no
-    kernel: they scale the raw pivot and carry its interval."""
+    NaN where it refuses the row, and the fit they come from, None for a
+    closed form) and the ConstantsRow field holding its c (None: c = 1).
+    Pairwise methods have no kernel: they scale the raw pivot and carry its
+    interval."""
 
-    rows: Callable[[np.ndarray], tuple[np.ndarray, int, MleFit | None]] | None = None
+    rows: Callable[[np.ndarray], tuple[np.ndarray, MleFit | None]] | None = None
     column: str | None = None
 
     @property
@@ -382,8 +385,7 @@ METHODS: dict[str, Method] = {
     "MSE": Method(column="c_mse"),
     "Bias": Method(column="c_bias"),
     "Inv": Method(column="c_inv"),
-    # closed form: nothing to converge or refuse
-    LENGTHS: Method(lambda matrix: (lengths_rows(matrix), 0, None)),
+    LENGTHS: Method(lambda matrix: (lengths_rows(matrix), None)),
     MLE: Method(mle_rows),
     RAW: Method(),
 }
@@ -393,18 +395,16 @@ ALL_ESTIMATORS = tuple(tag for tag in METHODS if tag != RAW)
 
 
 class MatrixEstimates(NamedTuple):
-    """estimates_for_matrix's findings. kept masks the rows kept; the rest is
-    over them, by tag where a dict: the estimates, the raw c = 1 pivot the
-    pairwise methods scale, the count of fits that did not converge (the
-    estimate is the last iterate), the indices of estimates that are not
-    positive and finite, and the fit that refused some of those rows."""
+    """estimates_for_matrix's findings over the rows kept, which kept masks:
+    the estimates by tag, the raw c = 1 pivot the pairwise methods scale, and
+    the fit of each tag whose kernel fits. An estimate that is not positive
+    and finite failed: its fit refused the row (MleFit.refusal), or it
+    overflowed."""
 
     estimates: dict[str, np.ndarray]
     raw: np.ndarray
-    unconverged: dict[str, int]
     kept: np.ndarray
-    failed: dict[str, np.ndarray]
-    refusals: dict[str, MleFit]
+    fits: dict[str, MleFit]
 
 
 def estimates_for_matrix(h: np.ndarray, row, estimators=ALL_ESTIMATORS) -> MatrixEstimates:
@@ -422,18 +422,13 @@ def estimates_for_matrix(h: np.ndarray, row, estimators=ALL_ESTIMATORS) -> Matri
         kept = ~np.isnan(raw)
         if not _all(kept):
             h, raw = h[kept], raw[kept]
-        found = MatrixEstimates({}, raw, {}, kept, {}, {})
+        found = MatrixEstimates({}, raw, kept, {})
         for tag in estimators:
             method = METHODS[tag]
-            values, unconverged, fit = (raw, 0, None) if method.pairwise else method.rows(h)
-            values = found.estimates[tag] = method.constant(row) * values
-            failed = ~(np.isfinite(values) & (values > 0.0))
-            if unconverged:
-                found.unconverged[tag] = unconverged
-            if failed.any():
-                found.failed[tag] = np.flatnonzero(failed)
+            values, fit = (raw, None) if method.pairwise else method.rows(h)
+            found.estimates[tag] = method.constant(row) * values
             if fit is not None:
-                found.refusals[tag] = fit
+                found.fits[tag] = fit
     return found
 
 
@@ -456,8 +451,9 @@ def simulated_estimates(
     replicate is no input of its own to give an error row: the chunks are
     read in order, and the first one that holds such rows refuses the run
     (counting them over every chunk), and the first one with a refused fit
-    raises its NonConvergence, counted over that chunk. A run that keeps no
-    replicate is refused too: there is nothing to score.
+    raises its NonConvergence, counted over that chunk. The fits are let go
+    in that pass, once their unconverged rows are counted. A run that keeps
+    no replicate is refused too: there is nothing to score.
     """
     chunks = -(-count // chunk_rows(n))
     draws = enumerate(height_draws(n, regime, rng, count))
@@ -473,17 +469,19 @@ def simulated_estimates(
 
     keep_freed_chunks()
     each_index(run, chunks, thread_count(chunks))
+    unconverged: dict[str, int] = {}
     for bad, found in results:
         if bad:
             refuse_nonfinite_rows(sum(bad for bad, _ in results), count)
-        for fit in found.refusals.values():
-            raise fit.refusal()
+        for tag, fit in found.fits.items():
+            if refusal := fit.refusal():
+                raise refusal
+            unconverged[tag] = unconverged.get(tag, 0) + fit.unconverged
+        found.fits.clear()
     parts = [found for _, found in results]
     raw = np.concatenate([part.raw for part in parts])
     if not raw.size:
         raise DegenerateTimes(f"all {count} replicates dropped: each one's heights coincide")
     estimates = {tag: np.concatenate([part.estimates[tag] for part in parts])
                  for tag in estimators}
-    unconverged = {tag: total for tag in estimators
-                   if (total := sum(part.unconverged.get(tag, 0) for part in parts))}
-    return estimates, raw, unconverged, count - raw.size
+    return estimates, raw, {tag: k for tag, k in unconverged.items() if k}, count - raw.size

@@ -93,13 +93,13 @@ def run_study(ns, cells: list[tuple[float, Regime]], replicates: int, seed: int,
     for tag in estimators:
         if tag not in ALL_ESTIMATORS:
             raise ValueError(f"unknown estimator {tag!r}")
-    table = dict(table or {})
-    specs = calibrations(table, ns, calibration_replicates, seed)
+    calibrated = calibrations(table or {}, ns, calibration_replicates, seed)
     stream = RngStream(seed)
     metrics, densities, coverage, excluded = [], [], [], {}
     for i, (n, (r, regime)) in enumerate(product(ns, cells)):
+        row, spec = calibrated[n]
         estimates, raw, unconverged, dropped = simulated_estimates(
-            n, regime, stream.child(i), replicates, table[n], estimators)
+            n, regime, stream.child(i), replicates, row, estimators)
         for tag, count in unconverged.items():
             print(f"warning: n={n} r={r}: {count} of {raw.size} {tag} fits did not "
                   f"converge; their estimates are the last iterate", file=sys.stderr)
@@ -107,7 +107,7 @@ def run_study(ns, cells: list[tuple[float, Regime]], replicates: int, seed: int,
             mse, mae, bias = _metrics(estimates[tag], r)
             metrics.append(MetricsRow(tag, n, r, regime.t, mse, mae, bias, raw.size))
             densities.extend(_density_rows(tag, n, r, estimates[tag]))
-        coverage.append(CoverageRow(n, r, regime.t, covered_fraction(raw, specs[n], r), raw.size))
+        coverage.append(CoverageRow(n, r, regime.t, covered_fraction(raw, spec, r), raw.size))
         excluded[(n, r)] = dropped
     return StudyResult(metrics, densities, coverage, excluded)
 

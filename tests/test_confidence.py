@@ -97,6 +97,27 @@ def test_calibration_for_draws_the_calibrate_row_on_any_cpu_count(capsys, monkey
     assert capsys.readouterr().err.count("calibrating on the fly") == 2
 
 
+def test_calibrations_return_each_distinct_n_once_and_leave_the_table_as_given(capsys,
+                                                                               monkeypatch):
+    drawn, sample_sn = [], cal.sample_sn
+
+    def counted(n, replicates, rng):
+        drawn.append(n)
+        return sample_sn(n, replicates, rng)
+
+    row_9 = cal.build_constants_row(9, 20_000, SEED)
+    table = {9: row_9}
+    monkeypatch.setattr(cal, "sample_sn", counted)
+    found = ci.calibrations(table, [7, 8, 7, 9], 20_000, SEED)
+    assert drawn == [7, 8]  # S_7 and S_8 once each; n = 9 is read from the table
+    assert table == {9: row_9}
+    assert list(found) == [7, 8, 9]
+    for n in (7, 8, 9):
+        row = cal.build_constants_row(n, 20_000, SEED)  # the row `calibrate` writes
+        assert found[n] == (row, ci.ConfidenceSpec.from_constants_row(row))
+    assert capsys.readouterr().err.count("calibrating on the fly") == 2
+
+
 def test_coverage_exact_by_construction_under_limit_law():
     _, spec = ci.calibration_for({}, 8, 200_000, SEED)
     cov = ci.coverage_study(8, 1.0, co.FixedNLimit(1.0), 100_000, RngStream(SEED), spec)

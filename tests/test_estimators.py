@@ -96,9 +96,8 @@ def test_gap_form_is_positive_on_unequal_rows_and_the_same_alone():
 
 
 def test_estimate_worked_example():
-    estimates, _, unconverged, *_ = est.estimates_for_matrix(row_of([3.0, 1.0, 2.0]), None,
-                                                              (est.RAW,))
-    assert estimates[est.RAW][0] == 1.5 and unconverged == {}
+    estimates, _, _, fits = est.estimates_for_matrix(row_of([3.0, 1.0, 2.0]), None, (est.RAW,))
+    assert estimates[est.RAW][0] == 1.5 and fits == {}
 
 
 def test_constant_scaling_is_exact():
@@ -203,8 +202,9 @@ def test_mle_recovers_scale_from_quantile_data():
     assert fit.converged[0]
     assert fit.b[0] == pytest.approx(2.0, rel=0.05)
     assert fit.a[0] == pytest.approx(10.0, rel=0.01)
-    values, unconverged, refused = est.mle_rows(row_of(h))
-    assert values[0] == 1.0 / fit.b[0] and unconverged == 0 and refused is None
+    values, rows_fit = est.mle_rows(row_of(h))
+    assert values[0] == 1.0 / fit.b[0] and rows_fit.unconverged == 0
+    assert rows_fit.refusal() is None
 
 
 def test_mle_scale_and_shift_equivariance():
@@ -241,8 +241,8 @@ def test_mle_rejects_degenerate_and_small():
         message = f"moment start out of range in 1 of 1 rows (first: b={fit.b[0]})"
         for refusal in (fit.refusal(), fit.refusal(0)):
             assert type(refusal) is NonConvergence and str(refusal) == message
-        values, unconverged, refused = est.mle_rows(row_of(h))
-        assert np.isnan(values[0]) and unconverged == 0
+        values, refused = est.mle_rows(row_of(h))
+        assert np.isnan(values[0]) and refused.unconverged == 0
         assert str(refused.refusal(0)) == str(fit.refusal(0))
 
 
@@ -378,9 +378,23 @@ def test_fallback_stops_a_row_whose_round_changes_nothing(monkeypatch):
 
 def test_mle_rows_counts_unconverged_fits():
     h = _stress_matrices()[1]
-    values, unconverged, refused = est.mle_rows(h)
-    assert unconverged == 0 and refused is None
+    values, fit = est.mle_rows(h)
+    assert fit.unconverged == 0 and fit.refusal() is None
     assert np.array_equal(values, 1.0 / est.fit_logistic_rows(h).b)
+
+
+def test_kernels_return_their_estimates_and_fit_and_the_record_keeps_the_fit():
+    h = np.array([[3.0, 1.0, 2.0, 0.5], [2.0, 2.0, 2.0, 2.0], [0.0, 1e200, 3e199, 1e199]])
+    assert est.MatrixEstimates._fields == ("estimates", "raw", "kept", "fits")
+    for tag, method in est.METHODS.items():
+        if not method.pairwise:
+            values, fit = method.rows(h[[0, 2]])
+            assert values.shape == (2,) and (fit is None) == (tag == est.LENGTHS)
+    found = est.estimates_for_matrix(h, None, (est.RAW, est.LENGTHS, est.MLE))
+    assert list(found.fits) == [est.MLE] and found.kept.tolist() == [True, False, True]
+    # the fit is over the kept rows: it refuses the 1e200 row, now its second
+    assert found.fits[est.MLE].refused.tolist() == [0, 1]
+    assert np.isnan(found.estimates[est.MLE][1]) and found.fits[est.MLE].unconverged == 0
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,9 @@ def test_degenerate_rows_excluded_and_counted(small_constants):
     assert found.raw.tolist() == [4 * 3 / 6.5]  # the first row is kept, the second dropped
     assert found.kept.tolist() == [True, False]
     assert found.estimates["MSE"].size == 1
-    assert (found.unconverged, found.failed, found.refusals) == ({}, {}, {})
+    fit = found.fits["MLE"]
+    assert (fit.unconverged, fit.refusal()) == (0, None)
+    assert all((np.isfinite(v) & (v > 0)).all() for v in found.estimates.values())  # none failed
 
 
 def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks():
@@ -112,7 +114,8 @@ def test_simulated_estimates_and_run_cell_are_the_one_shot_result_across_chunks(
     count, stream = 15_000, RngStream(SEED).child(0)
     assert len(list(co.height_draws(20, EXACT, stream, count))) >= 2
     h = co.sample_coalescence_times_block(20, EXACT, stream, count)
-    estimates, raw, unconverged, *_ = est.estimates_for_matrix(h, ROW_20)
+    estimates, raw, _, fits = est.estimates_for_matrix(h, ROW_20)
+    unconverged = {tag: fit.unconverged for tag, fit in fits.items() if fit.unconverged}
     got, got_raw, got_unconverged, excluded = est.simulated_estimates(
         20, EXACT, stream, count, ROW_20)
     study = harness.run_study((20,), [(1.0, EXACT)], count, SEED, table={20: ROW_20})
@@ -252,8 +255,7 @@ def test_the_first_refusal_in_chunk_order_is_raised_whatever_finishes_first(monk
 
     def estimates(h, row, tags):
         found = real_estimates(h, row, tags)
-        fit = found.refusals.get("MLE")
-        finished.append(0 if fit is None else int(np.count_nonzero(fit.refused)))
+        finished.append(int(np.count_nonzero(found.fits["MLE"].refused)))
         if finished[-1] == 2:
             chunk_2_done.set()
         return found
@@ -329,8 +331,9 @@ def test_study_reports_unconverged_fits_once_per_cell(small_constants, monkeypat
     mle = est.METHODS["MLE"]
 
     def two_unconverged(h):
-        values, _, refused = mle.rows(h)
-        return values, 2, refused
+        values, fit = mle.rows(h)
+        fit.converged[:2] = False
+        return values, fit
 
     monkeypatch.setitem(est.METHODS, "MLE", mle._replace(rows=two_unconverged))
     study = partial(harness.run_study, (5, 10), CELLS, 50, SEED, ("Inv", "MLE"), small_constants)
