@@ -108,7 +108,7 @@ def run_study(ns, cells: list[tuple[float, Regime]], replicates: int, seed: int,
             metrics.append(MetricsRow(tag, n, r, regime.t, mse, mae, bias, raw.size))
             densities.extend(_density_rows(tag, n, r, estimates[tag]))
         coverage.append(CoverageRow(n, r, regime.t, covered_fraction(raw, spec, r), raw.size))
-        excluded[(n, r)] = dropped
+        excluded[(n, r)] = excluded.get((n, r), 0) + dropped  # a repeated cell adds its own
     return StudyResult(metrics, densities, coverage, excluded)
 
 
@@ -219,7 +219,7 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
                         parameters: dict) -> dict[str, Path]:
     """metrics.csv, densities.csv, coverage.csv and summary.json under out_dir;
     the summary holds the study's parameters, as given, and the degenerate
-    replicates each cell excluded."""
+    replicates each (n, r) excluded, summed over the cells that repeat it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {

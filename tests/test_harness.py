@@ -1,6 +1,7 @@
 """Study harness: metric identities, degenerate-replicate exclusion, output
 determinism, the constant sweep, and the large-sample variance check."""
 
+import json
 import math
 import os
 import platform
@@ -179,6 +180,23 @@ def test_every_simulating_experiment_drops_and_counts_a_constant_row(monkeypatch
     scaled = math.sqrt(200) * (cal.c_inv_closed_form(200) * raw[1:] - 1.0)
     assert report.var_scaled_inv == float(np.var(scaled))
     assert math.isfinite(report.var_scaled_lengths)
+
+
+def test_a_repeated_cell_adds_its_excluded_count_to_the_first_ones(monkeypatch, tmp_path):
+    planted = iter([1, 2])  # constant rows in cell 0, then in cell 1
+
+    def constant_rows(chunk):
+        rows = next(planted)
+        chunk[:rows] = chunk[:rows, :1]
+
+    monkeypatch.setattr(est, "height_draws", with_chunks_changed(
+        est.height_draws, {0: constant_rows}))
+    regime = co.make_regime("exact", 0.3, 40.0)
+    study = harness.run_study((5,), [(0.3, regime), (0.3, regime)], 300, SEED, ("MSE",),
+                              {5: ROW_20._replace(n=5)})
+    assert [m.replicates for m in study.metrics] == [299, 298]
+    paths = harness.write_study_outputs(study, tmp_path, PARAMETERS)
+    assert json.loads(paths["summary"].read_text())["excluded_degenerate"] == {"n=5,r=0.3": 3}
 
 
 REGIMES = {"exact": EXACT, "fixed-n": co.FixedNLimit(1.0), "large-n": co.LargeN(1.0, 40.0)}
