@@ -358,7 +358,8 @@ def cmd_study(args) -> int:
     result = harness.run_study(ns, cells, args.replicates, args.seed, estimators, table,
                                args.calibration_replicates)
     parameters = {"ns": ns, "rs": [r for r, _ in cells], "T": args.T, "regime": args.regime,
-                  "replicates": args.replicates, "seed": args.seed, "estimators": estimators}
+                  "birth_rate": args.birth_rate, "replicates": args.replicates, "seed": args.seed,
+                  "estimators": estimators, "calibration_replicates": args.calibration_replicates}
     paths = harness.write_study_outputs(result, args.out, parameters)
     for key, path in paths.items():
         print(f"{key}: {path}")

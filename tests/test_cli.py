@@ -812,6 +812,24 @@ def test_study_command_writes_outputs(tmp_path, constants_file):
     assert summary["replicates"] == 300
 
 
+def test_study_summary_records_the_birth_rate_and_calibration_replicates(tmp_path,
+                                                                        constants_file):
+    summaries = {}
+    for rate in (1, 2):
+        out = tmp_path / f"birth-{rate}"
+        assert run(["study", "--n", "5", "--r", "0.5", "--birth-rate", rate, "--replicates", 300,
+                    "--seed", 5, "--constants", constants_file, "--calibration-replicates",
+                    20_000, "--out", out]) == 0
+        summaries[rate] = json.loads((out / "summary.json").read_text())
+    assert sorted(summaries[2]) == ["T", "birth_rate", "calibration_replicates", "estimators",
+                                    "excluded_degenerate", "ns", "regime", "replicates", "rs",
+                                    "seed"]
+    assert (summaries[1]["birth_rate"], summaries[2]["birth_rate"]) == (1.0, 2.0)
+    assert summaries[2]["calibration_replicates"] == 20_000
+    summaries[1]["birth_rate"] = 2.0
+    assert summaries[1] == summaries[2]  # nothing else tells the two runs apart
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--n", 10, "--r", 0.5, "--T", 40, "--replicates", 2000,
