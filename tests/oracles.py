@@ -7,8 +7,11 @@ quadrature of the densities and the samplers' draws against the CDFs. The
 exact regime is written here in its Y form: latent Y with CDF
 (y / (y + delta*(1 - y)))^n and heights given Y = y. The sampler draws the
 latent Q = Y/((1 - Y)*delta) instead, which is why delta_t, y_quantile and
-sample_y live only here. The module also re-exports bdgrowth.coalescent, so
-a test can read samplers and oracles from one namespace.
+sample_y live only here. forward_heights runs the birth-death process itself,
+forward in time, so the exact sampler is also checked against the process
+and not only against its law as transcribed. The module also re-exports
+bdgrowth.coalescent, so a test can read samplers and oracles from one
+namespace.
 
 The tree graph (TreeNode, SampleTree) is what bdgrowth.treeio reads without
 building: a character-at-a-time parser makes it, build_cpp_tree builds the
@@ -146,6 +149,58 @@ def sample_h_exact(y, params: ExactFiniteT, rng, size):
 def sample_u_given_q(q, rng, size):
     gen = rng.generator()
     return u_given_q_quantile(open_uniform(gen, size), q)
+
+
+def _uniforms(gen: np.random.Generator):
+    """gen's uniforms on [0, 1) one at a time, drawn a block at a time."""
+    while True:
+        yield from gen.random(1024).tolist()
+
+
+def forward_heights(lam: float, mu: float, t: float, n: int, gen: np.random.Generator):
+    """The sorted n - 1 node depths of the genealogy of n individuals sampled
+    uniformly at time t from a birth-death process run forward in time.
+
+    One individual starts at time 0. Each living one gives birth at rate lam
+    and dies at rate mu (Gillespie) until t; a run with fewer than n alive
+    at t is dropped and another one started. Each birth is a node at its
+    time: the daughter's parent is her mother. A birth is a node of the
+    sample's genealogy when both the daughter's clade and her mother's line
+    after it (the mother herself, or a later daughter's clade) hold sampled
+    individuals; the parent chains of the sampled ones mark the clades that
+    do. A depth is t minus the node's time.
+    """
+    draws, rate = _uniforms(gen), lam + mu
+    while True:
+        mother, born, alive, now = [-1], [0.0], [0], 0.0
+        while alive:
+            now -= math.log1p(-next(draws)) / (rate * len(alive))
+            if now >= t:
+                break
+            k = int(next(draws) * len(alive))
+            if next(draws) * rate < lam:
+                mother.append(alive[k])
+                born.append(now)
+                alive.append(len(born) - 1)
+            else:
+                alive[k] = alive[-1]
+                alive.pop()
+        if len(alive) >= n:
+            break
+    sampled = set(gen.choice(alive, size=n, replace=False).tolist())
+    marked = set()
+    for i in sampled:
+        while i >= 0 and i not in marked:
+            marked.add(i)
+            i = mother[i]
+    daughters = {}  # birth times of each marked mother's marked daughters
+    for c in marked - {0}:
+        daughters.setdefault(mother[c], []).append(born[c])
+    depths = []
+    for m, times in daughters.items():
+        times.sort()  # without the mother, the latest daughter carries her line on
+        depths += [t - s for s in (times if m in sampled else times[:-1])]
+    return np.sort(depths)
 
 
 def c_inv_monte_carlo(values: np.ndarray) -> float:

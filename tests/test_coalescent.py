@@ -275,6 +275,23 @@ def test_exact_agrees_with_fixed_n_limit_at_t40(n):
     assert d.statistic < 0.01
 
 
+@pytest.mark.parametrize("lam, mu, t, n, seed", [(1.0, 0.5, 6.0, 10, 31), (2.0, 1.0, 3.0, 5, 32),
+                                                 (1.0, 0.0, 3.0, 8, 33)])
+def test_exact_sampler_agrees_with_a_forward_simulation(lam, mu, t, n, seed):
+    # r*T <= 3, where the exact law is far from its T -> infinity limit; the
+    # sorted depths suffice, since the pivot is permutation invariant
+    gen = np.random.default_rng(seed)
+    forward = np.array([oracles.forward_heights(lam, mu, t, n, gen) for _ in range(2000)])
+    exact = np.sort(co.sample_coalescence_times_block(n, co.ExactFiniteT(lam, mu, t),
+                                                      RngStream(seed), 200_000), axis=1)
+    bound = 1.36 * math.sqrt(1 / len(forward) + 1 / len(exact))  # KS_BOUND's two-sample form
+    for name, column in (("root", -1), ("lowest", 0), ("middle", (n - 1) // 2)):
+        statistic = stats.ks_2samp(forward[:, column], exact[:, column]).statistic
+        assert statistic < bound, name
+    pivots = (est.raw_pairwise_rows(forward), est.raw_pairwise_rows(exact))
+    assert stats.ks_2samp(*pivots).statistic < bound, "raw pivot"
+
+
 @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (2.0, 1.5), (1e-300, 0.0)])
 @pytest.mark.parametrize("rt", [1e-9, 1e-3, 40.0, 700.0, 745.0, 800.0, 5000.0])
 def test_exact_heights_are_finite_and_inside_the_support_at_every_rt(lam, mu, rt):
