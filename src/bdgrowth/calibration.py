@@ -42,7 +42,7 @@ import numpy as np
 
 from . import coalescent
 from .errors import InsufficientReplicates
-from .rng import RngStream, each_index, thread_count
+from .rng import RngStream, each_item, thread_count
 
 _SN_BLOCK = 50_000  # replicates per stream block; fixed so tables reproduce
 _TABLE_VERSION = "sn-constants-table v1"
@@ -117,23 +117,17 @@ def sample_sn(n: int, replicates: int, rng: RngStream) -> np.ndarray:
         raise ValueError("S_n needs n >= 3")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    starts = range(0, replicates, _SN_BLOCK)
-    threads = thread_count(len(starts))
     values = np.empty(replicates)
-    gens = []
-    for block, start in enumerate(starts):
-        gens.append(rng.child(block).generator())
-        count = min(_SN_BLOCK, replicates - start)
-        values[start:start + count] = coalescent.sample_q(n, gens[-1], size=count)
-    rows = max(1, coalescent._CHUNK_HEIGHTS // threads // (n - 1))
+    blocks = []  # (stream, its rows of values)
+    for block, start in enumerate(range(0, replicates, _SN_BLOCK)):
+        gen, out = rng.child(block).generator(), values[start:start + _SN_BLOCK]
+        out[:] = coalescent.sample_q(n, gen, size=len(out))
+        blocks.append((gen, out))
+    threads = thread_count(len(blocks))
+    rows = max(1, coalescent.chunk_rows(n) // threads)
     buffers = [(np.empty((rows, n - 1)), np.empty((rows, n - 1)), np.empty(rows, dtype=bool))
                for _ in range(threads)]
-
-    def run(slot: int, block: int):
-        start = starts[block]
-        _sn_block(gens[block], values[start:start + _SN_BLOCK], *buffers[slot])
-
-    each_index(run, len(starts), threads)
+    each_item(lambda slot, block: _sn_block(*block, *buffers[slot]), blocks, threads)
     return values
 
 

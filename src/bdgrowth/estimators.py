@@ -34,7 +34,6 @@ internal length deliberately is not.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -49,7 +48,7 @@ from .coalescent import (
     refuse_nonfinite_rows,
 )
 from .errors import DegenerateTimes, NonConvergence, SampleTooSmall
-from .rng import each_index, thread_count
+from .rng import each_item, thread_count
 from .treeio import TreeRecord, tree_internal_branch_length
 
 # Tags other modules single out; METHODS below lists every tag.
@@ -453,25 +452,20 @@ def simulated_estimates(
     replicate is refused too: there is nothing to score.
     """
     chunks = -(-count // chunk_rows(n))
-    draws = enumerate(height_draws(n, regime, rng, count))
-    lock = threading.Lock()
-    results: list = [None] * chunks  # by chunk: (non-finite rows, estimates, fits' findings)
+    draws = height_draws(n, regime, rng, count)
 
-    def run(_slot: int, _index: int):
-        with lock:
-            k, draw = next(draws)
+    def run(_slot: int, draw) -> tuple:  # (non-finite rows, estimates, fits' findings)
         h = draw()
         if bad := nonfinite_rows(h):
-            results[k] = bad, None, {}
-            return
+            return bad, None, {}
         found = estimates_for_matrix(h, row, estimators)
         # the pass reads only this of the fits; holding them raised peak RSS 4% at n = 100
-        results[k] = 0, found, {tag: (fit.refusal(), fit.unconverged)
-                                for tag, fit in found.fits.items()}
+        fits = {tag: (fit.refusal(), fit.unconverged) for tag, fit in found.fits.items()}
         found.fits.clear()
+        return 0, found, fits
 
     keep_freed_chunks()
-    each_index(run, chunks, thread_count(chunks))
+    results = each_item(run, draws, thread_count(chunks))
     unconverged: dict[str, int] = {}
     for bad, _, fits in results:
         if bad:

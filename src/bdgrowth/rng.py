@@ -10,7 +10,7 @@ own place, so output never depends on the thread count or scheduling.
 
 This module alone decides how many threads run: thread_count(units) is
 min(units, usable_cpus()), so the process's CPU affinity, which `taskset`
-sets, is the only cap. Threads are plain threading.Threads (each_index);
+sets, is the only cap. Threads are plain threading.Threads (each_item);
 threading is loaded with numpy, so running in parallel imports nothing.
 """
 
@@ -58,27 +58,29 @@ def thread_count(units: int) -> int:
     return max(1, min(units, usable_cpus()))
 
 
-def each_index(run, count: int, threads: int) -> None:
-    """run(slot, i) once for each i in range(count), on `threads` threads,
-    which callers take from thread_count(count): the calling one, slot 0, and
-    one started thread per further slot. Each thread takes the next index not
-    yet taken, so which slot runs an index depends on timing; slot only names
-    a thread's own buffers. After an error no thread takes a further index,
-    and the first error is raised once every thread has ended. One thread
-    starts no thread.
+def each_item(run, items, threads: int) -> list:
+    """[run(slot, item) for item in items], on `threads` threads, which
+    callers take from thread_count(units): the calling one, slot 0, and one
+    started thread per further slot. Each thread takes the next item under
+    one lock, so an iterator that draws random numbers is read in order, runs
+    it outside the lock, and keeps its result at the item's place. Which slot
+    runs an item depends on timing; slot only names a thread's own buffers.
+    After an error no thread takes a further item, and the first error is
+    raised once every thread has ended. One thread starts no thread.
     """
-    indices = iter(range(count))
+    numbered = enumerate(items)
     lock = threading.Lock()
-    errors = []
+    results, errors = {}, []
 
     def work(slot: int):
         try:
             while not errors:
                 with lock:
-                    i = next(indices, None)
+                    i, item = next(numbered, (None, None))
                 if i is None:
                     return
-                run(slot, i)
+                results[i] = run(slot, item)
+                del item  # a drawn chunk is freed before the next one is drawn
         except BaseException as exc:  # raised in the calling thread
             errors.append(exc)
 
@@ -90,6 +92,7 @@ def each_index(run, count: int, threads: int) -> None:
         thread.join()
     if errors:
         raise errors[0]
+    return [results[i] for i in range(len(results))]
 
 
 def open_uniform(gen: np.random.Generator, size):

@@ -17,7 +17,7 @@ from bdgrowth import calibration as cal
 from bdgrowth import coalescent as co
 from bdgrowth.errors import InsufficientReplicates
 from bdgrowth.estimators import raw_pairwise_rows
-from bdgrowth.rng import RngStream, each_index, open_uniform
+from bdgrowth.rng import RngStream, each_item, open_uniform
 
 SEED = 20260808
 
@@ -94,10 +94,10 @@ def test_each_index_raises_a_threads_error_after_every_thread_ends():
         done.append(i)
 
     with pytest.raises(FloatingPointError, match="index 1"):
-        each_index(run, 4, 2)
+        each_item(run, range(4), 2)
     done.clear()
     with pytest.raises(FloatingPointError, match="index 1"):
-        each_index(run, 4, 1)
+        each_item(run, range(4), 1)
     assert done == [0]  # no index is taken after the error
 
 
