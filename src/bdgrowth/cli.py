@@ -119,7 +119,7 @@ def cmd_simulate(args) -> int:
     if args.trees and args.T is None:
         raise RelativeAxisError("writing trees needs absolute times; pass --T")
     check_out(args.out)
-    check_out(args.trees, flag="--trees")
+    check_out(args.trees, flag="--trees", reads={"--out": args.out})
     matrix = sample_coalescence_times_block(
         args.n, regime, RngStream(args.seed), args.count
     )
@@ -182,7 +182,7 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"--ultrametric-tol must be a number >= 0, not {args.ultrametric_tol}")
     if not 0 < args.level < 1:
         raise ValueError(f"--level must be a number in (0, 1), not {args.level}")
-    check_out(args.out)
+    check_out(args.out, reads={"input": args.input, "--constants": args.constants})
     path = Path(args.input)
     inputs = _load_inputs(path)
     table = calibration.load_constants_table(args.constants) if args.constants else {}
@@ -319,11 +319,13 @@ def parse_n_list(text: str) -> list[int]:
     return out
 
 
-def check_out(out: str | None, directory: bool = False, flag: str = "--out") -> None:
-    """Refuse, before the first draw, an output path (option `flag`) whose directory
-    is missing or a file, or a file output that is a directory or whose text
-    ends in a path separator (which Path drops); a directory output is made
-    with its missing parents."""
+def check_out(out: str | None, directory: bool = False, flag: str = "--out",
+              reads: dict[str, str | None] | None = None) -> None:
+    """Refuse, before the first read or draw, an output path (option `flag`)
+    whose directory is missing or a file, a file output that is a directory
+    or whose text ends in a path separator (which Path drops), or one that
+    resolves to a path the command reads (`reads` maps each option that names
+    one to its path); a directory output is made with its missing parents."""
     if out is not None:
         if not directory and out.endswith(tuple(filter(None, (os.sep, os.altsep)))):
             raise ValueError(f"{flag} {out}: names a directory")
@@ -333,6 +335,9 @@ def check_out(out: str | None, directory: bool = False, flag: str = "--out") -> 
             raise ValueError(f"{flag} {out}: {where} is not a directory")
         if not directory and path.is_dir():
             raise ValueError(f"{flag} {out}: is a directory")
+        for option, given in (reads or {}).items():
+            if given is not None and path.resolve() == Path(given).resolve():
+                raise ValueError(f"{flag} {out}: would overwrite {option} {given}")
 
 
 def cmd_calibrate(args) -> int:
@@ -409,7 +414,7 @@ def cmd_coverage(args) -> int:
     ns = parse_n_list(args.n)  # every check runs before the first calibration
     regime = _regime(args, args.r)
     confidence.check_coverage_replicates(args.replicates)
-    check_out(args.out)
+    check_out(args.out, reads={"--constants": args.constants})
     table = calibration.load_constants_table(args.constants) if args.constants else {}
     calibrated = confidence.calibrations(table, ns, args.calibration_replicates, args.seed)
     rows = []

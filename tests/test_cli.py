@@ -1065,6 +1065,36 @@ def test_simulate_refuses_its_trees_before_its_first_draw(tmp_path, capsys, monk
     assert not any((tmp_path / "dir").iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "IN", "--out", "OUT"], "--out OUT: would overwrite input IN"),
+    (["estimate", "TIMES", "--constants", "IN", "--out", "OUT"],
+     "--out OUT: would overwrite --constants IN"),
+    (["coverage", "--n", 5, "--constants", "IN", "--out", "OUT"],
+     "--out OUT: would overwrite --constants IN"),
+    (["simulate", "--n", 5, "--T", 40, "--out", "IN", "--trees", "OUT"],
+     "--trees OUT: would overwrite --out IN"),
+], ids=["estimate-input", "estimate-constants", "coverage-constants", "simulate-trees"])
+def test_commands_refuse_an_output_that_overwrites_an_input_before_reading_it(
+        tmp_path, capsys, monkeypatch, constants_file, times_file, argv, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("read or drew before the outputs were checked")
+
+    monkeypatch.setattr(calibration, "load_constants_table", refused)
+    monkeypatch.setattr(cli, "_load_inputs", refused)
+    monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
+    (tmp_path / "dir").mkdir()
+    source = constants_file if "--constants" in argv else times_file
+    given = tmp_path / "in.csv"
+    given.write_bytes(source.read_bytes())
+    out = f"{tmp_path}/dir/../in.csv"  # the same file by another path
+    argv = [{"IN": given, "OUT": out, "TIMES": times_file}.get(a, a) for a in argv]
+    assert run(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: {message.replace('OUT', out).replace('IN', str(given))}\n")
+    assert given.read_bytes() == source.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "in.csv"]
+
+
 @pytest.mark.parametrize("argv, t", [
     (["simulate", "--n", "5", "--out", "times.csv"], None),
     (["study", "--out", "study"], 40.0),
