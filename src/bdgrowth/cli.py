@@ -260,14 +260,26 @@ def cmd_estimate(args) -> int:
 def _write_estimates(records, args):
     # an explicit --format wins; without it, an --out path ending in .json gets JSON
     if args.format == "json" or (not args.format and str(args.out).endswith(".json")):
-        # the bytes of json.dumps(list of record dicts, indent=2, sort_keys=True),
-        # made a block of records at a time: between its brackets, a block's
-        # text is its records' lines of the whole list
-        dump = json.JSONEncoder(indent=2, sort_keys=True).encode
+        # the bytes of json.dumps(list of record dicts, indent=2, sort_keys=True):
+        # one %-template per kind of record, keys sorted, strings in dumps'
+        # escaping, floats as %r (float.__repr__, which json writes for a
+        # finite float) and None as null; each record but the last ends in ","
+        fields = ('\n  {\n    "ci_high": %s,\n    "ci_low": %s,\n    "error": %s,\n'
+                  '    "estimate": %s,\n    "input": %s,\n    "method": %s,\n    "n": %s\n  },')
+        with_ci = fields % ("%r", "%r", '""', "%r", "%s", "%s", "%d")
+        without_ci = fields % ("null", "null", '""', "%r", "%s", "%s", "%d")
+        error = fields % ("null", "null", "%s", "null", "%s", "%s", "null")
+        quote = json.encoder.encode_basestring_ascii  # json.dumps(text), less its dispatch
         pieces = ["["]
-        for k in range(0, len(records), 1000):
-            block = [dict(zip(ESTIMATE_FIELDS, record)) for record in records[k:k + 1000]]
-            pieces += [",\n" if k else "\n", dump(block)[2:-2]]
+        for name, n, tag, point, low, high, message in records:
+            if message:
+                pieces.append(error % (quote(message), quote(name), quote(tag)))
+            elif low is None:
+                pieces.append(without_ci % (point, quote(name), quote(tag), n))
+            else:
+                pieces.append(with_ci % (high, low, point, quote(name), quote(tag), n))
+        if records:
+            pieces[-1] = pieces[-1][:-1]
         pieces.append("\n]\n" if records else "]\n")
     else:
         # one %-template per kind of record, floats as "%.17g" (g17's bytes):

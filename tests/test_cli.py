@@ -607,6 +607,10 @@ def test_estimate_hands_the_writer_one_tuple_per_input_and_method_in_order(
             (f"{path.name}#{i}", tag) for i in range(count) for tag in tags]
         assert {int(rec[0].split("#")[1]) for rec in records if rec[6]} == refused
         assert all((rec[1] is None) == bool(rec[6]) for rec in records)
+        # the JSON writer formats a float with %r, which is JSON's text only for a float
+        assert all(type(value) is float for rec in records for value in rec[3:6]
+                   if value is not None)
+        assert all(type(rec[1]) is int for rec in records if rec[1] is not None)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
