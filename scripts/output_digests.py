@@ -18,8 +18,10 @@ output bytes regenerates it, so its diff shows which outputs moved:
 
     python scripts/output_digests.py --src src > scripts/output_digests.sha256
 
-Every command is expected to exit 0; the script names on stderr each one that
-does not, and then exits 1. Stdlib only; the whole run takes under a minute.
+The commands run on every usable CPU at once: first those that write a file
+another command reads, then the rest. Every command is expected to exit 0;
+the script names on stderr each one that does not, and then exits 1. Stdlib
+only; the whole run takes under a minute.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TABLE = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "constants.csv")
@@ -105,7 +108,7 @@ def refusals_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
-# (name, argv); later commands read what earlier ones wrote
+# (name, argv); a command may read what another one writes (see waves)
 COMMANDS = [
     ("calibrate", ["calibrate", "--n", "5,10", "--replicates", "20000", "--seed", "3",
                    "--out", "constants.csv"]),
@@ -219,6 +222,22 @@ COMMANDS = [
 ]
 
 
+def outputs(argv: list[str]) -> set[str]:
+    """The files a command's argv names as its outputs."""
+    return {argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg in ("--out", "--trees")}
+
+
+def waves(commands) -> list[list]:
+    """commands in two waves, each in list order: those that write a file
+    another command reads, then the rest. No command of the first wave may
+    read what the first wave writes."""
+    read = {arg for _, argv in commands for arg in set(argv) - outputs(argv)}
+    first = [command for command in commands if outputs(command[1]) & read]
+    written = set().union(*(outputs(argv) for _, argv in first))
+    assert not any(written & (set(argv) - outputs(argv)) for _, argv in first)
+    return [first, [command for command in commands if command not in first]]
+
+
 # the environment the commands run in, as the listing's header
 ENVIRONMENT = """\
 import numpy, scipy
@@ -246,13 +265,22 @@ def main(argv=None) -> int:
         (work / "errors.nwk").write_text(ERROR_NEWICK, encoding="utf-8")
         (work / "decorated.nwk").write_text(DECORATED_NEWICK, encoding="utf-8")
         (work / "refusals.csv").write_text(refusals_csv(), encoding="utf-8")
-        for name, command in COMMANDS:
-            done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *command], cwd=work,
+
+        def run(command):
+            name, argv = command
+            done = subprocess.run([sys.executable, "-m", "bdgrowth.cli", *argv], cwd=work,
                                   env=env, capture_output=True, timeout=120)
             (work / f"{name}.stdout").write_bytes(done.stdout)
-            if done.returncode:
-                failed.append(name)
-                print(f"{name}: exit {done.returncode}\n{done.stderr.decode()}", file=sys.stderr)
+            return name, done
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ThreadPoolExecutor(cpus or 1) as pool:
+            for wave in waves(COMMANDS):
+                for name, done in pool.map(run, wave):  # the wave ends before the next starts
+                    if done.returncode:
+                        failed.append(name)
+                        print(f"{name}: exit {done.returncode}\n{done.stderr.decode()}",
+                              file=sys.stderr)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(work).as_posix()}")

@@ -23,10 +23,23 @@ def split_listing(text: str) -> tuple[list[str], dict[str, str]]:
     return header, {line.split("  ")[1]: line.split("  ")[0] for line in body}
 
 
-def test_output_digests_runs_every_command_and_digests_every_output():
+def load_script():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_the_commands_whose_files_others_read_run_first():
+    script = load_script()
+    first, rest = script.waves(script.COMMANDS)
+    # constants-7.csv, then times.csv with trees.nwk, then times-relative.csv
+    assert [name for name, _ in first] == ["calibrate-7", "simulate", "simulate-relative"]
+    assert sorted(first + rest) == sorted(script.COMMANDS)
+
+
+def test_output_digests_runs_every_command_and_digests_every_output():
+    script = load_script()
     done = subprocess.run([sys.executable, str(SCRIPT), "--src", str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
