@@ -3,7 +3,9 @@ quantile machinery, and the persisted constants table."""
 
 import itertools
 import math
+import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
@@ -85,20 +87,53 @@ def test_sample_sn_starts_one_thread_less_than_it_runs(monkeypatch):
     assert CountedThread.made == 2
 
 
-def test_each_index_raises_a_threads_error_after_every_thread_ends():
-    done = []
+def test_each_item_returns_the_results_in_item_order_reading_the_items_in_order():
+    # 400 items, each drawn by a generator, on 7 threads switching as often as
+    # they can; an item takes up to 1 ms, so items end out of order
+    def draws(gen):
+        for _ in range(400):
+            u = gen.random(5)
+            yield u
+
+    def run(slot, u):
+        assert 0 <= slot < 7
+        time.sleep(u[0] / 1000)
+        return u.tobytes()
+
+    serial = [run(0, u) for u in draws(np.random.default_rng(SEED))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = each_item(run, draws(np.random.default_rng(SEED)), 7)
+        assert each_item(run, iter(()), 7) == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_each_item_raises_a_threads_error_after_every_thread_ends():
+    failed = threading.Event()
 
     def run(slot, i):
         if i == 1:
-            raise FloatingPointError(f"index {i}")
+            failed.set()
+            raise FloatingPointError(f"item {i}")
+        if threads > 1:  # item 0 ends on its thread after item 1 failed on the other
+            assert failed.wait(timeout=60)
+            time.sleep(0.05)
         done.append(i)
 
-    with pytest.raises(FloatingPointError, match="index 1"):
-        each_item(run, range(4), 2)
-    done.clear()
-    with pytest.raises(FloatingPointError, match="index 1"):
-        each_item(run, range(4), 1)
-    assert done == [0]  # no index is taken after the error
+    def items():
+        for i in range(100):
+            taken.append(i)
+            yield i
+
+    for threads in (1, 2):
+        taken, done = [], []
+        with pytest.raises(FloatingPointError, match="item 1"):
+            each_item(run, items(), threads)
+        assert done == [0]  # raised once item 0's thread had ended
+        assert taken == [0, 1]  # no item is taken after the error
 
 
 def sn_one_shot(n, replicates, rng):
