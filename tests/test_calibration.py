@@ -92,8 +92,7 @@ def test_each_item_returns_the_results_in_item_order_reading_the_items_in_order(
     # they can; an item takes up to 1 ms, so items end out of order
     def draws(gen):
         for _ in range(400):
-            u = gen.random(5)
-            yield u
+            yield gen.random(5)
 
     def run(slot, u):
         assert 0 <= slot < 7

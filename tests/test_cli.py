@@ -1070,13 +1070,13 @@ def test_simulate_refuses_its_trees_before_its_first_draw(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["estimate", "IN", "--out", "OUT"], "--out OUT: would overwrite input IN"),
+    (["estimate", "IN", "--out", "OUT"], "--out {out}: would overwrite input {given}"),
     (["estimate", "TIMES", "--constants", "IN", "--out", "OUT"],
-     "--out OUT: would overwrite --constants IN"),
+     "--out {out}: would overwrite --constants {given}"),
     (["coverage", "--n", 5, "--constants", "IN", "--out", "OUT"],
-     "--out OUT: would overwrite --constants IN"),
+     "--out {out}: would overwrite --constants {given}"),
     (["simulate", "--n", 5, "--T", 40, "--out", "IN", "--trees", "OUT"],
-     "--trees OUT: would overwrite --out IN"),
+     "--trees {out}: would overwrite --out {given}"),
 ], ids=["estimate-input", "estimate-constants", "coverage-constants", "simulate-trees"])
 def test_commands_refuse_an_output_that_overwrites_an_input_before_reading_it(
         tmp_path, capsys, monkeypatch, constants_file, times_file, argv, message):
@@ -1093,8 +1093,7 @@ def test_commands_refuse_an_output_that_overwrites_an_input_before_reading_it(
     out = f"{tmp_path}/dir/../in.csv"  # the same file by another path
     argv = [{"IN": given, "OUT": out, "TIMES": times_file}.get(a, a) for a in argv]
     assert run(argv) == cli.EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"input error: {message.replace('OUT', out).replace('IN', str(given))}\n")
+    assert capsys.readouterr().err == f"input error: {message.format(out=out, given=given)}\n"
     assert given.read_bytes() == source.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "in.csv"]
 

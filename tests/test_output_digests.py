@@ -33,7 +33,7 @@ def load_script():
 def test_the_commands_whose_files_others_read_run_first():
     script = load_script()
     first, rest = script.waves(script.COMMANDS)
-    # constants-7.csv, then times.csv with trees.nwk, then times-relative.csv
+    # they write constants-7.csv; times.csv and trees.nwk; times-relative.csv
     assert [name for name, _ in first] == ["calibrate-7", "simulate", "simulate-relative"]
     assert sorted(first + rest) == sorted(script.COMMANDS)
 
