@@ -124,7 +124,7 @@ def sample_sn(n: int, replicates: int, rng: RngStream) -> np.ndarray:
         out[:] = coalescent.sample_q(n, gen, size=len(out))
         blocks.append((gen, out))
     threads = thread_count(len(blocks))
-    rows = max(1, coalescent.chunk_rows(n) // threads)
+    rows = coalescent.chunk_rows(n, threads)
     buffers = [(np.empty((rows, n - 1)), np.empty((rows, n - 1)), np.empty(rows, dtype=bool))
                for _ in range(threads)]
     each_item(lambda slot, block: _sn_block(*block, *buffers[slot]), blocks, threads)

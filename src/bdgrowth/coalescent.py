@@ -30,9 +30,10 @@ conditionally i.i.d. branch heights. Three regimes are implemented:
 
 A sample is a float row of its n - 1 heights, in branch order; samples of
 one n stack into a (k, n-1) matrix. Without T only differences count.
-Simulations come in row chunks of about 2^17 heights (height_draws): the
-random numbers of a chunk are drawn in stream order, and its heights can
-then be computed on any thread, since every transform is elementwise.
+Simulations come in row chunks (height_draws) whose threads share a budget
+of about 2^17 heights: the random numbers of a chunk are drawn in stream
+order, and its heights can then be computed on any thread, since every
+transform is elementwise.
 
 All sampling is inverse transform through the closed-form quantile
 functions below; the test suite checks the CDFs they invert against
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import NonFiniteTimes, checked
 from .rng import RngStream, open_uniform
 
-_CHUNK_HEIGHTS = 1 << 17  # heights per drawn block: 1 MB bounds sampler and kernel memory
+_CHUNK_HEIGHTS = 1 << 17  # heights in flight, split between threads: 1 MB bounds kernel memory
 
 
 def nonfinite_rows(matrix: np.ndarray) -> int:
@@ -236,10 +237,11 @@ def large_n_heights(w, u, n: int, r: float, t: float):
     return t - (np.log(1.0 / np.asarray(w, dtype=float)) + math.log(n) + np.asarray(u, dtype=float)) / r
 
 
-def chunk_rows(n: int) -> int:
-    """Rows per drawn block of an n-tip height matrix: about _CHUNK_HEIGHTS
-    heights, the same on every machine."""
-    return max(1, _CHUNK_HEIGHTS // (n - 1))
+def chunk_rows(n: int, threads: int = 1) -> int:
+    """Rows per drawn block of an n-tip height matrix when `threads` threads
+    split one budget of about _CHUNK_HEIGHTS heights in flight: the same on
+    every machine for a given thread count, and at least one row."""
+    return max(1, _CHUNK_HEIGHTS // (n - 1) // threads)
 
 
 def keep_freed_chunks() -> None:
@@ -258,12 +260,14 @@ def keep_freed_chunks() -> None:
     np.empty(8 * _CHUNK_HEIGHTS)
 
 
-def height_draws(n: int, regime: Regime, rng: RngStream,
-                 count: int) -> Iterator[Callable[[], np.ndarray]]:
+def height_draws(n: int, regime: Regime, rng: RngStream, count: int,
+                 threads: int = 1) -> Iterator[Callable[[], np.ndarray]]:
     """The (count, n - 1) replicate matrix of a regime, as consecutive row
-    blocks of chunk_rows(n) rows, one branch-ordered row per replicate. A
-    block's random numbers are drawn when the iterator yields it, and its
-    heights computed when it is called, on whichever thread calls it.
+    blocks of chunk_rows(n, threads) rows, one branch-ordered row per
+    replicate: `threads` threads, each computing one block at a time, share
+    one budget of about 2^17 heights. A block's random numbers are drawn
+    when the iterator yields it, and its heights computed when it is called,
+    on whichever thread calls it.
 
     The latent column of all count rows is drawn first, then each block's
     uniforms. gen fills row-major, so the blocks' uniforms are, in order,
@@ -298,7 +302,7 @@ def height_draws(n: int, regime: Regime, rng: RngStream,
             return large_n_heights(w, logistic_quantile(v), n, regime.r, regime.t)
     else:
         raise TypeError(f"unknown regime {regime!r}")
-    step = chunk_rows(n)
+    step = chunk_rows(n, threads)
     return (partial(heights, latent[start:start + step],
                     open_uniform(gen, (min(step, count - start), n - 1)))
             for start in range(0, count, step))

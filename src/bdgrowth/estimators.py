@@ -74,9 +74,10 @@ class MleFit(NamedTuple):
         """Fitted rows whose gradient never met the tolerance (estimate: the last iterate)."""
         return int(np.count_nonzero(~self.converged & (self.refused == 0)))
 
-    def refusal(self, row: int | None = None) -> NonConvergence | None:
+    def refusal(self, row: int | None = None, rows: int | None = None) -> NonConvergence | None:
         """The NonConvergence refusing this row fitted alone, or with no row
-        the whole matrix, as the first check to refuse a row; None if none."""
+        the whole matrix, as the first check to refuse a row; None if none.
+        rows counts the fitted rows when these are only the refused ones."""
         codes = self.refused if row is None else self.refused[row:row + 1]
         for code, what in ((1, "moment start out of range"),
                            (2, "optimizer left the feasible region")):
@@ -84,9 +85,14 @@ class MleFit(NamedTuple):
             if hit.any():
                 i = (row or 0) + int(np.argmax(hit))
                 first = f"b={self.b[i]}" if code == 1 else f"a={self.a[i]}, b={self.b[i]}"
-                return NonConvergence(f"{what} in {int(hit.sum())} of {codes.size} rows "
+                return NonConvergence(f"{what} in {int(hit.sum())} of {rows or codes.size} rows "
                                       f"(first: {first})")
         return None
+
+    def refused_only(self) -> "MleFit":
+        """The refused rows' fits, in row order."""
+        refused = self.refused != 0
+        return MleFit(*(field[refused] for field in self))
 
 
 def pairwise_abs_sum_rows(matrix: np.ndarray) -> np.ndarray:
@@ -436,23 +442,29 @@ def simulated_estimates(
     one row chunk of height_draws at a time, never the whole matrix.
 
     Returns the estimates and raw pivot over the kept rows, the unconverged
-    counts summed over chunks, and the number of rows dropped. The chunks
-    run on rng.thread_count(chunks) threads: one per usable CPU, which
-    `taskset` caps, and never more than chunks. A thread takes the next
-    chunk's draws from rng under a lock, so the stream is read in chunk
-    order, then computes its heights and estimates outside it, and keeps
-    them at that chunk's place. The kernels are row-independent, so neither
-    the chunk size nor the thread count changes a bit of the result.
+    counts summed over chunks, and the number of rows dropped. The run takes
+    rng.thread_count(chunks) threads, chunks being the count of full-size
+    chunks (chunk_rows(n) rows): one per usable CPU, which `taskset` caps,
+    and never more than those chunks. The threads split one budget of about
+    2^17 heights, so each draws chunks of chunk_rows(n, threads) rows, and
+    the heights in flight do not grow with the thread count. A thread takes
+    the next chunk's draws from rng under a lock, so the stream is read in
+    chunk order, then computes its heights and estimates outside it, and
+    keeps them at that chunk's place. The draws fill row-major and the
+    kernels are row-independent, so neither the chunk size nor the thread
+    count changes a bit of the result.
 
     No kernel sees a chunk that holds a non-finite row, and a simulated
-    replicate is no input of its own to give an error row: the chunks are
-    read in order, and the first one that holds such rows refuses the run
-    (counting them over every chunk), and the first one with a refused fit
-    raises its NonConvergence, counted over that chunk. A run that keeps no
-    replicate is refused too: there is nothing to score.
+    replicate is no input of its own to give an error row. The faults are
+    judged over the whole run, so no message depends on the chunk size: any
+    non-finite row refuses the run, counting such rows over every chunk;
+    otherwise the first check of a fit that refuses a row raises one
+    NonConvergence, counting the rows it refuses out of all fitted rows and
+    naming the first in row order. A run that keeps no replicate is refused
+    too: there is nothing to score.
     """
-    chunks = -(-count // chunk_rows(n))
-    draws = height_draws(n, regime, rng, count)
+    threads = thread_count(-(-count // chunk_rows(n)))
+    draws = height_draws(n, regime, rng, count, threads)
 
     def run(_slot: int, draw) -> tuple:  # (non-finite rows, estimates, fits' findings)
         h = draw()
@@ -460,24 +472,25 @@ def simulated_estimates(
             return bad, None, {}
         found = estimates_for_matrix(h, row, estimators)
         # the pass reads only this of the fits; holding them raised peak RSS 4% at n = 100
-        fits = {tag: (fit.refusal(), fit.unconverged) for tag, fit in found.fits.items()}
+        fits = {tag: (fit.refused_only(), fit.unconverged) for tag, fit in found.fits.items()}
         found.fits.clear()
         return 0, found, fits
 
     keep_freed_chunks()
-    results = each_item(run, draws, thread_count(chunks))
-    unconverged: dict[str, int] = {}
-    for bad, _, fits in results:
-        if bad:
-            refuse_nonfinite_rows(sum(result[0] for result in results), count)
-        for tag, (refusal, missed) in fits.items():
-            if refusal:
-                raise refusal
-            unconverged[tag] = unconverged.get(tag, 0) + missed
+    results = each_item(run, draws, threads)
+    refuse_nonfinite_rows(sum(bad for bad, _, _ in results), count)
     parts = [found for _, found, _ in results]
     raw = np.concatenate([part.raw for part in parts])
+    unconverged: dict[str, int] = {}
+    for tag in results[0][2]:
+        chunks = [fits[tag] for _, _, fits in results]
+        refused = MleFit(*map(np.concatenate, zip(*(fit for fit, _ in chunks))))
+        if refusal := refused.refusal(rows=raw.size):
+            raise refusal
+        if missed := sum(k for _, k in chunks):
+            unconverged[tag] = missed
     if not raw.size:
         raise DegenerateTimes(f"all {count} replicates dropped: each one's heights coincide")
     estimates = {tag: np.concatenate([part.estimates[tag] for part in parts])
                  for tag in estimators}
-    return estimates, raw, {tag: k for tag, k in unconverged.items() if k}, count - raw.size
+    return estimates, raw, unconverged, count - raw.size

@@ -4,11 +4,14 @@ constant sweeps, and the large-sample variance check.
 Experiments take built regimes: the command that reads the regime flags
 makes each regime value, and an experiment is a pure function of those
 values, its other parameters and a seed. Each scores the replicates of
-estimators.simulated_estimates, drawn and estimated a row chunk at a time.
-Estimator cells of the study grid run one after another, each on its own
-child stream with its chunks on every usable CPU, and CSV emission formats
-floats with 17 significant digits, so outputs are byte-stable across runs
-and thread counts.
+estimators.simulated_estimates, drawn and estimated a row chunk at a time,
+its threads splitting one budget of about 2^17 heights, so a chunk has
+fewer rows on more threads and the same bits. A simulated fault refuses
+the whole run, judged over all its rows, so its message too is the same on
+any thread count. Estimator cells of the study grid run one after another,
+each on its own child stream with its chunks on every usable CPU, and CSV
+emission formats floats with 17 significant digits, so outputs are
+byte-stable across runs and thread counts.
 """
 
 from __future__ import annotations

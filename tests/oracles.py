@@ -21,8 +21,8 @@ answer with bdgrowth.treeio's reading of its exact text, so a graph test
 checks the package's reader.
 
 CountedThread stands in for threading.Thread where a test counts the
-threads a command starts, and with_chunks_changed for the sampler where a
-test puts rows no sampler draws into a simulated matrix.
+threads a command starts, and with_chunks_changed and with_rows_set for
+the sampler where a test puts rows no sampler draws into a simulated matrix.
 """
 
 import math
@@ -38,6 +38,7 @@ from bdgrowth.calibration import _SN_BLOCK
 from bdgrowth.coalescent import *  # noqa: F403
 from bdgrowth.coalescent import (
     ExactFiniteT,
+    chunk_rows,
     h_exact_quantile,
     logistic_quantile,
     u_given_q_quantile,
@@ -552,8 +553,26 @@ def with_chunks_changed(height_draws, changes):
         change(chunk)
         return chunk
 
-    def patched(n, regime, rng, count):
-        for k, draw in enumerate(height_draws(n, regime, rng, count)):
+    def patched(n, regime, rng, count, threads=1):
+        for k, draw in enumerate(height_draws(n, regime, rng, count, threads)):
             yield partial(changed, draw, changes[k]) if k in changes else draw
+
+    return patched
+
+
+def with_rows_set(height_draws, rows):
+    """A stand-in for coalescent.height_draws that sets row i of the whole
+    (count, n - 1) matrix to rows[i] for each i in rows, in whichever chunk
+    it falls, so a planted row is the same row at any chunk length."""
+
+    def set_rows(chunk, start):
+        for i, values in rows.items():
+            if start <= i < start + len(chunk):
+                chunk[i - start] = values
+
+    def patched(n, regime, rng, count, threads=1):
+        step = chunk_rows(n, threads)
+        changes = {k: partial(set_rows, start=k * step) for k in range(-(-count // step))}
+        return with_chunks_changed(height_draws, changes)(n, regime, rng, count, threads)
 
     return patched

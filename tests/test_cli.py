@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 import bdgrowth
-from bdgrowth import calibration, cli, confidence, estimators, harness, treeio
+from bdgrowth import calibration, cli, coalescent, confidence, estimators, harness, treeio
 from bdgrowth.estimators import METHODS, estimates_for_matrix
-from bdgrowth.rng import RngStream
+from bdgrowth.rng import RngStream, thread_count
 from oracles import CountedThread, with_chunks_changed
 
 NEWICK = "((A:1,B:1):1,C:2);"
@@ -45,10 +45,19 @@ def poison_height_chunks(monkeypatch):
         chunk[::4, 0], chunk[1::4, -1] = np.inf, np.nan
         return chunk
 
-    def poisoned(n, regime, rng, count):
-        return (partial(poison, draw) for draw in real_draws(n, regime, rng, count))
+    def poisoned(n, regime, rng, count, threads=1):
+        return (partial(poison, draw) for draw in real_draws(n, regime, rng, count, threads))
 
     monkeypatch.setattr(estimators, "height_draws", poisoned)
+
+
+def poisoned_rows(n, count):
+    """The rows poison_height_chunks marks in a run of count replicates of n
+    tips: two in four of each row chunk, rounded up per chunk, with chunks as
+    long as the run's thread count makes them."""
+    step = coalescent.chunk_rows(n, thread_count(-(-count // coalescent.chunk_rows(n))))
+    return sum(-(-rows // 4) + -(-(rows - 1) // 4)
+               for rows in (min(step, count - start) for start in range(0, count, step)))
 
 
 def src_env():
@@ -751,14 +760,16 @@ def test_study_exits_3_when_the_mle_refuses_a_simulated_row(tmp_path, constants_
     # inf tip depths make the ultrametric check subtract inf from inf
     (["estimate", "in.nwk", "--methods", "Lengths"], OVERFLOWING_TREE + "\n",
      cli.EXIT_INPUT, "ValueError: coalescence times must be finite"),
-    # the same at r*T = 5000; the poison marks two rows in four of each row
-    # chunk, rounded up per chunk: at n = 10 the bad rows fall in both of the
-    # sampler's chunks and at n = 100 in all sixteen, and every one is counted
+    # the same at r*T = 5000; the bad rows fall in every one of the sampler's
+    # chunks (at least two at n = 10 and sixteen at n = 100), and every one is
+    # counted
     (["coverage", "--n", 10, "--T", 5000, "--replicates", 20_000, "--seed", 1], None,
-     cli.EXIT_NUMERICAL, "10001 of 20000 rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, lambda: f"{poisoned_rows(10, 20_000)} of 20000 rows hold non-finite "
+                                 "coalescence times"),
     (["coverage", "--n", 100, "--T", 5000, "--replicates", 20_000, "--seed", 1,
       "--calibration-replicates", 20_000], None,
-     cli.EXIT_NUMERICAL, "10008 of 20000 rows hold non-finite coalescence times"),
+     cli.EXIT_NUMERICAL, lambda: f"{poisoned_rows(100, 20_000)} of 20000 rows hold non-finite "
+                                 "coalescence times"),
 ], ids=["estimate-overflow", "study-T800", "estimate-overflowing-tree", "coverage-T5000",
         "coverage-T5000-chunks"])
 def test_refused_results_print_no_runtime_warning(tmp_path, constants_file, argv, text, code,
@@ -774,7 +785,7 @@ def test_refused_results_print_no_runtime_warning(tmp_path, constants_file, argv
         warnings.simplefilter("always")
         assert run(argv) == code
     done = capsys.readouterr()
-    assert message in done.out + done.err
+    assert (message() if callable(message) else message) in done.out + done.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # nothing is written but the input
     assert [p.name for p in tmp_path.iterdir()] == ([argv[1]] if text is not None else [])
@@ -926,9 +937,9 @@ def test_coverage_draws_every_s_n_once_before_its_first_study(tmp_path, monkeypa
         events.append(f"S_{n}")
         return sample_sn(n, replicates, rng)
 
-    def counted_draws(n, regime, rng, count):
+    def counted_draws(n, regime, rng, count, threads=1):
         events.append(f"heights of {n}")
-        return height_draws(n, regime, rng, count)
+        return height_draws(n, regime, rng, count, threads)
 
     monkeypatch.setattr(calibration, "sample_sn", counted_sn)
     monkeypatch.setattr(estimators, "height_draws", counted_draws)

@@ -22,7 +22,7 @@ from bdgrowth import estimators as est
 from bdgrowth import harness
 from bdgrowth.errors import NonConvergence, NonFiniteTimes
 from bdgrowth.rng import RngStream
-from oracles import CountedThread, with_chunks_changed
+from oracles import CountedThread, with_chunks_changed, with_rows_set
 
 SEED = 20260808
 EXACT = co.ExactFiniteT(1.0, 0.0, 40.0)  # the study's default regime at r = 1, T = 40
@@ -256,9 +256,11 @@ def test_simulated_estimates_start_no_thread_on_one_cpu_nor_more_than_chunks(mon
     assert CountedThread.made == 2
 
 
-def refuse_rows(chunk, rows):
-    """Give the first `rows` rows of a chunk a moment start the fit refuses."""
-    chunk[:rows] = 1e200 * np.arange(chunk.shape[1])
+def refuse_rows(chunk, rows, scale=1e200):
+    """Give the first `rows` rows of a chunk a moment start the fit refuses:
+    b*b overflows at scale 1e200 (first: b=inf) and underflows at 1e-300
+    (first: b=0.0)."""
+    chunk[:rows] = scale * np.arange(chunk.shape[1])
 
 
 def test_the_first_refusal_in_chunk_order_is_raised_whatever_finishes_first(monkeypatch):
@@ -269,7 +271,7 @@ def test_the_first_refusal_in_chunk_order_is_raised_whatever_finishes_first(monk
 
     def chunk_1(chunk):
         assert chunk_2_done.wait(timeout=60)
-        refuse_rows(chunk, 1)
+        refuse_rows(chunk, 1, scale=1e-300)
 
     def estimates(h, row, tags):
         found = real_estimates(h, row, tags)
@@ -283,15 +285,21 @@ def test_the_first_refusal_in_chunk_order_is_raised_whatever_finishes_first(monk
     monkeypatch.setattr(est, "estimates_for_matrix", estimates)
     monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: 3)
     count = 4 * co.chunk_rows(20) + 7
-    with pytest.raises(NonConvergence, match="^moment start out of range in 1 of "):
+    # counted over the run; the first refused row is chunk 1's
+    with pytest.raises(NonConvergence, match=(
+            f"^moment start out of range in 3 of {count} rows \\(first: b=0\\.0\\)$")):
         est.simulated_estimates(20, REGIMES["exact"], RngStream(SEED), count, None, ("MLE",))
     assert finished.index(2) < finished.index(1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_simulated_estimates_raise_the_first_fault_in_chunk_order(monkeypatch, cpus):
+    # the faults are judged over the run: a non-finite row anywhere refuses
+    # it, else the refused fits are counted over every chunk and the first
+    # refused row in chunk order is named
     real_draws = est.height_draws
-    count = 4 * co.chunk_rows(20) + 7  # five chunks
+    count = 4 * co.chunk_rows(20) + 7  # five full-size chunks
+    step = co.chunk_rows(20, min(cpus, 5))  # the chunk length the run uses
 
     def poison(chunk):
         chunk[::3, 0] = np.nan
@@ -302,14 +310,47 @@ def test_simulated_estimates_raise_the_first_fault_in_chunk_order(monkeypatch, c
                                 ("MSE", "MLE"))
 
     monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda: cpus)
-    two, three = (partial(refuse_rows, rows=rows) for rows in (2, 3))
-    with pytest.raises(NonConvergence, match="^moment start out of range in 2 of "):
+    two, three = partial(refuse_rows, rows=2, scale=1e-300), partial(refuse_rows, rows=3)
+    with pytest.raises(NonConvergence, match=(
+            f"^moment start out of range in 5 of {count} rows \\(first: b=0\\.0\\)$")):
+        run({1: two, 2: three})
+    with pytest.raises(NonConvergence, match=(
+            f"^moment start out of range in 5 of {count} rows \\(first: b=inf\\)$")):
+        run({1: three, 2: two})
+    # a non-finite row after the refusals still refuses the run
+    per_chunk = -(-step // 3)
+    with pytest.raises(NonFiniteTimes, match=f"^{per_chunk} of {count} rows hold non-f"):
         run({1: two, 2: three, 3: poison})
-    # a non-finite chunk before the first refusal refuses the run, counting
-    # the non-finite rows of every chunk, the later poisoned one too
-    per_chunk = -(-co.chunk_rows(20) // 3)
+    # counting the non-finite rows of every chunk, the later poisoned one too
     with pytest.raises(NonFiniteTimes, match=f"^{2 * per_chunk} of {count} rows hold non-f"):
         run({1: poison, 2: three, 3: poison})
+
+
+def test_simulated_faults_read_the_same_on_any_cpu_count(monkeypatch):
+    # 2000 rows of 4 heights in chunks of 64 // threads rows; each run plants
+    # the same rows of the whole matrix, so every chunking sees the same faults
+    monkeypatch.setattr(co, "_CHUNK_HEIGHTS", 1 << 8)
+    left = [0.0, 1e-161, 5e-162, 2e-162]  # the fit leaves the feasible region
+    over, under = ([scale * k for k in range(4)] for scale in (1e200, 1e-300))
+    refused = {50: [1.0] * 4, 100: left, 300: over, 700: under, 1200: left}  # 50: dropped
+    runs = {
+        "refused": (refused, NonConvergence,
+                    "moment start out of range in 2 of 1999 rows (first: b=inf)"),
+        "left": ({50: [1.0] * 4, 100: left, 1200: left}, NonConvergence,
+                 "optimizer left the feasible region in 2 of 1999 rows "
+                 "(first: a=4.999999999999999e-162, b=0.0)"),
+        "both": ({10: [np.nan] * 4, **refused, 1999: [np.inf] * 4}, NonFiniteTimes,
+                 "2 of 2000 rows hold non-finite coalescence times"),
+    }
+    real_draws = est.height_draws
+    for name, (rows, error, message) in runs.items():
+        monkeypatch.setattr(est, "height_draws", with_rows_set(real_draws, rows))
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr("bdgrowth.rng.usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(error) as raised:
+                est.simulated_estimates(5, REGIMES["exact"], RngStream(SEED), 2000, ROW_20,
+                                        ("MSE", "MLE"))
+            assert str(raised.value) == message, (name, cpus)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
@@ -330,6 +371,36 @@ def test_simulated_chunks_reuse_freed_memory_instead_of_faulting_it_in():
                           check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     # about 9 000 on one thread and 13 000 on two when each chunk's arrays go back
     assert int(done.stdout) < 2000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's per-thread arenas")
+def test_simulation_memory_does_not_grow_with_the_thread_count():
+    # a fresh process per CPU count: each thread's malloc arena keeps what its
+    # chunks freed, so the threads must split one budget of heights between
+    # them. The peak is the process's own VmHWM: ru_maxrss keeps that of the
+    # process it was forked from.
+    code = "\n".join([
+        "import sys",
+        "import bdgrowth.rng",
+        "from bdgrowth import coalescent as co, confidence as ci",
+        "from bdgrowth.rng import RngStream",
+        "def peak():",
+        "    with open('/proc/self/status') as status:",
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM'))",
+        "bdgrowth.rng.usable_cpus = lambda: int(sys.argv[1])",
+        "spec, regime = ci.ConfidenceSpec(0.5, 2.0), co.ExactFiniteT(1.0, 0.0, 40.0)",
+        "base = peak()",
+        "for n in (20, 100):",
+        "    ci.coverage_study(n, 1.0, regime, 20_000, RngStream(1), spec)",
+        "print(peak() - base)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    growth = [int(subprocess.run([sys.executable, "-c", code, str(cpus)], capture_output=True,
+                                 text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+                                 timeout=120).stdout) for cpus in (1, 7)]
+    # 2-vCPU x86 host: about 10.7 MB on 1 thread and 14.6 MB on 7; a full-size
+    # chunk per thread took 35 MB on 7
+    assert growth[1] < 2 * growth[0], growth
 
 
 def test_run_cell_memory_is_bounded_by_the_chunks():
