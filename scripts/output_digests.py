@@ -108,6 +108,29 @@ def refusals_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def newick_batch() -> str:
+    """Some 400 ultrametric binary trees of 5 to 20 tips, about 230 kB, from
+    a seeded stdlib generator, decorated as real files are: quoted labels
+    with spaces and doubled quotes, [&...] comments, internal labels. One
+    malformed tree (a ')' missing) sits in the middle."""
+    rng = random.Random(30)
+    trees = []
+    for _ in range(400):
+        # (height, text) per subtree; two random ones join until one is left
+        nodes = [(0.0, rng.choice([f"t{k}", f"'tip {k}'", f"'O''Neil {k}'"]))
+                 for k in range(rng.choice((5, 8, 10, 12, 16, 20)))]
+        height = 0.0
+        while len(nodes) > 1:
+            height += rng.expovariate(len(nodes))
+            joined = [nodes.pop(rng.randrange(len(nodes))) for _ in range(2)]
+            inner = ",".join(f"{text}:{height - h:.12g}" + rng.choice(["", "", "[&rate=0.5]"])
+                             for h, text in joined)
+            nodes.append((height, f"({inner})" + rng.choice(["", "", f"n{rng.randrange(99)}"])))
+        trees.append(nodes[0][1] + f":{rng.uniform(0, 2):.12g};")
+    trees[200] = trees[200].replace(")", "", 1)
+    return "[a batch]\n" + "\n".join(trees) + "\n"
+
+
 # (name, argv); a command may read what another one writes (see waves)
 COMMANDS = [
     ("calibrate", ["calibrate", "--n", "5,10", "--replicates", "20000", "--seed", "3",
@@ -170,6 +193,9 @@ COMMANDS = [
     ("estimate-decorated", ["estimate", "decorated.nwk", "--constants", TABLE,
                             "--methods", ALL_METHODS, "--replicates", "20000",
                             "--out", "estimate-decorated.csv"]),
+    # several 32 kB pieces of the Newick reader, one of them with a bad tree
+    ("estimate-batch", ["estimate", "batch.nwk", "--constants", TABLE,
+                        "--methods", ALL_METHODS, "--out", "estimate-batch.csv"]),
     # sizes that span several row chunks of the samplers and two S_n stream
     # blocks, so the digests cover the seams between them
     ("calibrate-chunks", ["calibrate", "--n", "60", "--replicates", "60001", "--seed", "9",
@@ -265,6 +291,7 @@ def main(argv=None) -> int:
         (work / "errors.nwk").write_text(ERROR_NEWICK, encoding="utf-8")
         (work / "decorated.nwk").write_text(DECORATED_NEWICK, encoding="utf-8")
         (work / "refusals.csv").write_text(refusals_csv(), encoding="utf-8")
+        (work / "batch.nwk").write_text(newick_batch(), encoding="utf-8")
 
         def run(command):
             name, argv = command

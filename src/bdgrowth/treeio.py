@@ -2,21 +2,29 @@
 and height rows to text.
 
 Reading: real genealogies arrive as rooted ultrametric Newick trees.
-parse_newick_trees reads each tree in one left-to-right pass (quoted labels
-and bracket comments included) and keeps no tree: one regular-expression
-match takes a node's leading filler (whitespace and comments), its label,
-its length and the filler after it, and a stack of open groups does the
-rest. Each finished subtree leaves only its tip count, its summed tip
-distance and its nearest and farthest tip distance, so the pass yields a
-TreeRecord: the join heights, the tip count, the topology-true internal
-branch length, the spread of tip distances below the root and the first
-node that is not binary; a root stem is read and checked but not kept. extract_coalescence_times and
-tree_internal_branch_length read the record, validate it (at least two tips,
-binary, ultrametric within a relative tolerance) and return the descending
-heights (a plain tree carries no branch order) and the internal length used
-by the lengths-based estimator. In a multi-tree text, a tree that fails to
-parse becomes an error item of the batch, and parsing resumes after the
-first ';' at or after the error that lies outside comments and quoted labels.
+parse_newick_trees reads the text in pieces of about 32 kB, each ending at
+a ';', and yields one TreeRecord per tree: the join heights, the tip count,
+the topology-true internal branch length, the spread of tip distances below
+the root and the first node that is not binary; a root stem is read and
+checked but not kept. Two readers make the same records, bit for bit. The
+bulk reader takes a piece of well-formed binary trees with a finite length
+on every edge below a root: one regular-expression pass lists each node's
+'(' run, length and separator, and numpy sums the records one depth level
+at a time, from the deepest up. Every other piece (a parse error, a
+multifurcation, a missing or non-finite length, a ';' inside a quoted label
+or comment where the piece ends, a comb whose depth is large next to its
+node count) and every piece under 4 kB goes node at a time: one pass
+(quoted labels and bracket comments included) in which one match takes a
+node's leading filler, label, length and the filler after it, and a stack
+of open groups does the rest. Each finished subtree leaves only its tip
+count, its summed tip distance and its nearest and farthest tip distance.
+extract_coalescence_times and tree_internal_branch_length read the record,
+validate it (at least two tips, binary, ultrametric within a relative
+tolerance) and return the descending heights (a plain tree carries no
+branch order) and the internal length used by the lengths-based
+estimator. In a multi-tree text, a tree that fails to parse becomes an
+error item of the batch, and parsing resumes after the first ';' at or
+after the error that lies outside comments and quoted labels.
 
 Writing: a row of branch-ordered heights with its tree height T defines the
 coalescent-point-process tree; cpp_newick_rows prints its canonical text for
@@ -31,6 +39,8 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +101,22 @@ _NODE = (
 # text up to the first ';' outside [...] comments and quoted labels; a
 # comment or label that never closes runs to the end of the text
 _TO_TREE_END = r"(?:[^;\[']|\[[^\]]*(?:\]|$)|'[^']*(?:'|$))*;"
+# The bulk reader's node: filler, its '(' run (1), a quoted or bare label,
+# which it skips, filler, ':' (2) and a length token (3) with filler after
+# them, and its separator (4). Any other character is a stray (5); so is a
+# node with filler between '(' and its label or right after its ':'.
+_BULK_FILLER = r"(?:\s++|\[[^\]]*+\])*+"
+_BULK_NODE = (_BULK_FILLER + r"(\(*+)(?:[^():,;\[\s']" + _WORD + "*+|'[^']*+(?:''[^']*+)*+')?+"
+              + _BULK_FILLER + "(?:(:)(" + _WORD + "*+)" + _BULK_FILLER + r")?+([,);])|(\S)")
+_PIECE = 1 << 15  # characters tokenized at once, up to the next ';'
+# A level step costs about 12 us, and the bulk reader saves about 0.6 us a
+# node, so it takes a piece only with 32 nodes or more per depth level
+# (measured on 32 kB of combs: at 20 nodes a level it was 3-5% slower node
+# for node, at 32 10-14% faster; a 3000-tip comb took 40 ms against 8 ms).
+# Its set-up costs about 0.1 ms, so a piece under 4 kB goes node at a time
+# (8 writer trees, 3.4 kB: 0.35 ms against 0.29).
+_LEVEL_NODES = 32
+_SHORT = 1 << 12
 
 
 def _skip_filler(text: str, pos: int) -> int:
@@ -198,23 +224,10 @@ def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None,
                       len(children))
 
 
-def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranchLength]:
-    """Read a ';'-separated multi-tree string, one entry per tree.
-
-    Standard grammar: nested parentheses, optional (possibly quoted) labels,
-    ':'-prefixed branch lengths, bracket comments, ';' after each tree. An
-    entry is the tree's record, or the error that refused it: a ParseError,
-    or a MissingBranchLength when an edge other than the root stem has no
-    length, since the trees are bound for estimation. After a ParseError the
-    next tree starts after the first ';' at or after the error's offset that
-    lies outside comments and quoted labels. Multifurcations read fine; they
-    are refused by extraction, which can cite the offending node. Text that
-    holds no tree at all raises.
-    """
-    match_node = re.compile(_NODE, re.S).match
-    out: list[TreeRecord | ParseError | MissingBranchLength] = []
-    pos = 0
-    while True:
+def _read_trees(text: str, pos: int, stop: int, match_node, out: list) -> int:
+    """Read trees node at a time from pos into out until past stop; returns
+    where the next tree starts."""
+    while pos < stop:
         try:
             pos = _skip_filler(text, pos)
             if pos == len(text):
@@ -232,6 +245,112 @@ def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranc
             out.append(record)
         else:
             out.append(MissingBranchLength(f"edge above {missing!r} has no branch length"))
+    return pos
+
+
+def _bulk_records(nodes: list[tuple[str, ...]]) -> list[TreeRecord] | None:
+    """The records of a piece's trees from the tokens of its nodes, in
+    postorder, one array step per depth level; or None when the piece needs
+    _read_tree: a stray character, a '(' right after a ')', a node that is
+    not binary, a missing, unreadable or non-finite length (the root's may
+    be missing), or depth large next to the node count. Empties nodes once
+    its columns are taken.
+
+    Every step repeats _read_tree's float operations in its order, so each
+    record is bit-identical to the one _read_tree makes.
+    """
+    runs, tokens, seps = (list(map(itemgetter(k), nodes)) for k in (0, 2, 3))
+    count = len(seps)
+    text = "".join(seps).encode()
+    if len(text) != count:  # a stray has no separator
+        return None
+    sep = np.frombuffer(text, np.uint8)
+    roots = np.flatnonzero(sep == 59).tolist()  # ';'
+    for r in roots:
+        if not nodes[r][1]:
+            tokens[r] = "0"  # a root needs no length
+    nodes.clear()
+    try:
+        lengths = np.fromiter(map(float, tokens), float, count)
+    except ValueError:  # '' where a node below a root has no length
+        return None
+    close = sep == 41  # ')'
+    inner = np.concatenate(([False], close[:-1]))  # a node after ')' closes a group
+    opens = np.fromiter(map(len, runs), int, count)
+    depth = np.cumsum(opens - close) + close
+    if (not roots or roots[-1] != count - 1 or not inner[roots].all() or opens[inner].any()
+            or not np.array_equal(depth == 0, sep == 59)
+            or depth.max() * _LEVEL_NODES > count or not np.isfinite(lengths).all()):
+        return None
+    order = np.argsort(depth, kind="stable")  # level by level, in postorder
+    # binary: each level below the roots alternates a ',' child and a ')' child
+    if (sep[order[len(roots)::2]] != 44).any() or (sep[order[len(roots) + 1::2]] != 41).any():
+        return None
+    # per node: tips, summed tip distance, nearest and negated farthest tip
+    # distance, from the top of its edge once its level is done; negated,
+    # the farthest is the least too, since -(a + b) is (-a) + (-b) exactly
+    below = np.zeros((4, count))
+    below[0] = 1.0
+    edge = np.stack((lengths, lengths, -lengths))
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(ends[-2::-1], ends[:0:-1]):  # deepest level first
+            child = order[a:b]
+            x, d = below[:, child], edge[:, child]
+            x[1] += x[0] * d[0]
+            x[2:] += d[1:]
+            left, right, up = x[:, ::2], x[:, 1::2], child[1::2] + 1  # a group after its ')'
+            below[:2, up] = left[:2] + right[:2]
+            below[2:, up] = np.where(left[2:] < right[2:], left[2:], right[2:])
+        tips = below[0].astype(int)
+        heights = (below[1, inner] / tips[inner]).tolist()
+    # the edges _read_tree adds to `internal` as each group closes: its left
+    # child's (the node before its right child's subtree) and its right
+    # child's, where that child has two tips or more; a sum from 0.0 is
+    # never -0.0, so adding 0.0 in place of the others leaves it as it is
+    group = np.flatnonzero(inner)
+    internal = np.where(tips > 1, lengths, 0.0)
+    flat = np.stack((internal[group - 2 * tips[group - 1]], internal[group - 1]), 1).ravel().tolist()
+    out, first = [], 0
+    for n, low, high in zip(tips[roots].tolist(), below[2, roots].tolist(),
+                            below[3, roots].tolist()):
+        out.append(TreeRecord(heights[first:first + n - 1], n,
+                              reduce(add, flat[2 * first:2 * (first + n - 1)], 0.0), low, -high, None))
+        first += n - 1
+    return out
+
+
+def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranchLength]:
+    """Read a ';'-separated multi-tree string, one entry per tree.
+
+    Standard grammar: nested parentheses, optional (possibly quoted) labels,
+    ':'-prefixed branch lengths, bracket comments, ';' after each tree. An
+    entry is the tree's record, or the error that refused it: a ParseError,
+    or a MissingBranchLength when an edge other than the root stem has no
+    length, since the trees are bound for estimation. After a ParseError the
+    next tree starts after the first ';' at or after the error's offset that
+    lies outside comments and quoted labels. Multifurcations read fine; they
+    are refused by extraction, which can cite the offending node. Text that
+    holds no tree at all raises.
+
+    The text is read in pieces of about _PIECE characters, each ending at a
+    ';'. _bulk_records reads a piece of well-formed binary trees; any other
+    piece goes to _read_tree, node at a time, from the piece's start until
+    past its end, and the next piece starts where _read_tree stopped. Both
+    give the same entries, bit for bit.
+    """
+    match_node = re.compile(_NODE, re.S).match
+    find_nodes = re.compile(_BULK_NODE).findall
+    out: list[TreeRecord | ParseError | MissingBranchLength] = []
+    pos = 0
+    while pos < len(text):
+        stop = text.find(";", pos + _PIECE) + 1 or len(text)
+        records = _bulk_records(find_nodes(text, pos, stop)) if stop - pos >= _SHORT else None
+        if records is None:
+            pos = _read_trees(text, pos, stop, match_node, out)
+        else:
+            out += records
+            pos = stop
     if not out:
         raise ParseError(0, "at least one tree")
     return out

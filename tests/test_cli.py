@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import importlib
 import inspect
+import io
 import itertools
 import json
 import os
@@ -316,6 +317,27 @@ def test_estimate_error_field_round_trips_through_csv(tmp_path, constants_file):
     assert [len(r) for r in rows] == [7, 7, 7]
     assert rows[1][6] == 'NotBinary: node x"y has 3 children'
     assert float(rows[2][3]) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("name", ["a,b.nwk", 'say "hi".nwk', "two\nlines.nwk", "cr\r.nwk",
+                                  "plain name.nwk"])
+def test_estimate_input_field_round_trips_through_csv_and_json(tmp_path, constants_file, name):
+    src = tmp_path / name
+    src.write_text(NEWICK + "\n(A:1,B:1,C:1);")
+    out = tmp_path / "est.csv"
+    argv = ["estimate", src, "--constants", constants_file, "--methods", "Lengths,Inv"]
+    assert run(argv + ["--out", out]) == 0
+    with out.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7] * 5
+    assert [row[0] for row in rows[1:]] == [f"{name}#0"] * 2 + [f"{name}#1"] * 2
+    # quoted as csv's own writer quotes it, and only where it must be
+    first = io.StringIO()
+    csv.writer(first).writerow([f"{name}#0", 3])  # lines end in "\r\n"
+    assert out.read_bytes().decode().split("\n", 1)[1].startswith(first.getvalue()[:-2] + ",")
+    assert run(argv + ["--out", tmp_path / "est.json"]) == 0
+    records = json.loads((tmp_path / "est.json").read_text(encoding="utf-8"))
+    assert [record["input"] for record in records] == [row[0] for row in rows[1:]]
 
 
 def test_estimate_isolates_bad_inputs(tmp_path, constants_file):

@@ -1,11 +1,14 @@
-"""Tree I/O: the one-pass reader on good and hostile input, checked against
-the reference graph parser of tests/oracles.py; ultrametric validation,
+"""Tree I/O: the reader on good and hostile input, checked against the
+reference graph parser of tests/oracles.py, and its bulk reader checked bit
+for bit against its node-at-a-time reader; ultrametric validation,
 height extraction, internal-length agreement with the branch-order
 formula, and the matrix writer against building and serializing one graph
 tree per row."""
 
+import math
 import random
 import re
+import warnings
 
 import numpy as np
 import oracles
@@ -331,6 +334,165 @@ def test_single_pass_extraction_and_length_are_bit_identical_to_the_reference():
         assert treeio.extract_coalescence_times(record).tolist() == reference_heights(tree)
         assert treeio.tree_internal_branch_length(record) == reference_internal_length(tree)
         assert_parsers_agree(shuffled)
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader against the node-at-a-time reader and the reference
+# ---------------------------------------------------------------------------
+
+
+def node_at_a_time(text):
+    """The entries _read_tree alone makes of a text."""
+    out = []
+    treeio._read_trees(text, 0, len(text), re.compile(treeio._NODE, re.S).match, out)
+    return out
+
+
+def entry_bits(item):
+    """A record's fields, every float as its exact bits; or an error's type,
+    text and offset."""
+    if isinstance(item, treeio.TreeRecord):
+        return ([h.hex() for h in item.heights], item.tips, item.internal.hex(),
+                item.lo.hex(), item.hi.hex(), item.not_binary)
+    return type(item).__name__, str(item), getattr(item, "offset", None)
+
+
+def reference_bits(tree):
+    """entry_bits of a reference graph's record, each sum in the reader's
+    order: join heights in postorder, tip distances from each tip up."""
+    below, heights = {}, []
+    for node in oracles._postorder(tree.root):
+        if node.is_leaf():
+            below[id(node)] = 1, 0.0, 0.0, 0.0
+            continue
+        (tips_l, total_l, lo_l, hi_l), (tips_r, total_r, lo_r, hi_r) = (
+            (tips, total + tips * child.length, lo + child.length, hi + child.length)
+            for child in node.children for tips, total, lo, hi in [below[id(child)]])
+        heights.append((total_l + total_r) / (tips_l + tips_r))
+        below[id(node)] = (tips_l + tips_r, total_l + total_r, lo_l if lo_l < lo_r else lo_r,
+                           hi_l if hi_l > hi_r else hi_r)
+    tips, _, lo, hi = below[id(tree.root)]
+    return ([h.hex() for h in heights], tips, reference_internal_length(tree).hex(),
+            lo.hex(), hi.hex(), None)
+
+
+@pytest.fixture
+def bulk_pieces(monkeypatch):
+    """For each piece handed to the bulk reader, in text order, whether it
+    read it (False: the piece went node at a time)."""
+    taken, bulk = [], treeio._bulk_records
+
+    def spy(nodes):
+        records = bulk(nodes)
+        taken.append(records is not None)
+        return records
+
+    monkeypatch.setattr(treeio, "_bulk_records", spy)
+    return taken
+
+
+def shuffled_writer_trees(seed, count, n=12):
+    """Decorated writer trees with their children in random order and their
+    lengths printed to the last bit, so that sums depend on their order."""
+    gen, rng = np.random.default_rng(seed), random.Random(seed)
+    m = co.sample_coalescence_times_block(
+        n, make_regime("exact", 1.0, 40.0), RngStream(seed), count)
+    texts = []
+    for text in treeio.cpp_newick_rows(m, 40.0):
+        tree = oracles.parse_newick(text)
+        for node in oracles._postorder(tree.root):
+            gen.shuffle(node.children)
+        texts.append(decorated_newick(rng, oracles.serialize_newick(tree, exact=True)))
+    return texts
+
+
+def test_bulk_records_are_bit_identical_to_node_at_a_time_and_the_reference(bulk_pieces):
+    batch = "[a batch]\n" + "\n".join(shuffled_writer_trees(207, 300)) + "\n"
+    got = [entry_bits(item) for item in treeio.parse_newick_trees(batch)]
+    assert bulk_pieces.count(True) >= 3
+    assert got == [entry_bits(item) for item in node_at_a_time(batch)]
+    assert got == [reference_bits(tree) for tree in oracles.parse_newick_trees(batch)]
+
+
+def test_a_piece_with_a_refused_tree_goes_node_at_a_time_and_the_next_in_bulk(bulk_pieces):
+    texts = shuffled_writer_trees(208, 200)
+    refused = ["(A:1,B:1;", "(A:1,B:1,C:1):1;", "(A,B:1);", "((A:1,B:1):1,C:2):inf;"]
+    batch = "\n".join(texts[:100] + refused + texts[100:]) + "\n"
+    items = treeio.parse_newick_trees(batch)
+    handed = bulk_pieces.index(False)
+    assert True in bulk_pieces[:handed] and True in bulk_pieces[handed + 1:]
+    assert [entry_bits(item) for item in items] == [entry_bits(item)
+                                                    for item in node_at_a_time(batch)]
+    assert [type(item).__name__ for item in items[100:104]] == [
+        "ParseError", "TreeRecord", "MissingBranchLength", "ParseError"]
+    assert items[101].not_binary == "node (unnamed) has 3 children"
+    assert items[103].expected == "finite branch length"
+    good = [entry_bits(item) for i, item in enumerate(items) if not 100 <= i < 104]
+    assert good == [reference_bits(tree) for tree in oracles.parse_newick_trees("\n".join(texts))]
+
+
+@pytest.mark.parametrize("odd", ["('{}x;y':1,B:1):1;", "(A:1[{}x;y],B:1):1;"],
+                         ids=["quoted-label", "comment"])
+def test_a_semicolon_in_a_label_or_a_comment_where_a_piece_ends(bulk_pieces, odd):
+    texts = shuffled_writer_trees(209, 100)
+    head = "\n".join(texts[:40]) + "\n"
+    odd = odd.format("x" * (treeio._PIECE - len(head) - odd.index("{") - 1))
+    batch = head + odd + "\n" + "\n".join(texts[40:]) + "\n"
+    assert batch.index(";", treeio._PIECE) == treeio._PIECE == len(head) + odd.index(";")
+    items = treeio.parse_newick_trees(batch)
+    assert bulk_pieces[0] is False and True in bulk_pieces[1:]
+    assert [entry_bits(item) for item in items] == [entry_bits(item)
+                                                    for item in node_at_a_time(batch)]
+    assert [entry_bits(item) for item in items] == [
+        reference_bits(tree) for tree in oracles.parse_newick_trees(batch)]
+    assert len(items) == 101
+
+
+def test_bulk_sums_that_overflow_match_and_warn_nothing(bulk_pieces):
+    trees = ["((A:1.5e308,B:1.5e308):1.5e308,C:1.7e308);", "((A:-1e308,B:-1e308):-1e308,C:1);",
+             "((A:1e308,B:1e308):1e308,(C:-1e308,D:-1e308):-1e308);",
+             "((A:-0.0,B:-0.0):1,C:1):-0.0;", "((A:5e-324,B:0):1e308,C:1e308):1e308;"]
+    batch = "\n".join(trees * 200) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        items = treeio.parse_newick_trees(batch)
+    assert len(bulk_pieces) == 2 and all(bulk_pieces)
+    got = [entry_bits(item) for item in items]
+    assert got == [entry_bits(item) for item in node_at_a_time(batch)]
+    assert got == [reference_bits(tree) for tree in oracles.parse_newick_trees(batch)]
+    heights = [h for item in items[:5] for h in item.heights]
+    assert math.inf in heights and -math.inf in heights and any(h != h for h in heights)
+
+
+def test_deep_combs_go_node_at_a_time(bulk_pieces):
+    n = 3000
+    h = np.arange(n - 1, 0, -1, dtype=float)
+    for row in (h, h[::-1]):
+        (text,) = treeio.cpp_newick_rows(row[None, :], float(n))
+        assert [entry_bits(item) for item in treeio.parse_newick_trees(text)] == [
+            entry_bits(item) for item in node_at_a_time(text)]
+    assert bulk_pieces == [False, False]
+
+
+def test_bulk_and_node_at_a_time_agree_on_edited_batches_in_small_pieces(monkeypatch,
+                                                                         bulk_pieces):
+    # pieces of a few trees, each one the bulk reader may take, so that
+    # hand-overs happen at every kind of edit
+    monkeypatch.setattr(treeio, "_PIECE", 64)
+    monkeypatch.setattr(treeio, "_SHORT", 0)
+    monkeypatch.setattr(treeio, "_LEVEL_NODES", 1)
+    rng = random.Random(210)
+    texts = shuffled_writer_trees(210, 40, n=5)
+    edits = ["(", ")", ",", ":", ";", "'", "[", "]", " ", ":inf", ":1e308", ":-0.0", "'a;b'",
+             "[;]", "(x:1,y:1,z:1)", "(x:1)"]
+    for _ in range(400):
+        batch = "\n".join(rng.sample(texts, 6))
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(batch) + 1)
+            batch = batch[:i] + rng.choice(edits) + batch[i + rng.randrange(2):]
+        got = [entry_bits(item) for item in treeio.parse_newick_trees(batch)]
+        assert got == [entry_bits(item) for item in node_at_a_time(batch)], batch
+    assert bulk_pieces.count(True) > 400 and bulk_pieces.count(False) > 200
 
 
 # ---------------------------------------------------------------------------
