@@ -287,10 +287,12 @@ def _write_estimates(records, args):
         # quoted with its quotes doubled and leaves every number field empty
         with_ci, without_ci, error = ("%s,%s,%s,%.17g,%.17g,%.17g,\n", "%s,%s,%s,%.17g,,,\n",
                                       '%s,,%s,,,,"%s"\n')
-        # every input is named after the file, so one test quotes them all
-        # where CSV needs it, as csv.QUOTE_MINIMAL does
-        if any(c in Path(args.input).name for c in ',"\r\n'):
-            records = [('"%s"' % r[0].replace('"', '""'),) + r[1:] for r in records]
+        # an input is quoted where CSV needs it, as csv.QUOTE_MINIMAL does;
+        # one test of all the names spares the usual batch a test per record
+        special = ',"\r\n'
+        if any(c in "".join(r[0] for r in records) for c in special):
+            records = [('"%s"' % r[0].replace('"', '""'),) + r[1:]
+                       if any(c in r[0] for c in special) else r for r in records]
         pieces = [",".join(ESTIMATE_FIELDS) + "\n"]
         for record in records:
             if record[6]:

@@ -13,7 +13,7 @@ on every edge below a root: one regular-expression pass lists each node's
 at a time, from the deepest up. Every other piece (a parse error, a
 multifurcation, a missing or non-finite length, a ';' inside a quoted label
 or comment where the piece ends, a comb whose depth is large next to its
-node count) and every piece under 4 kB goes node at a time: one pass
+node count) and the text after the last ';' go node at a time: one pass
 (quoted labels and bracket comments included) in which one match takes a
 node's leading filler, label, length and the filler after it, and a stack
 of open groups does the rest. Each finished subtree leaves only its tip
@@ -103,20 +103,23 @@ _NODE = (
 _TO_TREE_END = r"(?:[^;\[']|\[[^\]]*(?:\]|$)|'[^']*(?:'|$))*;"
 # The bulk reader's node: filler, its '(' run (1), a quoted or bare label,
 # which it skips, filler, ':' (2) and a length token (3) with filler after
-# them, and its separator (4). Any other character is a stray (5); so is a
-# node with filler between '(' and its label or right after its ':'.
-_BULK_FILLER = r"(?:\s++|\[[^\]]*+\])*+"
-_BULK_NODE = (_BULK_FILLER + r"(\(*+)(?:[^():,;\[\s']" + _WORD + "*+|'[^']*+(?:''[^']*+)*+')?+"
-              + _BULK_FILLER + "(?:(:)(" + _WORD + "*+)" + _BULK_FILLER + r")?+([,);])|(\S)")
+# them, and its separator (4), or in its place any other character, a stray
+# (5); so a node with filler between '(' and its label or right after its
+# ':' has a stray. The filler before the last part takes all whitespace,
+# the last part any other character, and a piece ends at a ';', so a match
+# never backtracks: each run of filler, '(' or label is read once. An
+# optional part is written (?:...|), not (?:...)?: re then saves no repeat
+# state, and the benchmark's batch tokenizes in 21 ms, not 30.
+_COMMENT = r"\[[^\]]*\]\s*"
+_BULK_FILLER = r"\s*(?:" + _COMMENT + "(?:" + _COMMENT + ")*|)"
+_BULK_NODE = (_BULK_FILLER + r"(\(*)(?:[^():,;\[\s']" + _WORD + "*|'[^']*(?:''[^']*)*'|)"
+              + _BULK_FILLER + "(?:(:)(" + _WORD + "*)" + _BULK_FILLER + r"|)(?:([,);])|(\S))")
 _PIECE = 1 << 15  # characters tokenized at once, up to the next ';'
 # A level step costs about 12 us, and the bulk reader saves about 0.6 us a
 # node, so it takes a piece only with 32 nodes or more per depth level
 # (measured on 32 kB of combs: at 20 nodes a level it was 3-5% slower node
 # for node, at 32 10-14% faster; a 3000-tip comb took 40 ms against 8 ms).
-# Its set-up costs about 0.1 ms, so a piece under 4 kB goes node at a time
-# (8 writer trees, 3.4 kB: 0.35 ms against 0.29).
 _LEVEL_NODES = 32
-_SHORT = 1 << 12
 
 
 def _skip_filler(text: str, pos: int) -> int:
@@ -259,8 +262,10 @@ def _bulk_records(nodes: list[tuple[str, ...]]) -> list[TreeRecord] | None:
     Every step repeats _read_tree's float operations in its order, so each
     record is bit-identical to the one _read_tree makes.
     """
+    count = len(nodes)
+    if count < _LEVEL_NODES:  # a piece it takes is at least one level deep
+        return None
     runs, tokens, seps = (list(map(itemgetter(k), nodes)) for k in (0, 2, 3))
-    count = len(seps)
     text = "".join(seps).encode()
     if len(text) != count:  # a stray has no separator
         return None
@@ -336,8 +341,9 @@ def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranc
     The text is read in pieces of about _PIECE characters, each ending at a
     ';'. _bulk_records reads a piece of well-formed binary trees; any other
     piece goes to _read_tree, node at a time, from the piece's start until
-    past its end, and the next piece starts where _read_tree stopped. Both
-    give the same entries, bit for bit.
+    past its end, and the next piece starts where _read_tree stopped. The
+    text after the last ';' goes node at a time too. Both readers give the
+    same entries, bit for bit.
     """
     match_node = re.compile(_NODE, re.S).match
     find_nodes = re.compile(_BULK_NODE).findall
@@ -345,12 +351,16 @@ def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranc
     pos = 0
     while pos < len(text):
         stop = text.find(";", pos + _PIECE) + 1 or len(text)
-        records = _bulk_records(find_nodes(text, pos, stop)) if stop - pos >= _SHORT else None
+        end = text.rfind(";", pos, stop) + 1  # the bulk reader stops at a ';'
+        # a '[' after the piece's last ']' opens a comment the piece never
+        # closes, which the pattern would scan once for every '[' after it
+        bulk = end and text.rfind("[", pos, end) <= text.rfind("]", pos, end)
+        records = _bulk_records(find_nodes(text, pos, end)) if bulk else None
         if records is None:
             pos = _read_trees(text, pos, stop, match_node, out)
         else:
             out += records
-            pos = stop
+            pos = end
     if not out:
         raise ParseError(0, "at least one tree")
     return out

@@ -8,6 +8,7 @@ tree per row."""
 import math
 import random
 import re
+import time
 import warnings
 
 import numpy as np
@@ -440,7 +441,11 @@ def test_a_semicolon_in_a_label_or_a_comment_where_a_piece_ends(bulk_pieces, odd
     batch = head + odd + "\n" + "\n".join(texts[40:]) + "\n"
     assert batch.index(";", treeio._PIECE) == treeio._PIECE == len(head) + odd.index(";")
     items = treeio.parse_newick_trees(batch)
-    assert bulk_pieces[0] is False and True in bulk_pieces[1:]
+    # the first piece goes node at a time and the second in bulk: the bulk
+    # reader finds the cut label's quote a stray, and a cut comment does not
+    # reach it
+    handed = [False] if "'" in odd else []
+    assert bulk_pieces[:len(handed) + 1] == handed + [True]
     assert [entry_bits(item) for item in items] == [entry_bits(item)
                                                     for item in node_at_a_time(batch)]
     assert [entry_bits(item) for item in items] == [
@@ -479,7 +484,6 @@ def test_bulk_and_node_at_a_time_agree_on_edited_batches_in_small_pieces(monkeyp
     # pieces of a few trees, each one the bulk reader may take, so that
     # hand-overs happen at every kind of edit
     monkeypatch.setattr(treeio, "_PIECE", 64)
-    monkeypatch.setattr(treeio, "_SHORT", 0)
     monkeypatch.setattr(treeio, "_LEVEL_NODES", 1)
     rng = random.Random(210)
     texts = shuffled_writer_trees(210, 40, n=5)
@@ -493,6 +497,45 @@ def test_bulk_and_node_at_a_time_agree_on_edited_batches_in_small_pieces(monkeyp
         got = [entry_bits(item) for item in treeio.parse_newick_trees(batch)]
         assert got == [entry_bits(item) for item in node_at_a_time(batch)], batch
     assert bulk_pieces.count(True) > 400 and bulk_pieces.count(False) > 200
+
+
+@pytest.mark.parametrize("tail", [" " * 60_000 + "';", "\n" * 60_000, "[c]" * 20_000 + "[;",
+                                  "[" * 30_000 + ";", "(" * 60_000 + " A;", "A" * 60_000 + " B;"],
+                         ids=["filler-then-stray", "trailing-filler", "comments-then-open-comment",
+                              "open-comments", "parentheses-then-stray", "label-then-stray"])
+def test_long_runs_are_read_once(tail):
+    # a pattern that backtracks over a run, or a match retried at every
+    # character of it, takes seconds here
+    batch = "\n".join(shuffled_writer_trees(211, 100)) + "\n" + tail
+    start = time.perf_counter()
+    items = treeio.parse_newick_trees(batch)
+    elapsed = time.perf_counter() - start
+    assert [entry_bits(item) for item in items] == [entry_bits(item)
+                                                    for item in node_at_a_time(batch)]
+    assert elapsed < 1.0
+
+
+def parsed_ops(parsed):
+    """The opcode names of a parsed pattern, nested ones included."""
+    stack = [parsed]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "data"):  # a subpattern: (opcode, argument) pairs
+            for op, arg in item.data:
+                yield str(op)
+                stack.append(arg)
+
+
+def test_reading_patterns_compile_on_python_3_10():
+    # possessive quantifiers and atomic groups compile only from Python 3.11
+    parser = getattr(re, "_parser", None)  # Python 3.11 and later
+    for pattern in (treeio._NODE, treeio._TO_TREE_END, treeio._BULK_NODE):
+        re.compile(pattern)
+        if parser is not None:
+            ops = set(parsed_ops(parser.parse(pattern)))
+            assert not {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & ops
 
 
 # ---------------------------------------------------------------------------
