@@ -89,6 +89,16 @@ DECORATED_NEWICK = """[&R] (('sample 1':1.5[&rate=0.21],'O''Neil 2':1.5)n7:2.25,
 ('O''Neil':2.5,(('it''s':1,y:1):0.75,(z:1.5,'w v':1.5):0.25)q:0.75)top:1.25;
 """
 
+# Bad trees, each followed by good ones: a quote inside a bare label (b'c),
+# in a length token or after a node opens no quoted label, so reading
+# resumes after the bad tree's own ';' and every good tree gets its rows.
+RESUME_NEWICK = """(A:x,b'c:1);(D:1,E:1);
+(A:x,bc:1);(D:1,E:1);
+(A:1,b'c:1);(D:1,E:1);
+((A:1,B:1):'x,C:2);((D:1,E:1):1,F:2);
+((A:1,B:1):1 'x,C:2);((D:1,E:1):1,F:2);
+"""
+
 
 def refusals_csv() -> str:
     """A few hundred good n = 5 rows drawn from a seeded stdlib generator,
@@ -196,6 +206,9 @@ COMMANDS = [
     # several 32 kB pieces of the Newick reader, one of them with a bad tree
     ("estimate-batch", ["estimate", "batch.nwk", "--constants", TABLE,
                         "--methods", ALL_METHODS, "--out", "estimate-batch.csv"]),
+    # where reading resumes after a bad tree; the CSV goes to stdout
+    ("estimate-resume", ["estimate", "resume.nwk", "--constants", TABLE,
+                         "--methods", ALL_METHODS, "--replicates", "20000"]),
     # sizes that span several row chunks of the samplers and two S_n stream
     # blocks, so the digests cover the seams between them
     ("calibrate-chunks", ["calibrate", "--n", "60", "--replicates", "60001", "--seed", "9",
@@ -292,6 +305,7 @@ def main(argv=None) -> int:
         (work / "decorated.nwk").write_text(DECORATED_NEWICK, encoding="utf-8")
         (work / "refusals.csv").write_text(refusals_csv(), encoding="utf-8")
         (work / "batch.nwk").write_text(newick_batch(), encoding="utf-8")
+        (work / "resume.nwk").write_text(RESUME_NEWICK, encoding="utf-8")
 
         def run(command):
             name, argv = command

@@ -23,8 +23,10 @@ validate it (at least two tips, binary, ultrametric within a relative
 tolerance) and return the descending heights (a plain tree carries no
 branch order) and the internal length used by the lengths-based
 estimator. In a multi-tree text, a tree that fails to parse becomes an
-error item of the batch, and parsing resumes after the first ';' at or
-after the error that lies outside comments and quoted labels.
+error item of the batch, and the next tree starts after the first ';' that
+follows a node when the bad tree is read again with the reader's own node
+pattern, stepping over the character after each node; a comment, or a quote
+at a label's start, that never closes takes the rest of the text.
 
 Writing: a row of branch-ordered heights with its tree height T defines the
 coalescent-point-process tree; cpp_newick_rows prints its canonical text for
@@ -82,51 +84,40 @@ class TreeRecord(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-# A node is its leading filler, a quoted or bare label, filler, and an
-# optional ':' length token followed by filler; a '[' that a filler stops at
-# opens a comment that never closes. The patterns compile on first use (re
-# caches them), so commands that read no Newick do not hold them.
-_FILLER = r"(?:\s+|\[[^\]]*\])*"  # whitespace and closed [...] comments
-_WORD = r"[^():,;\[\s]"  # a character of a bare label or a length token
-_NODE = (
-    _FILLER
-    # 1: quoted label; the lookahead keeps a closing quote from being the
-    # first half of an escaped ''
-    + r"(?:'((?:[^']|'')*)'(?!')"
-    + r"|(?!')(" + _WORD + r"+))?"  # 2: bare label
-    + _FILLER
-    + r"(?::" + _FILLER + "(" + _WORD + "*)" + _FILLER + ")?"  # 3: length token
-    + r"(?=(.?))"  # 4: the next character, '' at the end of the text
-)
-# text up to the first ';' outside [...] comments and quoted labels; a
-# comment or label that never closes runs to the end of the text
-_TO_TREE_END = r"(?:[^;\[']|\[[^\]]*(?:\]|$)|'[^']*(?:'|$))*;"
-# The bulk reader's node: filler, its '(' run (1), a quoted or bare label,
-# which it skips, filler, ':' (2) and a length token (3) with filler after
-# them, and its separator (4), or in its place any other character, a stray
-# (5); so a node with filler between '(' and its label or right after its
-# ':' has a stray. The filler before the last part takes all whitespace,
-# the last part any other character, and a piece ends at a ';', so a match
-# never backtracks: each run of filler, '(' or label is read once. An
-# optional part is written (?:...|), not (?:...)?: re then saves no repeat
-# state, and the benchmark's batch tokenizes in 21 ms, not 30.
+# Both readers' node patterns are built from these fragments, so they read
+# filler, labels and length tokens alike. Filler is whitespace and closed
+# [...] comments; a '[' that filler stops at opens a comment that never
+# closes. An optional part is written (?:...|), not (?:...)?: re then saves
+# no repeat state, and the benchmark's batch tokenizes in 21 ms, not 30. The
+# patterns compile on first use (re caches them), so commands that read no
+# Newick do not hold them.
 _COMMENT = r"\[[^\]]*\]\s*"
-_BULK_FILLER = r"\s*(?:" + _COMMENT + "(?:" + _COMMENT + ")*|)"
-_BULK_NODE = (_BULK_FILLER + r"(\(*)(?:[^():,;\[\s']" + _WORD + "*|'[^']*(?:''[^']*)*'|)"
-              + _BULK_FILLER + "(?:(:)(" + _WORD + "*)" + _BULK_FILLER + r"|)(?:([,);])|(\S))")
+_FILLER = r"\s*(?:" + _COMMENT + "(?:" + _COMMENT + ")*|)"
+_QUOTED = r"[^']*(?:''[^']*)*"  # a quoted label between its quotes, a quote doubled
+_WORD = r"[^():,;\[\s]"  # a character of a bare label or a length token
+_BARE = r"[^():,;\[\s']" + _WORD + "*"  # a bare label, which no quote starts
+# A node: filler, a quoted (1) or bare (2) label, filler, and an optional
+# ':' length token (3) with filler around it; then the next character (4),
+# '' at the end of the text. The lookahead keeps a closing quote from being
+# the first half of an escaped ''.
+_NODE = (_FILLER + "(?:'(" + _QUOTED + ")'(?!')|(" + _BARE + "))?" + _FILLER
+         + "(?::" + _FILLER + "(" + _WORD + "*)" + _FILLER + r")?(?=(.?))")
+# The bulk reader's node: filler, its '(' run (1), a label, which it skips,
+# filler, ':' (2) and a length token (3) with filler after them, and its
+# separator (4), or in its place any other character, a stray (5); so a
+# node with filler between '(' and its label or right after its ':' has a
+# stray. The filler before the last part takes all whitespace, the last
+# part any other character, and a piece ends at a ';', so a match never
+# backtracks: each run of filler, '(' or label is read once.
+_BULK_NODE = (_FILLER + r"(\(*)(?:" + _BARE + "|'" + _QUOTED + "'|)" + _FILLER
+              + "(?:(:)(" + _WORD + "*)" + _FILLER + r"|)(?:([,);])|(\S))")
+_RUN = r"[(),]*"  # holds empty nodes only, which a resume scan steps over at once
 _PIECE = 1 << 15  # characters tokenized at once, up to the next ';'
 # A level step costs about 12 us, and the bulk reader saves about 0.6 us a
 # node, so it takes a piece only with 32 nodes or more per depth level
 # (measured on 32 kB of combs: at 20 nodes a level it was 3-5% slower node
 # for node, at 32 10-14% faster; a 3000-tip comb took 40 ms against 8 ms).
 _LEVEL_NODES = 32
-
-
-def _skip_filler(text: str, pos: int) -> int:
-    end = re.compile(_FILLER).match(text, pos).end()
-    if text.startswith("[", end):
-        raise ParseError(end, "']' closing comment")
-    return end
 
 
 def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None, int]:
@@ -229,25 +220,27 @@ def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None,
 
 def _read_trees(text: str, pos: int, stop: int, match_node, out: list) -> int:
     """Read trees node at a time from pos into out until past stop; returns
-    where the next tree starts."""
+    where the next tree starts. After a tree that fails to parse, that is
+    past the first ';' after a node, reading the tree again node by node and
+    stepping over the character after each; or the end of the text, at a
+    comment, or a quote where a label starts, that never closes."""
     while pos < stop:
+        start = pos
+        if re.compile(_FILLER).match(text, pos).end() == len(text):
+            return len(text)
         try:
-            pos = _skip_filler(text, pos)
-            if pos == len(text):
-                break
             record, missing, pos = _read_tree(text, pos, match_node)
             if not text.startswith(";", pos):
                 raise ParseError(pos, "';' terminating the tree")
+            out.append(record if missing is None else
+                       MissingBranchLength(f"edge above {missing!r} has no branch length"))
             pos += 1
         except ParseError as exc:
             out.append(exc)
-            end = re.compile(_TO_TREE_END).match(text, exc.offset)
-            pos = len(text) if end is None else end.end()
-            continue
-        if missing is None:
-            out.append(record)
-        else:
-            out.append(MissingBranchLength(f"edge above {missing!r} has no branch length"))
+            m = match_node(text, start)
+            while m.group(4) not in (";", "", "[") and m.group(1, 2, 3, 4) != (None, None, None, "'"):
+                m = match_node(text, re.compile(_RUN).match(text, m.end() + 1).end())
+            pos = m.end() + 1 if m.group(4) == ";" else len(text)
     return pos
 
 
@@ -333,10 +326,12 @@ def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranc
     entry is the tree's record, or the error that refused it: a ParseError,
     or a MissingBranchLength when an edge other than the root stem has no
     length, since the trees are bound for estimation. After a ParseError the
-    next tree starts after the first ';' at or after the error's offset that
-    lies outside comments and quoted labels. Multifurcations read fine; they
-    are refused by extraction, which can cite the offending node. Text that
-    holds no tree at all raises.
+    bad tree is read again node by node, stepping over the character after
+    each node, and the next tree starts after the first ';' that follows a
+    node; a comment, or a quote at a label's start, that never closes takes
+    the rest of the text. So b'c is a bare label here too. Multifurcations
+    read fine; they are refused by extraction, which can cite the offending
+    node. Text that holds no tree at all raises.
 
     The text is read in pieces of about _PIECE characters, each ending at a
     ';'. _bulk_records reads a piece of well-formed binary trees; any other

@@ -16,9 +16,11 @@ namespace.
 The tree graph (TreeNode, SampleTree) is what bdgrowth.treeio reads without
 building: a character-at-a-time parser makes it, build_cpp_tree builds the
 point-process tree of a height row as one, and serialize_newick prints it.
-extract_coalescence_times and tree_internal_branch_length take a graph and
-answer with bdgrowth.treeio's reading of its exact text, so a graph test
-checks the package's reader.
+The parser reads a batch as the package's reader does: one entry per tree,
+and after a parse error the same resume rule, written from its own label
+rule. extract_coalescence_times takes a graph and answers with
+bdgrowth.treeio's reading of its exact text, so a graph test checks the
+package's reader; tree_internal_branch_length sums the graph's own edges.
 
 CountedThread stands in for threading.Thread where a test counts the
 threads a command starts, and with_chunks_changed and with_rows_set for
@@ -346,7 +348,9 @@ def _parse_label(cur: _Cursor) -> str | None:
     return "".join(chunks) or None
 
 
-def _parse_length(cur: _Cursor) -> float | None:
+def _length_token(cur: _Cursor) -> tuple[int, str] | None:
+    """The offset and text of a ':' length token after filler, or None where
+    no ':' follows the filler."""
     cur.skip_filler()
     if cur.peek() != ":":
         return None
@@ -358,7 +362,14 @@ def _parse_length(cur: _Cursor) -> float | None:
         if c is None or c in _LABEL_TERMINATORS or c.isspace():
             break
         cur.pos += 1
-    token = cur.text[start:cur.pos]
+    return start, cur.text[start:cur.pos]
+
+
+def _parse_length(cur: _Cursor) -> float | None:
+    found = _length_token(cur)
+    if found is None:
+        return None
+    start, token = found
     try:
         value = float(token)
     except ValueError:
@@ -439,24 +450,54 @@ def parse_newick(text: str) -> SampleTree:
     return _finish_tree(root)
 
 
-def parse_newick_trees(text: str) -> list[SampleTree]:
-    """Parse a ';'-separated multi-tree string into graphs; the first error
-    in it raises."""
-    trees = []
+def _skip_tree(cur: _Cursor, start: int):
+    """Move cur to where the next tree starts after the one from start failed
+    to parse: past the first ';' after a node, reading the tree again node
+    by node (a label, then a ':' and its token, each after filler, then
+    filler) and stepping over the character after each; or to the end of the
+    text, at a comment, or a quote where a label starts, that never closes."""
+    cur.pos = start
+    try:
+        while True:
+            _parse_label(cur)
+            if _length_token(cur) is not None:
+                cur.skip_filler()
+            c = cur.peek()
+            if c is None:
+                return
+            cur.pos += 1
+            if c == ";":
+                return
+    except ParseError:  # raised only where a comment or a quoted label never closes
+        cur.pos = len(cur.text)
+
+
+def parse_newick_trees(text: str) -> list[SampleTree | ParseError | MissingBranchLength]:
+    """Parse a ';'-separated multi-tree string, one entry per tree: its graph,
+    or the error that refused it. After a ParseError the next tree starts
+    where _skip_tree puts it."""
+    entries = []
     cur = _Cursor(text)
     while True:
-        cur.skip_filler()
-        if cur.peek() is None:
-            break
-        root = _parse_one(cur)
-        cur.skip_filler()
-        if cur.peek() != ";":
-            raise ParseError(cur.pos, "';' terminating the tree")
-        cur.pos += 1
-        trees.append(_finish_tree(root))
-    if not trees:
+        start = cur.pos
+        try:
+            cur.skip_filler()
+            if cur.peek() is None:
+                break
+            root = _parse_one(cur)
+            cur.skip_filler()
+            if cur.peek() != ";":
+                raise ParseError(cur.pos, "';' terminating the tree")
+            cur.pos += 1
+            entries.append(_finish_tree(root))
+        except MissingBranchLength as exc:
+            entries.append(exc)
+        except ParseError as exc:
+            entries.append(exc)
+            _skip_tree(cur, start)
+    if not entries:
         raise ParseError(0, "at least one tree")
-    return trees
+    return entries
 
 
 def build_cpp_tree(heights, t: float | None) -> SampleTree:
@@ -526,7 +567,16 @@ def extract_coalescence_times(tree: SampleTree, tol: float = treeio.DEFAULT_ULTR
 
 
 def tree_internal_branch_length(tree: SampleTree) -> float:
-    return treeio.tree_internal_branch_length(record_of(tree))
+    """Sum of the lengths of the graph's edges above two or more tips, in
+    postorder and left to right under each node, the order the reader sums
+    them in; the root stem is no edge of the graph."""
+    tips, total = {}, 0.0
+    for node in _postorder(tree.root):
+        tips[id(node)] = sum(tips[id(child)] for child in node.children) or 1
+        for child in node.children:
+            if tips[id(child)] >= 2:
+                total += child.length or 0.0
+    return total
 
 
 class CountedThread(threading.Thread):

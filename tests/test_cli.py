@@ -351,6 +351,19 @@ def test_estimate_isolates_bad_inputs(tmp_path, constants_file):
     assert float(lines[2].split(",")[3]) == pytest.approx(3.0)
 
 
+def test_estimate_gives_each_tree_its_lengths_refusal(tmp_path):
+    # too few tips, no internal length, and one so small that n / L_in overflows
+    src = tmp_path / "refused.nwk"
+    src.write_text("(A:1,B:1);\n((A:1,B:1):0,C:1);\n((A:1,B:1):1e-320,C:1);\n")
+    out = tmp_path / "est.csv"
+    assert run(["estimate", src, "--methods", "Lengths", "--out", out]) == cli.EXIT_NUMERICAL
+    with out.open(newline="", encoding="utf-8") as fh:
+        assert [row[6] for row in list(csv.reader(fh))[1:]] == [
+            "SampleTooSmall: lengths estimator needs n >= 3",
+            "DegenerateTimes: internal branch length is zero",
+            "ValueError: estimate must be positive and finite"]
+
+
 @pytest.fixture(scope="module")
 def times_file(tmp_path_factory):
     """A times CSV of one n = 5 row, in a directory of its own."""

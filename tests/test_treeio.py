@@ -108,8 +108,8 @@ def test_a_bad_tree_is_an_item_of_the_batch_and_the_next_tree_still_parses():
         "TreeRecord", "ParseError"]
     assert (items[1].offset, items[1].expected) == (19, "',' or ')'")
     assert items[3].args == ("edge above 'G' has no branch length",)
-    # the next tree starts after the first ';' at or after the error, so an
-    # error in a tree without its own ';' takes the tree after it along
+    # the next tree starts after the first ';' after a node of the bad tree,
+    # so an error in a tree without its own ';' takes the tree after it along
     assert items[4].offset == text.index("x")
     assert [items[i].heights for i in (0, 2, 5)] == [[1.0], [2.0], [2.5]]
     assert (items[6].offset, items[6].expected) == (len(text), "leaf label or '('")
@@ -120,6 +120,24 @@ def test_a_bad_tree_is_an_item_of_the_batch_and_the_next_tree_still_parses():
         assert items[1].heights == [3.0]
     with pytest.raises(ParseError, match="at least one tree"):
         treeio.parse_newick_trees(" [no tree here]\n")
+
+
+@pytest.mark.parametrize("text, kinds", [
+    ("(A:x,b'c:1);(D:1,E:1);", ["ParseError", "TreeRecord"]),
+    ("(A:x,bc:1);(D:1,E:1);", ["ParseError", "TreeRecord"]),
+    ("(A:1,b'c:1);(D:1,E:1);", ["TreeRecord", "TreeRecord"]),
+    # a quote that no label starts: in a length token, and after a node
+    ("(A:'x,B:1);(C:1,D:1);", ["ParseError", "TreeRecord"]),
+    ("(A:1 'x,B:1);(C:1,D:1);", ["ParseError", "TreeRecord"]),
+    # a quote where a label starts, or a comment, that never closes takes the rest
+    ("(A:x,'b:1);(C:1,D:1);", ["ParseError"]),
+    ("(A:x,B:1[;);(C:1,D:1);", ["ParseError"]),
+], ids=["quote-in-label-after-error", "no-quote", "quote-in-label", "quote-in-length",
+        "quote-after-node", "open-quote", "open-comment"])
+def test_reading_resumes_where_the_reader_reads_labels(text, kinds):
+    items = treeio.parse_newick_trees(text)
+    assert [type(item).__name__ for item in items] == kinds
+    assert_parsers_agree(text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,18 +178,6 @@ def reference_heights(tree):
     return sorted(heights, reverse=True)
 
 
-def reference_internal_length(tree):
-    counts = {}
-    for node in oracles._postorder(tree.root):
-        counts[id(node)] = sum(counts[id(c)] for c in node.children) or 1
-    total = 0.0
-    for node in oracles._postorder(tree.root):
-        for child in node.children:
-            if counts[id(child)] >= 2:
-                total += child.length or 0.0
-    return total
-
-
 def reference_extract(tree, tol):
     """The original extraction's refusals, in its order, on a graph; its tip
     depths are summed from the root down."""
@@ -199,7 +205,7 @@ def reference_extract(tree, tol):
 def reference_length(tree):
     if tree.n_tips < 3:
         raise SampleTooSmall("internal branch length needs at least 3 tips")
-    return reference_internal_length(tree)
+    return oracles.tree_internal_branch_length(tree)
 
 
 def bits(call):
@@ -240,14 +246,8 @@ def outcome(parse, text):
 
 
 def assert_parsers_agree(text):
-    # the reader keeps every tree the reference reads, and where the
-    # reference stops at an error, that error is the reader's first error item
-    want = outcome(oracles.parse_newick_trees, text)
-    got = outcome(treeio.parse_newick_trees, text)
-    if isinstance(want, list) or not isinstance(got, list):
-        assert got == want
-    else:  # an error's shape starts with its type name
-        assert next(item for item in got if isinstance(item[0], str)) == want
+    # every entry, the error items and where reading resumes after them too
+    assert outcome(treeio.parse_newick_trees, text) == outcome(oracles.parse_newick_trees, text)
 
 
 FUZZ_ALPHABET = "(),:;'[]019.eAB \t-" + "\n\xa0\u2003\x1c"
@@ -257,6 +257,27 @@ def test_parser_matches_the_cursor_parser_on_fuzzed_text():
     rng = random.Random(205)
     for _ in range(100_000):
         assert_parsers_agree("".join(rng.choices(FUZZ_ALPHABET, k=rng.randrange(81))))
+
+
+def test_reading_resumes_as_the_cursor_parser_does_on_fuzzed_batches():
+    # a writer tree with a few random edits, then good trees: every entry
+    # agrees, so both readers resume at the same place after each error
+    rng = random.Random(212)
+    texts = [decorated_newick(rng, text) for text in treeio.cpp_newick_rows(
+        co.sample_coalescence_times_block(5, make_regime("exact", 1.0, 40.0), RngStream(212), 50),
+        40.0)]
+    edits = list("(),:;'[] x") + ["'a", "b'c", ":x", ":'1", "[c]", "''"]
+    resumed = 0
+    for _ in range(3000):
+        bad = rng.choice(texts)
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(bad) + 1)
+            bad = bad[:i] + rng.choice(edits) + bad[i + rng.randrange(2):]
+        text = "\n".join([bad] + rng.sample(texts, 2))
+        assert_parsers_agree(text)
+        items = treeio.parse_newick_trees(text)
+        resumed += isinstance(items[0], ParseError) and isinstance(items[-1], treeio.TreeRecord)
+    assert resumed > 1000
 
 
 @pytest.mark.parametrize("text", [
@@ -333,7 +354,7 @@ def test_single_pass_extraction_and_length_are_bit_identical_to_the_reference():
         shuffled = oracles.serialize_newick(tree, exact=True)
         record = read(shuffled)
         assert treeio.extract_coalescence_times(record).tolist() == reference_heights(tree)
-        assert treeio.tree_internal_branch_length(record) == reference_internal_length(tree)
+        assert treeio.tree_internal_branch_length(record) == oracles.tree_internal_branch_length(tree)
         assert_parsers_agree(shuffled)
 
 
@@ -373,7 +394,7 @@ def reference_bits(tree):
         below[id(node)] = (tips_l + tips_r, total_l + total_r, lo_l if lo_l < lo_r else lo_r,
                            hi_l if hi_l > hi_r else hi_r)
     tips, _, lo, hi = below[id(tree.root)]
-    return ([h.hex() for h in heights], tips, reference_internal_length(tree).hex(),
+    return ([h.hex() for h in heights], tips, oracles.tree_internal_branch_length(tree).hex(),
             lo.hex(), hi.hex(), None)
 
 
@@ -499,20 +520,33 @@ def test_bulk_and_node_at_a_time_agree_on_edited_batches_in_small_pieces(monkeyp
     assert bulk_pieces.count(True) > 400 and bulk_pieces.count(False) > 200
 
 
-@pytest.mark.parametrize("tail", [" " * 60_000 + "';", "\n" * 60_000, "[c]" * 20_000 + "[;",
-                                  "[" * 30_000 + ";", "(" * 60_000 + " A;", "A" * 60_000 + " B;"],
-                         ids=["filler-then-stray", "trailing-filler", "comments-then-open-comment",
-                              "open-comments", "parentheses-then-stray", "label-then-stray"])
-def test_long_runs_are_read_once(tail):
+LONG_RUNS = pytest.mark.parametrize(
+    "tail", [" " * 60_000 + "';", "\n" * 60_000, "[c]" * 20_000 + "[;", "[" * 30_000 + ";",
+             "(" * 60_000 + " A;", "A" * 60_000 + " B;", ",()" * 20_000 + ";"],
+    ids=["filler-then-stray", "trailing-filler", "comments-then-open-comment", "open-comments",
+         "parentheses-then-stray", "label-then-stray", "empty-nodes"])
+
+
+def assert_read_once(batch):
     # a pattern that backtracks over a run, or a match retried at every
     # character of it, takes seconds here
-    batch = "\n".join(shuffled_writer_trees(211, 100)) + "\n" + tail
     start = time.perf_counter()
     items = treeio.parse_newick_trees(batch)
     elapsed = time.perf_counter() - start
     assert [entry_bits(item) for item in items] == [entry_bits(item)
                                                     for item in node_at_a_time(batch)]
     assert elapsed < 1.0
+
+
+@LONG_RUNS
+def test_long_runs_are_read_once(tail):
+    assert_read_once("\n".join(shuffled_writer_trees(211, 100)) + "\n" + tail)
+
+
+@LONG_RUNS
+def test_long_runs_are_read_once_behind_a_parse_error(tail):
+    # the resume scan reads the run, node by node
+    assert_read_once("\n".join(shuffled_writer_trees(211, 100)) + "\n(A:x," + tail)
 
 
 def parsed_ops(parsed):
@@ -531,7 +565,7 @@ def parsed_ops(parsed):
 def test_reading_patterns_compile_on_python_3_10():
     # possessive quantifiers and atomic groups compile only from Python 3.11
     parser = getattr(re, "_parser", None)  # Python 3.11 and later
-    for pattern in (treeio._NODE, treeio._TO_TREE_END, treeio._BULK_NODE):
+    for pattern in (treeio._NODE, treeio._BULK_NODE, treeio._RUN):
         re.compile(pattern)
         if parser is not None:
             ops = set(parsed_ops(parser.parse(pattern)))
