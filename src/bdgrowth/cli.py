@@ -338,12 +338,13 @@ def parse_n_list(text: str) -> list[int]:
 
 
 def check_out(out: str | None, directory: bool = False, flag: str = "--out",
-              reads: dict[str, str | None] | None = None) -> None:
+              reads: dict[str, str | None] | None = None, files: tuple[str, ...] = ()) -> None:
     """Refuse, before the first read or draw, an output path (option `flag`)
     whose directory is missing or a file, a file output that is a directory
     or whose text ends in a path separator (which Path drops), or one that
     resolves to a path the command reads (`reads` maps each option that names
-    one to its path); a directory output is made with its missing parents."""
+    one to its path); of a directory output, which is made with its missing
+    parents, each of the `files` it gets is checked against `reads`."""
     if out is not None:
         if not directory and out.endswith(tuple(filter(None, (os.sep, os.altsep)))):
             raise ValueError(f"{flag} {out}: names a directory")
@@ -353,8 +354,9 @@ def check_out(out: str | None, directory: bool = False, flag: str = "--out",
             raise ValueError(f"{flag} {out}: {where} is not a directory")
         if not directory and path.is_dir():
             raise ValueError(f"{flag} {out}: is a directory")
+        written = {(path / name).resolve() for name in files} if directory else {path.resolve()}
         for option, given in (reads or {}).items():
-            if given is not None and path.resolve() == Path(given).resolve():
+            if given is not None and Path(given).resolve() in written:
                 raise ValueError(f"{flag} {out}: would overwrite {option} {given}")
 
 
@@ -376,7 +378,8 @@ def cmd_study(args) -> int:
     # a cell of its own for each listed r, in --r order, all built before any draw
     cells = [(r, _regime(args, r)) for r in map(float, args.r.split(","))]
     estimators = args.estimators.split(",")
-    check_out(args.out, directory=True)
+    check_out(args.out, directory=True, reads={"--constants": args.constants},
+              files=tuple(harness.STUDY_FILES.values()))
     table = calibration.load_constants_table(args.constants) if args.constants else None
     result = harness.run_study(ns, cells, args.replicates, args.seed, estimators, table,
                                args.calibration_replicates)

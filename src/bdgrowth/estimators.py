@@ -186,20 +186,33 @@ def _score_and_hessian(z: np.ndarray, b: np.ndarray):
     return sum_t, sum_zt - z.shape[1], sum_w / (b * b), (sum_t + sum_wz) / b, sum_zt + sum_wzz
 
 
-def _solve_location(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sum tanh((h - a)/(2b)) is strictly decreasing in a with a sign change
-    # inside [min h, max h]
-    lo, hi = h.min(axis=1), h.max(axis=1)
-    two_b = (2.0 * b)[:, None]
+def _bisect(lo: np.ndarray, hi: np.ndarray, midpoint, rises) -> np.ndarray:
+    """Bisect each row's [lo, hi] at midpoint(lo, hi), keeping the upper half
+    where rises(mid), for at most 120 steps; returns the last midpoint. A step
+    depends on (lo, hi) alone, so the first that changes no bracket bitwise
+    ends the loop with the bits of all 120. A NaN bracket never compares equal."""
     for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        up = np.tanh((h - mid[:, None]) / two_b).sum(axis=1) >= 0.0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    return 0.5 * (lo + hi)
+        mid = midpoint(lo, hi)
+        up = rises(mid)
+        lo_new, hi_new = np.where(up, mid, lo), np.where(up, hi, mid)
+        if _all(lo_new == lo) and _all(hi_new == hi):
+            break
+        lo, hi = lo_new, hi_new
+    return midpoint(lo, hi)
+
+
+def _solve_location(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's root a of sum tanh((h - a)/(2b)), strictly decreasing in a, by
+    _bisect on [min h, max h]; study rows reach the fixed point at about step 50."""
+    two_b = (2.0 * b)[:, None]
+    return _bisect(h.min(axis=1), h.max(axis=1), lambda lo, hi: 0.5 * (lo + hi),
+                   lambda a: np.tanh((h - a[:, None]) / two_b).sum(axis=1) >= 0.0)
 
 
 def _solve_scale(h: np.ndarray, a: np.ndarray, b_start: np.ndarray) -> np.ndarray:
-    # sum z*tanh(z/2) - m is strictly decreasing in b; positive as b -> 0
+    """Each row's root b of sum z*tanh(z/2) - m, z = (h - a)/b, strictly decreasing
+    in b: bracketed from b_start, then _bisect geometrically to the fixed point,
+    at about step 55 on study rows."""
     d = h - a[:, None]
 
     def phi(b):
@@ -218,11 +231,7 @@ def _solve_scale(h: np.ndarray, a: np.ndarray, b_start: np.ndarray) -> np.ndarra
 
     lo = bracket(b_start, lambda v: v > 0.0, 0.25)
     hi = bracket(b_start, lambda v: v < 0.0, 4.0)
-    for _ in range(_BISECTIONS):
-        mid = np.sqrt(lo * hi)
-        up = phi(mid) >= 0.0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    return np.sqrt(lo * hi)
+    return _bisect(lo, hi, lambda lo, hi: np.sqrt(lo * hi), lambda b: phi(b) >= 0.0)
 
 
 def _converged(ga: np.ndarray, gs: np.ndarray) -> np.ndarray:
@@ -311,7 +320,8 @@ def _bisection_fallback(h: np.ndarray, b: np.ndarray, fit: MleFit, rows: np.ndar
     fit rows, starting from scale b, at most 100 rounds; writes each row's
     last iterate into fit. A round is a function of its starting b alone, so
     a row whose round returns that b bitwise would repeat it to the end: it
-    stops there with the same bits."""
+    stops there with the same bits. Each of a round's two bisections stops
+    the same way, at the first step that changes no row's bracket."""
     for _ in range(_FALLBACK_ROUNDS):
         a = _solve_location(h, b)
         b_new = _solve_scale(h, a, b)

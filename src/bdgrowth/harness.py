@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +34,9 @@ from .estimators import ALL_ESTIMATORS, LENGTHS, simulated_estimates
 from .rng import RngStream
 
 DENSITY_BINS = 256
+# the files write_study_outputs writes under its directory, by key
+STUDY_FILES = {"metrics": "metrics.csv", "densities": "densities.csv",
+               "coverage": "coverage.csv", "summary": "summary.json"}
 
 
 class MetricsRow(NamedTuple):
@@ -47,19 +50,23 @@ class MetricsRow(NamedTuple):
     replicates: int
 
 
-class DensityRow(NamedTuple):
+class DensityGroup(NamedTuple):
+    """One (estimator, n, r) histogram: DENSITY_BINS + 1 edges, each bin's count, density."""
+
     estimator: str
     n: int
     r: float
-    bin_lo: float
-    bin_hi: float
-    count: int
-    density: float
+    edges: list[float]
+    counts: list[int]
+    density: list[float]
 
 
 class StudyResult(NamedTuple):
+    """run_study's tables, a row per cell (and estimator), except densities:
+    a DensityGroup per cell and estimator, not a row per bin."""
+
     metrics: list[MetricsRow]
-    densities: list[DensityRow]
+    densities: list[DensityGroup]
     coverage: list[CoverageRow]
     excluded: dict[tuple[int, float], int]
 
@@ -69,15 +76,13 @@ def _metrics(values: np.ndarray, r: float) -> tuple[float, float, float]:
     return float(np.mean(err * err)), float(np.mean(np.abs(err))), float(np.mean(err))
 
 
-def _density_rows(tag: str, n: int, r: float, values: np.ndarray) -> list[DensityRow]:
+def _density_group(tag: str, n: int, r: float, values: np.ndarray) -> DensityGroup:
     # adaptive range: upper tails of these estimators are heavy, clip at the
     # 99.9th percentile so the bins resolve the body of the distribution
     hi = linear_quantiles(values, (0.999,))[0] * 1.02
     counts, edges = np.histogram(values, bins=DENSITY_BINS, range=(0.0, hi))
     density = counts / (values.size * (edges[1] - edges[0]))
-    edges = edges.tolist()
-    return list(map(DensityRow._make, zip(repeat(tag), repeat(n), repeat(r), edges[:-1],
-                                          edges[1:], counts.tolist(), density.tolist())))
+    return DensityGroup(tag, n, r, edges.tolist(), counts.tolist(), density.tolist())
 
 
 def run_study(ns, cells: list[tuple[float, Regime]], replicates: int, seed: int,
@@ -109,7 +114,7 @@ def run_study(ns, cells: list[tuple[float, Regime]], replicates: int, seed: int,
         for tag in estimators:
             mse, mae, bias = _metrics(estimates[tag], r)
             metrics.append(MetricsRow(tag, n, r, regime.t, mse, mae, bias, raw.size))
-            densities.extend(_density_rows(tag, n, r, estimates[tag]))
+            densities.append(_density_group(tag, n, r, estimates[tag]))
         coverage.append(CoverageRow(n, r, regime.t, covered_fraction(raw, spec, r), raw.size))
         excluded[(n, r)] = excluded.get((n, r), 0) + dropped  # a repeated cell adds its own
     return StudyResult(metrics, densities, coverage, excluded)
@@ -218,6 +223,22 @@ def asymptotics_check(n: int, r: float, replicates: int, rng: RngStream) -> Asym
 # ---------------------------------------------------------------------------
 
 
+def write_densities(path: str | Path, groups: list[DensityGroup]) -> None:
+    """densities.csv, a line per bin in write_rows' bytes, formatted a group at
+    a time: its prefix and each edge once, and each distinct count's
+    count,density once, as a group's equal counts have equal densities (one
+    bin width divides them), though not another group's."""
+    lines = ["estimator,n,r,bin_lo,bin_hi,count,density"]
+    for group in groups:
+        prefix = "%s,%s,%.17g," % (group.estimator, group.n, group.r)
+        edges = ["%.17g" % edge for edge in group.edges]
+        tails = {count: "%s,%.17g" % (count, density)
+                 for count, density in dict(zip(group.counts, group.density)).items()}
+        lines += [f"{prefix}{lo},{hi},{tails[count]}"
+                  for lo, hi, count in zip(edges, edges[1:], group.counts)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_study_outputs(result: StudyResult, out_dir: str | Path,
                         parameters: dict) -> dict[str, Path]:
     """metrics.csv, densities.csv, coverage.csv and summary.json under out_dir;
@@ -225,15 +246,9 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
     replicates each (n, r) excluded, summed over the cells that repeat it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "metrics": out / "metrics.csv",
-        "densities": out / "densities.csv",
-        "coverage": out / "coverage.csv",
-        "summary": out / "summary.json",
-    }
+    paths = {key: out / name for key, name in STUDY_FILES.items()}
     write_rows(paths["metrics"], "estimator,n,r,T,mse,mae,bias,replicates", result.metrics)
-    write_rows(paths["densities"], "estimator,n,r,bin_lo,bin_hi,count,density",
-               result.densities)
+    write_densities(paths["densities"], result.densities)
     write_rows(paths["coverage"], COVERAGE_HEADER, result.coverage)
     summary = {**parameters, "excluded_degenerate": {
         f"n={n},r={r}": k for (n, r), k in result.excluded.items()}}

@@ -22,6 +22,11 @@ rule. extract_coalescence_times takes a graph and answers with
 bdgrowth.treeio's reading of its exact text, so a graph test checks the
 package's reader; tree_internal_branch_length sums the graph's own edges.
 
+solve_location_120 and solve_scale_120 are the MLE fallback's two
+bisections as they were before they stopped at their fixed point: every one
+of their 120 steps runs, so a fit through them gives the bits the stop must
+keep.
+
 CountedThread stands in for threading.Thread where a test counts the
 threads a command starts, and with_chunks_changed and with_rows_set for
 the sampler where a test puts rows no sampler draws into a simulated matrix.
@@ -246,6 +251,51 @@ def moment_identities_check(replicates: int, rng) -> MomentChecks:
         block += 1
     m = sums / replicates
     return MomentChecks(m[0], m[1], m[2], m[3], replicates)
+
+
+# ---------------------------------------------------------------------------
+# The MLE fallback's bisections, all 120 steps
+# ---------------------------------------------------------------------------
+
+
+def solve_location_120(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The a of each row where sum tanh((h - a)/(2b)) = 0, bisected on
+    [min h, max h] for 120 steps."""
+    lo, hi = h.min(axis=1), h.max(axis=1)
+    two_b = (2.0 * b)[:, None]
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        up = np.tanh((h - mid[:, None]) / two_b).sum(axis=1) >= 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def solve_scale_120(h: np.ndarray, a: np.ndarray, b_start: np.ndarray) -> np.ndarray:
+    """The b of each row where sum z*tanh(z/2) = m, z = (h - a)/b: bracketed
+    from b_start by quartering and quadrupling, then bisected geometrically
+    for 120 steps."""
+    d = h - a[:, None]
+
+    def phi(b):
+        z = d / b[:, None]
+        return (z * np.tanh(0.5 * z)).sum(axis=1) - h.shape[1]
+
+    def bracket(b, outside, factor):
+        pending = np.ones(b.size, dtype=bool)
+        for _ in range(200):
+            pending &= ~outside(phi(b))
+            if not pending.any():
+                break
+            b = np.where(pending, b * factor, b)
+        return b
+
+    lo = bracket(b_start, lambda v: v > 0.0, 0.25)
+    hi = bracket(b_start, lambda v: v < 0.0, 4.0)
+    for _ in range(120):
+        mid = np.sqrt(lo * hi)
+        up = phi(mid) >= 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.sqrt(lo * hi)
 
 
 # ---------------------------------------------------------------------------

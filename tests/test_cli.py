@@ -1123,7 +1123,11 @@ def test_simulate_refuses_its_trees_before_its_first_draw(tmp_path, capsys, monk
      "--out {out}: would overwrite --constants {given}"),
     (["simulate", "--n", 5, "--T", 40, "--out", "IN", "--trees", "OUT"],
      "--trees {out}: would overwrite --out {given}"),
-], ids=["estimate-input", "estimate-constants", "coverage-constants", "simulate-trees"])
+    # --out names a directory; the table is the metrics.csv study writes there
+    (["study", "--n", 5, "--r", 1, "--replicates", 300, "--seed", 1, "--constants", "IN",
+      "--out", "OUT"], "--out {out}: would overwrite --constants {given}"),
+], ids=["estimate-input", "estimate-constants", "coverage-constants", "simulate-trees",
+        "study-constants"])
 def test_commands_refuse_an_output_that_overwrites_an_input_before_reading_it(
         tmp_path, capsys, monkeypatch, constants_file, times_file, argv, message):
     def refused(*args, **kwargs):
@@ -1134,14 +1138,16 @@ def test_commands_refuse_an_output_that_overwrites_an_input_before_reading_it(
     monkeypatch.setattr(cli, "sample_coalescence_times_block", refused)
     (tmp_path / "dir").mkdir()
     source = constants_file if "--constants" in argv else times_file
-    given = tmp_path / "in.csv"
+    name = "metrics.csv" if argv[0] == "study" else "in.csv"
+    given = tmp_path / name
     given.write_bytes(source.read_bytes())
-    out = f"{tmp_path}/dir/../in.csv"  # the same file by another path
+    out = f"{tmp_path}/dir/.."  # the input, or the directory study writes it in, by another path
+    out += "" if argv[0] == "study" else f"/{name}"
     argv = [{"IN": given, "OUT": out, "TIMES": times_file}.get(a, a) for a in argv]
     assert run(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {message.format(out=out, given=given)}\n"
     assert given.read_bytes() == source.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "in.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", name]
 
 
 @pytest.mark.parametrize("argv, t", [

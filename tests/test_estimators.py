@@ -355,10 +355,13 @@ def test_newton_stops_a_row_whose_halving_step_changes_nothing(monkeypatch):
     assert sum(halving_rows) < 3000
 
 
+# Newton leaves this row unconverged and bisection drives b to 0
+B_TO_ZERO = np.array([[0.0, 1e-161, 5e-162, 2e-162]])
+
+
 def test_fallback_stops_a_row_whose_round_changes_nothing(monkeypatch):
-    # Newton leaves this row unconverged and bisection drives b to 0, where
-    # each round returns b = 0 again; without the stop the row would repeat
-    # that to the 100th round
+    # at b = 0 each round returns b = 0 again; without the stop the row
+    # would repeat that to the 100th round
     solve, calls = est._solve_location, []
 
     def counted(h, b):
@@ -366,7 +369,7 @@ def test_fallback_stops_a_row_whose_round_changes_nothing(monkeypatch):
         return solve(h, b)
 
     monkeypatch.setattr(est, "_solve_location", counted)
-    fit = est.fit_logistic_rows(np.array([[0.0, 1e-161, 5e-162, 2e-162]]))
+    fit = est.fit_logistic_rows(B_TO_ZERO)
     assert len(calls) <= 3
     # the bits the 100 rounds ended on
     assert (fit.a[0].hex(), fit.b[0].hex()) == ("0x1.1fee341fc585cp-536", "0x0.0p+0")
@@ -374,6 +377,64 @@ def test_fallback_stops_a_row_whose_round_changes_nothing(monkeypatch):
     assert fit.refused.tolist() == [2]
     assert str(fit.refusal(0)) == ("optimizer left the feasible region in 1 of 1 rows "
                                    "(first: a=4.999999999999999e-162, b=0.0)")
+
+
+def _counted_bisections(monkeypatch) -> list[int]:
+    """The steps of each _bisect call from here on, in call order."""
+    bisect, steps = est._bisect, []
+
+    def counted(lo, hi, midpoint, rises):
+        steps.append(0)
+
+        def rise(mid):
+            steps[-1] += 1
+            return rises(mid)
+
+        return bisect(lo, hi, midpoint, rise)
+
+    monkeypatch.setattr(est, "_bisect", counted)
+    return steps
+
+
+def _fit_fields(fit: est.MleFit) -> list[bytes]:
+    return [getattr(fit, field).tobytes() for field in ("a", "b", "loglik", "converged")]
+
+
+def _fallback_from(h: np.ndarray, b: np.ndarray) -> est.MleFit:
+    k = h.shape[0]
+    fit = est.MleFit(a=np.empty(k), b=np.empty(k), loglik=np.empty(k),
+                     converged=np.zeros(k, dtype=bool), refused=np.zeros(k, dtype=np.int8))
+    with np.errstate(all="ignore"):
+        est._bisection_fallback(h, b, fit, np.arange(k))
+    return fit
+
+
+def test_bisections_that_stop_at_their_fixed_point_fit_the_bits_of_all_120_steps(monkeypatch):
+    steps = _counted_bisections(monkeypatch)
+    matrices = [*_stress_matrices(), B_TO_ZERO]
+    stopped = [_fit_fields(est.fit_logistic_rows(h)) for h in matrices]
+    assert steps and max(steps) < 120  # the fallback ran, and stopped early
+    # No row fit_logistic_rows iterates has been seen to reach a NaN bracket:
+    # a non-finite row is refused at its moment start. So the fallback starts
+    # here from a NaN scale, whose scale bracket is NaN, beside a finite row.
+    rows = np.array([[1.0, 4.0, 2.0, 9.0], [0.5, 3.0, 2.0, 2.5]])
+    start = np.array([np.nan, 1.0])
+    steps.clear()
+    nan_bracket = _fit_fields(_fallback_from(rows, start))
+    assert 120 in steps  # a batch holding a NaN bracket runs every step
+    monkeypatch.setattr(est, "_solve_location", oracles.solve_location_120)
+    monkeypatch.setattr(est, "_solve_scale", oracles.solve_scale_120)
+    assert stopped == [_fit_fields(est.fit_logistic_rows(h)) for h in matrices]
+    assert nan_bracket == _fit_fields(_fallback_from(rows, start))
+
+
+def test_study_sized_fallback_bisections_stop_within_64_steps(monkeypatch):
+    steps = _counted_bisections(monkeypatch)
+    for i, n in enumerate((5, 10, 20)):
+        h = co.sample_coalescence_times_block(n, co.ExactFiniteT(1.0, 0.0, 40.0),
+                                              RngStream(11).child(i), 2000)
+        est.fit_logistic_rows(h)
+    assert steps and max(steps) <= 64
 
 
 def test_mle_rows_counts_unconverged_fits():

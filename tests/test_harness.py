@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -65,13 +66,33 @@ def test_mse_decomposes_into_variance_plus_bias_squared(small_study):
         assert mse == pytest.approx(var + bias ** 2, rel=1e-9)
 
 
+class PerBinRow(NamedTuple):
+    """One density bin as a row of its own: calibration.write_rows over these
+    rows gives the bytes harness.write_densities must write."""
+
+    estimator: str
+    n: int
+    r: float
+    bin_lo: float
+    bin_hi: float
+    count: int
+    density: float
+
+
+def per_bin_rows(group: harness.DensityGroup) -> list[PerBinRow]:
+    return [PerBinRow(group.estimator, group.n, group.r, *fields) for fields in
+            zip(group.edges[:-1], group.edges[1:], group.counts, group.density)]
+
+
 def test_density_rows_account_for_most_replicates(small_study):
     for n in (5, 10):
-        rows = [d for d in small_study.densities
-                if d.estimator == "Inv" and d.n == n]
-        assert len(rows) == harness.DENSITY_BINS
+        groups = [g for g in small_study.densities if g.estimator == "Inv" and g.n == n]
+        assert len(groups) == 1
+        group = groups[0]
+        assert len(group.counts) == len(group.density) == len(group.edges) - 1 == \
+            harness.DENSITY_BINS
         # the adaptive range clips the extreme upper tail only
-        assert sum(d.count for d in rows) >= 0.995 * STUDY_REPLICATES
+        assert sum(group.counts) >= 0.995 * STUDY_REPLICATES
 
 
 def test_density_rows_equal_the_per_bin_loop_bit_for_bit(small_study, small_constants):
@@ -87,10 +108,32 @@ def test_density_rows_equal_the_per_bin_loop_bit_for_bit(small_study, small_cons
     estimates, *_ = est.simulated_estimates(5, EXACT, RngStream(SEED).child(0),
                                             STUDY_REPLICATES, small_constants[5])
     for tag, values in estimates.items():
-        rows = harness._density_rows(tag, 5, 1.0, values)
-        assert all(type(row) is harness.DensityRow for row in rows)
+        group = harness._density_group(tag, 5, 1.0, values)
+        assert type(group) is harness.DensityGroup
+        rows = per_bin_rows(group)
         want = per_bin(tag, 5, 1.0, values)
         assert [[repr(v) for v in row] for row in rows] == [[repr(v) for v in row] for row in want]
+
+
+def test_density_writer_writes_the_bytes_of_the_per_bin_template(tmp_path):
+    values = np.random.default_rng(7).gamma(2.0, 0.5, 400)
+    shared = [harness._density_group("Inv", 5, 1.0, values),
+              harness._density_group("MSE", 5, 1.0, 3.0 * values)]  # same counts, 3x the width
+    pairs = [set(zip(g.counts, g.density)) for g in shared]
+    # a count both groups hold, with another density in each: a memo shared
+    # between groups would write the first group's density for the second
+    assert any(c == c2 and d != d2 for c, d in pairs[0] if c for c2, d2 in pairs[1])
+    one_bin = harness._density_group("Lengths", 10, 0.5, np.full(50, 2.0))
+    assert sum(1 for c in one_bin.counts if c) == 1
+    tenth = harness._density_group("MLE", 20, 0.1, values)  # %.17g writes r as 0.10000000000000001
+    for groups in ([*shared, one_bin, tenth], []):
+        harness.write_densities(tmp_path / "columns.csv", groups)
+        cal.write_rows(tmp_path / "rows.csv", ",".join(PerBinRow._fields),
+                       [row for group in groups for row in per_bin_rows(group)])
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\n") == 1 + len(groups) * harness.DENSITY_BINS
+        assert (b",0.10000000000000001," in written) == bool(groups)
 
 
 def test_coverage_rows_present(small_study):
