@@ -141,6 +141,20 @@ def newick_batch() -> str:
     return "[a batch]\n" + "\n".join(trees) + "\n"
 
 
+def comb_newick(n: int = 2000) -> str:
+    """Two ultrametric comb trees of n tips on the same join heights, drawn
+    from a seeded stdlib generator: one nested down its first children and
+    one down its last, so the reader keeps n - 1 groups open at once."""
+    rng = random.Random(33)
+    h = sorted(rng.uniform(0.0, 40.0) for _ in range(n - 1))
+    edges = "".join(f":{h[k] - h[k - 1]!r},t{k + 2}:{h[k]!r})" for k in range(1, n - 1))
+    left = "(" * (n - 1) + f"t1:{h[0]!r},t2:{h[0]!r})" + edges + ";"
+    right = ("".join(f"(t{k + 2}:{h[k]!r}," for k in range(n - 2, 0, -1))
+             + f"(t1:{h[0]!r},t2:{h[0]!r})"
+             + "".join(f":{h[k] - h[k - 1]!r})" for k in range(1, n - 1)) + ";")
+    return left + "\n" + right + "\n"
+
+
 # (name, argv); a command may read what another one writes (see waves)
 COMMANDS = [
     ("calibrate", ["calibrate", "--n", "5,10", "--replicates", "20000", "--seed", "3",
@@ -206,6 +220,10 @@ COMMANDS = [
     # several 32 kB pieces of the Newick reader, one of them with a bad tree
     ("estimate-batch", ["estimate", "batch.nwk", "--constants", TABLE,
                         "--methods", ALL_METHODS, "--out", "estimate-batch.csv"]),
+    # deep combs, which keep thousands of groups open; methods that need no
+    # constants row
+    ("estimate-combs", ["estimate", "combs.nwk", "--methods", "Lengths,MLE",
+                        "--out", "estimate-combs.csv"]),
     # where reading resumes after a bad tree; the CSV goes to stdout
     ("estimate-resume", ["estimate", "resume.nwk", "--constants", TABLE,
                          "--methods", ALL_METHODS, "--replicates", "20000"]),
@@ -306,6 +324,7 @@ def main(argv=None) -> int:
         (work / "refusals.csv").write_text(refusals_csv(), encoding="utf-8")
         (work / "batch.nwk").write_text(newick_batch(), encoding="utf-8")
         (work / "resume.nwk").write_text(RESUME_NEWICK, encoding="utf-8")
+        (work / "combs.nwk").write_text(comb_newick(), encoding="utf-8")
 
         def run(command):
             name, argv = command

@@ -7,17 +7,18 @@ a ';', and yields one TreeRecord per tree: the join heights, the tip count,
 the topology-true internal branch length, the spread of tip distances below
 the root and the first node that is not binary; a root stem is read and
 checked but not kept. Two readers make the same records, bit for bit. The
-bulk reader takes a piece of well-formed binary trees with a finite length
-on every edge below a root: one regular-expression pass lists each node's
-'(' run, length and separator, and numpy sums the records one depth level
-at a time, from the deepest up. Every other piece (a parse error, a
-multifurcation, a missing or non-finite length, a ';' inside a quoted label
-or comment where the piece ends, a comb whose depth is large next to its
-node count) and the text after the last ';' go node at a time: one pass
-(quoted labels and bracket comments included) in which one match takes a
-node's leading filler, label, length and the filler after it, and a stack
-of open groups does the rest. Each finished subtree leaves only its tip
-count, its summed tip distance and its nearest and farthest tip distance.
+bulk reader takes a piece of well-formed binary trees of two tips or more
+with a finite length on every edge below a root: one regular-expression
+pass lists each node's '(' run, length and separator, and one loop over
+them does the rest with a stack of open groups. Every other piece (a parse
+error, a multifurcation, a missing or non-finite length, a ';' inside a
+quoted label or comment where the piece ends, a one-tip tree) and the text
+after the last ';' go node at a time: one pass (quoted labels and bracket
+comments included) in which one match takes a node's leading filler,
+label, length and the filler after it, and the same stack does the rest.
+Each finished subtree leaves only its tip count, its summed tip distance
+and its nearest and farthest tip distance, and both readers join two
+subtrees with the same code.
 extract_coalescence_times and tree_internal_branch_length read the record,
 validate it (at least two tips, binary, ultrametric within a relative
 tolerance) and return the descending heights (a plain tree carries no
@@ -41,8 +42,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import reduce
-from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -104,20 +103,31 @@ _NODE = (_FILLER + "(?:'(" + _QUOTED + ")'(?!')|(" + _BARE + "))?" + _FILLER
          + "(?::" + _FILLER + "(" + _WORD + "*)" + _FILLER + r")?(?=(.?))")
 # The bulk reader's node: filler, its '(' run (1), a label, which it skips,
 # filler, ':' (2) and a length token (3) with filler after them, and its
-# separator (4), or in its place any other character, a stray (5); so a
-# node with filler between '(' and its label or right after its ':' has a
-# stray. The filler before the last part takes all whitespace, the last
-# part any other character, and a piece ends at a ';', so a match never
-# backtracks: each run of filler, '(' or label is read once.
+# separator (4), or in its place any other character, a stray, which leaves
+# (4) empty; so a node with filler between '(' and its label or right after
+# its ':' has a stray. The filler before the last part takes all
+# whitespace, the last part any other character, and a piece ends at a ';',
+# so a match never backtracks: each run of filler, '(' or label is read once.
 _BULK_NODE = (_FILLER + r"(\(*)(?:" + _BARE + "|'" + _QUOTED + "'|)" + _FILLER
-              + "(?:(:)(" + _WORD + "*)" + _FILLER + r"|)(?:([,);])|(\S))")
+              + "(?:(:)(" + _WORD + "*)" + _FILLER + r"|)(?:([,);])|\S)")
 _RUN = r"[(),]*"  # holds empty nodes only, which a resume scan steps over at once
 _PIECE = 1 << 15  # characters tokenized at once, up to the next ';'
-# A level step costs about 12 us, and the bulk reader saves about 0.6 us a
-# node, so it takes a piece only with 32 nodes or more per depth level
-# (measured on 32 kB of combs: at 20 nodes a level it was 3-5% slower node
-# for node, at 32 10-14% faster; a 3000-tip comb took 40 ms against 8 ms).
-_LEVEL_NODES = 32
+
+
+def _join(left, right, heights: list[float], internal: float):
+    """Join two subtrees, as they wait on `below`, in a binary group: append
+    its height to heights; return its (tips, total, lo, hi) and internal plus
+    each child's edge, left then right, where that child has two tips or more."""
+    tips_l, total_l, length_l, lo_l, hi_l = left
+    tips_r, total_r, length_r, lo_r, hi_r = right
+    tips = tips_l + tips_r
+    total = total_l + total_r
+    heights.append(total / tips)
+    if tips_l > 1:
+        internal += length_l
+    if tips_r > 1:
+        internal += length_r
+    return (tips, total, lo_l if lo_l < lo_r else lo_r, hi_l if hi_l > hi_r else hi_r), internal
 
 
 def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None, int]:
@@ -141,7 +151,7 @@ def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None,
     # reverse postorder, the order the refusal has always searched in.
     unnamed: dict[int, str] = {}  # open group's depth -> its first child without length
     missing = None
-    closed = None  # (tips, total, lo, hi, children) of the group a ')' just closed
+    closed = None  # (tips, total, lo, hi) of the group a ')' just closed, with `degree` children
     while True:
         if closed is None and text.startswith("(", pos):
             pos += 1
@@ -175,7 +185,7 @@ def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None,
                     raise ParseError(pos, "leaf label or '('")
             tips, total, lo, hi = 1, 0.0, 0.0, 0.0
         else:
-            tips, total, lo, hi, degree = closed
+            tips, total, lo, hi = closed
             closed = None
             if degree != 2 and not_binary is None:
                 not_binary = f"node {label or '(unnamed)'} has {degree} children"
@@ -196,26 +206,15 @@ def _read_tree(text: str, pos: int, match_node) -> tuple[TreeRecord, str | None,
         start = starts.pop()
         children = below[start:]
         del below[start:]
-        if len(children) == 2:
-            left, right = children
-            tips_l, total_l, length_l, lo_l, hi_l = left
-            tips_r, total_r, length_r, lo_r, hi_r = right
-            tips = tips_l + tips_r
-            total = total_l + total_r
-            heights.append(total / tips)
-            if tips_l > 1:
-                internal += length_l
-            if tips_r > 1:
-                internal += length_r
-            closed = (tips, total, lo_l if lo_l < lo_r else lo_r,
-                      hi_l if hi_l > hi_r else hi_r, 2)
+        degree = len(children)
+        if degree == 2:
+            closed, internal = _join(*children, heights, internal)
         else:  # refused as not binary, but its tips and lengths still count
             for child in children:
                 if child[0] > 1:
                     internal += child[2]
             closed = (sum(child[0] for child in children), 0.0,
-                      min(child[3] for child in children), max(child[4] for child in children),
-                      len(children))
+                      min(child[3] for child in children), max(child[4] for child in children))
 
 
 def _read_trees(text: str, pos: int, stop: int, match_node, out: list) -> int:
@@ -245,77 +244,50 @@ def _read_trees(text: str, pos: int, stop: int, match_node, out: list) -> int:
 
 
 def _bulk_records(nodes: list[tuple[str, ...]]) -> list[TreeRecord] | None:
-    """The records of a piece's trees from the tokens of its nodes, in
-    postorder, one array step per depth level; or None when the piece needs
+    """The records of a piece's trees from the tokens of its nodes, in one
+    pass with _read_tree's stack and its _join; or None when the piece needs
     _read_tree: a stray character, a '(' right after a ')', a node that is
     not binary, a missing, unreadable or non-finite length (the root's may
-    be missing), or depth large next to the node count. Empties nodes once
-    its columns are taken.
+    be missing), or a ';' inside a group or after a one-tip tree.
 
-    Every step repeats _read_tree's float operations in its order, so each
-    record is bit-identical to the one _read_tree makes.
+    Each record is bit-identical to the one _read_tree makes, since both
+    lift a subtree over its edge and join two subtrees with the same code.
     """
-    count = len(nodes)
-    if count < _LEVEL_NODES:  # a piece it takes is at least one level deep
-        return None
-    runs, tokens, seps = (list(map(itemgetter(k), nodes)) for k in (0, 2, 3))
-    text = "".join(seps).encode()
-    if len(text) != count:  # a stray has no separator
-        return None
-    sep = np.frombuffer(text, np.uint8)
-    roots = np.flatnonzero(sep == 59).tolist()  # ';'
-    for r in roots:
-        if not nodes[r][1]:
-            tokens[r] = "0"  # a root needs no length
-    nodes.clear()
+    out: list[TreeRecord] = []
+    starts: list[int] = []
+    below: list[tuple[int, float, float, float, float]] = []
+    heights: list[float] = []
+    internal = 0.0
+    closed = None  # (tips, total, lo, hi) of the group a ')' just closed
     try:
-        lengths = np.fromiter(map(float, tokens), float, count)
-    except ValueError:  # '' where a node below a root has no length
+        for run, colon, token, sep in nodes:
+            if run:
+                if closed:  # a '(' right after a ')'
+                    return None
+                for _ in run:
+                    starts.append(len(below))
+            tips, total, lo, hi = closed or (1, 0.0, 0.0, 0.0)  # a group's node, or a leaf
+            closed = None
+            if sep == ";":
+                # a one-tip tree goes to _read_tree, which tells a label from none
+                if starts or tips == 1 or colon and not math.isfinite(float(token)):
+                    return None
+                out.append(TreeRecord(heights, tips, internal, lo, hi, None))
+                heights, internal = [], 0.0
+                continue
+            length = float(token)
+            if not starts or length - length:  # x - x is 0.0 for finite x only
+                return None
+            below.append((tips, total + tips * length, length, lo + length, hi + length))
+            if sep == ")":
+                if len(below) - starts.pop() != 2:
+                    return None
+                closed, internal = _join(below.pop(-2), below.pop(), heights, internal)
+            elif sep != ",":  # a stray
+                return None
+    except ValueError:  # a missing or unreadable length
         return None
-    close = sep == 41  # ')'
-    inner = np.concatenate(([False], close[:-1]))  # a node after ')' closes a group
-    opens = np.fromiter(map(len, runs), int, count)
-    depth = np.cumsum(opens - close) + close
-    if (not roots or roots[-1] != count - 1 or not inner[roots].all() or opens[inner].any()
-            or not np.array_equal(depth == 0, sep == 59)
-            or depth.max() * _LEVEL_NODES > count or not np.isfinite(lengths).all()):
-        return None
-    order = np.argsort(depth, kind="stable")  # level by level, in postorder
-    # binary: each level below the roots alternates a ',' child and a ')' child
-    if (sep[order[len(roots)::2]] != 44).any() or (sep[order[len(roots) + 1::2]] != 41).any():
-        return None
-    # per node: tips, summed tip distance, nearest and negated farthest tip
-    # distance, from the top of its edge once its level is done; negated,
-    # the farthest is the least too, since -(a + b) is (-a) + (-b) exactly
-    below = np.zeros((4, count))
-    below[0] = 1.0
-    edge = np.stack((lengths, lengths, -lengths))
-    ends = np.cumsum(np.bincount(depth)).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(ends[-2::-1], ends[:0:-1]):  # deepest level first
-            child = order[a:b]
-            x, d = below[:, child], edge[:, child]
-            x[1] += x[0] * d[0]
-            x[2:] += d[1:]
-            left, right, up = x[:, ::2], x[:, 1::2], child[1::2] + 1  # a group after its ')'
-            below[:2, up] = left[:2] + right[:2]
-            below[2:, up] = np.where(left[2:] < right[2:], left[2:], right[2:])
-        tips = below[0].astype(int)
-        heights = (below[1, inner] / tips[inner]).tolist()
-    # the edges _read_tree adds to `internal` as each group closes: its left
-    # child's (the node before its right child's subtree) and its right
-    # child's, where that child has two tips or more; a sum from 0.0 is
-    # never -0.0, so adding 0.0 in place of the others leaves it as it is
-    group = np.flatnonzero(inner)
-    internal = np.where(tips > 1, lengths, 0.0)
-    flat = np.stack((internal[group - 2 * tips[group - 1]], internal[group - 1]), 1).ravel().tolist()
-    out, first = [], 0
-    for n, low, high in zip(tips[roots].tolist(), below[2, roots].tolist(),
-                            below[3, roots].tolist()):
-        out.append(TreeRecord(heights[first:first + n - 1], n,
-                              reduce(add, flat[2 * first:2 * (first + n - 1)], 0.0), low, -high, None))
-        first += n - 1
-    return out
+    return None if starts or closed else out
 
 
 def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranchLength]:
@@ -334,11 +306,11 @@ def parse_newick_trees(text: str) -> list[TreeRecord | ParseError | MissingBranc
     node. Text that holds no tree at all raises.
 
     The text is read in pieces of about _PIECE characters, each ending at a
-    ';'. _bulk_records reads a piece of well-formed binary trees; any other
-    piece goes to _read_tree, node at a time, from the piece's start until
-    past its end, and the next piece starts where _read_tree stopped. The
-    text after the last ';' goes node at a time too. Both readers give the
-    same entries, bit for bit.
+    ';'. _bulk_records reads a piece of well-formed binary trees in one
+    stack pass over its nodes' tokens; any other piece goes to _read_tree,
+    node at a time, from the piece's start until past its end, and the next
+    piece starts where _read_tree stopped. The text after the last ';' goes
+    node at a time too. Both readers give the same entries, bit for bit.
     """
     match_node = re.compile(_NODE, re.S).match
     find_nodes = re.compile(_BULK_NODE).findall
@@ -374,7 +346,8 @@ def extract_coalescence_times(
 
     Refuses, in this order, fewer than two tips, a node that is not binary,
     and tip distances below the root whose spread exceeds tol relative to
-    the farthest. Heights are measured from the tips; under rounding jitter
+    the one farthest from 0, so a tree's mirror image (every length negated)
+    is refused alike. Heights are measured from the tips; under rounding jitter
     within the tolerance each node's height is the mean of its tip
     distances, which is unbiased for symmetric rounding noise. Branch order
     is not recoverable from a plain tree, so the result holds only order
@@ -385,8 +358,9 @@ def extract_coalescence_times(
         raise SampleTooSmall("need at least 2 tips to have a coalescence")
     if tree.not_binary is not None:
         raise NotBinary(tree.not_binary)
-    if tree.hi > 0:
-        worst = (tree.hi - tree.lo) / tree.hi  # nan when hi is inf, which passes
+    far = tree.hi if tree.hi > 0 else -tree.lo  # the farthest tip distance from 0
+    if far > 0:
+        worst = (tree.hi - tree.lo) / far  # nan when far is inf, which passes
         if worst > tol:
             raise NotUltrametric(worst, tol)
     return np.array(sorted(tree.heights, reverse=True))

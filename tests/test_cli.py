@@ -342,13 +342,15 @@ def test_estimate_input_field_round_trips_through_csv_and_json(tmp_path, constan
 
 def test_estimate_isolates_bad_inputs(tmp_path, constants_file):
     bad = tmp_path / "mixed.nwk"
-    bad.write_text("((A:1,B:2):1,C:2);\n((A:1,B:1):1,C:2);")  # first not ultrametric
+    # the first and the last are not ultrametric; the last has no positive tip distance
+    bad.write_text("((A:1,B:2):1,C:2);\n((A:1,B:1):1,C:2);\n((A:-1,B:-1):-1,C:-7);")
     out = tmp_path / "est.csv"
     assert run(["estimate", bad, "--constants", constants_file,
-                "--methods", "Lengths", "--out", out]) == 0
+                "--methods", "Inv,Lengths", "--out", out]) == 0
     lines = out.read_text().splitlines()
-    assert "NotUltrametric" in lines[1]
-    assert float(lines[2].split(",")[3]) == pytest.approx(3.0)
+    assert all("NotUltrametric" in line for line in lines[1:3] + lines[5:])
+    assert all("deviation 0.714 " in line for line in lines[5:])
+    assert float(lines[4].split(",")[3]) == pytest.approx(3.0)
 
 
 def test_estimate_gives_each_tree_its_lengths_refusal(tmp_path):

@@ -194,9 +194,10 @@ def reference_extract(tree, tol):
             raise NotBinary(f"node {node.label or '(unnamed)'} has {len(node.children)} children")
     depths = np.array(depths)
     height = float(depths.max())
-    if height > 0:
+    far = height if height > 0 else -float(depths.min())
+    if far > 0:
         with np.errstate(invalid="ignore"):
-            worst = float(np.max(np.abs(depths - height))) / height
+            worst = float(np.max(np.abs(depths - height))) / far
         if worst > tol:
             raise NotUltrametric(worst, tol)
     return reference_heights(tree)
@@ -430,10 +431,13 @@ def shuffled_writer_trees(seed, count, n=12):
 
 def test_bulk_records_are_bit_identical_to_node_at_a_time_and_the_reference(bulk_pieces):
     batch = "[a batch]\n" + "\n".join(shuffled_writer_trees(207, 300)) + "\n"
-    got = [entry_bits(item) for item in treeio.parse_newick_trees(batch)]
-    assert bulk_pieces.count(True) >= 3
-    assert got == [entry_bits(item) for item in node_at_a_time(batch)]
-    assert got == [reference_bits(tree) for tree in oracles.parse_newick_trees(batch)]
+    short = "((A:0.1,B:0.1):0.2,C:0.30000000000000004);"  # a piece of one 3-tip tree
+    for text in (batch, short):
+        got = [entry_bits(item) for item in treeio.parse_newick_trees(text)]
+        assert got == [entry_bits(item) for item in node_at_a_time(text)]
+        assert got == [reference_bits(tree) for tree in oracles.parse_newick_trees(text)]
+    assert bulk_pieces.count(True) >= 4 and all(bulk_pieces)
+    assert len(got) == 1 and got[0][1] == 3
 
 
 def test_a_piece_with_a_refused_tree_goes_node_at_a_time_and_the_next_in_bulk(bulk_pieces):
@@ -490,14 +494,15 @@ def test_bulk_sums_that_overflow_match_and_warn_nothing(bulk_pieces):
     assert math.inf in heights and -math.inf in heights and any(h != h for h in heights)
 
 
-def test_deep_combs_go_node_at_a_time(bulk_pieces):
+def test_deep_combs_are_read_in_bulk(bulk_pieces):
     n = 3000
     h = np.arange(n - 1, 0, -1, dtype=float)
     for row in (h, h[::-1]):
         (text,) = treeio.cpp_newick_rows(row[None, :], float(n))
-        assert [entry_bits(item) for item in treeio.parse_newick_trees(text)] == [
-            entry_bits(item) for item in node_at_a_time(text)]
-    assert bulk_pieces == [False, False]
+        got = [entry_bits(item) for item in treeio.parse_newick_trees(text)]
+        assert got == [entry_bits(item) for item in node_at_a_time(text)]
+        assert got == [reference_bits(tree) for tree in oracles.parse_newick_trees(text)]
+    assert bulk_pieces == [True, True]
 
 
 def test_bulk_and_node_at_a_time_agree_on_edited_batches_in_small_pieces(monkeypatch,
@@ -505,7 +510,6 @@ def test_bulk_and_node_at_a_time_agree_on_edited_batches_in_small_pieces(monkeyp
     # pieces of a few trees, each one the bulk reader may take, so that
     # hand-overs happen at every kind of edit
     monkeypatch.setattr(treeio, "_PIECE", 64)
-    monkeypatch.setattr(treeio, "_LEVEL_NODES", 1)
     rng = random.Random(210)
     texts = shuffled_writer_trees(210, 40, n=5)
     edits = ["(", ")", ",", ":", ";", "'", "[", "]", " ", ":inf", ":1e308", ":-0.0", "'a;b'",
@@ -592,6 +596,16 @@ def test_non_ultrametric_rejected_with_deviation():
     with pytest.raises(NotUltrametric) as info:
         treeio.extract_coalescence_times(tree)
     assert info.value.worst_deviation > 0.3
+
+
+@pytest.mark.parametrize("text, worst", [
+    ("((A:1,B:1):1,C:7);", 5 / 7), ("((A:-1,B:-1):-1,C:-7);", 5 / 7),
+    ("((A:0,B:0):0,C:-1);", 1.0)], ids=["positive", "mirrored", "farthest-at-zero"])
+def test_spread_is_measured_against_the_farthest_tip_distance_from_zero(text, worst):
+    # tip distances at or below zero are checked as their mirror images are
+    with pytest.raises(NotUltrametric) as info:
+        treeio.extract_coalescence_times(read(text))
+    assert info.value.worst_deviation == worst
 
 
 def test_tolerance_permits_rounding_jitter():
